@@ -30,6 +30,7 @@ from .levy import (
     LevyQuadruple,
     SymbolTable,
     apply_linear,
+    apply_multipliers,
     compound_poisson,
     diffusion,
     drift,

@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -42,7 +43,6 @@ from .mc import (
 from .nisio import (
     generator_limit_table,
     nisio_evolve,
-    thread_count,
     write_argmax_csv,
     write_convergence_csv,
     write_generator_limit_csv,
@@ -58,17 +58,21 @@ def _need(data: dict, key: str, kind, what: str):
     value = data[key]
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
 
 
 def _get(data: dict, key: str, kind, default):
     if key not in data:
         return default
+    return _need(data, key, kind, key)
+
+
+def _floats(values, what: str) -> tuple:
     try:
-        return kind(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config field {key!r} is malformed: {exc}") from exc
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,16 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("time", self.time), ("nisio.tol", self.nisio_tol),
+            ("nisio.monotonicity_tol", self.nisio_monotonicity_tol),
+            ("oracle.dt", self.oracle_dt), ("oracle.tail_tol", self.oracle_tail_tol),
+            ("oracle.gap_tol", self.oracle_gap_tol), ("mc.scheme_tol", self.mc_scheme_tol),
+            *(("convergence.h_list", h) for h in self.convergence_h),
+            *(("mc.x0", c) for c in self.mc_x0),
+        ):
+            if not math.isfinite(value):
+                raise ConfigurationError(f"config field {name!r} must be finite, got {value}")
         if self.time <= 0:
             raise ConfigurationError(f"time horizon must be positive, got {self.time}")
         if not 0 <= self.nisio_max_level <= 20:
@@ -155,13 +169,13 @@ class RunConfig:
             oracle_dt=_get(ora, "dt", float, 1e-3),
             oracle_tail_tol=_get(ora, "tail_tol", float, 1e-10),
             oracle_gap_tol=_get(ora, "gap_tol", float, 5e-4),
-            convergence_h=tuple(float(h) for h in conv.get("h_list", DEFAULT_H_LIST)),
+            convergence_h=_floats(conv.get("h_list", DEFAULT_H_LIST), "convergence.h_list"),
             mc_n_paths=_get(mc, "n_paths", int, 10_000),
             mc_seed=_get(mc, "seed", int, 0),
             mc_extract_level=_get(mc, "extract_level", int, 4),
             mc_random_strategies=_get(mc, "random_strategies", int, 16),
             mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2),
-            mc_x0=tuple(float(c) for c in mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim"))),
+            mc_x0=_floats(mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim")), "mc.x0"),
             mc_strategy_files=strategy_files,
             output_dir=str(data.get("output", data.get("output_dir", "out"))),
         )
@@ -257,7 +271,6 @@ class _Run:
             "family_constant": family_constant(self.family),
             "snap_distance": self.table.snap_distance,
             "member_labels": list(self.family.labels),
-            "threads": thread_count(),
         }
 
     def out(self, name: str) -> str:

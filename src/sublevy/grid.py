@@ -156,21 +156,12 @@ def _phase_nd(grid: TorusGrid) -> np.ndarray:
     return np.multiply.outer(p, p)
 
 
-def _fft(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Raw forward transform (ndarray in, ndarray out); hot-path helper."""
-    return np.fft.fftn(values) * _phase_nd(grid) / grid.size
-
-
-def _ifft(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(coeffs * _phase_nd(grid)) * grid.size
-
-
 def forward_transform(f: GridFunction) -> Spectrum:
-    return Spectrum(f.grid, _fft(f.grid, f.values))
+    return Spectrum(f.grid, np.fft.fftn(f.values) * _phase_nd(f.grid) / f.grid.size)
 
 
 def inverse_transform(s: Spectrum) -> GridFunction:
-    return GridFunction(s.grid, _ifft(s.grid, s.coeffs).real)
+    return GridFunction(s.grid, (np.fft.ifftn(s.coeffs * _phase_nd(s.grid)) * s.grid.size).real)
 
 
 def negation_permutation(grid: TorusGrid) -> tuple[np.ndarray, ...] | np.ndarray:

@@ -10,12 +10,17 @@ multiplication by
              + sum_j v_j (exp(i<k,z_j>) - 1 - i<k,z_j>)
 
 and the linear evolution over time t as multiplication by exp(t psi(k)).
-Symbols are symmetrized across the aliased mode negation so that real
-functions map to real functions exactly; on the Nyquist shell this is the
-collocation of the symmetric trigonometric interpolant (the dropped odd part
-vanishes at every grid point).  Exponentiating the collocated generator keeps
-the composition law exact at every mode; the price is that the Nyquist mode
-does not rotate under drift, which only matters for data with energy there.
+Symbols are symmetrized across the aliased mode negation; on the Nyquist
+shell this is the collocation of the symmetric trigonometric interpolant (the
+dropped odd part vanishes at every grid point).  Exponentiating the
+collocated generator keeps the composition law exact at every mode; the price
+is that the Nyquist mode does not rotate under drift, which only matters for
+data with energy there.
+
+Evolution runs on the half spectrum (last-axis modes 0..n/2) with real FFTs.
+The multipliers exp(t psi) are not re-symmetrized: the inverse real FFT reads
+only the Hermitian part of its input, so real functions map to real
+functions by construction.
 """
 
 from __future__ import annotations
@@ -27,19 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import (
-    GridFunction,
-    TorusGrid,
-    _fft,
-    _ifft,
-    negation_permutation,
-    wrap_point,
-)
+from .grid import GridFunction, TorusGrid, negation_permutation, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
 REAL_PART_TOL = 1e-12
-IMAG_RESIDUE_TOL = 1e-10
 
 
 def _atoms_array(atoms, dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,15 +77,19 @@ class LevyQuadruple:
             sigma = sigma.reshape(1, 1)
         if sigma.shape != (d, d):
             raise ConfigurationError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
-        if np.max(np.abs(sigma - sigma.T), initial=0.0) > SYMMETRY_TOL:
-            raise ConfigurationError("sigma must be symmetric to 1e-12")
-        if np.min(np.linalg.eigvalsh(sigma)) < -PSD_TOL:
-            raise ConfigurationError("sigma must be positive semidefinite to 1e-12")
-
         mu_p = np.asarray(self.mu_points, dtype=float).reshape(-1, d)
         mu_w = np.asarray(self.mu_weights, dtype=float).reshape(-1)
         nu_p = np.asarray(self.nu_points, dtype=float).reshape(-1, d)
         nu_w = np.asarray(self.nu_weights, dtype=float).reshape(-1)
+        for name, arr in (("b", b), ("sigma", sigma), ("large-jump atoms", mu_p),
+                          ("large-jump weights", mu_w), ("small-jump atoms", nu_p),
+                          ("small-jump weights", nu_w)):
+            if not np.all(np.isfinite(arr)):
+                raise ConfigurationError(f"quadruple {name} must be finite")
+        if np.max(np.abs(sigma - sigma.T), initial=0.0) > SYMMETRY_TOL:
+            raise ConfigurationError("sigma must be symmetric to 1e-12")
+        if np.min(np.linalg.eigvalsh(sigma)) < -PSD_TOL:
+            raise ConfigurationError("sigma must be positive semidefinite to 1e-12")
         if mu_p.shape[0] != mu_w.shape[0] or nu_p.shape[0] != nu_w.shape[0]:
             raise ConfigurationError("atom point and weight counts disagree")
         if np.any(mu_w <= 0) or np.any(nu_w <= 0):
@@ -117,7 +118,7 @@ class LevyQuadruple:
             b_arr = np.full(2, b_arr[0])
         sig = np.asarray(sigma, dtype=float)
         if sig.shape == ():
-            sig = np.eye(dim) * float(sig)
+            sig = np.diag(np.full(dim, float(sig)))
         mu_p, mu_w = _atoms_array(mu, dim, "large-jump")
         nu_p, nu_w = _atoms_array(nu, dim, "small-jump")
         return cls(b_arr, sig, mu_p, mu_w, nu_p, nu_w)
@@ -271,6 +272,7 @@ def _symmetrize(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.conj(arr[perm]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing symbol is rejected below
 def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
     """Per-mode characteristic exponent of the quadruple on this grid.
 
@@ -301,6 +303,8 @@ def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
             psi = psi + wts[j] * term
 
     psi = _symmetrize(grid, psi)
+    if not np.all(np.isfinite(psi)):
+        raise ConfigurationError("quadruple symbol is not finite on this grid")
     _validate_symbol(grid, psi, "quadruple")
     return psi
 
@@ -359,29 +363,43 @@ class SymbolTable:
     def max_abs_symbol(self) -> float:
         return float(np.max(np.abs(self.psi)))
 
+    @property
+    def psi_half(self) -> np.ndarray:
+        """psi on the half spectrum, shape (m, ..., n/2+1), as the real FFTs store it."""
+        return _half(self.grid, self.psi)
+
     def multipliers(self, t: float) -> np.ndarray:
-        """exp(t * psi) per member, re-symmetrized to exact conjugate symmetry."""
+        """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1).
+
+        The symbol is conjugate symmetric, but the multipliers are not
+        re-symmetrized: apply_multipliers uses only their Hermitian part.
+        """
         if t < 0:
             raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-        mult = np.exp(t * self.psi)
-        perm = negation_permutation(self.grid)
-        return 0.5 * (mult + np.conj(mult[(slice(None), *_as_tuple(perm))]))
-
-
-def _as_tuple(perm) -> tuple:
-    return perm if isinstance(perm, tuple) else (perm,)
+        return np.exp(t * self.psi_half)
 
 
 # -- multiplier application ----------------------------------------------------
 
-def _to_real(grid: TorusGrid, values: np.ndarray, what: str) -> GridFunction:
-    residue = float(np.max(np.abs(values.imag)))
-    if residue > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(f"{what}: imaginary residue {residue:.3e} exceeds 1e-10")
-    out = values.real
+def _half(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
+    """The last-axis modes 0..n/2 of a full-spectrum array (a view)."""
+    return arr[..., : grid.n // 2 + 1]
+
+
+def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Multiply the spectrum of values by each multiplier; one row per member.
+
+    mults holds half-spectrum multipliers, shape (m, ..., n/2+1); the result
+    is the (m, *grid.shape) float64 stack of evolved values.  One forward real
+    FFT serves every member and one inverse real FFT runs over the member
+    axis.  The (-1)^k phase and 1/N normalization of the centred coefficient
+    convention cancel for a diagonal multiplier, so neither is applied.
+    """
+    spec = mults * np.fft.rfftn(values)
+    out = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)))
     if not np.all(np.isfinite(out)):
-        raise ConsistencyError(f"{what}: non-finite output")
-    return GridFunction(grid, out)
+        raise ConsistencyError("member evolution produced non-finite values")
+    return out
 
 
 def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:
@@ -393,18 +411,23 @@ def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:
     grid = f.grid
     if sym.shape != grid.shape:
         raise ConfigurationError("symbol shape does not match the grid")
-    mult = _symmetrize(grid, np.exp(t * sym))
-    out = _ifft(grid, mult * _fft(grid, f.values))
-    return _to_real(grid, out, "linear evolution")
+    mult = np.exp(t * _half(grid, sym[None]))
+    return GridFunction(grid, apply_multipliers(grid, mult, f.values)[0])
 
 
 def generator_apply_single(sym: np.ndarray, f: GridFunction) -> GridFunction:
-    """Apply one generator spectrally: multiply modes by psi(k)."""
+    """Apply one generator spectrally: multiply modes by psi(k).
+
+    sym must be conjugate symmetric across mode negation, as levy_symbol
+    returns it; the inverse real FFT would read only its Hermitian part.
+    """
     grid = f.grid
     if sym.shape != grid.shape:
         raise ConfigurationError("symbol shape does not match the grid")
-    out = _ifft(grid, sym * _fft(grid, f.values))
-    return _to_real(grid, out, "generator application")
+    scale = max(1.0, float(np.max(np.abs(sym))))
+    if np.max(np.abs(sym[negation_permutation(grid)] - np.conj(sym))) > SYMMETRY_TOL * scale:
+        raise ConfigurationError("symbol is not conjugate symmetric across mode negation")
+    return GridFunction(grid, apply_multipliers(grid, _half(grid, sym[None]), f.values)[0])
 
 
 # -- path increments -----------------------------------------------------------

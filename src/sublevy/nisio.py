@@ -12,38 +12,18 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, _fft, _ifft, sup_distance
-from .levy import (
-    IMAG_RESIDUE_TOL,
-    SymbolTable,
-    family_constant,
-    generator_apply_single,
-)
+from .grid import GridFunction, TorusGrid, sup_distance
+from .levy import SymbolTable, apply_multipliers, family_constant
 
-THREADS_ENV = "NISIO_THREADS"
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
 INCREMENT_ROUNDING_TOL = 1e-10
-
-
-def thread_count() -> int:
-    """Internal parallelism cap from the NISIO_THREADS environment variable."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, k)
 
 
 @dataclass(frozen=True)
@@ -144,33 +124,6 @@ class NisioResult:
 
 # -- one-step envelope ---------------------------------------------------------
 
-def _member_evolutions(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply every member multiplier to one function; returns (m, *shape) reals."""
-    coeffs = _fft(grid, values)
-    m = mults.shape[0]
-    out = np.empty((m,) + grid.shape)
-
-    def one(i: int) -> None:
-        arr = _ifft(grid, mults[i] * coeffs)
-        residue = float(np.max(np.abs(arr.imag)))
-        if residue > IMAG_RESIDUE_TOL:
-            raise ConsistencyError(
-                f"member {i}: imaginary residue {residue:.3e} exceeds 1e-10"
-            )
-        out[i] = arr.real
-
-    workers = min(thread_count(), m)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(m)))
-    else:
-        for i in range(m):
-            one(i)
-    if not np.all(np.isfinite(out)):
-        raise ConsistencyError("member evolution produced non-finite values")
-    return out
-
-
 def apply_J(table: SymbolTable, t: float, f: GridFunction,
             record_argmax: bool = False) -> tuple[GridFunction, np.ndarray | None]:
     """One sup-envelope step: pointwise max over members of the t-evolution.
@@ -185,7 +138,7 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction,
     if t == 0:
         am = np.zeros(table.grid.shape, dtype=np.int64) if record_argmax else None
         return f, am
-    stack = _member_evolutions(table.grid, table.multipliers(t), f.values)
+    stack = apply_multipliers(table.grid, table.multipliers(t), f.values)
     am = np.argmax(stack, axis=0) if record_argmax else None
     return GridFunction(table.grid, np.max(stack, axis=0)), am
 
@@ -197,7 +150,7 @@ def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridF
     values = f.values
     for gap in pi.gaps()[::-1]:
         mults = table.multipliers(float(gap))
-        values = np.max(_member_evolutions(table.grid, mults, values), axis=0)
+        values = np.max(apply_multipliers(table.grid, mults, values), axis=0)
     return GridFunction(table.grid, values)
 
 
@@ -208,7 +161,7 @@ def _iterate_uniform(table: SymbolTable, gap: float, steps: int, values: np.ndar
     mults = table.multipliers(gap)
     am = np.empty((steps,) + table.grid.shape, dtype=np.int64) if record else None
     for j in range(steps):
-        stack = _member_evolutions(table.grid, mults, values)
+        stack = apply_multipliers(table.grid, mults, values)
         if record:
             # iteration j consumes the value with j steps remaining, which is
             # the lookahead for forward-time interval steps-1-j
@@ -312,15 +265,13 @@ def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    stack = _member_evolutions(table.grid, table.psi, f.values)
+    stack = apply_multipliers(table.grid, table.psi_half, f.values)
     return GridFunction(table.grid, np.max(stack, axis=0))
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     """Largest member generator sup-norm at f; the step-regularity constant."""
-    return max(
-        generator_apply_single(table.psi[i], f).sup_norm for i in range(len(table))
-    )
+    return float(np.max(np.abs(apply_multipliers(table.grid, table.psi_half, f.values))))
 
 
 def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, _fft, _ifft
-from .levy import IMAG_RESIDUE_TOL, SymbolTable
+from .grid import GridFunction, TorusGrid
+from .levy import SymbolTable, apply_multipliers
 
 SERIES_TERM_BUDGET = 10**4
 RK4_ABS_STABILITY = 2.5  # inside the negative real-axis stability interval (~2.785)
@@ -129,18 +129,8 @@ def poisson_series_apply(rate: float, mu_atoms, t: float, f: GridFunction,
 
 # -- classical integration of the sup-generator equation ---------------------------
 
-def _sup_generator_rhs(grid: TorusGrid, psi: np.ndarray, values: np.ndarray) -> np.ndarray:
-    coeffs = _fft(grid, values)
-    best = None
-    for i in range(psi.shape[0]):
-        arr = _ifft(grid, psi[i] * coeffs)
-        residue = float(np.max(np.abs(arr.imag)))
-        if residue > IMAG_RESIDUE_TOL:
-            raise ConsistencyError(
-                f"member {i}: imaginary residue {residue:.3e} exceeds 1e-10"
-            )
-        best = arr.real if best is None else np.maximum(best, arr.real)
-    return best
+def _sup_generator_rhs(grid: TorusGrid, psi_half: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.max(apply_multipliers(grid, psi_half, values), axis=0)
 
 
 def stability_limit(table: SymbolTable) -> float:
@@ -172,15 +162,15 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         raise ConfigurationError(
             f"step {dt} exceeds the stability limit {limit:.3e} for this table"
         )
-    grid = table.grid
+    grid, psi = table.grid, table.psi_half
     u = f.values
     times = [0.0]
     snaps = [f]
     for k in range(1, steps + 1):
-        k1 = _sup_generator_rhs(grid, table.psi, u)
-        k2 = _sup_generator_rhs(grid, table.psi, u + 0.5 * dt * k1)
-        k3 = _sup_generator_rhs(grid, table.psi, u + 0.5 * dt * k2)
-        k4 = _sup_generator_rhs(grid, table.psi, u + dt * k3)
+        k1 = _sup_generator_rhs(grid, psi, u)
+        k2 = _sup_generator_rhs(grid, psi, u + 0.5 * dt * k1)
+        k3 = _sup_generator_rhs(grid, psi, u + 0.5 * dt * k2)
+        k4 = _sup_generator_rhs(grid, psi, u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise ConsistencyError(f"integration blew up at step {k}")
@@ -219,7 +209,7 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     out = []
     for i in range(1, len(traj.snapshots) - 1):
         du = (traj.snapshots[i + 1].values - traj.snapshots[i - 1].values) / (2.0 * delta)
-        rhs = _sup_generator_rhs(grid, table.psi, traj.snapshots[i].values)
+        rhs = _sup_generator_rhs(grid, table.psi_half, traj.snapshots[i].values)
         pointwise = du - rhs
         out.append(ResidualSample(float(traj.times[i]),
                                   float(np.max(np.abs(pointwise))), pointwise))
@@ -257,17 +247,8 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float,
         )
         plateau = plateau * axis_val
         inside &= d <= shrink * w
-    escaped = 0.0
-    mults = table.multipliers(t)
-    for i in range(len(table)):
-        arr = _ifft(grid, mults[i] * _fft(grid, plateau))
-        residue = float(np.max(np.abs(arr.imag)))
-        if residue > IMAG_RESIDUE_TOL:
-            raise ConsistencyError(
-                f"member {i}: imaginary residue {residue:.3e} exceeds 1e-10"
-            )
-        escaped = max(escaped, 1.0 - float(np.min(arr.real[inside])))
-    return max(escaped, 0.0)
+    evolved = apply_multipliers(grid, table.multipliers(t), plateau)
+    return max(1.0 - float(np.min(evolved[:, inside])), 0.0)
 
 
 # -- CSV emission --------------------------------------------------------------------

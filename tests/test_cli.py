@@ -53,6 +53,35 @@ class TestConfig:
         path = write_config(tmp_path, mc={"n_paths": 10})
         assert main(["mc", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("overrides", [
+        {"time": "nan"},
+        {"oracle": {"dt": "inf"}},
+        {"nisio": {"tol": float("nan")}},
+        {"convergence": {"h_list": [0.1, "-inf"]}},
+        {"family": {"builtin": "two_sigma", "sigmas": [0.5, 1e200]}},
+        {"grid": {"dim": 2, "n": 16}, "mc": {"x0": [0.0, 0.0]},
+         "family": {"builtin": "two_sigma", "sigmas": [0.5, 1e200]}},
+    ])
+    def test_nonfinite_input_is_config_error(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "finite" in err
+        assert "ConsistencyError" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"convergence": {"h_list": ["a", 0.1]}},
+        {"mc": {"x0": ["east"]}},
+        {"mc": {"x0": [10**400]}},
+        {"convergence": {"h_list": [0.1, 10**400]}},
+        {"grid": {"dim": 1, "n": float("inf")}},
+    ])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        assert "malformed" in capsys.readouterr().err
+
 
 class TestEvolve:
     def test_singleton_matches_linear(self, tmp_path):

@@ -10,8 +10,10 @@ from sublevy import (
     GeneratorFamily,
     GridFunction,
     LevyQuadruple,
+    Spectrum,
     SymbolTable,
     apply_linear,
+    apply_multipliers,
     compound_poisson,
     cyclic_shift,
     diffusion,
@@ -19,7 +21,9 @@ from sublevy import (
     family_constant,
     family_from_json,
     family_to_json,
+    forward_transform,
     generator_apply_single,
+    inverse_transform,
     levy_symbol,
     load_family,
     make_grid,
@@ -56,6 +60,19 @@ class TestQuadrupleValidation:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ConfigurationError):
             LevyQuadruple.create(mu=[(1.0, 0.0)], dim=1)
+
+    @pytest.mark.parametrize("dim,params", [
+        (1, {"b": np.nan}), (1, {"sigma": np.inf}), (1, {"mu": [(np.nan, 1.0)]}),
+        (1, {"nu": [(0.3, np.inf)]}),
+        (2, {"sigma": np.inf}),  # inf * identity has nan off-diagonal entries
+    ])
+    def test_nonfinite_parameters_rejected(self, dim, params):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LevyQuadruple.create(dim=dim, **params)
+
+    def test_overflowing_symbol_rejected(self, grid64):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            SymbolTable.build(GeneratorFamily((diffusion(1e306),)), grid64)
 
     def test_atoms_wrapped_to_half_open_interval(self):
         q = LevyQuadruple.create(mu=[(3 * np.pi, 1.0), (-np.pi, 1.0)], dim=1)
@@ -238,6 +255,11 @@ class TestGeneratorApply:
         out = generator_apply_single(psi, f)
         assert sup_distance(out, GridFunction(g, -0.5 * f.values)) <= 5e-3
 
+    def test_asymmetric_symbol_rejected(self, grid128, cos128):
+        psi = levy_symbol(diffusion(1.0), grid128) + 1j
+        with pytest.raises(ConfigurationError, match="conjugate symmetric"):
+            generator_apply_single(psi, cos128)
+
     def test_constant_maps_to_zero(self, two_sigma_table, grid128):
         f = sample(grid128, "constant", value=4.0)
         out = generator_apply_single(two_sigma_table.psi[0], f)
@@ -317,6 +339,69 @@ class TestSymbolTable:
     def test_multiplier_time_validation(self, two_sigma_table):
         with pytest.raises(ConfigurationError):
             two_sigma_table.multipliers(-1.0)
+
+
+def _kernel_family(grid):
+    """Drift (complex psi), compensated small jumps, large jumps, anisotropic Sigma."""
+    h, d = grid.spacing, grid.dim
+    if d == 1:
+        return GeneratorFamily((
+            drift(0.7),
+            LevyQuadruple.create(b=0.2, sigma=0.3, nu=[(3 * h, 2.0), (-5 * h, 1.0)]),
+            compound_poisson([(7 * h, 1.0), (-2 * h, 0.5)], rate=2.0),
+        ))
+    return GeneratorFamily((
+        LevyQuadruple.create(b=[0.3, -0.2], sigma=np.array([[1.0, 0.4], [0.4, 0.5]]),
+                             dim=2),
+        LevyQuadruple.create(b=[-0.5, 0.1], sigma=0.2, nu=[([2 * h, -h], 1.5)],
+                             mu=[([3 * h, 5 * h], 0.7)], dim=2),
+        drift([1.0, 0.25], dim=2),
+    ))
+
+
+class TestSpectralKernel:
+    """apply_multipliers against the complex full-spectrum route."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.3])
+    def test_matches_complex_route(self, dim, n, t):
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        # kmax = n/2 puts energy on the Nyquist shell
+        f = random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2)
+        out = apply_multipliers(grid, table.multipliers(t), f.values)
+        assert out.dtype == np.float64
+        assert out.shape == (len(table),) + grid.shape
+        coeffs = forward_transform(f).coeffs
+        for i in range(len(table)):
+            ref = inverse_transform(Spectrum(grid, np.exp(t * table.psi[i]) * coeffs))
+            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_generator_matches_complex_route(self, dim, n):
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        f = random_trig(grid, np.random.default_rng(3), kmax=6)
+        out = apply_multipliers(grid, table.psi_half, f.values)
+        coeffs = forward_transform(f).coeffs
+        for i in range(len(table)):
+            ref = inverse_transform(Spectrum(grid, table.psi[i] * coeffs))
+            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-12 * table.max_abs_symbol()
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
+    def test_multipliers_live_on_the_half_spectrum(self, dim, n):
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        mults = table.multipliers(0.1)
+        assert mults.shape == (len(table),) + (n,) * (dim - 1) + (n // 2 + 1,)
+        assert table.psi.shape == (len(table),) + grid.shape
+
+    def test_nonfinite_output_raises(self, grid64):
+        table = SymbolTable.build(GeneratorFamily((diffusion(1.0),)), grid64)
+        mults = table.multipliers(0.1).copy()
+        mults[0, 3] = np.inf
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            apply_multipliers(grid64, mults, sample(grid64, "cosine", k=3).values)
 
 
 class TestFamilyJson:

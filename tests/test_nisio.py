@@ -356,19 +356,6 @@ class TestKernelProperties:
             assert float(np.max(lin.values - deep.value.values)) <= 1e-9
 
 
-class TestThreadCap:
-    def test_threaded_matches_serial(self, two_sigma_table, bump128, monkeypatch):
-        serial = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=4, tol=0.0)
-        monkeypatch.setenv("NISIO_THREADS", "4")
-        threaded = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=4, tol=0.0)
-        assert np.array_equal(serial.value.values, threaded.value.values)
-
-    def test_bad_value_rejected(self, two_sigma_table, bump128, monkeypatch):
-        monkeypatch.setenv("NISIO_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            nisio_evolve(two_sigma_table, 0.1, bump128, max_level=1, tol=0.0)
-
-
 class TestTwoDimensional:
     def test_envelope_on_the_2_torus(self):
         # maximizer interfaces are curves in 2-d, so spectral truncation at
