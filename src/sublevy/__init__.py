@@ -41,6 +41,7 @@ from .levy import (
     levy_symbol,
     load_family,
     sample_increment,
+    sample_increments,
     save_family,
     snap_to_grid,
     wrapped_cauchy_quadruple,
@@ -55,9 +56,11 @@ from .mc import (
     extract_strategy,
     interpolate_linear,
     load_strategy,
+    path_payoffs,
     random_strategy,
     save_strategy,
     simulate_path,
+    simulate_paths,
 )
 from .nisio import (
     ArgmaxField,

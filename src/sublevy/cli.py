@@ -62,10 +62,10 @@ def _need(data: dict, key: str, kind, what: str):
         raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
 
 
-def _get(data: dict, key: str, kind, default):
+def _get(data: dict, key: str, kind, default, what: str | None = None):
     if key not in data:
         return default
-    return _need(data, key, kind, key)
+    return _need(data, key, kind, what or key)
 
 
 def _floats(values, what: str) -> tuple:
@@ -125,6 +125,8 @@ class RunConfig:
             raise ConfigurationError("mc.n_paths must be at least 100")
         if not 0 <= self.mc_extract_level <= 20:
             raise ConfigurationError("mc.extract_level must be in [0, 20]")
+        if not 0 <= self.mc_seed < 2**64:
+            raise ConfigurationError("mc.seed must be in [0, 2^64)")
         if self.mc_random_strategies < 0 or self.mc_scheme_tol < 0:
             raise ConfigurationError("mc.random_strategies and scheme_tol must be >= 0")
         if len(self.mc_x0) != self.grid_dim:
@@ -222,29 +224,30 @@ def build_family(spec, grid) -> GeneratorFamily:
         return load_family(spec["path"])
     name = spec.get("builtin")
     if name == "single_sigma":
-        s = float(spec.get("sigma", 1.0))
+        s = _get(spec, "sigma", float, 1.0, "family.sigma")
         return GeneratorFamily((diffusion(s * s, dim=grid.dim),), (f"sigma={s:g}",))
     if name == "two_sigma":
-        sigmas = [float(s) for s in spec.get("sigmas", (0.5, 1.0))]
+        sigmas = _floats(spec.get("sigmas", (0.5, 1.0)), "family.sigmas")
         members = tuple(diffusion(s * s, dim=grid.dim) for s in sigmas)
         return GeneratorFamily(members, tuple(f"sigma={s:g}" for s in sigmas))
     if name == "half_turn_jump":
-        rate = float(spec.get("rate", 1.0))
+        rate = _get(spec, "rate", float, 1.0, "family.rate")
         if grid.dim != 1:
             raise ConfigurationError("half_turn_jump is one-dimensional")
         return GeneratorFamily((compound_poisson([(np.pi, 1.0)], rate=rate),),
                                (f"half-turn rate={rate:g}",))
     if name == "wrapped_cauchy":
-        gammas = [float(g) for g in spec.get("gammas", (0.5,))]
-        rate = float(spec.get("rate", 1.0))
-        scale = float(spec.get("scale", 1.0))
+        gammas = _floats(spec.get("gammas", (0.5,)), "family.gammas")
+        rate = _get(spec, "rate", float, 1.0, "family.rate")
+        scale = _get(spec, "scale", float, 1.0, "family.scale")
         members = tuple(wrapped_cauchy_quadruple(grid, g, rate=rate, scale=scale)
                         for g in gammas)
         labels = tuple(f"cauchy gamma={g:g} scale={scale:g}" for g in gammas)
         return GeneratorFamily(members, labels)
     if name == "drift":
         b = spec.get("b", 1.0)
-        return GeneratorFamily((drift(b, dim=grid.dim),), (f"drift b={b!r}",))
+        velocity = _floats(b if isinstance(b, list) else [b], "family.b")
+        return GeneratorFamily((drift(velocity, dim=grid.dim),), (f"drift b={b!r}",))
     raise ConfigurationError(f"unknown family builtin {name!r}")
 
 
@@ -454,12 +457,13 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, mc_seed=args.seed)
         return COMMANDS[args.command](config, quiet=args.quiet)
     except (ConfigurationError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
     except ConsistencyError as exc:
         # an internal invariant broke; name it rather than dumping a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        message = f"{type(exc).__name__}: {exc}"
+    # one line, even when the message quotes a config string holding a newline
+    print("error: " + message.replace("\n", "\\n"), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -240,28 +240,22 @@ def _bump(grid: TorusGrid, center, width: float) -> np.ndarray:
     return out
 
 
+def _constant(grid: TorusGrid, value: float) -> np.ndarray:
+    return np.full(grid.shape, float(value))
+
+
 def sample(grid: TorusGrid, kind: str, **params) -> GridFunction:
     """Evaluate a named initial function pointwise at the grid points.
 
     Builtins: cosine(k, phase), bump(center, width), constant(value),
     samples(path) reading the grid-function CSV format.
     """
-    if kind == "cosine":
+    makers = {"cosine": _cosine, "bump": _bump, "constant": _constant}
+    if kind in makers:
         try:
-            return GridFunction(grid, _cosine(grid, **params))
-        except TypeError as exc:
-            raise ConfigurationError(f"bad cosine parameters {params!r}: {exc}") from None
-    if kind == "bump":
-        try:
-            return GridFunction(grid, _bump(grid, **params))
-        except TypeError as exc:
-            raise ConfigurationError(f"bad bump parameters {params!r}: {exc}") from None
-    if kind == "constant":
-        try:
-            value = float(params["value"])
-        except KeyError:
-            raise ConfigurationError("constant needs a 'value' parameter") from None
-        return GridFunction(grid, np.full(grid.shape, value))
+            return GridFunction(grid, makers[kind](grid, **params))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"bad {kind} parameters {params!r}: {exc}") from None
     if kind == "samples":
         try:
             path = params["path"]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,14 +186,19 @@ def wrapped_cauchy_quadruple(grid: TorusGrid, gamma: float, rate: float = 1.0,
     """
     if grid.dim != 1:
         raise ConfigurationError("wrapped Cauchy jump families are one-dimensional")
-    if gamma <= 0 or scale <= 0:
-        raise ConfigurationError("wrapped Cauchy needs gamma > 0 and scale > 0")
+    if not (0 < gamma < np.inf and 0 < scale < np.inf):
+        raise ConfigurationError("wrapped Cauchy needs finite gamma > 0 and scale > 0")
     if rate < 0:
         raise ConfigurationError("wrapped Cauchy rate must be nonnegative")
     g = gamma / scale
     rho = np.exp(-g)
+    gap = -np.expm1(-g)  # 1 - rho, without cancellation for small g
+    if gap * gap == 0.0:
+        raise ConfigurationError(f"wrapped Cauchy gamma/scale = {g:g} is too small to sample")
     x = grid.axis_points()
-    dens = (1.0 - rho**2) / (1.0 - 2.0 * rho * np.cos(x) + rho**2) / (2.0 * np.pi)
+    # 1 - 2 rho cos x + rho^2, written so that it stays positive at x = 0
+    denom = gap * gap + 4.0 * rho * np.sin(x / 2) ** 2
+    dens = gap * (1.0 + rho) / denom / (2.0 * np.pi)
     w = dens * grid.spacing
     w = w * (rate / w.sum())
     return compound_poisson(list(zip(x, w)), rate=rate, dim=1)
@@ -432,27 +438,37 @@ def generator_apply_single(sym: np.ndarray, f: GridFunction) -> GridFunction:
 
 # -- path increments -----------------------------------------------------------
 
-def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one increment of the process over a step dt, wrapped to (-pi, pi]^d.
+def sample_increments(q: LevyQuadruple, dt: float, rng: np.random.Generator,
+                      size: int) -> np.ndarray:
+    """Draw size independent increments over a step dt, shape (size, d), each
+    wrapped to (-pi, pi]^d.
 
-    Draw order is fixed (Gaussian part, large jumps, small jumps); blocks that
-    cannot contribute are skipped without consuming randomness.
+    Draw order is fixed (Gaussian part for all rows, then per jump block the
+    Poisson counts for all rows and the atoms of all jumps in row order);
+    blocks that cannot contribute are skipped without consuming randomness.
     """
     if dt <= 0:
         raise ConfigurationError(f"increment step must be positive, got {dt}")
-    x = q.b * dt
     if q._has_gaussian_part:
-        x = x + q._sigma_factor @ rng.standard_normal(q.dim) * np.sqrt(dt)
+        x = rng.standard_normal((size, q.dim)) @ (q._sigma_factor.T * math.sqrt(dt))
+    else:
+        x = np.zeros((size, q.dim))
     for pts, wts in ((q.mu_points, q.mu_weights), (q.nu_points, q.nu_weights)):
         if pts.shape[0] == 0:
             continue
         total = wts.sum()
-        count = int(rng.poisson(total * dt))
-        if count:
-            idx = rng.choice(pts.shape[0], size=count, p=wts / total)
-            x = x + pts[idx].sum(axis=0)
-    x = x - dt * q.nu_compensation
+        counts = rng.poisson(total * dt, size)
+        jumps = int(counts.sum())
+        if jumps:
+            idx = rng.choice(pts.shape[0], size=jumps, p=wts / total)
+            np.add.at(x, np.repeat(np.arange(size), counts), pts[idx])
+    x += dt * (q.b - q.nu_compensation)
     return wrap_point(x)
+
+
+def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw one increment of the process over a step dt, wrapped to (-pi, pi]^d."""
+    return sample_increments(q, dt, rng, 1)[0]
 
 
 # -- JSON interchange ----------------------------------------------------------
@@ -477,7 +493,7 @@ def quadruple_from_dict(obj: dict) -> LevyQuadruple:
             mu=mu, nu=nu,
             dim=len(np.atleast_1d(obj.get("b", [0.0]))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed quadruple object: {exc}") from exc
 
 

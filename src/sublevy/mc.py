@@ -5,6 +5,11 @@ feedback map from grid points to family members.  Simulating the controlled
 path and averaging the payoff yields a lower bound on the worst-case value;
 the feedback extracted from the recorded maximizer fields should come within
 the scheme tolerance of attaining it.
+
+Paths run in blocks of BLOCK_PATHS; block b draws from the Philox stream keyed
+by (seed, b), and every member draws for every path on every step, whatever
+the feedback selects.  Results are bitwise reproducible, and strategies
+estimated with one seed share their random numbers.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
 from .grid import GridFunction, TorusGrid, wrap_point
-from .levy import GeneratorFamily, sample_increment
+from .levy import GeneratorFamily, sample_increments
 from .nisio import NisioResult, Partition
 
 MIN_PATHS = 100
+BLOCK_PATHS = 1024  # paths simulated together on one random stream
 
 
 @dataclass(frozen=True)
@@ -87,83 +93,90 @@ def extract_strategy(result: NisioResult, level: int) -> SimpleStrategy:
     return SimpleStrategy(result.value.grid, partition, argmax.selections)
 
 
-def interpolate_linear(f: GridFunction, point) -> float:
-    """Periodic multilinear interpolation of a grid function."""
+def interpolate_linear(f: GridFunction, point):
+    """Periodic multilinear interpolation of a grid function at one torus point
+    (a float) or at an (n, d) batch of points (an array of n values)."""
     grid = f.grid
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    if p.shape != (grid.dim,):
+    p = np.asarray(point, dtype=float)
+    single = p.ndim <= 1
+    pts = np.atleast_1d(p)[None] if single else p
+    if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ConfigurationError(f"point must have {grid.dim} coordinates")
-    u = (p + np.pi) / grid.spacing
-    i0 = np.floor(u).astype(int)
+    u = (pts + np.pi) / grid.spacing
+    i0 = np.floor(u).astype(np.int64)
     frac = u - i0
     i0 %= grid.n
-    if grid.dim == 1:
-        a, b = f.values[i0[0]], f.values[(i0[0] + 1) % grid.n]
-        return float(a * (1 - frac[0]) + b * frac[0])
     i1 = (i0 + 1) % grid.n
     v = f.values
-    fx, fy = frac
-    return float(
-        v[i0[0], i0[1]] * (1 - fx) * (1 - fy)
-        + v[i1[0], i0[1]] * fx * (1 - fy)
-        + v[i0[0], i1[1]] * (1 - fx) * fy
-        + v[i1[0], i1[1]] * fx * fy
-    )
+    if grid.dim == 1:
+        out = v[i0[:, 0]] * (1 - frac[:, 0]) + v[i1[:, 0]] * frac[:, 0]
+    else:
+        fx, fy = frac.T
+        out = (
+            v[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
+            + v[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
+            + v[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
+            + v[i1[:, 0], i1[:, 1]] * fx * fy
+        )
+    return float(out[0]) if single else out
 
 
-def simulate_path(family: GeneratorFamily, strat: SimpleStrategy, x0, t: float,
-                  rng: Generator) -> np.ndarray:
-    """Advance a controlled path over the strategy partition; returns the
-    terminal torus point.  The feedback is looked up at the nearest grid point
-    of the current position."""
+def simulate_paths(family: GeneratorFamily, strat: SimpleStrategy, x0, t: float,
+                   rng: Generator, size: int) -> np.ndarray:
+    """Advance size controlled paths from x0 over the strategy partition; returns
+    the terminal torus points, shape (size, d).  The feedback is looked up at
+    the nearest grid point of each current position."""
     if abs(strat.partition.end - t) > 1e-12 * max(1.0, t):
         raise ConfigurationError(
             f"strategy partition ends at {strat.partition.end}, horizon is {t}"
         )
     strat.member_range_check(family)
     grid = strat.grid
-    pos = wrap_point(np.atleast_1d(np.asarray(x0, dtype=float)))
-    if pos.shape != (grid.dim,):
+    start = wrap_point(np.atleast_1d(np.asarray(x0, dtype=float)))
+    if start.shape != (grid.dim,):
         raise ConfigurationError(f"start point must have {grid.dim} coordinates")
-    gaps = strat.partition.gaps()
-    if grid.dim == 1:
-        # scalar arithmetic; this loop dominates estimate() runtime
-        inv_spacing = 1.0 / grid.spacing
-        two_pi = 2.0 * math.pi
-        p = float(pos[0])
-        for j in range(gaps.size):
-            cell = int(round((p + math.pi) * inv_spacing)) % grid.n
-            member = family.members[strat.feedback[j, cell]]
-            p += float(sample_increment(member, float(gaps[j]), rng)[0])
-            p -= two_pi * math.ceil((p - math.pi) / two_pi)
-        return np.array([p])
-    for j in range(gaps.size):
-        cell = grid.nearest_index(pos)
-        member = int(strat.feedback[(j, *cell)])
-        pos = wrap_point(pos + sample_increment(family.members[member], float(gaps[j]), rng))
+    rows = np.arange(size)
+    pos = np.tile(start, (size, 1))
+    for j, dt in enumerate(strat.partition.gaps()):
+        # every member draws for every path, so all strategies share the draws
+        draws = np.stack([sample_increments(q, float(dt), rng, size) for q in family.members])
+        cells = np.rint((pos + np.pi) / grid.spacing).astype(np.int64) % grid.n
+        member = strat.feedback[j][tuple(cells.T)]
+        pos = wrap_point(pos + draws[member, rows])
     return pos
 
 
-def _path_rng(seed: int, path_index: int) -> Generator:
-    # counter-based: an independent Philox stream keyed by (seed, path index)
-    return Generator(Philox(key=np.array([seed, path_index], dtype=np.uint64)))
+def simulate_path(family: GeneratorFamily, strat: SimpleStrategy, x0, t: float,
+                  rng: Generator) -> np.ndarray:
+    """One controlled path: the terminal torus point of simulate_paths."""
+    return simulate_paths(family, strat, x0, t, rng, 1)[0]
+
+
+def path_payoffs(family: GeneratorFamily, strat: SimpleStrategy, f: GridFunction, x0,
+                 t: float, n_paths: int, seed: int) -> np.ndarray:
+    """Payoff of each of n_paths controlled paths, in path order.  A full
+    block's payoffs do not depend on n_paths."""
+    if n_paths < MIN_PATHS:
+        raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
+    if f.grid != strat.grid:
+        raise ConfigurationError("payoff function and strategy live on different grids")
+    payoffs = np.empty(n_paths)
+    for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
+        size = min(BLOCK_PATHS, n_paths - lo)
+        rng = Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
+        payoffs[lo:lo + size] = interpolate_linear(
+            f, simulate_paths(family, strat, x0, t, rng, size))
+    return payoffs
 
 
 def estimate(family: GeneratorFamily, strat: SimpleStrategy, f: GridFunction, x0,
              t: float, n_paths: int, seed: int) -> McEstimate:
     """Mean payoff over independent controlled paths, with its standard error.
 
-    Path i uses the stream keyed by (seed, i), and the reduction runs in path
-    order, so results are bitwise reproducible regardless of scheduling.
-    """
-    if n_paths < MIN_PATHS:
-        raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
-    if f.grid != strat.grid:
-        raise ConfigurationError("payoff function and strategy live on different grids")
-    payoffs = np.empty(n_paths)
-    for i in range(n_paths):
-        terminal = simulate_path(family, strat, x0, t, _path_rng(seed, i))
-        payoffs[i] = interpolate_linear(f, terminal)
+    Paths run in blocks with Philox streams keyed by (seed, block), and every
+    member draws on every step, so results are bitwise reproducible and
+    strategies estimated with one seed share their draws."""
+    payoffs = path_payoffs(family, strat, f, x0, t, n_paths, seed)
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
     return McEstimate(mean=mean, stderr=stderr, n_paths=n_paths, seed=seed)
@@ -238,7 +251,7 @@ def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
     try:
         partition = Partition(np.asarray(obj["partition"], dtype=float))
         fb = np.asarray(obj["feedback"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed strategy object: {exc}") from exc
     if fb.ndim != 2 or fb.shape[1] != grid.size:
         raise ConfigurationError(

@@ -194,6 +194,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         raise ConfigurationError("monotonicity guard must be positive")
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
+    if not math.isfinite(t * table.max_abs_symbol()):
+        raise ConfigurationError(f"horizon {t:g} is too long for this grid: t * |psi| overflows")
 
     l_f = lipschitz_bound(table, f)
     const = family_constant(table.family)

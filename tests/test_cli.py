@@ -53,6 +53,14 @@ class TestConfig:
         path = write_config(tmp_path, mc={"n_paths": 10})
         assert main(["mc", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path)
+        assert main(["mc", "--config", str(path), "--quiet", "--seed", str(seed)]) == 1
+        assert "mc.seed" in capsys.readouterr().err
+        path = write_config(tmp_path, mc={"seed": seed})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+
     @pytest.mark.parametrize("overrides", [
         {"time": "nan"},
         {"oracle": {"dt": "inf"}},
@@ -81,6 +89,20 @@ class TestConfig:
         path = write_config(tmp_path, **overrides)
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, field", [
+        ({"builtin": "two_sigma", "sigmas": ["wide"]}, "family.sigmas"),
+        ({"builtin": "single_sigma", "sigma": None}, "family.sigma"),
+        ({"builtin": "wrapped_cauchy", "scale": "x"}, "family.scale"),
+        ({"builtin": "drift", "b": "fast"}, "family.b"),
+    ])
+    def test_malformed_builtin_parameter_is_config_error(self, tmp_path, capsys, family,
+                                                         field):
+        path = write_config(tmp_path, family=family)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"'{field}' is malformed" in err
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from sublevy import (
     poisson_series_apply,
     sample,
     sample_increment,
+    sample_increments,
     save_family,
     snap_to_grid,
     sup_distance,
@@ -123,6 +125,19 @@ class TestLevySymbol:
         psi = levy_symbol(q, grid256)
         assert abs(psi[2] - (math.exp(-1.0) - 1.0)) < 1e-9
         assert psi[2].real == pytest.approx(-0.6321206, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [1e-10, 1e-150])
+    def test_wrapped_cauchy_concentrated_law(self, grid64, gamma):
+        # nearly all mass on the zero jump; the density must not divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = wrapped_cauchy_quadruple(grid64, gamma=gamma, rate=1.0)
+        assert q.mu_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert q.mu_weights.max() == pytest.approx(1.0, abs=1e-8)
+
+    def test_wrapped_cauchy_unresolvable_law_rejected(self, grid64):
+        with pytest.raises(ConfigurationError):
+            wrapped_cauchy_quadruple(grid64, gamma=1e-300, rate=1.0)
 
     def test_invariants_random_quadruples(self, grid64):
         rng = np.random.default_rng(17)
@@ -324,6 +339,62 @@ class TestSampleIncrement:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             sample_increment(diffusion(1.0), 0.0, np.random.default_rng(0))
+
+
+def assert_moments(draws, mean, cov, k=4.0):
+    """Sample mean and covariance within k standard errors of the law's."""
+    n, d = draws.shape
+    got = draws.mean(axis=0)
+    assert np.all(np.abs(got - mean) <= k * draws.std(axis=0, ddof=1) / math.sqrt(n))
+    centred = draws - got
+    for a in range(d):
+        for b in range(d):
+            prod = centred[:, a] * centred[:, b]
+            se = float(np.std(prod, ddof=1)) / math.sqrt(n)
+            assert abs(float(prod.mean()) - cov[a][b]) <= k * se, (a, b)
+
+
+class TestSampleIncrements:
+    N = 200_000
+
+    def test_diffusion_with_drift(self):
+        q = LevyQuadruple.create(b=0.3, sigma=0.8)
+        dt = 0.05
+        draws = sample_increments(q, dt, np.random.default_rng(11), self.N)
+        assert draws.shape == (self.N, 1)
+        assert_moments(draws, [0.3 * dt], [[0.8 * dt]])
+
+    def test_compound_poisson_two_atoms(self):
+        q = compound_poisson([(0.4, 1.0), (-0.7, 2.0)], rate=3.0)
+        dt = 0.1
+        draws = sample_increments(q, dt, np.random.default_rng(12), self.N)
+        assert_moments(draws, [dt * (0.4 - 1.4)], [[dt * (0.16 + 0.98)]])
+
+    def test_2d_anisotropic_sigma_with_jumps(self):
+        sigma = np.array([[1.0, 0.4], [0.4, 0.5]])
+        mu = [([0.3, 0.0], 2.0), ([0.0, -0.3], 1.0)]
+        nu = [([0.2, 0.2], 3.0)]
+        q = LevyQuadruple.create(b=[0.2, -0.1], sigma=sigma, mu=mu, nu=nu, dim=2)
+        dt = 0.05
+        draws = sample_increments(q, dt, np.random.default_rng(13), self.N)
+        assert draws.shape == (self.N, 2)
+        # compensated small jumps add no mean; every atom adds w * y y^T to the covariance
+        mean = dt * (np.array([0.2, -0.1]) + sum(w * np.array(y) for y, w in mu))
+        cov = dt * (sigma + sum(w * np.outer(y, y) for y, w in mu + nu))
+        assert_moments(draws, mean, cov)
+
+    def test_pure_drift_is_exact_and_draws_nothing(self):
+        q = drift([0.3, -0.2], dim=2)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        draws = sample_increments(q, 0.5, rng, 7)
+        assert np.array_equal(draws, np.tile([0.15, -0.1], (7, 1)))
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ConfigurationError):
+            sample_increments(diffusion(1.0), dt, np.random.default_rng(0), 10)
 
 
 class TestSymbolTable:

@@ -7,6 +7,7 @@ from sublevy import (
     ConfigurationError,
     GeneratorFamily,
     Partition,
+    SimpleStrategy,
     SymbolTable,
     constant_strategy,
     diffusion,
@@ -18,13 +19,14 @@ from sublevy import (
     load_strategy,
     make_grid,
     nisio_evolve,
+    path_payoffs,
     random_strategy,
     sample,
     save_strategy,
     simulate_path,
 )
-from sublevy import apply_linear, compound_poisson
-from sublevy.mc import strategy_from_dict, strategy_to_dict
+from sublevy import LevyQuadruple, apply_linear, compound_poisson
+from sublevy.mc import BLOCK_PATHS, strategy_from_dict, strategy_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,52 @@ class TestEstimate:
         assert abs(est.mean - ref) <= 3 * est.stderr + 1e-2
 
 
+class TestBlocks:
+    def test_reproducible_past_one_block(self, mc_setup):
+        family, result, bump = mc_setup
+        strat = extract_strategy(result, 4)
+        n = BLOCK_PATHS + 37
+        a = estimate(family, strat, bump, np.array([0.0]), 0.2, n, seed=11)
+        b = estimate(family, strat, bump, np.array([0.0]), 0.2, n, seed=11)
+        assert (a.mean, a.stderr, a.n_paths) == (b.mean, b.stderr, n)
+
+    def test_first_block_unchanged_by_later_blocks(self, mc_setup):
+        family, result, bump = mc_setup
+        strat = extract_strategy(result, 4)
+        x0 = np.array([0.0])
+        one = path_payoffs(family, strat, bump, x0, 0.2, BLOCK_PATHS, seed=4)
+        more = path_payoffs(family, strat, bump, x0, 0.2, BLOCK_PATHS + 37, seed=4)
+        assert np.array_equal(more[:BLOCK_PATHS], one)
+        # the second block has its own stream
+        assert not np.array_equal(more[BLOCK_PATHS:], one[:37])
+
+    def test_strategies_share_draws(self, mc_setup, grid128):
+        family, _, bump = mc_setup
+        part = Partition.dyadic(0.2, 2)
+        base = constant_strategy(grid128, part, 0)
+        feedback = base.feedback.copy()
+        feedback[-1, grid128.n // 2:] = 1  # differs on the right half, last interval
+        other = SimpleStrategy(grid128, part, feedback)
+        x0 = np.array([0.0])
+        a = path_payoffs(family, base, bump, x0, 0.2, 500, seed=8)
+        b = path_payoffs(family, other, bump, x0, 0.2, 500, seed=8)
+        # a path that never meets the difference sees the same draws under both
+        same = int(np.sum(a == b))
+        assert 100 < same < 400
+
+    def test_2d_estimate_matches_heat_multiplier(self):
+        grid = make_grid(2, 64)
+        sigma = np.array([[1.0, 0.4], [0.4, 0.5]])
+        q = LevyQuadruple.create(b=[0.0, 0.0], sigma=sigma, dim=2)
+        fam = GeneratorFamily((q, q))  # one law, so every feedback has the same mean
+        t = 0.5
+        strat = random_strategy(grid, Partition.dyadic(t, 2), 2, np.random.default_rng(1))
+        f = sample(grid, "cosine", k=[1, 1])
+        est = estimate(fam, strat, f, np.array([0.0, 0.0]), t, 10_000, seed=3)
+        want = math.exp(-t * 2.3 / 2)  # k^T Sigma k = 2.3 for k = (1, 1)
+        assert abs(est.mean - want) <= 3 * est.stderr + 2e-3
+
+
 class TestDualBoundSuite:
     def test_singleton_family_all_strategies_equal(self, grid128, cos128):
         fam = GeneratorFamily((diffusion(1.0),))
@@ -235,6 +283,20 @@ class TestInterpolation:
         pt = np.array([g.spacing * 0.5, 0.3])  # halfway between x = 0 and x = spacing
         want = 0.5 * (np.cos(0.0) + np.cos(g.spacing))
         assert interpolate_linear(f, pt) == pytest.approx(want, abs=1e-12)
+
+    def test_batch_matches_single_points(self):
+        rng = np.random.default_rng(5)
+        for grid, k in ((make_grid(1, 32), 2), (make_grid(2, 16), [1, 2])):
+            f = sample(grid, "cosine", k=k, phase=0.4)
+            pts = rng.uniform(-4.0, 4.0, size=(9, grid.dim))
+            batch = interpolate_linear(f, pts)
+            assert batch.shape == (9,)
+            assert np.array_equal(batch, [interpolate_linear(f, p) for p in pts])
+
+    def test_bad_point_shape_rejected(self, grid64):
+        f = sample(grid64, "cosine", k=1)
+        with pytest.raises(ConfigurationError):
+            interpolate_linear(f, np.zeros((3, 2)))
 
 
 def apply_linear_at_zero(table, f):
