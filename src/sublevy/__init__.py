@@ -28,6 +28,7 @@ from .grid import (
 from .levy import (
     GeneratorFamily,
     LevyQuadruple,
+    SpectralWorkspace,
     SymbolTable,
     apply_linear,
     apply_multipliers,

@@ -253,6 +253,17 @@ def build_family(spec, grid) -> GeneratorFamily:
 
 # -- shared command plumbing -------------------------------------------------------
 
+def _strict_json(obj):
+    """obj with every non-finite float replaced by None: JSON has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return obj
+
+
 class _Run:
     def __init__(self, config: RunConfig, quiet: bool):
         self.config = config
@@ -283,12 +294,18 @@ class _Run:
         if not self.quiet:
             print(message)
 
-    def violate(self, name: str, measured: float, tolerance: float) -> None:
+    def violate(self, name: str, measured: float | None, tolerance: float,
+                why_unmeasured: str = "") -> None:
+        """Record a failed tolerance; measured is None when nothing could be measured."""
         self.violations.append(
             {"name": name, "measured": measured, "tolerance": tolerance}
         )
-        print(f"tolerance failure: {name}: measured {measured:.6g} "
-              f"exceeds {tolerance:.6g}", file=sys.stderr)
+        if measured is None:
+            print(f"tolerance failure: {name}: nothing measured, {why_unmeasured}",
+                  file=sys.stderr)
+        else:
+            print(f"tolerance failure: {name}: measured {measured:.6g} "
+                  f"exceeds {tolerance:.6g}", file=sys.stderr)
 
     def write_manifest(self, command: str) -> None:
         payload = {
@@ -302,7 +319,7 @@ class _Run:
         path = self.out("manifest.json")
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(_strict_json(payload), fh, indent=2, allow_nan=False)
         os.replace(tmp, path)
 
     def finish(self, command: str) -> int:
@@ -332,6 +349,18 @@ def _run_nisio(run: _Run, record_argmax_level: int | None = None):
     return result
 
 
+def _check_nisio_tol(run: _Run, result) -> None:
+    if result.converged:
+        return
+    name = "nisio.tol (sup-norm increment)"
+    if result.increments:
+        run.violate(name, result.increments[-1], run.config.nisio_tol)
+    else:
+        run.violate(name, None, run.config.nisio_tol,
+                    "nisio.max_level 0 runs no refinement, so there is no increment "
+                    "to compare")
+
+
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
@@ -340,9 +369,7 @@ def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
     write_function_csv(run.out("value.csv"), result.value)
     write_convergence_csv(run.out("convergence.csv"), result)
     run.say(f"levels used {result.levels_used}, converged {result.converged}")
-    if not result.converged:
-        last = result.increments[-1] if result.increments else float("nan")
-        run.violate("nisio.tol (sup-norm increment)", last, config.nisio_tol)
+    _check_nisio_tol(run, result)
     return run.finish("evolve")
 
 
@@ -367,9 +394,7 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     if gap > config.oracle_gap_tol:
         run.violate("oracle.gap_tol (sup distance to integrated solution)",
                     gap, config.oracle_gap_tol)
-    if not result.converged:
-        last = result.increments[-1] if result.increments else float("nan")
-        run.violate("nisio.tol (sup-norm increment)", last, config.nisio_tol)
+    _check_nisio_tol(run, result)
     return run.finish("oracle")
 
 
@@ -382,9 +407,7 @@ def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
     write_generator_limit_csv(run.out("generator_limit.csv"), rows)
     run.diagnostics["generator_limit"] = [[h, e] for h, e in rows]
     run.say("generator-limit errors: " + ", ".join(f"{e:.3e}" for _, e in rows))
-    if not result.converged:
-        last = result.increments[-1] if result.increments else float("nan")
-        run.violate("nisio.tol (sup-norm increment)", last, config.nisio_tol)
+    _check_nisio_tol(run, result)
     return run.finish("convergence")
 
 

@@ -392,20 +392,54 @@ def _half(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     return arr[..., : grid.n // 2 + 1]
 
 
-def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Multiply the spectrum of values by each multiplier; one row per member.
+class SpectralWorkspace:
+    """Buffers of the spectral kernel for m members on one grid.
 
-    mults holds half-spectrum multipliers, shape (m, ..., n/2+1); the result
-    is the (m, *grid.shape) float64 stack of evolved values.  One forward real
-    FFT serves every member and one inverse real FFT runs over the member
-    axis.  The (-1)^k phase and 1/N normalization of the centred coefficient
-    convention cancel for a diagonal multiplier, so neither is applied.
+    A caller that applies multipliers in a loop keeps one workspace for the
+    whole loop, so no step allocates: the half-spectrum coefficients, the
+    member spectra, the float64 member stack and the finiteness mask are
+    written in place.  The stack returned by apply stays valid until the next
+    call on the same workspace.
     """
-    spec = mults * np.fft.rfftn(values)
-    out = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(1, grid.dim + 1)))
-    if not np.all(np.isfinite(out)):
-        raise ConsistencyError("member evolution produced non-finite values")
-    return out
+
+    def __init__(self, grid: TorusGrid, members: int):
+        half = grid.shape[:-1] + (grid.n // 2 + 1,)
+        self.grid = grid
+        self.coeffs = np.empty(half, dtype=complex)
+        self.spec = np.empty((members,) + half, dtype=complex)
+        self.stack = np.empty((members,) + grid.shape)
+        self.mask = np.empty(self.stack.shape, dtype=bool)
+
+    def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Multiply the spectrum of values by each multiplier; one row per member.
+
+        mults holds half-spectrum multipliers, shape (m, ..., n/2+1); the
+        result is the workspace's (m, *grid.shape) float64 stack of evolved
+        values.  One forward real FFT serves every member; the inverse runs
+        over the member axis as the complex inverse FFTs of the leading grid
+        axes, in place, and one inverse real FFT of the last axis, the steps
+        of irfftn.  The (-1)^k phase and 1/N normalization of the centred
+        coefficient convention cancel for a diagonal multiplier, so neither
+        is applied.
+        """
+        np.fft.rfftn(values, out=self.coeffs)
+        spec = np.multiply(mults, self.coeffs, out=self.spec)
+        for axis in range(1, self.grid.dim):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        np.fft.irfft(spec, self.grid.n, axis=-1, out=self.stack)
+        if not np.isfinite(self.stack, out=self.mask).all():
+            raise ConsistencyError("member evolution produced non-finite values")
+        return self.stack
+
+
+def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The spectral kernel (SpectralWorkspace.apply) on a fresh workspace.
+
+    The returned (m, *grid.shape) stack belongs to the caller; a loop should
+    keep one SpectralWorkspace instead, whose stack stays valid only until
+    its next call.
+    """
+    return SpectralWorkspace(grid, mults.shape[0]).apply(mults, values)
 
 
 def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:

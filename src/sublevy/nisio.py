@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
 from .grid import GridFunction, TorusGrid, sup_distance
-from .levy import SymbolTable, apply_multipliers, family_constant
+from .levy import SpectralWorkspace, SymbolTable, apply_multipliers, family_constant
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
@@ -147,26 +147,30 @@ def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridF
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
+    ws = SpectralWorkspace(table.grid, len(table))
+    out = np.empty(table.grid.shape)
     values = f.values
     for gap in pi.gaps()[::-1]:
-        mults = table.multipliers(float(gap))
-        values = np.max(apply_multipliers(table.grid, mults, values), axis=0)
+        values = np.max(ws.apply(table.multipliers(float(gap)), values), axis=0, out=out)
     return GridFunction(table.grid, values)
 
 
 def _iterate_uniform(table: SymbolTable, gap: float, steps: int, values: np.ndarray,
                      record: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """steps-fold composition of the gap-step envelope, optionally recording
-    the maximizer fields in forward-time order."""
+    the maximizer fields in forward-time order.  The input array is only
+    read; the returned array is new to this call."""
     mults = table.multipliers(gap)
+    ws = SpectralWorkspace(table.grid, len(table))
+    out = np.empty(table.grid.shape)
     am = np.empty((steps,) + table.grid.shape, dtype=np.int64) if record else None
     for j in range(steps):
-        stack = apply_multipliers(table.grid, mults, values)
+        stack = ws.apply(mults, values)
         if record:
             # iteration j consumes the value with j steps remaining, which is
             # the lookahead for forward-time interval steps-1-j
-            am[steps - 1 - j] = np.argmax(stack, axis=0)
-        values = np.max(stack, axis=0)
+            np.argmax(stack, axis=0, out=am[steps - 1 - j])
+        values = np.max(stack, axis=0, out=out)
     return values, am
 
 

@@ -17,9 +17,12 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, TorusGrid
-from .levy import SymbolTable, apply_multipliers
+from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
 
 SERIES_TERM_BUDGET = 10**4
+# steps x grid points for one picard_solve; every step keeps a snapshot, so
+# this also caps the trajectory at 80 MB
+PICARD_WORK_BUDGET = 10**7
 RK4_ABS_STABILITY = 2.5  # inside the negative real-axis stability interval (~2.785)
 
 
@@ -129,8 +132,9 @@ def poisson_series_apply(rate: float, mu_atoms, t: float, f: GridFunction,
 
 # -- classical integration of the sup-generator equation ---------------------------
 
-def _sup_generator_rhs(grid: TorusGrid, psi_half: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.max(apply_multipliers(grid, psi_half, values), axis=0)
+def _sup_generator_rhs(ws: SpectralWorkspace, psi_half: np.ndarray,
+                       values: np.ndarray) -> np.ndarray:
+    return np.max(ws.apply(psi_half, values), axis=0)
 
 
 def stability_limit(table: SymbolTable) -> float:
@@ -147,6 +151,8 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     The step must satisfy dt <= stability_limit(table); snapshots are kept at
     every multiple of dt, so the final snapshot approximates the worst-case
     evolution at time t with O(dt^4) accuracy away from maximizer switches.
+    A run of more than PICARD_WORK_BUDGET step-points (steps x grid points)
+    raises BudgetError before integrating.
     """
     if t <= 0:
         raise ConfigurationError(f"horizon must be positive, got {t}")
@@ -154,6 +160,12 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         raise ConfigurationError(f"step must be positive, got {dt}")
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
+    grid, psi = table.grid, table.psi_half
+    if t / dt * grid.size > PICARD_WORK_BUDGET:
+        raise BudgetError(
+            f"integration needs {t / dt:.3g} steps on {grid.size} grid points, more than "
+            f"the budget of {PICARD_WORK_BUDGET:.0e} step-points"
+        )
     steps = round(t / dt)
     if steps < 1 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigurationError(f"horizon {t} must be an integer multiple of dt {dt}")
@@ -162,15 +174,15 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         raise ConfigurationError(
             f"step {dt} exceeds the stability limit {limit:.3e} for this table"
         )
-    grid, psi = table.grid, table.psi_half
+    ws = SpectralWorkspace(grid, len(table))
     u = f.values
     times = [0.0]
     snaps = [f]
     for k in range(1, steps + 1):
-        k1 = _sup_generator_rhs(grid, psi, u)
-        k2 = _sup_generator_rhs(grid, psi, u + 0.5 * dt * k1)
-        k3 = _sup_generator_rhs(grid, psi, u + 0.5 * dt * k2)
-        k4 = _sup_generator_rhs(grid, psi, u + dt * k3)
+        k1 = _sup_generator_rhs(ws, psi, u)
+        k2 = _sup_generator_rhs(ws, psi, u + 0.5 * dt * k1)
+        k3 = _sup_generator_rhs(ws, psi, u + 0.5 * dt * k2)
+        k4 = _sup_generator_rhs(ws, psi, u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise ConsistencyError(f"integration blew up at step {k}")
@@ -205,11 +217,11 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     if np.max(gaps) - np.min(gaps) > 1e-9 * float(np.max(gaps)):
         raise ConfigurationError("residual check needs uniformly spaced snapshots")
     delta = float(gaps[0])
-    grid = traj.snapshots[0].grid
+    ws = SpectralWorkspace(traj.snapshots[0].grid, len(table))
     out = []
     for i in range(1, len(traj.snapshots) - 1):
         du = (traj.snapshots[i + 1].values - traj.snapshots[i - 1].values) / (2.0 * delta)
-        rhs = _sup_generator_rhs(grid, table.psi_half, traj.snapshots[i].values)
+        rhs = _sup_generator_rhs(ws, table.psi_half, traj.snapshots[i].values)
         pointwise = du - rhs
         out.append(ResidualSample(float(traj.times[i]),
                                   float(np.max(np.abs(pointwise))), pointwise))

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,15 @@ import pytest
 from sublevy import apply_linear, diffusion, GeneratorFamily, SymbolTable, make_grid, sample
 from sublevy.cli import RunConfig, main
 from sublevy.grid import read_function_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def strict_json(path):
+    """Parse a manifest, refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -138,6 +149,29 @@ class TestEvolve:
         assert "measured" in violation and "tolerance" in violation
         assert capsys.readouterr().err.strip() != ""
 
+    @pytest.mark.parametrize("command", ["evolve", "oracle", "convergence"])
+    def test_level_zero_names_its_cause_in_strict_json(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, nisio={"max_level": 0, "tol": 1e-6},
+                            convergence={"h_list": [0.1]})
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        manifest = strict_json(tmp_path / "out" / "manifest.json")
+        violation = next(v for v in manifest["violations"] if "nisio.tol" in v["name"])
+        assert violation["measured"] is None
+        assert violation["tolerance"] == 1e-6
+        err = [line for line in capsys.readouterr().err.splitlines() if "nisio.tol" in line]
+        assert len(err) == 1
+        assert "nan" not in err[0]
+        assert "level 0 runs no refinement" in err[0]
+
+    def test_nonfinite_config_echo_is_null(self, tmp_path):
+        path = tmp_path / "config.json"
+        # Python's json reads NaN; the family builtin ignores the extra key
+        path.write_text(write_config(tmp_path).read_text().replace(
+            '"sigma": 1.0', '"sigma": 1.0, "note": NaN'))
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 0
+        manifest = strict_json(tmp_path / "out" / "manifest.json")
+        assert manifest["config"]["family"]["note"] is None
+
     def test_value_csv_bytes_deterministic(self, tmp_path):
         p1 = write_config(tmp_path, name="a.json",
                           family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
@@ -187,6 +221,18 @@ class TestOracle:
         assert main(["oracle", "--config", str(path), "--quiet"]) == 2
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert any("oracle.gap_tol" in v["name"] for v in manifest["violations"])
+
+    def test_huge_horizon_exceeds_work_budget(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "two_sigma_oracle.json").read_text())
+        cfg.update(time=1e300, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "budget" in err
 
 
 class TestConvergence:

@@ -1,9 +1,9 @@
 """Random configs through the CLI: every run ends in exit 0, 1 or 2, never a traceback.
 
 Random JSON values (and near-valid structures, so that validation deeper than
-the first type check is reached) are fed as the family, initial, time and
-nisio fields of an ``evolve`` config on grids with n <= 32.  The oracle
-command and huge horizons are left out: picard_solve has no step budget.
+the first type check is reached) are fed as the family, initial, time, nisio
+and oracle fields of an ``evolve`` or ``oracle`` config on grids with n <= 32.
+Every manifest written must be strict JSON (no NaN or Infinity).
 """
 
 import contextlib
@@ -63,6 +63,7 @@ def valid_fields(dim: int) -> dict:
         ],
         "time": [0.2],
         "nisio": [{"max_level": 4, "tol": 1e-6, "monotonicity_tol": 1e-8}],
+        "oracle": [{"dt": 1e-3, "tail_tol": 1e-10, "gap_tol": 5e-4}],
     }
 
 
@@ -88,7 +89,7 @@ def configs(draw):
     for name, choices in valid_fields(dim).items():
         cfg[name] = copy.deepcopy(draw(st.sampled_from(choices)))
     for _ in range(draw(st.integers(0, 2))):
-        name = draw(st.sampled_from(["family", "initial", "time", "nisio"]))
+        name = draw(st.sampled_from(["family", "initial", "time", "nisio", "oracle"]))
         cfg[name] = mutate(draw, cfg[name])
     if isinstance(cfg["nisio"], dict):
         # keep every example to at most 2^6 envelope steps per level
@@ -98,10 +99,14 @@ def configs(draw):
     return cfg
 
 
+def _refuse(name):
+    raise ValueError(f"manifest holds the non-standard JSON constant {name}")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=configs())
-def test_random_config_ends_in_a_known_exit(cfg):
+@given(cfg=configs(), command=st.sampled_from(["evolve", "oracle"]))
+def test_random_config_ends_in_a_known_exit(cfg, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
@@ -110,7 +115,10 @@ def test_random_config_ends_in_a_known_exit(cfg):
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")
-            code = main(["evolve", "--config", path, "--quiet"])
+            code = main([command, "--config", path, "--quiet"])
+        if code in (0, 2):
+            with open(os.path.join(tmp, "out", "manifest.json")) as fh:
+                json.load(fh, parse_constant=_refuse)
     text = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in text

@@ -11,6 +11,7 @@ from sublevy import (
     GeneratorFamily,
     GridFunction,
     LevyQuadruple,
+    SpectralWorkspace,
     Spectrum,
     SymbolTable,
     apply_linear,
@@ -471,8 +472,35 @@ class TestSpectralKernel:
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0),)), grid64)
         mults = table.multipliers(0.1).copy()
         mults[0, 3] = np.inf
-        with pytest.raises(ConsistencyError, match="non-finite"):
-            apply_multipliers(grid64, mults, sample(grid64, "cosine", k=3).values)
+        # numpy warns on the inf before the kernel's own check raises
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(ConsistencyError, match="non-finite"):
+                apply_multipliers(grid64, mults, sample(grid64, "cosine", k=3).values)
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_workspace_bitwise_equals_irfftn(self, dim, n, m):
+        grid = make_grid(dim, n)
+        members = (_kernel_family(grid).members * 2)[:m]
+        table = SymbolTable.build(GeneratorFamily(members), grid)
+        rng = np.random.default_rng(10 * n + m)
+        ws = SpectralWorkspace(grid, m)
+        axes = tuple(range(1, dim + 1))
+        # repeated calls on one workspace keep no state from the previous call
+        for t in (0.05, 0.3):
+            mults = table.multipliers(t)
+            v = rng.standard_normal(grid.shape)
+            ref = np.fft.irfftn(mults * np.fft.rfftn(v), s=grid.shape, axes=axes)
+            out = ws.apply(mults, v)
+            assert out is ws.stack
+            assert np.array_equal(out, ref)
+            assert np.array_equal(apply_multipliers(grid, mults, v), ref)
+
+    def test_fresh_workspace_result_is_the_callers(self, two_sigma_table, bump128):
+        mults = two_sigma_table.multipliers(0.1)
+        a = apply_multipliers(two_sigma_table.grid, mults, bump128.values)
+        b = apply_multipliers(two_sigma_table.grid, mults, bump128.values)
+        assert not np.shares_memory(a, b)
 
 
 class TestFamilyJson:

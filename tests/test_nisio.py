@@ -26,6 +26,7 @@ from sublevy import (
     sample,
     sup_distance,
 )
+from sublevy.nisio import _iterate_uniform
 from conftest import random_trig
 
 
@@ -170,6 +171,15 @@ class TestChernoff:
     def test_power_of_two_matches_dyadic_bitwise(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=3, tol=0.0)
         eq = chernoff_equidistant(two_sigma_table, 0.2, bump128, 8)
+        assert np.array_equal(res.value.values, eq.values)
+
+    def test_power_of_two_matches_dyadic_bitwise_2d(self):
+        g = make_grid(2, 32)
+        fam = GeneratorFamily((diffusion(0.25, dim=2), diffusion(1.0, dim=2)))
+        table = SymbolTable.build(fam, g)
+        f = sample(g, "bump", center=[0.0, 0.0], width=np.pi)
+        res = nisio_evolve(table, 0.2, f, max_level=3, tol=0.0, monotonicity_tol=1e-3)
+        eq = chernoff_equidistant(table, 0.2, f, 8)
         assert np.array_equal(res.value.values, eq.values)
 
     def test_all_iterates_below_envelope(self, two_sigma_table, bump128):
@@ -407,3 +417,43 @@ class TestFamilyRefinement:
             assert float(np.min(res.value.values - iterate.values)) >= -1e-10
         deep = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=6, tol=0.0)
         assert float(np.min(deep.value.values - res.value.values)) >= -5e-9
+
+
+class TestWorkspaceReuse:
+    """Envelope steps share one kernel workspace; neither the caller's input
+    nor a returned value may alias it."""
+
+    def test_input_values_unchanged(self, two_sigma_table, bump128):
+        before = bump128.values.copy()
+        nisio_evolve(two_sigma_table, 0.2, bump128, max_level=4, tol=0.0,
+                     record_argmax_level=2)
+        apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
+        assert np.array_equal(bump128.values, before)
+        v = bump128.values.copy()  # writeable, unlike GridFunction.values
+        _iterate_uniform(two_sigma_table, 0.05, 4, v, record=True)
+        assert np.array_equal(v, before)
+
+    def test_levels_do_not_share_memory(self, two_sigma_table, bump128):
+        levels = [_iterate_uniform(two_sigma_table, 0.2 / 2**k, 2**k, bump128.values,
+                                   record=False)[0] for k in range(4)]
+        for coarse, fine in zip(levels, levels[1:]):
+            assert not np.shares_memory(coarse, fine)
+        # each level still holds its own iterate after the later levels ran
+        for k, values in enumerate(levels):
+            again = chernoff_equidistant(two_sigma_table, 0.2, bump128, 2**k)
+            assert np.array_equal(values, again.values)
+
+    def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
+        values, am = _iterate_uniform(two_sigma_table, 0.05, 4, bump128.values, record=True)
+        f = bump128
+        for step in range(3, -1, -1):
+            f, sel = apply_J(two_sigma_table, 0.05, f, record_argmax=True)
+            assert np.array_equal(am[step], sel)
+        assert np.array_equal(values, f.values)
+
+    def test_partition_matches_single_steps(self, two_sigma_table, bump128):
+        pi = Partition(np.array([0.0, 0.05, 0.12, 0.2]))
+        f = bump128
+        for gap in pi.gaps()[::-1]:
+            f, _ = apply_J(two_sigma_table, float(gap), f)
+        assert np.array_equal(apply_partition(two_sigma_table, pi, bump128).values, f.values)

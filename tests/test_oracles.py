@@ -26,6 +26,7 @@ from sublevy import (
     sup_distance,
     wrapped_cauchy_quadruple,
 )
+from sublevy.oracles import PICARD_WORK_BUDGET
 from conftest import random_trig
 
 
@@ -104,6 +105,22 @@ class TestPicard:
         f = sample(single_table64.grid, "cosine", k=1)
         with pytest.raises(ConfigurationError):
             picard_solve(single_table64, f, 0.2, 0.0003)
+
+    def test_input_values_unchanged(self, two_sigma_table, bump128):
+        before = bump128.values.copy()
+        traj = picard_solve(two_sigma_table, bump128, 0.01, 1e-3)
+        residual_check(traj, two_sigma_table)
+        assert np.array_equal(bump128.values, before)
+
+    def test_work_budget(self, two_sigma_table, bump128):
+        size = two_sigma_table.grid.size
+        # the benchmark's RK4 reference: 800 steps at 1D n=128
+        assert 800 * size <= PICARD_WORK_BUDGET
+        steps = PICARD_WORK_BUDGET // size + 1
+        with pytest.raises(BudgetError, match="budget"):
+            picard_solve(two_sigma_table, bump128, steps * 1e-3, 1e-3)
+        with pytest.raises(BudgetError, match="budget"):
+            picard_solve(two_sigma_table, bump128, 1e300, 1e-3)
 
     def test_rk4_order(self):
         # halving dt cuts the distance to a dt/4 reference by roughly 2^4;
