@@ -50,6 +50,8 @@ from .nisio import (
 from .oracles import picard_solve, residual_check, write_residual_csv, write_trajectory_csv
 
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
+# increments one mc run may draw: paths x strategies x extracted steps x members
+MC_DRAW_BUDGET = 10**8
 
 
 def _need(data: dict, key: str, kind, what: str):
@@ -158,7 +160,10 @@ class RunConfig:
         ora = _get(data, "oracle", dict, {})
         conv = _get(data, "convergence", dict, {})
         mc = _get(data, "mc", dict, {})
-        strategy_files = tuple(resolve(str(p)) for p in mc.get("strategies", ()))
+        strategy_files = mc.get("strategies", [])
+        if not isinstance(strategy_files, list):
+            raise ConfigurationError("config field 'mc.strategies' must be an array of paths")
+        strategy_files = tuple(resolve(str(p)) for p in strategy_files)
         return cls(
             grid_dim=_need(grid_spec, "dim", int, "grid.dim"),
             grid_n=_need(grid_spec, "n", int, "grid.n"),
@@ -413,6 +418,13 @@ def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
+    strategy_count = 1 + config.mc_random_strategies + len(config.mc_strategy_files)
+    if (config.mc_n_paths * strategy_count * 2**config.mc_extract_level * len(run.family)
+            > MC_DRAW_BUDGET):
+        raise BudgetError(
+            f"mc would draw more than the budget of {MC_DRAW_BUDGET:.0e} increments "
+            "(n_paths x strategies x 2^extract_level x members)"
+        )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)
     x0 = np.asarray(config.mc_x0)
@@ -443,6 +455,7 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
         if not row.bound_ok:
             run.violate(f"mc dual bound ({row.name})", row.mean,
                         reference + 3.0 * row.stderr + config.mc_scheme_tol)
+    _check_nisio_tol(run, result)
     return run.finish("mc")
 
 

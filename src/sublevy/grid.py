@@ -271,16 +271,30 @@ def _csv_header(dim: int) -> list[str]:
     return ["index", "x", "value"] if dim == 1 else ["index", "x", "y", "value"]
 
 
+def write_grid_rows(fh, grid: TorusGrid, values, lead: str = "", fmt: str = "%.17g") -> None:
+    """Append one ``lead index,x[,y],value`` CSV row per grid point, row-major.
+
+    The bytes are those csv.writer gives for the same fields (17 significant
+    digits for coordinates, values through fmt, CRLF line ends, no quoting).
+    One first-axis grid row is formatted at a time, with a single ``%`` over
+    its values, so no whole-grid Python list or string is built.
+    """
+    n = grid.n
+    xs = ["%.17g" % x for x in grid.axis_points().tolist()]
+    lead = lead.replace("%", "%%")
+    tail = f",{fmt}\r\n"
+    row_x = [""] if grid.dim == 1 else [x + "," for x in xs]
+    for i, row in enumerate(np.reshape(values, (-1, n))):
+        base, x = i * n, row_x[i]
+        template = "".join([f"{lead}{base + j},{x}{y}{tail}" for j, y in enumerate(xs)])
+        fh.write(template % tuple(row.tolist()))
+
+
 def write_function_csv(path, f: GridFunction) -> None:
     """One row per grid point, row-major; floats at 17 significant digits."""
-    mesh = [m.ravel() for m in f.grid.meshgrid()]
-    flat = f.values.ravel()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_csv_header(f.grid.dim))
-        for i in range(f.grid.size):
-            coords = [f"{m[i]:.17g}" for m in mesh]
-            w.writerow([i, *coords, f"{flat[i]:.17g}"])
+        fh.write(",".join(_csv_header(f.grid.dim)) + "\r\n")
+        write_grid_rows(fh, f.grid, f.values)
 
 
 def read_function_csv(path, grid: TorusGrid | None = None) -> GridFunction:

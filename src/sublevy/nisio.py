@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, sup_distance
+from .errors import BudgetError, ConfigurationError, ConsistencyError
+from .grid import GridFunction, TorusGrid, sup_distance, write_grid_rows
 from .levy import SpectralWorkspace, SymbolTable, apply_multipliers, family_constant
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
 INCREMENT_ROUNDING_TOL = 1e-10
+# recorded maximizer entries (steps x grid points), 80 MB of int64
+ARGMAX_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     semigroup bug and raises ConsistencyError.  The default guard is
     calibrated for one-dimensional desk grids; envelopes on the 2-torus below
     n = 128 carry more spectral truncation at the maximizer interfaces and
-    may need a wider guard.
+    may need a wider guard.  Recording more than ARGMAX_BUDGET maximizer
+    entries raises BudgetError before iterating.
     """
     if t <= 0:
         raise ConfigurationError(f"horizon must be positive, got {t}")
@@ -200,6 +203,14 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         raise ConfigurationError("grid function does not live on the table's grid")
     if not math.isfinite(t * table.max_abs_symbol()):
         raise ConfigurationError(f"horizon {t:g} is too long for this grid: t * |psi| overflows")
+    if record_argmax_level is not None:
+        if not 0 <= record_argmax_level <= MAX_LEVEL:
+            raise ConfigurationError(f"argmax level must be in [0, {MAX_LEVEL}]")
+        if 2**record_argmax_level * f.grid.size > ARGMAX_BUDGET:
+            raise BudgetError(
+                f"recording the maximizers of 2^{record_argmax_level} steps on "
+                f"{f.grid.size} grid points exceeds the budget of {ARGMAX_BUDGET:.0e} entries"
+            )
 
     l_f = lipschitz_bound(table, f)
     const = family_constant(table.family)
@@ -234,8 +245,6 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 
     argmax = None
     if record_argmax_level is not None:
-        if not 0 <= record_argmax_level <= MAX_LEVEL:
-            raise ConfigurationError(f"argmax level must be in [0, {MAX_LEVEL}]")
         steps = 2**record_argmax_level
         _, selections = _iterate_uniform(table, t / steps, steps, f.values, record=True)
         argmax = ArgmaxField(record_argmax_level, selections)
@@ -309,6 +318,11 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
         raise ConfigurationError("h_list entries must be positive")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ConfigurationError("h_list must be strictly decreasing")
+    if hs[-1] < 2.0 ** (4 - MAX_LEVEL):
+        raise ConfigurationError(
+            f"h_list entries must be at least 2^{4 - MAX_LEVEL}, so that S(h) needs at most "
+            f"dyadic level {MAX_LEVEL}, got {hs[-1]:g}"
+        )
     target = generator_sup(table, f)
     rows = []
     for h in hs:
@@ -357,17 +371,11 @@ def write_convergence_csv(path, result: NisioResult) -> None:
 
 
 def write_argmax_csv(path, grid: TorusGrid, argmax: ArgmaxField) -> None:
-    mesh = [m.ravel() for m in grid.meshgrid()]
-    head = ["step", "index", "x", "lambda_index"] if grid.dim == 1 else \
-        ["step", "index", "x", "y", "lambda_index"]
+    head = "step,index,x,lambda_index" if grid.dim == 1 else "step,index,x,y,lambda_index"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(head)
+        fh.write(head + "\r\n")
         for step in range(argmax.step_count):
-            flat = argmax.selections[step].ravel()
-            for i in range(grid.size):
-                coords = [f"{m[i]:.17g}" for m in mesh]
-                w.writerow([step, i, *coords, int(flat[i])])
+            write_grid_rows(fh, grid, argmax.selections[step], lead=f"{step},", fmt="%d")
 
 
 def write_generator_limit_csv(path, rows) -> None:

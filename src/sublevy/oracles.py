@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid
+from .grid import GridFunction, TorusGrid, write_grid_rows
 from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
 
 SERIES_TERM_BUDGET = 10**4
@@ -267,17 +267,11 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float,
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     grid = traj.snapshots[0].grid
-    mesh = [m.ravel() for m in grid.meshgrid()]
-    head = ["time", "index", "x", "value"] if grid.dim == 1 else \
-        ["time", "index", "x", "y", "value"]
+    head = "time,index,x,value" if grid.dim == 1 else "time,index,x,y,value"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(head)
-        for ti, snap in zip(traj.times, traj.snapshots):
-            flat = snap.values.ravel()
-            for i in range(grid.size):
-                coords = [f"{m[i]:.17g}" for m in mesh]
-                w.writerow([f"{ti:.17g}", i, *coords, f"{flat[i]:.17g}"])
+        fh.write(head + "\r\n")
+        for ti, snap in zip(traj.times.tolist(), traj.snapshots):
+            write_grid_rows(fh, grid, snap.values, lead="%.17g," % ti)
 
 
 def write_residual_csv(path, samples: list[ResidualSample]) -> None:

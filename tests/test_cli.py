@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sublevy import apply_linear, diffusion, GeneratorFamily, SymbolTable, make_grid, sample
+from sublevy import cli
 from sublevy.cli import RunConfig, main
 from sublevy.grid import read_function_csv
 
@@ -63,6 +64,25 @@ class TestConfig:
     def test_out_of_range_rejected(self, tmp_path):
         path = write_config(tmp_path, mc={"n_paths": 10})
         assert main(["mc", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("mc", [
+        {"n_paths": 10**400},
+        {"random_strategies": 10**400},
+        {"n_paths": 10**6, "random_strategies": 99},
+        {"extract_level": 20},
+    ])
+    def test_mc_draw_budget(self, tmp_path, capsys, mc):
+        path = write_config(tmp_path, mc=mc)
+        start = time.perf_counter()
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budget of 1e+08 increments" in err
+
+    def test_strategies_must_be_a_list(self, tmp_path, capsys):
+        path = write_config(tmp_path, mc={"strategies": 5})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert "'mc.strategies' must be an array" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed):
@@ -149,7 +169,7 @@ class TestEvolve:
         assert "measured" in violation and "tolerance" in violation
         assert capsys.readouterr().err.strip() != ""
 
-    @pytest.mark.parametrize("command", ["evolve", "oracle", "convergence"])
+    @pytest.mark.parametrize("command", ["evolve", "oracle", "convergence", "mc"])
     def test_level_zero_names_its_cause_in_strict_json(self, tmp_path, capsys, command):
         path = write_config(tmp_path, nisio={"max_level": 0, "tol": 1e-6},
                             convergence={"h_list": [0.1]})
@@ -257,12 +277,12 @@ class TestMc:
         p1 = write_config(tmp_path, name="a.json",
                           family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
                           initial={"kind": "bump", "center": 0.0, "width": math.pi},
-                          nisio={"max_level": 6, "tol": 0.0},
+                          nisio={"max_level": 6, "tol": 1e-4},
                           output_dir=str(tmp_path / "o1"))
         p2 = write_config(tmp_path, name="b.json",
                           family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
                           initial={"kind": "bump", "center": 0.0, "width": math.pi},
-                          nisio={"max_level": 6, "tol": 0.0},
+                          nisio={"max_level": 6, "tol": 1e-4},
                           output_dir=str(tmp_path / "o2"))
         assert main(["mc", "--config", str(p1), "--quiet"]) == 0
         assert main(["mc", "--config", str(p2), "--quiet"]) == 0
@@ -276,11 +296,23 @@ class TestMc:
         assert argmax[0] == "step,index,x,lambda_index"
         assert len(argmax) == 1 + 4 * 128  # extract_level 2 -> 4 steps
 
+    def test_unconverged_reference_is_a_violation(self, tmp_path, capsys):
+        path = write_config(tmp_path,
+                            family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
+                            initial={"kind": "bump", "center": 0.0, "width": math.pi},
+                            nisio={"max_level": 2, "tol": 1e-6})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 2
+        assert (tmp_path / "out" / "estimates.csv").exists()
+        manifest = strict_json(tmp_path / "out" / "manifest.json")
+        (violation,) = [v for v in manifest["violations"] if "nisio.tol" in v["name"]]
+        assert violation["measured"] == manifest["diagnostics"]["increments"][-1] > 1e-6
+        assert "nisio.tol" in capsys.readouterr().err
+
     def test_seed_override_changes_estimates(self, tmp_path):
         p = write_config(tmp_path,
                          family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
                          initial={"kind": "bump", "center": 0.0, "width": math.pi},
-                         nisio={"max_level": 6, "tol": 0.0})
+                         nisio={"max_level": 6, "tol": 1e-4})
         assert main(["mc", "--config", str(p), "--quiet", "--out",
                      str(tmp_path / "s1")]) == 0
         assert main(["mc", "--config", str(p), "--quiet", "--seed", "99", "--out",
@@ -316,3 +348,11 @@ class TestTwoDimensionalCli:
         )
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         assert "monotone" in capsys.readouterr().err
+
+
+def test_benchmark_traced_writers_exist():
+    """The benchmark wraps these writers by name on sublevy.cli to time CSV output."""
+    for name in ("write_function_csv", "write_convergence_csv", "write_trajectory_csv",
+                 "write_residual_csv", "write_estimates_csv", "save_strategy",
+                 "write_argmax_csv"):
+        assert callable(getattr(cli, name, None)), name

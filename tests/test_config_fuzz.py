@@ -1,9 +1,10 @@
 """Random configs through the CLI: every run ends in exit 0, 1 or 2, never a traceback.
 
 Random JSON values (and near-valid structures, so that validation deeper than
-the first type check is reached) are fed as the family, initial, time, nisio
-and oracle fields of an ``evolve`` or ``oracle`` config on grids with n <= 32.
-Every manifest written must be strict JSON (no NaN or Infinity).
+the first type check is reached) are fed as the family, initial, time, nisio,
+oracle, convergence and mc fields of an ``evolve``, ``oracle``, ``convergence``
+or ``mc`` config on grids with n <= 32.  Every manifest written must be strict
+JSON (no NaN or Infinity).
 """
 
 import contextlib
@@ -64,6 +65,9 @@ def valid_fields(dim: int) -> dict:
         "time": [0.2],
         "nisio": [{"max_level": 4, "tol": 1e-6, "monotonicity_tol": 1e-8}],
         "oracle": [{"dt": 1e-3, "tail_tol": 1e-10, "gap_tol": 5e-4}],
+        "convergence": [{"h_list": [0.1, 0.05]}],
+        "mc": [{"n_paths": 100, "seed": 3, "extract_level": 2, "random_strategies": 2,
+                "scheme_tol": 1e-2, "x0": zero, "strategies": []}],
     }
 
 
@@ -84,18 +88,32 @@ def mutate(draw, value):
 @st.composite
 def configs(draw):
     dim = draw(st.sampled_from([1, 2]))
-    cfg = {"grid": {"dim": dim, "n": draw(st.sampled_from([4, 8, 16, 32]))},
-           "mc": {"x0": [0.0] * dim}}
-    for name, choices in valid_fields(dim).items():
+    fields = valid_fields(dim)
+    cfg = {"grid": {"dim": dim, "n": draw(st.sampled_from([4, 8, 16, 32]))}}
+    for name, choices in fields.items():
         cfg[name] = copy.deepcopy(draw(st.sampled_from(choices)))
     for _ in range(draw(st.integers(0, 2))):
-        name = draw(st.sampled_from(["family", "initial", "time", "nisio", "oracle"]))
+        name = draw(st.sampled_from(sorted(fields)))
         cfg[name] = mutate(draw, cfg[name])
+    bad = [-1, 21, "x", "3", 2.5, None, [], 10**400, 1e300]
     if isinstance(cfg["nisio"], dict):
         # keep every example to at most 2^6 envelope steps per level
         cfg["nisio"]["max_level"] = draw(
-            st.integers(0, 6) | st.integers(1, 6)
-            | st.sampled_from([-1, 21, "x", "3", 2.5, None, [], 10**400, 1e300]))
+            st.integers(0, 6) | st.integers(1, 6) | st.sampled_from(bad))
+    if isinstance(cfg["mc"], dict):
+        # at most 2^4 steps and four strategies, 100 paths unless mutated; the draw
+        # budget must refuse 2^20 steps and 10**400 strategies
+        cfg["mc"].setdefault("n_paths", 100)
+        cfg["mc"]["extract_level"] = draw(
+            st.integers(0, 4) | st.integers(1, 4) | st.sampled_from([20, *bad]))
+        cfg["mc"]["random_strategies"] = draw(
+            st.integers(0, 3) | st.integers(1, 3) | st.sampled_from(bad))
+    conv = cfg["convergence"]
+    if isinstance(conv, dict) and isinstance(conv.get("h_list"), list):
+        # S(h) runs at dyadic level ceil(log2(1/h)) + 4: keep it at most 11, and
+        # put an h below 2^-16 (refused) where a smaller h would run
+        conv["h_list"] = [2.0**-17 if isinstance(h, float) and 2.0**-16 <= h < 2.0**-7
+                          else h for h in conv["h_list"]]
     return cfg
 
 
@@ -105,7 +123,7 @@ def _refuse(name):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=configs(), command=st.sampled_from(["evolve", "oracle"]))
+@given(cfg=configs(), command=st.sampled_from(["evolve", "oracle", "convergence", "mc"]))
 def test_random_config_ends_in_a_known_exit(cfg, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sublevy import (
+    BudgetError,
     ConfigurationError,
     GeneratorFamily,
     GridFunction,
@@ -160,6 +162,15 @@ class TestNisioEvolve:
             nisio_evolve(two_sigma_table, 0.1, bump128, max_level=21)
         with pytest.raises(ConfigurationError):
             nisio_evolve(two_sigma_table, 0.1, bump128, tol=-1.0)
+        with pytest.raises(ConfigurationError):
+            nisio_evolve(two_sigma_table, 0.1, bump128, record_argmax_level=21)
+
+    def test_argmax_budget_refused_before_iterating(self, two_sigma_table, bump128):
+        # 2^17 steps x 128 points = 1.7e7 entries (134 MB), over ARGMAX_BUDGET
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            nisio_evolve(two_sigma_table, 0.1, bump128, record_argmax_level=17)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestChernoff:
@@ -260,6 +271,12 @@ class TestGeneratorLimit:
             generator_limit_table(two_sigma_table, cos128, [0.05, 0.1])
         with pytest.raises(ConfigurationError):
             generator_limit_table(two_sigma_table, cos128, [])
+
+    @pytest.mark.parametrize("h", [1e-5, 5e-324])
+    def test_h_needing_more_than_max_level_rejected(self, two_sigma_table, cos128, h):
+        # 1e-5 needs dyadic level 21 (2^21 steps); 5e-324 overflowed log2(1/h)
+        with pytest.raises(ConfigurationError, match="2\\^-16"):
+            generator_limit_table(two_sigma_table, cos128, [0.1, h])
 
 
 class TestPartitionContinuity:
