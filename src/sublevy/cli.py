@@ -33,6 +33,7 @@ from .levy import (
     wrapped_cauchy_quadruple,
 )
 from .mc import (
+    MIN_PATHS,
     dual_bound_suite,
     extract_strategy,
     load_strategy,
@@ -41,6 +42,7 @@ from .mc import (
     write_estimates_csv,
 )
 from .nisio import (
+    MAX_LEVEL,
     generator_limit_table,
     nisio_evolve,
     write_argmax_csv,
@@ -90,7 +92,6 @@ class RunConfig:
     nisio_tol: float = 1e-6
     nisio_monotonicity_tol: float = 1e-8
     oracle_dt: float = 1e-3
-    oracle_tail_tol: float = 1e-10
     oracle_gap_tol: float = 5e-4
     convergence_h: tuple = DEFAULT_H_LIST
     mc_n_paths: int = 10_000
@@ -106,8 +107,8 @@ class RunConfig:
         for name, value in (
             ("time", self.time), ("nisio.tol", self.nisio_tol),
             ("nisio.monotonicity_tol", self.nisio_monotonicity_tol),
-            ("oracle.dt", self.oracle_dt), ("oracle.tail_tol", self.oracle_tail_tol),
-            ("oracle.gap_tol", self.oracle_gap_tol), ("mc.scheme_tol", self.mc_scheme_tol),
+            ("oracle.dt", self.oracle_dt), ("oracle.gap_tol", self.oracle_gap_tol),
+            ("mc.scheme_tol", self.mc_scheme_tol),
             *(("convergence.h_list", h) for h in self.convergence_h),
             *(("mc.x0", c) for c in self.mc_x0),
         ):
@@ -115,18 +116,18 @@ class RunConfig:
                 raise ConfigurationError(f"config field {name!r} must be finite, got {value}")
         if self.time <= 0:
             raise ConfigurationError(f"time horizon must be positive, got {self.time}")
-        if not 0 <= self.nisio_max_level <= 20:
-            raise ConfigurationError("nisio.max_level must be in [0, 20]")
+        if not 0 <= self.nisio_max_level <= MAX_LEVEL:
+            raise ConfigurationError(f"nisio.max_level must be in [0, {MAX_LEVEL}]")
         if self.nisio_tol < 0:
             raise ConfigurationError("nisio.tol must be nonnegative")
         if self.nisio_monotonicity_tol <= 0:
             raise ConfigurationError("nisio.monotonicity_tol must be positive")
-        if self.oracle_dt <= 0 or self.oracle_tail_tol <= 0 or self.oracle_gap_tol <= 0:
-            raise ConfigurationError("oracle.dt, tail_tol and gap_tol must be positive")
-        if self.mc_n_paths < 100:
-            raise ConfigurationError("mc.n_paths must be at least 100")
-        if not 0 <= self.mc_extract_level <= 20:
-            raise ConfigurationError("mc.extract_level must be in [0, 20]")
+        if self.oracle_dt <= 0 or self.oracle_gap_tol <= 0:
+            raise ConfigurationError("oracle.dt and gap_tol must be positive")
+        if self.mc_n_paths < MIN_PATHS:
+            raise ConfigurationError(f"mc.n_paths must be at least {MIN_PATHS}")
+        if not 0 <= self.mc_extract_level <= MAX_LEVEL:
+            raise ConfigurationError(f"mc.extract_level must be in [0, {MAX_LEVEL}]")
         if not 0 <= self.mc_seed < 2**64:
             raise ConfigurationError("mc.seed must be in [0, 2^64)")
         if self.mc_random_strategies < 0 or self.mc_scheme_tol < 0:
@@ -174,7 +175,6 @@ class RunConfig:
             nisio_tol=_get(nis, "tol", float, 1e-6),
             nisio_monotonicity_tol=_get(nis, "monotonicity_tol", float, 1e-8),
             oracle_dt=_get(ora, "dt", float, 1e-3),
-            oracle_tail_tol=_get(ora, "tail_tol", float, 1e-10),
             oracle_gap_tol=_get(ora, "gap_tol", float, 5e-4),
             convergence_h=_floats(conv.get("h_list", DEFAULT_H_LIST), "convergence.h_list"),
             mc_n_paths=_get(mc, "n_paths", int, 10_000),
@@ -184,7 +184,7 @@ class RunConfig:
             mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2),
             mc_x0=_floats(mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim")), "mc.x0"),
             mc_strategy_files=strategy_files,
-            output_dir=str(data.get("output", data.get("output_dir", "out"))),
+            output_dir=str(data.get("output_dir", "out")),
         )
 
     @classmethod
@@ -206,8 +206,7 @@ class RunConfig:
             "time": self.time,
             "nisio": {"max_level": self.nisio_max_level, "tol": self.nisio_tol,
                       "monotonicity_tol": self.nisio_monotonicity_tol},
-            "oracle": {"dt": self.oracle_dt, "tail_tol": self.oracle_tail_tol,
-                       "gap_tol": self.oracle_gap_tol},
+            "oracle": {"dt": self.oracle_dt, "gap_tol": self.oracle_gap_tol},
             "convergence": {"h_list": list(self.convergence_h)},
             "mc": {"n_paths": self.mc_n_paths, "seed": self.mc_seed,
                    "extract_level": self.mc_extract_level,

@@ -278,7 +278,6 @@ def _symmetrize(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.conj(arr[perm]))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing symbol is rejected below
 def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
     """Per-mode characteristic exponent of the quadruple on this grid.
 
@@ -286,6 +285,12 @@ def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
     Re psi <= 0, and exact conjugate symmetry across mode negation.
     """
     q, _ = snap_to_grid(q, grid)
+    return _snapped_symbol(q, grid, "quadruple")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing symbol is rejected below
+def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, label: str) -> np.ndarray:
+    """levy_symbol of a quadruple whose atoms lie on the grid, validated under label."""
     modes = grid.mode_grids()
 
     lam, vec = q._sigma_decomposition
@@ -310,8 +315,8 @@ def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
 
     psi = _symmetrize(grid, psi)
     if not np.all(np.isfinite(psi)):
-        raise ConfigurationError("quadruple symbol is not finite on this grid")
-    _validate_symbol(grid, psi, "quadruple")
+        raise ConfigurationError(f"symbol of {label} is not finite on this grid")
+    _validate_symbol(grid, psi, label)
     return psi
 
 
@@ -348,23 +353,15 @@ class SymbolTable:
 
     @classmethod
     def build(cls, family: GeneratorFamily, grid: TorusGrid) -> "SymbolTable":
-        snapped, dists = [], []
-        for q in family.members:
-            s, d = snap_to_grid(q, grid)
-            snapped.append(s)
-            dists.append(d)
-        fam = GeneratorFamily(tuple(snapped), family.labels)
-        psi = np.stack([levy_symbol(q, grid) for q in fam.members])
-        for i, label in enumerate(fam.labels):
-            _validate_symbol(grid, psi[i], label)
+        snapped = [snap_to_grid(q, grid) for q in family.members]
+        psi = np.stack([_snapped_symbol(s, grid, label)
+                        for (s, _), label in zip(snapped, family.labels)])
         psi.flags.writeable = False
-        return cls(grid=grid, family=fam, psi=psi, snap_distance=max(dists))
+        fam = GeneratorFamily(tuple(s for s, _ in snapped), family.labels)
+        return cls(grid=grid, family=fam, psi=psi, snap_distance=max(d for _, d in snapped))
 
     def __len__(self) -> int:
         return len(self.family)
-
-    def symbol(self, index: int) -> np.ndarray:
-        return self.psi[index]
 
     def max_abs_symbol(self) -> float:
         return float(np.max(np.abs(self.psi)))
@@ -382,7 +379,8 @@ class SymbolTable:
         """
         if t < 0:
             raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-        return np.exp(t * self.psi_half)
+        mults = t * self.psi_half
+        return np.exp(mults, out=mults)  # in place: no second table-sized array
 
 
 # -- multiplier application ----------------------------------------------------
@@ -430,6 +428,16 @@ class SpectralWorkspace:
         if not np.isfinite(self.stack, out=self.mask).all():
             raise ConsistencyError("member evolution produced non-finite values")
         return self.stack
+
+    def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
+                 argmax: np.ndarray | None = None) -> np.ndarray:
+        """The sup-envelope step: the member maximum of apply(mults, values) into
+        out (new when None; values itself is allowed) and, when argmax is given,
+        the lowest maximizing member index into it.  The only member reduction."""
+        stack = self.apply(mults, values)
+        if argmax is not None:
+            np.argmax(stack, axis=0, out=argmax)
+        return np.max(stack, axis=0, out=out)
 
 
 def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ strategy extraction for the Monte Carlo dual.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -140,39 +141,36 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction,
     if t == 0:
         am = np.zeros(table.grid.shape, dtype=np.int64) if record_argmax else None
         return f, am
-    stack = apply_multipliers(table.grid, table.multipliers(t), f.values)
-    am = np.argmax(stack, axis=0) if record_argmax else None
-    return GridFunction(table.grid, np.max(stack, axis=0)), am
+    values, am = _compose(table, [(t, 1)], f.values, record=record_argmax)
+    return GridFunction(table.grid, values), am[0] if record_argmax else None
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    ws = SpectralWorkspace(table.grid, len(table))
-    out = np.empty(table.grid.shape)
-    values = f.values
-    for gap in pi.gaps()[::-1]:
-        values = np.max(ws.apply(table.multipliers(float(gap)), values), axis=0, out=out)
+    runs = [(gap, len(list(same))) for gap, same in itertools.groupby(pi.gaps().tolist())]
+    values, _ = _compose(table, runs, f.values)
     return GridFunction(table.grid, values)
 
 
-def _iterate_uniform(table: SymbolTable, gap: float, steps: int, values: np.ndarray,
-                     record: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """steps-fold composition of the gap-step envelope, optionally recording
-    the maximizer fields in forward-time order.  The input array is only
-    read; the returned array is new to this call."""
-    mults = table.multipliers(gap)
+def _compose(table: SymbolTable, runs, values: np.ndarray,
+             record: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Envelope steps over (gap, count) runs of equal gaps in forward-time
+    order, last run first, on one workspace with one multiplier build per run.
+
+    With record, the maximizer fields come back in forward-time order.  The
+    input array is only read; the result is new unless there are no steps."""
     ws = SpectralWorkspace(table.grid, len(table))
+    step = sum(count for _, count in runs)
     out = np.empty(table.grid.shape)
-    am = np.empty((steps,) + table.grid.shape, dtype=np.int64) if record else None
-    for j in range(steps):
-        stack = ws.apply(mults, values)
-        if record:
-            # iteration j consumes the value with j steps remaining, which is
-            # the lookahead for forward-time interval steps-1-j
-            np.argmax(stack, axis=0, out=am[steps - 1 - j])
-        values = np.max(stack, axis=0, out=out)
+    am = np.empty((step,) + table.grid.shape, dtype=np.int64) if record else None
+    for gap, count in reversed(runs):
+        mults = table.multipliers(gap)
+        for _ in range(count):
+            step -= 1  # the value here is the lookahead of forward-time interval step
+            values = ws.envelope(mults, values, out=out,
+                                 argmax=am[step] if record else None)
     return values, am
 
 
@@ -215,27 +213,25 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     l_f = lipschitz_bound(table, f)
     const = family_constant(table.family)
 
-    start = time.perf_counter()
-    values, _ = _iterate_uniform(table, t, 1, f.values, record=False)
-    records = [LevelRecord(0, 1, float("nan"), float(np.max(np.abs(values))),
-                           (time.perf_counter() - start) * 1e3)]
+    records: list[LevelRecord] = []
     increments: list[float] = []
     converged = False
-    level = 0
-    for level in range(1, max_level + 1):
+    for level in range(max_level + 1):
         steps = 2**level
         start = time.perf_counter()
-        new_values, _ = _iterate_uniform(table, t / steps, steps, f.values, record=False)
+        new_values, _ = _compose(table, [(t / steps, steps)], f.values)
         elapsed = (time.perf_counter() - start) * 1e3
-        diff = new_values - values
-        drop = float(np.min(diff))
-        if drop < -monotonicity_tol:
-            raise ConsistencyError(
-                f"dyadic level {level} drops below level {level - 1} by {-drop:.3e}; "
-                "refinement must be monotone"
-            )
-        inc = float(np.max(diff))
-        increments.append(inc)
+        inc = float("nan")  # level 0 has no coarser level to compare with
+        if level > 0:
+            diff = new_values - values
+            drop = float(np.min(diff))
+            if drop < -monotonicity_tol:
+                raise ConsistencyError(
+                    f"dyadic level {level} drops below level {level - 1} by {-drop:.3e}; "
+                    "refinement must be monotone"
+                )
+            inc = float(np.max(diff))
+            increments.append(inc)
         records.append(LevelRecord(level, steps, inc, float(np.max(np.abs(new_values))),
                                    elapsed))
         values = new_values
@@ -246,7 +242,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     argmax = None
     if record_argmax_level is not None:
         steps = 2**record_argmax_level
-        _, selections = _iterate_uniform(table, t / steps, steps, f.values, record=True)
+        _, selections = _compose(table, [(t / steps, steps)], f.values, record=True)
         argmax = ArgmaxField(record_argmax_level, selections)
 
     return NisioResult(
@@ -270,7 +266,7 @@ def chernoff_equidistant(table: SymbolTable, t: float, f: GridFunction,
         raise ConfigurationError(f"horizon must be positive, got {t}")
     if n < 1:
         raise ConfigurationError(f"step count must be at least 1, got {n}")
-    values, _ = _iterate_uniform(table, t / n, n, f.values, record=False)
+    values, _ = _compose(table, [(t / n, n)], f.values)
     return GridFunction(table.grid, values)
 
 
@@ -280,8 +276,8 @@ def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    stack = apply_multipliers(table.grid, table.psi_half, f.values)
-    return GridFunction(table.grid, np.max(stack, axis=0))
+    ws = SpectralWorkspace(table.grid, len(table))
+    return GridFunction(table.grid, ws.envelope(table.psi_half, f.values))
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
@@ -298,10 +294,9 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     if not 0 <= level <= MAX_LEVEL:
         raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     steps = 2**level
-    joint, _ = _iterate_uniform(table, (s + t) / steps, steps, f.values, record=False)
-    inner, _ = _iterate_uniform(table, t / steps, steps, f.values, record=False)
-    outer, _ = _iterate_uniform(table, s / steps, steps, inner, record=False)
-    return float(np.max(np.abs(joint - outer)))
+    joint, _ = _compose(table, [((s + t) / steps, steps)], f.values)
+    composed, _ = _compose(table, [(s / steps, steps), (t / steps, steps)], f.values)
+    return float(np.max(np.abs(joint - composed)))
 
 
 def generator_limit_table(table: SymbolTable, f: GridFunction,
@@ -328,7 +323,7 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
     for h in hs:
         level = max(8, math.ceil(math.log2(1.0 / h)) + 4)
         steps = 2**level
-        values, _ = _iterate_uniform(table, h / steps, steps, f.values, record=False)
+        values, _ = _compose(table, [(h / steps, steps)], f.values)
         err = float(np.max(np.abs((values - f.values) / h - target.values)))
         rows.append((h, err))
     return rows

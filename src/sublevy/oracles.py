@@ -132,11 +132,6 @@ def poisson_series_apply(rate: float, mu_atoms, t: float, f: GridFunction,
 
 # -- classical integration of the sup-generator equation ---------------------------
 
-def _sup_generator_rhs(ws: SpectralWorkspace, psi_half: np.ndarray,
-                       values: np.ndarray) -> np.ndarray:
-    return np.max(ws.apply(psi_half, values), axis=0)
-
-
 def stability_limit(table: SymbolTable) -> float:
     """Largest step the explicit integrator accepts for this symbol table."""
     top = table.max_abs_symbol()
@@ -179,10 +174,10 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     times = [0.0]
     snaps = [f]
     for k in range(1, steps + 1):
-        k1 = _sup_generator_rhs(ws, psi, u)
-        k2 = _sup_generator_rhs(ws, psi, u + 0.5 * dt * k1)
-        k3 = _sup_generator_rhs(ws, psi, u + 0.5 * dt * k2)
-        k4 = _sup_generator_rhs(ws, psi, u + dt * k3)
+        k1 = ws.envelope(psi, u)
+        k2 = ws.envelope(psi, u + 0.5 * dt * k1)
+        k3 = ws.envelope(psi, u + 0.5 * dt * k2)
+        k4 = ws.envelope(psi, u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise ConsistencyError(f"integration blew up at step {k}")
@@ -221,7 +216,7 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     out = []
     for i in range(1, len(traj.snapshots) - 1):
         du = (traj.snapshots[i + 1].values - traj.snapshots[i - 1].values) / (2.0 * delta)
-        rhs = _sup_generator_rhs(ws, table.psi_half, traj.snapshots[i].values)
+        rhs = ws.envelope(table.psi_half, traj.snapshots[i].values)
         pointwise = du - rhs
         out.append(ResidualSample(float(traj.times[i]),
                                   float(np.max(np.abs(pointwise))), pointwise))

@@ -28,7 +28,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "initial": {"kind": "cosine", "k": 1},
         "time": 0.2,
         "nisio": {"max_level": 8, "tol": 1e-6},
-        "oracle": {"dt": 1e-3, "tail_tol": 1e-10, "gap_tol": 5e-4},
+        "oracle": {"dt": 1e-3, "gap_tol": 5e-4},
         "mc": {"n_paths": 200, "seed": 7, "extract_level": 2,
                "random_strategies": 2, "scheme_tol": 1e-2},
         "output_dir": str(tmp_path / "out"),
@@ -50,6 +50,16 @@ class TestConfig:
         cfg = RunConfig.from_file(str(path))
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        # neither is read: an out-of-range oracle.tail_tol passes, and output
+        # does not redirect the output directory
+        path = write_config(tmp_path, oracle={"tail_tol": -1.0}, output=str(tmp_path / "x"))
+        cfg = RunConfig.from_file(str(path))
+        assert cfg.output_dir == str(tmp_path / "out")
+        assert cfg.to_dict()["oracle"] == {"dt": 1e-3, "gap_tol": 5e-4}
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 0
+        assert not (tmp_path / "x").exists()
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -348,6 +358,14 @@ class TestTwoDimensionalCli:
         )
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         assert "monotone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_passes(tmp_path, config):
+    command = config.stem.rsplit("_", 1)[1]
+    assert command in cli.COMMANDS
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert strict_json(tmp_path / "manifest.json")["violations"] == []
 
 
 def test_benchmark_traced_writers_exist():

@@ -64,7 +64,7 @@ def valid_fields(dim: int) -> dict:
         ],
         "time": [0.2],
         "nisio": [{"max_level": 4, "tol": 1e-6, "monotonicity_tol": 1e-8}],
-        "oracle": [{"dt": 1e-3, "tail_tol": 1e-10, "gap_tol": 5e-4}],
+        "oracle": [{"dt": 1e-3, "gap_tol": 5e-4}],
         "convergence": [{"h_list": [0.1, 0.05]}],
         "mc": [{"n_paths": 100, "seed": 3, "extract_level": 2, "random_strategies": 2,
                 "scheme_tol": 1e-2, "x0": zero, "strategies": []}],

@@ -496,6 +496,30 @@ class TestSpectralKernel:
             assert np.array_equal(out, ref)
             assert np.array_equal(apply_multipliers(grid, mults, v), ref)
 
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
+    def test_envelope_bitwise_equals_member_max(self, dim, n):
+        grid = make_grid(dim, n)
+        # the repeated members tie exactly everywhere
+        members = _kernel_family(grid).members * 2
+        table = SymbolTable.build(GeneratorFamily(members), grid)
+        ws = SpectralWorkspace(grid, len(table))
+        mults = table.multipliers(0.05)
+        am = np.empty(grid.shape, dtype=np.int64)
+        for v in (random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2).values,
+                  np.full(grid.shape, 0.75)):
+            stack = apply_multipliers(grid, mults, v)
+            out = ws.envelope(mults, v, argmax=am)
+            assert np.array_equal(out, np.max(stack, axis=0))
+            assert np.array_equal(am, np.argmax(stack, axis=0))
+            assert np.all(am < len(members) // 2)
+            # in place, as the composition loop calls it
+            w = v.copy()
+            assert ws.envelope(mults, w, out=w) is w
+            assert np.array_equal(w, out)
+        # constant data is kept by every member, and the tie goes to member 0
+        assert np.array_equal(out, v)
+        assert not am.any()
+
     def test_fresh_workspace_result_is_the_callers(self, two_sigma_table, bump128):
         mults = two_sigma_table.multipliers(0.1)
         a = apply_multipliers(two_sigma_table.grid, mults, bump128.values)

@@ -28,7 +28,7 @@ from sublevy import (
     sample,
     sup_distance,
 )
-from sublevy.nisio import _iterate_uniform
+from sublevy.nisio import _compose
 from conftest import random_trig
 
 
@@ -447,12 +447,12 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        _iterate_uniform(two_sigma_table, 0.05, 4, v, record=True)
+        _compose(two_sigma_table, [(0.05, 4)], v, record=True)
         assert np.array_equal(v, before)
 
     def test_levels_do_not_share_memory(self, two_sigma_table, bump128):
-        levels = [_iterate_uniform(two_sigma_table, 0.2 / 2**k, 2**k, bump128.values,
-                                   record=False)[0] for k in range(4)]
+        levels = [_compose(two_sigma_table, [(0.2 / 2**k, 2**k)], bump128.values)[0]
+                  for k in range(4)]
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
@@ -461,7 +461,7 @@ class TestWorkspaceReuse:
             assert np.array_equal(values, again.values)
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
-        values, am = _iterate_uniform(two_sigma_table, 0.05, 4, bump128.values, record=True)
+        values, am = _compose(two_sigma_table, [(0.05, 4)], bump128.values, record=True)
         f = bump128
         for step in range(3, -1, -1):
             f, sel = apply_J(two_sigma_table, 0.05, f, record_argmax=True)
@@ -474,3 +474,34 @@ class TestWorkspaceReuse:
         for gap in pi.gaps()[::-1]:
             f, _ = apply_J(two_sigma_table, float(gap), f)
         assert np.array_equal(apply_partition(two_sigma_table, pi, bump128).values, f.values)
+
+    def test_mixed_runs_record_maximizers_in_forward_time(self, two_sigma_table, bump128):
+        runs = [(0.03, 2), (0.07, 1), (0.05, 2)]
+        values, am = _compose(two_sigma_table, runs, bump128.values, record=True)
+        f = bump128
+        gaps = [gap for gap, count in runs for _ in range(count)]
+        for step in range(len(gaps) - 1, -1, -1):
+            f, sel = apply_J(two_sigma_table, gaps[step], f, record_argmax=True)
+            assert np.array_equal(am[step], sel)
+        assert np.array_equal(values, f.values)
+
+    @pytest.mark.parametrize("times,calls", [
+        ([0.0, 0.05, 0.12, 0.2], 3),               # three distinct gaps
+        ([0.0, 0.125, 0.25, 0.375, 0.5], 1),       # one run of equal gaps
+        ([0.0, 0.25, 0.5, 0.625, 0.75], 2),        # two runs
+    ])
+    def test_multipliers_built_once_per_run(self, two_sigma_table, bump128, monkeypatch,
+                                            times, calls):
+        built = []
+        multipliers = SymbolTable.multipliers
+
+        def counting(table, t):
+            built.append(t)
+            return multipliers(table, t)
+
+        monkeypatch.setattr(SymbolTable, "multipliers", counting)
+        apply_partition(two_sigma_table, Partition(np.array(times)), bump128)
+        assert len(built) == calls
+        built.clear()
+        chernoff_equidistant(two_sigma_table, 0.2, bump128, 8)
+        assert built == [0.2 / 8]
