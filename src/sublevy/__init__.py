@@ -60,7 +60,6 @@ from .mc import (
     path_payoffs,
     random_strategy,
     save_strategy,
-    simulate_path,
     simulate_paths,
 )
 from .nisio import (

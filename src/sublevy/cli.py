@@ -52,7 +52,9 @@ from .nisio import (
 from .oracles import picard_solve, residual_check, write_residual_csv, write_trajectory_csv
 
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
-# increments one mc run may draw: paths x strategies x extracted steps x members
+# increments one mc run may use, each counted once per strategy that advances on
+# it: paths x strategies x extracted steps x members (strategies on one partition
+# share one draw per path, step and member)
 MC_DRAW_BUDGET = 10**8
 
 
@@ -421,7 +423,7 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     if (config.mc_n_paths * strategy_count * 2**config.mc_extract_level * len(run.family)
             > MC_DRAW_BUDGET):
         raise BudgetError(
-            f"mc would draw more than the budget of {MC_DRAW_BUDGET:.0e} increments "
+            f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
             "(n_paths x strategies x 2^extract_level x members)"
         )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)

@@ -7,9 +7,9 @@ the feedback extracted from the recorded maximizer fields should come within
 the scheme tolerance of attaining it.
 
 Paths run in blocks of BLOCK_PATHS; block b draws from the Philox stream keyed
-by (seed, b), and every member draws for every path on every step, whatever
-the feedback selects.  Results are bitwise reproducible, and strategies
-estimated with one seed share their random numbers.
+by (seed, b).  On each step every member draws once for every path of the
+block, and every strategy on that partition advances on those draws, so
+results are bitwise reproducible and strategies share their random numbers.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class SimpleStrategy:
         fb = fb.copy()
         fb.flags.writeable = False
         object.__setattr__(self, "feedback", fb)
-
-    def member_range_check(self, family: GeneratorFamily) -> None:
-        if self.feedback.size and int(self.feedback.max()) >= len(family):
-            raise ConfigurationError(
-                f"feedback selects member {int(self.feedback.max())}, "
-                f"family has {len(family)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,65 +114,68 @@ def interpolate_linear(f: GridFunction, point):
     return float(out[0]) if single else out
 
 
-def simulate_paths(family: GeneratorFamily, strat: SimpleStrategy, x0, t: float,
+def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
                    rng: Generator, size: int) -> np.ndarray:
-    """Advance size controlled paths from x0 over the strategy partition; returns
-    the terminal torus points, shape (size, d).  The feedback is looked up at
-    the nearest grid point of each current position."""
-    if abs(strat.partition.end - t) > 1e-12 * max(1.0, t):
-        raise ConfigurationError(
-            f"strategy partition ends at {strat.partition.end}, horizon is {t}"
-        )
-    strat.member_range_check(family)
-    grid = strat.grid
+    """Advance size controlled paths from x0 under each of strategies, which
+    share one grid and one partition; returns the terminal torus points, shape
+    (strategies, size, d).  On each step every member draws size increments
+    once and every strategy's paths advance on those draws; the feedback is
+    looked up at the nearest grid point of each current position."""
+    if not strategies or any(s.grid != strategies[0].grid or not np.array_equal(
+            s.partition.times, strategies[0].partition.times) for s in strategies):
+        raise ConfigurationError("simulate_paths needs strategies on one grid and one partition")
+    grid, partition = strategies[0].grid, strategies[0].partition
+    if abs(partition.end - t) > 1e-12 * max(1.0, t):
+        raise ConfigurationError(f"strategy partition ends at {partition.end}, horizon is {t}")
+    top = max(int(s.feedback.max(initial=0)) for s in strategies)
+    if top >= len(family):
+        raise ConfigurationError(f"feedback selects member {top}, family has {len(family)}")
     start = wrap_point(np.atleast_1d(np.asarray(x0, dtype=float)))
     if start.shape != (grid.dim,):
         raise ConfigurationError(f"start point must have {grid.dim} coordinates")
-    rows = np.arange(size)
-    pos = np.tile(start, (size, 1))
-    for j, dt in enumerate(strat.partition.gaps()):
-        # every member draws for every path, so all strategies share the draws
+    pos = np.tile(start, (len(strategies), size, 1))
+    for j, dt in enumerate(partition.gaps()):
         draws = np.stack([sample_increments(q, float(dt), rng, size) for q in family.members])
         cells = np.rint((pos + np.pi) / grid.spacing).astype(np.int64) % grid.n
-        member = strat.feedback[j][tuple(cells.T)]
-        pos = wrap_point(pos + draws[member, rows])
+        member = np.stack([s.feedback[j][tuple(c.T)] for s, c in zip(strategies, cells)])
+        pos = wrap_point(pos + draws[member, np.arange(size)])
     return pos
 
 
-def simulate_path(family: GeneratorFamily, strat: SimpleStrategy, x0, t: float,
-                  rng: Generator) -> np.ndarray:
-    """One controlled path: the terminal torus point of simulate_paths."""
-    return simulate_paths(family, strat, x0, t, rng, 1)[0]
-
-
-def path_payoffs(family: GeneratorFamily, strat: SimpleStrategy, f: GridFunction, x0,
+def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
                  t: float, n_paths: int, seed: int) -> np.ndarray:
-    """Payoff of each of n_paths controlled paths, in path order.  A full
-    block's payoffs do not depend on n_paths."""
+    """Payoff of each of n_paths controlled paths under each strategy, shape
+    (strategies, n_paths).  Strategies with the same partition times are
+    simulated together; each such group replays the (seed, block) streams, so
+    a full block's payoffs depend on neither n_paths nor the other strategies."""
     if n_paths < MIN_PATHS:
         raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
-    if f.grid != strat.grid:
+    if any(s.grid != f.grid for s in strategies):
         raise ConfigurationError("payoff function and strategy live on different grids")
-    payoffs = np.empty(n_paths)
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(strategies):
+        groups.setdefault(tuple(s.partition.times.tolist()), []).append(i)
+    payoffs = np.empty((len(strategies), n_paths))
     for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         size = min(BLOCK_PATHS, n_paths - lo)
-        rng = Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
-        payoffs[lo:lo + size] = interpolate_linear(
-            f, simulate_paths(family, strat, x0, t, rng, size))
+        for members in groups.values():
+            rng = Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
+            ends = simulate_paths(family, [strategies[i] for i in members], x0, t, rng, size)
+            payoffs[members, lo:lo + size] = interpolate_linear(
+                f, ends.reshape(-1, f.grid.dim)).reshape(len(members), size)
     return payoffs
+
+
+def _summary(payoffs: np.ndarray, seed: int) -> McEstimate:
+    stderr = float(np.std(payoffs, ddof=1) / math.sqrt(payoffs.size))
+    return McEstimate(float(np.mean(payoffs)), stderr, payoffs.size, seed)
 
 
 def estimate(family: GeneratorFamily, strat: SimpleStrategy, f: GridFunction, x0,
              t: float, n_paths: int, seed: int) -> McEstimate:
-    """Mean payoff over independent controlled paths, with its standard error.
-
-    Paths run in blocks with Philox streams keyed by (seed, block), and every
-    member draws on every step, so results are bitwise reproducible and
-    strategies estimated with one seed share their draws."""
-    payoffs = path_payoffs(family, strat, f, x0, t, n_paths, seed)
-    mean = float(np.mean(payoffs))
-    stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n_paths))
-    return McEstimate(mean=mean, stderr=stderr, n_paths=n_paths, seed=seed)
+    """Mean payoff over n_paths controlled paths, with its standard error; the
+    row of path_payoffs for this strategy alone."""
+    return _summary(path_payoffs(family, [strat], f, x0, t, n_paths, seed)[0], seed)
 
 
 @dataclass(frozen=True)
@@ -224,16 +220,17 @@ def dual_bound_suite(family: GeneratorFamily, f: GridFunction, x0, t: float,
     """
     if scheme_tol < 0:
         raise ConfigurationError("scheme tolerance must be nonnegative")
+    if not strategies:
+        raise ConfigurationError("dual bound suite needs at least one strategy")
+    payoffs = path_payoffs(family, [s for _, s in strategies], f, x0, t, n_paths, seed)
     rows = []
     best_name, best_mean = "", -math.inf
-    for name, strat in strategies:
-        est = estimate(family, strat, f, x0, t, n_paths, seed)
+    for (name, _), row in zip(strategies, payoffs):
+        est = _summary(row, seed)
         ok = est.mean <= reference_value + 3.0 * est.stderr + scheme_tol
         rows.append(BoundRow(str(name), est.mean, est.stderr, est.n_paths, est.seed, ok))
         if est.mean > best_mean:
             best_name, best_mean = str(name), est.mean
-    if not rows:
-        raise ConfigurationError("dual bound suite needs at least one strategy")
     return DualBoundReport(tuple(rows), reference_value, scheme_tol, best_name, best_mean)
 
 
@@ -250,9 +247,12 @@ def strategy_to_dict(strat: SimpleStrategy) -> dict:
 def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
     try:
         partition = Partition(np.asarray(obj["partition"], dtype=float))
-        fb = np.asarray(obj["feedback"], dtype=np.int64)
+        raw = np.asarray(obj["feedback"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed strategy object: {exc}") from exc
+    if raw.dtype.kind not in "iuf" or not np.all((raw == np.round(raw)) & (abs(raw) < 2**53)):
+        raise ConfigurationError("strategy feedback entries must be integers")
+    fb = raw.astype(np.int64)
     if fb.ndim != 2 or fb.shape[1] != grid.size:
         raise ConfigurationError(
             f"strategy feedback must be (intervals, {grid.size}), got {fb.shape}"

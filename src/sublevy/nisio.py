@@ -39,6 +39,8 @@ class Partition:
         t = np.asarray(self.times, dtype=float).reshape(-1)
         if t.size == 0 or t[0] != 0.0:
             raise ConfigurationError("partition must start at time 0")
+        if not np.all(np.isfinite(t)):
+            raise ConfigurationError("partition times must be finite")
         if np.any(np.diff(t) <= 0):
             raise ConfigurationError("partition times must be strictly increasing")
         t = t.copy()

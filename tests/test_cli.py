@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sublevy import apply_linear, diffusion, GeneratorFamily, SymbolTable, make_grid, sample
+from sublevy import Partition, estimate, random_strategy, save_strategy
 from sublevy import cli
 from sublevy.cli import RunConfig, main
 from sublevy.grid import read_function_csv
@@ -317,6 +318,48 @@ class TestMc:
         (violation,) = [v for v in manifest["violations"] if "nisio.tol" in v["name"]]
         assert violation["measured"] == manifest["diagnostics"]["increments"][-1] > 1e-6
         assert "nisio.tol" in capsys.readouterr().err
+
+    def test_strategy_files_share_the_run_draws(self, tmp_path):
+        mc_config = dict(family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
+                         initial={"kind": "bump", "center": 0.0, "width": math.pi},
+                         nisio={"max_level": 6, "tol": 1e-4}, mc={"extract_level": 3})
+        first = write_config(tmp_path, name="a.json", output_dir=str(tmp_path / "o1"),
+                             **mc_config)
+        assert main(["mc", "--config", str(first), "--quiet"]) == 0
+        fed = tmp_path / "fed.json"
+        fed.write_bytes((tmp_path / "o1" / "extracted_strategy.json").read_bytes())
+        grid = make_grid(1, 128)
+        coarse = random_strategy(grid, Partition.dyadic(0.2, 2), 2, np.random.default_rng(4))
+        save_strategy(tmp_path / "level2.json", coarse)
+        second = write_config(tmp_path, name="b.json", output_dir=str(tmp_path / "o2"),
+                              **{**mc_config, "mc": {"extract_level": 3, "strategies": [
+                                  str(fed), str(tmp_path / "level2.json")]}})
+        assert main(["mc", "--config", str(second), "--quiet"]) == 0
+
+        def rows(out):
+            lines = (tmp_path / out / "estimates.csv").read_text().splitlines()[1:]
+            return {line.split(",")[0]: line.split(",")[1:] for line in lines}
+
+        before, after = rows("o1"), rows("o2")
+        assert list(after) == ["extracted", "random-0", "random-1", "fed.json", "level2.json"]
+        assert after["fed.json"] == after["extracted"] == before["extracted"]
+        alone = estimate(cli.build_family(mc_config["family"], grid), coarse,
+                         sample(grid, "bump", center=0.0, width=math.pi), [0.0], 0.2, 200, 7)
+        assert after["level2.json"] == [f"{alone.mean:.17g}", f"{alone.stderr:.17g}",
+                                        "200", "7", "1"]
+
+    @pytest.mark.parametrize("strategy,cause", [
+        ({"partition": [0.0, math.nan], "feedback": [[0] * 128]}, "finite"),
+        ({"partition": [0.0, 0.2], "feedback": [[2.5] + [0] * 127]}, "integers"),
+        ({"partition": [0.0, 0.2], "feedback": [["1"] + [0] * 127]}, "integers"),
+    ])
+    def test_bad_strategy_file_is_one_line(self, tmp_path, capsys, strategy, cause):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(strategy))
+        path = write_config(tmp_path, mc={"strategies": [str(bad)]})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and cause in err, err
 
     def test_seed_override_changes_estimates(self, tmp_path):
         p = write_config(tmp_path,

@@ -3,14 +3,16 @@
 Random JSON values (and near-valid structures, so that validation deeper than
 the first type check is reached) are fed as the family, initial, time, nisio,
 oracle, convergence and mc fields of an ``evolve``, ``oracle``, ``convergence``
-or ``mc`` config on grids with n <= 32.  Every manifest written must be strict
-JSON (no NaN or Infinity).
+or ``mc`` config on grids with n <= 32, and as the strategy file an ``mc``
+config may name.  Every manifest written must be strict JSON (no NaN or
+Infinity).
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -22,6 +24,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sublevy.cli import main  # noqa: E402
+from sublevy.nisio import Partition  # noqa: E402
 
 scalars = st.one_of(
     st.none(),
@@ -114,7 +117,19 @@ def configs(draw):
         # put an h below 2^-16 (refused) where a smaller h would run
         conv["h_list"] = [2.0**-17 if isinstance(h, float) and 2.0**-16 <= h < 2.0**-7
                           else h for h in conv["h_list"]]
-    return cfg
+    strategy = None
+    if isinstance(cfg["mc"], dict) and draw(st.booleans()):
+        # one strategy file, valid before mutation: the config's dyadic partition
+        # with zero feedback
+        level, t = cfg["mc"]["extract_level"], cfg["time"]
+        level = level if isinstance(level, int) and 0 <= level <= 4 else 2
+        t = t if isinstance(t, float) and math.isfinite(t) and t > 0 else 0.2
+        strategy = {"partition": Partition.dyadic(t, level).times.tolist(),
+                    "feedback": [[0] * cfg["grid"]["n"] ** dim for _ in range(2**level)]}
+        for _ in range(draw(st.integers(0, 2))):
+            strategy = mutate(draw, strategy)
+        cfg["mc"]["strategies"] = ["strategy.json"]
+    return cfg, strategy
 
 
 def _refuse(name):
@@ -123,9 +138,13 @@ def _refuse(name):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=configs(), command=st.sampled_from(["evolve", "oracle", "convergence", "mc"]))
-def test_random_config_ends_in_a_known_exit(cfg, command):
+@given(case=configs(), command=st.sampled_from(["evolve", "oracle", "convergence", "mc"]))
+def test_random_config_ends_in_a_known_exit(case, command):
+    cfg, strategy = case
     with tempfile.TemporaryDirectory() as tmp:
+        if strategy is not None:
+            with open(os.path.join(tmp, "strategy.json"), "w") as fh:
+                json.dump(strategy, fh)
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump({**cfg, "output_dir": os.path.join(tmp, "out")}, fh)

@@ -23,9 +23,10 @@ from sublevy import (
     random_strategy,
     sample,
     save_strategy,
-    simulate_path,
+    simulate_paths,
 )
 from sublevy import LevyQuadruple, apply_linear, compound_poisson
+from sublevy import mc
 from sublevy.mc import BLOCK_PATHS, strategy_from_dict, strategy_to_dict
 
 
@@ -79,15 +80,16 @@ class TestSimulatePath:
     def test_zero_family_stays_put(self, grid128, zero_family):
         strat = constant_strategy(grid128, Partition.dyadic(1.0, 2), 0)
         rng = np.random.default_rng(0)
-        out = simulate_path(zero_family, strat, np.array([0.3]), 1.0, rng)
-        assert out[0] == pytest.approx(0.3, abs=1e-15)
+        out = simulate_paths(zero_family, [strat], np.array([0.3]), 1.0, rng, 1)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(0.3, abs=1e-15)
 
     def test_pure_drift_translates(self, grid128):
         fam = GeneratorFamily((drift(1.0),))
         strat = constant_strategy(grid128, Partition.dyadic(1.0, 3), 0)
         rng = np.random.default_rng(0)
-        out = simulate_path(fam, strat, np.array([0.5]), 1.0, rng)
-        assert out[0] == pytest.approx(1.5, abs=1e-12)
+        out = simulate_paths(fam, [strat], np.array([0.5]), 1.0, rng, 1)
+        assert out[0, 0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_gaussian_characteristic_function(self, grid128):
         fam = GeneratorFamily((diffusion(1.0),))
@@ -97,7 +99,7 @@ class TestSimulatePath:
         vals = np.empty(n, dtype=complex)
         for i in range(n):
             rng = np.random.default_rng(i)
-            vals[i] = np.exp(1j * simulate_path(fam, strat, np.array([x0]), t, rng)[0])
+            vals[i] = np.exp(1j * simulate_paths(fam, [strat], np.array([x0]), t, rng, 1)[0, 0, 0])
         want = math.exp(-t / 2) * np.exp(1j * x0)
         stderr = float(np.std(np.real(vals), ddof=1)) / math.sqrt(n)
         assert abs(np.mean(vals) - want) <= 4 * stderr + 1e-3
@@ -105,14 +107,33 @@ class TestSimulatePath:
     def test_partition_must_end_at_horizon(self, grid128, zero_family):
         strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
         with pytest.raises(ConfigurationError):
-            simulate_path(zero_family, strat, np.array([0.0]), 1.0,
-                          np.random.default_rng(0))
+            simulate_paths(zero_family, [strat], np.array([0.0]), 1.0,
+                           np.random.default_rng(0), 1)
 
     def test_out_of_range_feedback_rejected(self, grid128, zero_family):
         strat = constant_strategy(grid128, Partition.dyadic(1.0, 1), 3)
         with pytest.raises(ConfigurationError):
-            simulate_path(zero_family, strat, np.array([0.0]), 1.0,
-                          np.random.default_rng(0))
+            simulate_paths(zero_family, [strat], np.array([0.0]), 1.0,
+                           np.random.default_rng(0), 1)
+
+    def test_strategies_must_share_grid_and_partition(self, grid64, grid128, zero_family):
+        a = constant_strategy(grid128, Partition.dyadic(1.0, 1), 0)
+        for others in ([], [a, constant_strategy(grid128, Partition.dyadic(1.0, 2), 0)],
+                       [a, constant_strategy(grid64, Partition.dyadic(1.0, 1), 0)]):
+            with pytest.raises(ConfigurationError):
+                simulate_paths(zero_family, others, np.array([0.0]), 1.0,
+                               np.random.default_rng(0), 1)
+
+    def test_each_strategy_advances_on_the_same_draws(self, grid128, two_sigma_family):
+        part = Partition.dyadic(0.2, 3)
+        strats = [constant_strategy(grid128, part, i) for i in (0, 1, 0)]
+        x0 = np.array([0.4])
+        out = simulate_paths(two_sigma_family, strats, x0, 0.2, np.random.default_rng(2), 50)
+        assert out.shape == (3, 50, 1)
+        assert np.array_equal(out[0], out[2])
+        for i, s in enumerate(strats):
+            alone = simulate_paths(two_sigma_family, [s], x0, 0.2, np.random.default_rng(2), 50)
+            assert np.array_equal(alone[0], out[i])
 
 
 class TestEstimate:
@@ -165,8 +186,8 @@ class TestBlocks:
         family, result, bump = mc_setup
         strat = extract_strategy(result, 4)
         x0 = np.array([0.0])
-        one = path_payoffs(family, strat, bump, x0, 0.2, BLOCK_PATHS, seed=4)
-        more = path_payoffs(family, strat, bump, x0, 0.2, BLOCK_PATHS + 37, seed=4)
+        (one,) = path_payoffs(family, [strat], bump, x0, 0.2, BLOCK_PATHS, seed=4)
+        (more,) = path_payoffs(family, [strat], bump, x0, 0.2, BLOCK_PATHS + 37, seed=4)
         assert np.array_equal(more[:BLOCK_PATHS], one)
         # the second block has its own stream
         assert not np.array_equal(more[BLOCK_PATHS:], one[:37])
@@ -179,8 +200,7 @@ class TestBlocks:
         feedback[-1, grid128.n // 2:] = 1  # differs on the right half, last interval
         other = SimpleStrategy(grid128, part, feedback)
         x0 = np.array([0.0])
-        a = path_payoffs(family, base, bump, x0, 0.2, 500, seed=8)
-        b = path_payoffs(family, other, bump, x0, 0.2, 500, seed=8)
+        a, b = path_payoffs(family, [base, other], bump, x0, 0.2, 500, seed=8)
         # a path that never meets the difference sees the same draws under both
         same = int(np.sum(a == b))
         assert 100 < same < 400
@@ -199,6 +219,50 @@ class TestBlocks:
 
 
 class TestDualBoundSuite:
+    def test_draws_once_per_block_partition_step_and_member(self, grid128, bump128,
+                                                           two_sigma_family, monkeypatch):
+        calls = []
+        sample_increments = mc.sample_increments
+
+        def counting(q, dt, rng, size):
+            calls.append(size)
+            return sample_increments(q, dt, rng, size)
+
+        monkeypatch.setattr(mc, "sample_increments", counting)
+        rng = np.random.default_rng(4)
+        fine, coarse = Partition.dyadic(0.2, 3), Partition.dyadic(0.2, 1)
+        n = BLOCK_PATHS + 10  # two blocks
+        for count in (1, 5):
+            strategies = [(f"r{i}", random_strategy(grid128, fine, 2, rng))
+                          for i in range(count)]
+            calls.clear()
+            dual_bound_suite(two_sigma_family, bump128, [0.0], 0.2, strategies, n, 1,
+                             1.0, 1e-2)
+            assert len(calls) == 2 * 8 * 2  # blocks x steps x members
+            strategies.append(("coarse", random_strategy(grid128, coarse, 2, rng)))
+            calls.clear()
+            dual_bound_suite(two_sigma_family, bump128, [0.0], 0.2, strategies, n, 1,
+                             1.0, 1e-2)
+            assert len(calls) == 2 * (8 + 2) * 2  # blocks x (steps per group) x members
+            assert sorted(set(calls)) == [10, BLOCK_PATHS]
+
+    def test_rows_equal_estimates_alone_2d(self):
+        grid = make_grid(2, 16)
+        fam = GeneratorFamily((diffusion(0.5, dim=2), drift([0.7, -0.3], dim=2),
+                               compound_poisson([([0.5, -0.25], 1.0)], rate=3.0, dim=2)))
+        f = sample(grid, "bump", center=[0.0, 0.0], width=np.pi)
+        rng = np.random.default_rng(6)
+        strategies = [(f"s{i}", random_strategy(grid, Partition.dyadic(0.3, 2 + i % 2), 3, rng))
+                      for i in range(5)]
+        strategies.insert(2, ("const", constant_strategy(grid, Partition.dyadic(0.3, 3), 1)))
+        x0, n = np.array([0.2, -0.1]), BLOCK_PATHS + 76
+        report = dual_bound_suite(fam, f, x0, 0.3, strategies, n, 13, 1.0, 1e-2)
+        assert [r.name for r in report.rows] == [name for name, _ in strategies]
+        for row, (_, strat) in zip(report.rows, strategies):
+            alone = estimate(fam, strat, f, x0, 0.3, n, 13)
+            assert (row.mean, row.stderr, row.n_paths, row.seed) == (
+                alone.mean, alone.stderr, alone.n_paths, alone.seed)
+
     def test_singleton_family_all_strategies_equal(self, grid128, cos128):
         fam = GeneratorFamily((diffusion(1.0),))
         table = SymbolTable.build(fam, grid128)
@@ -262,6 +326,18 @@ class TestStrategyJson:
     def test_malformed_rejected(self, grid128):
         with pytest.raises(ConfigurationError):
             strategy_from_dict({"partition": [0.0, 0.1]}, grid128)
+
+    @pytest.mark.parametrize("entry", [2.5, "1", None, math.nan, math.inf, 1e300,
+                                       10**400, [0]])
+    def test_non_integer_feedback_rejected(self, grid8, entry):
+        row = [0] * 7 + [entry]
+        with pytest.raises(ConfigurationError):
+            strategy_from_dict({"partition": [0.0, 0.1], "feedback": [row]}, grid8)
+
+    def test_integral_float_feedback_accepted(self, grid8):
+        strat = strategy_from_dict({"partition": [0.0, 0.1], "feedback": [[1.0] + [0] * 7]},
+                                   grid8)
+        assert strat.feedback[0].tolist() == [1] + [0] * 7
 
 
 class TestInterpolation:

@@ -53,6 +53,14 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             Partition(np.array([0.0, 0.2, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_times_must_be_finite(self, bad):
+        # np.diff(t) <= 0 is False for NaN, so the order check alone passes it
+        with pytest.raises(ConfigurationError, match="finite"):
+            Partition(np.array([0.0, bad]))
+        with pytest.raises(ConfigurationError, match="finite"):
+            Partition(np.array([0.0, bad, 0.2]))
+
     def test_mesh(self):
         pi = Partition(np.array([0.0, 0.1, 0.4]))
         assert pi.mesh == pytest.approx(0.3)
