@@ -7,7 +7,6 @@ Exit codes: 0 when every checked tolerance holds, 1 on configuration errors,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import make_grid, sample, sup_distance, write_function_csv
+from .grid import make_grid, read_json, sample, sup_distance, write_function_csv, write_table
 from .levy import (
     GeneratorFamily,
     SymbolTable,
@@ -53,7 +52,7 @@ from .oracles import picard_solve, residual_check, write_residual_csv, write_tra
 
 DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 # increments one mc run may use, each counted once per strategy that advances on
-# it: paths x strategies x extracted steps x members (strategies on one partition
+# it: paths x members x the steps of every strategy (strategies on one partition
 # share one draw per path, step and member)
 MC_DRAW_BUDGET = 10**8
 
@@ -191,14 +190,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls.from_dict(read_json(path, "config"),
+                             base_dir=os.path.dirname(os.path.abspath(path)))
 
     def to_dict(self) -> dict:
         return {
@@ -392,10 +385,7 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     write_residual_csv(run.out("residuals.csv"), residuals)
     gap = sup_distance(result.value, traj.final)
     run.diagnostics["oracle_gap"] = gap
-    with open(run.out("gap_table.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "sup_distance"])
-        w.writerow([f"{config.time:.17g}", f"{gap:.17g}"])
+    write_table(run.out("gap_table.csv"), ["time", "sup_distance"], [(config.time, gap)])
     run.say(f"oracle gap {gap:.3e} (tolerance {config.oracle_gap_tol:g})")
     if gap > config.oracle_gap_tol:
         run.violate("oracle.gap_tol (sup distance to integrated solution)",
@@ -419,12 +409,14 @@ def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
-    strategy_count = 1 + config.mc_random_strategies + len(config.mc_strategy_files)
-    if (config.mc_n_paths * strategy_count * 2**config.mc_extract_level * len(run.family)
-            > MC_DRAW_BUDGET):
+    files = [(os.path.basename(path), load_strategy(path, run.grid))
+             for path in config.mc_strategy_files]
+    steps = ((1 + config.mc_random_strategies) * 2**config.mc_extract_level
+             + sum(strat.partition.step_count for _, strat in files))
+    if config.mc_n_paths * len(run.family) * steps > MC_DRAW_BUDGET:
         raise BudgetError(
             f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
-            "(n_paths x strategies x 2^extract_level x members)"
+            "(n_paths x members x the steps of every strategy)"
         )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)
@@ -441,8 +433,7 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
         strategies.append(
             (f"random-{i}", random_strategy(run.grid, extracted.partition,
                                             len(run.family), rng)))
-    for path in config.mc_strategy_files:
-        strategies.append((os.path.basename(path), load_strategy(path, run.grid)))
+    strategies += files
 
     report = _timed(run, "mc", lambda: dual_bound_suite(
         run.family, run.initial, x0, config.time, strategies,

@@ -1,4 +1,5 @@
-"""Uniform periodic grids on the 1- and 2-torus, grid functions, and transforms.
+"""Uniform periodic grids on the 1- and 2-torus, grid functions, transforms, and
+the file formats: every CSV table the package writes and every JSON file it reads.
 
 The torus is represented by (-pi, pi]^d sampled at x_j = -pi + j * (2*pi/n)
 per axis.  Spectra follow the convention f(x) = sum_k c_k exp(i k.x) with
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,36 +267,64 @@ def sample(grid: TorusGrid, kind: str, **params) -> GridFunction:
     raise ConfigurationError(f"unknown initial function {kind!r}")
 
 
-# -- CSV interchange ----------------------------------------------------------
+# -- file interchange ---------------------------------------------------------
 
-def _csv_header(dim: int) -> list[str]:
-    return ["index", "x", "value"] if dim == 1 else ["index", "x", "y", "value"]
+def read_json(path, what: str):
+    """Parsed JSON of a file; an unreadable file or bad JSON is a ConfigurationError
+    naming what the file is."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def write_grid_rows(fh, grid: TorusGrid, values, lead: str = "", fmt: str = "%.17g") -> None:
-    """Append one ``lead index,x[,y],value`` CSV row per grid point, row-major.
+def _csv_header(dim: int, lead: str | None = None, value: str = "value") -> list[str]:
+    return ([lead] if lead else []) + ["index", "x", "y"][:1 + dim] + [value]
 
-    The bytes are those csv.writer gives for the same fields (17 significant
-    digits for coordinates, values through fmt, CRLF line ends, no quoting).
-    One first-axis grid row is formatted at a time, with a single ``%`` over
-    its values, so no whole-grid Python list or string is built.
-    """
+
+def _field(x):
+    """A CSV field: floats at 17 significant digits, anything else as it is."""
+    return "%.17g" % x if isinstance(x, float) else x
+
+
+def write_table(path, header, rows) -> None:
+    """A small CSV table through csv.writer: CRLF line ends, floats at 17
+    significant digits, and a field quoted only where it needs it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_field(x) for x in row] for row in rows)
+
+
+def write_grid_table(path, grid: TorusGrid, header, snapshots, fmt: str = "%.17g") -> None:
+    """A grid table: the header, then one ``[lead,]index,x[,y],value`` row per grid
+    point, row-major, for each (lead, values) snapshot; lead None means no lead
+    column.  The bytes are those of write_table, with values through fmt.
+
+    Each first-axis grid row is filled with one ``%`` over its values.  The index
+    and coordinate strings are formatted once per table: kept for every row when
+    several snapshots follow, built row by row when there is one."""
     n = grid.n
     xs = ["%.17g" % x for x in grid.axis_points().tolist()]
-    lead = lead.replace("%", "%%")
-    tail = f",{fmt}\r\n"
     row_x = [""] if grid.dim == 1 else [x + "," for x in xs]
-    for i, row in enumerate(np.reshape(values, (-1, n))):
-        base, x = i * n, row_x[i]
-        template = "".join([f"{lead}{base + j},{x}{y}{tail}" for j, y in enumerate(xs)])
-        fh.write(template % tuple(row.tolist()))
+    def parts(i):
+        return [f"{i * n + j},{row_x[i]}{y},{fmt}\r\n" for j, y in enumerate(xs)]
+    snapshots = list(snapshots)
+    kept = [parts(i) for i in range(len(row_x))] if len(snapshots) > 1 else None
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, values in snapshots:
+            lead = "" if lead is None else f"{_field(lead)},"
+            for i, row in enumerate(np.reshape(values, (-1, n))):
+                fh.write(lead + lead.join(kept[i] if kept else parts(i)) % tuple(row.tolist()))
 
 
 def write_function_csv(path, f: GridFunction) -> None:
     """One row per grid point, row-major; floats at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_csv_header(f.grid.dim)) + "\r\n")
-        write_grid_rows(fh, f.grid, f.values)
+    write_grid_table(path, f.grid, _csv_header(f.grid.dim), [(None, f.values)])
 
 
 def read_function_csv(path, grid: TorusGrid | None = None) -> GridFunction:

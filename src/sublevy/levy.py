@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, negation_permutation, wrap_point
+from .grid import GridFunction, TorusGrid, negation_permutation, read_json, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -566,11 +566,4 @@ def save_family(path, fam: GeneratorFamily) -> None:
 
 
 def load_family(path) -> GeneratorFamily:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read family file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"family file {path} is not valid JSON: {exc}") from exc
-    return family_from_json(data)
+    return family_from_json(read_json(path, "family file"))

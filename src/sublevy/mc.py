@@ -14,7 +14,6 @@ results are bitwise reproducible and strategies share their random numbers.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .grid import GridFunction, TorusGrid, wrap_point
+from .grid import GridFunction, TorusGrid, read_json, wrap_point, write_table
 from .levy import GeneratorFamily, sample_increments
 from .nisio import NisioResult, Partition
 
@@ -250,7 +249,9 @@ def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
         raw = np.asarray(obj["feedback"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed strategy object: {exc}") from exc
-    if raw.dtype.kind not in "iuf" or not np.all((raw == np.round(raw)) & (abs(raw) < 2**53)):
+    # JSON true/false among integers would pass as 1/0 in an int64 array
+    if (raw.dtype.kind not in "iuf" or not np.all((raw == np.round(raw)) & (abs(raw) < 2**53))
+            or raw.ndim == 2 and any(bool in map(type, row) for row in obj["feedback"])):
         raise ConfigurationError("strategy feedback entries must be integers")
     fb = raw.astype(np.int64)
     if fb.ndim != 2 or fb.shape[1] != grid.size:
@@ -266,20 +267,10 @@ def save_strategy(path, strat: SimpleStrategy) -> None:
 
 
 def load_strategy(path, grid: TorusGrid) -> SimpleStrategy:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read strategy file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"strategy file {path} is not valid JSON: {exc}") from exc
-    return strategy_from_dict(data, grid)
+    return strategy_from_dict(read_json(path, "strategy file"), grid)
 
 
 def write_estimates_csv(path, report: DualBoundReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["strategy", "mean", "stderr", "n_paths", "seed", "bound_ok"])
-        for r in report.rows:
-            w.writerow([r.name, f"{r.mean:.17g}", f"{r.stderr:.17g}",
-                        r.n_paths, r.seed, int(r.bound_ok)])
+    write_table(path, ["strategy", "mean", "stderr", "n_paths", "seed", "bound_ok"],
+                [(r.name, r.mean, r.stderr, r.n_paths, r.seed, int(r.bound_ok))
+                 for r in report.rows])

@@ -10,8 +10,6 @@ strategy extraction for the Monte Carlo dual.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, sup_distance, write_grid_rows
+from .grid import (GridFunction, TorusGrid, _csv_header, sup_distance, write_grid_table,
+                   write_table)
 from .levy import SpectralWorkspace, SymbolTable, apply_multipliers, family_constant
 
 MAX_LEVEL = 20
@@ -151,9 +150,22 @@ def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridF
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    runs = [(gap, len(list(same))) for gap, same in itertools.groupby(pi.gaps().tolist())]
-    values, _ = _compose(table, runs, f.values)
+    values, _ = _compose(table, _runs(pi), f.values)
     return GridFunction(table.grid, values)
+
+
+def _runs(pi: Partition) -> list[tuple[float, int]]:
+    """(step, count) runs of a partition's gaps in forward-time order.  Gaps that
+    differ only by the rounding of the partition times form one run, stepped by
+    (run end - run start) / count: a dyadic partition is one run of t / 2^level."""
+    times, gaps = pi.times.tolist(), pi.gaps()
+    tol = 4.0 * float(np.spacing(pi.end))
+    runs, start = [], 0
+    for j in range(1, gaps.size + 1):
+        if j == gaps.size or abs(gaps[j] - gaps[start]) > tol:
+            runs.append(((times[j] - times[start]) / (j - start), j - start))
+            start = j
+    return runs
 
 
 def _compose(table: SymbolTable, runs, values: np.ndarray,
@@ -359,25 +371,15 @@ def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunctio
 # -- CSV emission ----------------------------------------------------------------
 
 def write_convergence_csv(path, result: NisioResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "steps", "sup_increment", "sup_norm", "elapsed_ms"])
-        for rec in result.records:
-            w.writerow([rec.level, rec.steps, f"{rec.sup_increment:.17g}",
-                        f"{rec.sup_norm:.17g}", f"{rec.elapsed_ms:.17g}"])
+    write_table(path, ["level", "steps", "sup_increment", "sup_norm", "elapsed_ms"],
+                [(r.level, r.steps, r.sup_increment, r.sup_norm, r.elapsed_ms)
+                 for r in result.records])
 
 
 def write_argmax_csv(path, grid: TorusGrid, argmax: ArgmaxField) -> None:
-    head = "step,index,x,lambda_index" if grid.dim == 1 else "step,index,x,y,lambda_index"
-    with open(path, "w", newline="") as fh:
-        fh.write(head + "\r\n")
-        for step in range(argmax.step_count):
-            write_grid_rows(fh, grid, argmax.selections[step], lead=f"{step},", fmt="%d")
+    write_grid_table(path, grid, _csv_header(grid.dim, "step", "lambda_index"),
+                     enumerate(argmax.selections), fmt="%d")
 
 
 def write_generator_limit_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "error"])
-        for h, err in rows:
-            w.writerow([f"{h:.17g}", f"{err:.17g}"])
+    write_table(path, ["h", "error"], rows)

@@ -9,14 +9,13 @@ numerical check of the artifact.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, write_grid_rows
+from .grid import GridFunction, TorusGrid, _csv_header, write_grid_table, write_table
 from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
 
 SERIES_TERM_BUDGET = 10**4
@@ -262,16 +261,9 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float,
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     grid = traj.snapshots[0].grid
-    head = "time,index,x,value" if grid.dim == 1 else "time,index,x,y,value"
-    with open(path, "w", newline="") as fh:
-        fh.write(head + "\r\n")
-        for ti, snap in zip(traj.times.tolist(), traj.snapshots):
-            write_grid_rows(fh, grid, snap.values, lead="%.17g," % ti)
+    write_grid_table(path, grid, _csv_header(grid.dim, "time"),
+                     zip(traj.times.tolist(), (s.values for s in traj.snapshots)))
 
 
 def write_residual_csv(path, samples: list[ResidualSample]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "sup_residual"])
-        for s in samples:
-            w.writerow([f"{s.time:.17g}", f"{s.sup_residual:.17g}"])
+    write_table(path, ["time", "sup_residual"], [(s.time, s.sup_residual) for s in samples])

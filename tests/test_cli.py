@@ -81,14 +81,44 @@ class TestConfig:
         {"random_strategies": 10**400},
         {"n_paths": 10**6, "random_strategies": 99},
         {"extract_level": 20},
+        # counted by the 2^14 steps of the strategy file, not by extract_level
+        {"n_paths": 10_000, "extract_level": 0, "random_strategies": 0,
+         "strategies": ["fine.json"]},
     ])
     def test_mc_draw_budget(self, tmp_path, capsys, mc):
-        path = write_config(tmp_path, mc=mc)
+        if "strategies" in mc:
+            save_strategy(tmp_path / "fine.json", random_strategy(
+                make_grid(1, 8), Partition.dyadic(0.2, 14), 1, np.random.default_rng(0)))
+        path = write_config(tmp_path, grid={"dim": 1, "n": 8}, mc=mc)
         start = time.perf_counter()
         assert main(["mc", "--config", str(path), "--quiet"]) == 1
         assert time.perf_counter() - start < 5.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget of 1e+08 increments" in err
+
+    @pytest.mark.parametrize("where, message", [
+        ("config", "config {bad} is not valid JSON: {exc}"),
+        ("family", "family file {bad} is not valid JSON: {exc}"),
+        ("strategy", "strategy file {bad} is not valid JSON: {exc}"),
+    ])
+    def test_malformed_json_is_one_line(self, tmp_path, capsys, where, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"grid": [1,')
+        path = {"config": bad,
+                "family": write_config(tmp_path, "f.json", family={"path": str(bad)}),
+                "strategy": write_config(tmp_path, "s.json", mc={"strategies": [str(bad)]}),
+                }[where]
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(bad.read_text())
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad, exc=exc.value)}\n"
+
+    def test_missing_config_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        with pytest.raises(OSError) as exc:
+            open(path)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: cannot read config {path}: {exc.value}\n"
 
     def test_strategies_must_be_a_list(self, tmp_path, capsys):
         path = write_config(tmp_path, mc={"strategies": 5})
@@ -403,12 +433,30 @@ class TestTwoDimensionalCli:
         assert "monotone" in capsys.readouterr().err
 
 
+def comparable(path):
+    """An output file without what may differ between two runs of one config."""
+    if path.name == "convergence.csv":  # elapsed_ms, the last column, is a timing
+        return [row.rsplit(b",", 1)[0] for row in path.read_bytes().split(b"\r\n")]
+    if path.name == "manifest.json":
+        manifest = strict_json(path)
+        del manifest["timings_ms"], manifest["config"]["output_dir"]
+        return manifest
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_passes(tmp_path, config):
+    """Each shipped config passes, and a second run writes the same outputs."""
     command = config.stem.rsplit("_", 1)[1]
     assert command in cli.COMMANDS
-    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
-    assert strict_json(tmp_path / "manifest.json")["violations"] == []
+    first, second = tmp_path / "a", tmp_path / "b"
+    for out in (first, second):
+        assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert strict_json(first / "manifest.json")["violations"] == []
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert comparable(first / name) == comparable(second / name), name
 
 
 def test_benchmark_traced_writers_exist():

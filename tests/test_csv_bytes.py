@@ -1,24 +1,37 @@
-"""The grid-table writers give exactly the bytes of a csv.writer loop.
+"""Every CSV writer gives exactly the bytes of a csv.writer loop.
 
 The reference writers below are the per-element ``csv.writer`` loops that
-``write_function_csv``, ``write_trajectory_csv`` and ``write_argmax_csv``
-used before they moved onto ``grid.write_grid_rows``.
+the grid tables (``write_function_csv``, ``write_trajectory_csv``,
+``write_argmax_csv``) and the small tables (convergence, generator limit,
+residuals, estimates and the oracle gap table) used before they moved onto
+``grid.write_grid_table`` and ``grid.write_table``.
 """
 
 import csv
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sublevy.grid import (
     GridFunction,
+    TorusGrid,
     make_grid,
     read_function_csv,
     sup_distance,
     write_function_csv,
+    write_table,
 )
-from sublevy.nisio import ArgmaxField, write_argmax_csv
-from sublevy.oracles import Trajectory, write_trajectory_csv
+from sublevy.mc import BoundRow, DualBoundReport, write_estimates_csv
+from sublevy.nisio import (
+    ArgmaxField,
+    LevelRecord,
+    write_argmax_csv,
+    write_convergence_csv,
+    write_generator_limit_csv,
+)
+from sublevy.oracles import ResidualSample, Trajectory, write_residual_csv, write_trajectory_csv
 
 SPECIAL = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -7.0, 0.0, -1e-300]
 
@@ -95,6 +108,17 @@ def test_trajectory_csv_bytes(tmp_path, dim, n):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_grid_table_reads_coordinates_once(tmp_path, monkeypatch):
+    grid = make_grid(2, 8)
+    calls = []
+    axis_points = TorusGrid.axis_points
+    monkeypatch.setattr(TorusGrid, "axis_points", lambda g: calls.append(g) or axis_points(g))
+    times = np.linspace(0.0, 1.0, 7)
+    write_trajectory_csv(tmp_path / "t.csv",
+                         Trajectory(times, tuple(awkward_values(grid, k) for k in range(7))))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("dim, n", [(1, 128), (2, 16)])
 def test_argmax_csv_bytes(tmp_path, dim, n):
     grid = make_grid(dim, n)
@@ -102,4 +126,92 @@ def test_argmax_csv_bytes(tmp_path, dim, n):
     argmax = ArgmaxField(level=3, selections=rng.integers(0, 12, (8, *grid.shape)))
     write_argmax_csv(tmp_path / "new.csv", grid, argmax)
     reference_argmax_csv(tmp_path / "ref.csv", grid, argmax)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# -- small tables ---------------------------------------------------------------
+
+def reference_convergence_csv(path, result):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["level", "steps", "sup_increment", "sup_norm", "elapsed_ms"])
+        for rec in result.records:
+            w.writerow([rec.level, rec.steps, f"{rec.sup_increment:.17g}",
+                        f"{rec.sup_norm:.17g}", f"{rec.elapsed_ms:.17g}"])
+
+
+def reference_generator_limit_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["h", "error"])
+        for h, err in rows:
+            w.writerow([f"{h:.17g}", f"{err:.17g}"])
+
+
+def reference_residual_csv(path, samples):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "sup_residual"])
+        for s in samples:
+            w.writerow([f"{s.time:.17g}", f"{s.sup_residual:.17g}"])
+
+
+def reference_estimates_csv(path, report):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["strategy", "mean", "stderr", "n_paths", "seed", "bound_ok"])
+        for r in report.rows:
+            w.writerow([r.name, f"{r.mean:.17g}", f"{r.stderr:.17g}",
+                        r.n_paths, r.seed, int(r.bound_ok)])
+
+
+def reference_gap_table_csv(path, time, gap):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "sup_distance"])
+        w.writerow([f"{time:.17g}", f"{gap:.17g}"])
+
+
+def same_bytes(tmp_path, write, reference, *args):
+    write(tmp_path / "new.csv", *args)
+    reference(tmp_path / "ref.csv", *args)
+    data = (tmp_path / "new.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    return data
+
+
+def test_convergence_csv_bytes(tmp_path):
+    # level 0 has no increment: nan, as nisio_evolve records it
+    records = [LevelRecord(0, 1, math.nan, SPECIAL[2], SPECIAL[3])]
+    records += [LevelRecord(k, 2**k, SPECIAL[k - 1], SPECIAL[-k], np.float64(SPECIAL[k]))
+                for k in range(1, len(SPECIAL))]
+    data = same_bytes(tmp_path, write_convergence_csv, reference_convergence_csv,
+                      SimpleNamespace(records=tuple(records)))
+    assert data.splitlines()[1].startswith(b"0,1,nan,")
+
+
+def test_generator_limit_csv_bytes(tmp_path):
+    rows = list(zip(SPECIAL, reversed(SPECIAL)))
+    same_bytes(tmp_path, write_generator_limit_csv, reference_generator_limit_csv, rows)
+
+
+def test_residual_csv_bytes(tmp_path):
+    samples = [ResidualSample(np.float64(t), r, np.zeros(4))
+               for t, r in zip(SPECIAL, reversed(SPECIAL))]
+    same_bytes(tmp_path, write_residual_csv, reference_residual_csv, samples)
+
+
+def test_estimates_csv_bytes(tmp_path):
+    names = ["extracted", "random-0", 'odd, "quoted" name.json', "level 3.json"]
+    rows = tuple(BoundRow(name, SPECIAL[i], SPECIAL[-1 - i], 10_000 + i, 2**63 + i, i % 2 == 0)
+                 for i, name in enumerate(names))
+    report = DualBoundReport(rows, 1.0, 1e-2, names[0], SPECIAL[0])
+    data = same_bytes(tmp_path, write_estimates_csv, reference_estimates_csv, report)
+    assert b'"odd, ""quoted"" name.json",' in data
+
+
+@pytest.mark.parametrize("time, gap", list(zip(SPECIAL, reversed(SPECIAL))))
+def test_gap_table_csv_bytes(tmp_path, time, gap):
+    write_table(tmp_path / "new.csv", ["time", "sup_distance"], [(time, gap)])
+    reference_gap_table_csv(tmp_path / "ref.csv", time, gap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

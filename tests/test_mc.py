@@ -328,7 +328,7 @@ class TestStrategyJson:
             strategy_from_dict({"partition": [0.0, 0.1]}, grid128)
 
     @pytest.mark.parametrize("entry", [2.5, "1", None, math.nan, math.inf, 1e300,
-                                       10**400, [0]])
+                                       10**400, [0], True, False])
     def test_non_integer_feedback_rejected(self, grid8, entry):
         row = [0] * 7 + [entry]
         with pytest.raises(ConfigurationError):

@@ -497,6 +497,10 @@ class TestWorkspaceReuse:
         ([0.0, 0.05, 0.12, 0.2], 3),               # three distinct gaps
         ([0.0, 0.125, 0.25, 0.375, 0.5], 1),       # one run of equal gaps
         ([0.0, 0.25, 0.5, 0.625, 0.75], 2),        # two runs
+        # gaps equal up to the rounding of the partition times: 5 distinct gap
+        # values in 10 runs of equal gaps, and 12 in 573 runs
+        (Partition.dyadic(0.2, 4).times, 1),
+        (Partition.equidistant(0.2, 1000).times, 1),
     ])
     def test_multipliers_built_once_per_run(self, two_sigma_table, bump128, monkeypatch,
                                             times, calls):
@@ -508,8 +512,12 @@ class TestWorkspaceReuse:
             return multipliers(table, t)
 
         monkeypatch.setattr(SymbolTable, "multipliers", counting)
-        apply_partition(two_sigma_table, Partition(np.array(times)), bump128)
+        pi = Partition(np.array(times))
+        out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
+        if calls == 1:
+            same = chernoff_equidistant(two_sigma_table, pi.end, bump128, pi.step_count)
+            assert np.array_equal(out.values, same.values)
         built.clear()
         chernoff_equidistant(two_sigma_table, 0.2, bump128, 8)
         assert built == [0.2 / 8]
