@@ -68,7 +68,6 @@ from .nisio import (
     Partition,
     apply_J,
     apply_partition,
-    chernoff_equidistant,
     dpp_check,
     generator_limit_table,
     generator_sup,

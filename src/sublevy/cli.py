@@ -82,27 +82,30 @@ def _floats(values, what: str) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; round-trips through to_dict unchanged."""
+    """Validated run description; round-trips through to_dict unchanged.
+
+    Every field is required here: the defaults of optional config keys live
+    in from_dict alone."""
 
     grid_dim: int
     grid_n: int
     family: object
     initial: dict
     time: float
-    nisio_max_level: int = 12
-    nisio_tol: float = 1e-6
-    nisio_monotonicity_tol: float = 1e-8
-    oracle_dt: float = 1e-3
-    oracle_gap_tol: float = 5e-4
-    convergence_h: tuple = DEFAULT_H_LIST
-    mc_n_paths: int = 10_000
-    mc_seed: int = 0
-    mc_extract_level: int = 4
-    mc_random_strategies: int = 16
-    mc_scheme_tol: float = 1e-2
-    mc_x0: tuple = (0.0,)
-    mc_strategy_files: tuple = ()
-    output_dir: str = "out"
+    nisio_max_level: int
+    nisio_tol: float
+    nisio_monotonicity_tol: float
+    oracle_dt: float
+    oracle_gap_tol: float
+    convergence_h: tuple
+    mc_n_paths: int
+    mc_seed: int
+    mc_extract_level: int
+    mc_random_strategies: int
+    mc_scheme_tol: float
+    mc_x0: tuple
+    mc_strategy_files: tuple
+    output_dir: str
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -281,7 +284,7 @@ class _Run:
         self.initial = sample(self.grid, str(kind), **params)
         self.timings["setup"] = (time.perf_counter() - t0) * 1e3
         self.diagnostics: dict = {
-            "family_constant": family_constant(self.family),
+            "family_constant": family_constant(self.table.family),
             "snap_distance": self.table.snap_distance,
             "member_labels": list(self.family.labels),
         }
@@ -334,6 +337,8 @@ def _timed(run: _Run, name: str, fn):
 
 
 def _run_nisio(run: _Run, record_argmax_level: int | None = None):
+    """The envelope stage of every command, with its diagnostics and its
+    nisio.tol violation."""
     cfg = run.config
     result = _timed(run, "nisio", lambda: nisio_evolve(
         run.table, cfg.time, run.initial,
@@ -345,19 +350,15 @@ def _run_nisio(run: _Run, record_argmax_level: int | None = None):
     run.diagnostics["levels_used"] = result.levels_used
     run.diagnostics["converged"] = result.converged
     run.diagnostics["increments"] = list(result.increments)
+    if not result.converged:
+        name = "nisio.tol (sup-norm increment)"
+        if result.increments:
+            run.violate(name, result.increments[-1], cfg.nisio_tol)
+        else:
+            run.violate(name, None, cfg.nisio_tol,
+                        "nisio.max_level 0 runs no refinement, so there is no increment "
+                        "to compare")
     return result
-
-
-def _check_nisio_tol(run: _Run, result) -> None:
-    if result.converged:
-        return
-    name = "nisio.tol (sup-norm increment)"
-    if result.increments:
-        run.violate(name, result.increments[-1], run.config.nisio_tol)
-    else:
-        run.violate(name, None, run.config.nisio_tol,
-                    "nisio.max_level 0 runs no refinement, so there is no increment "
-                    "to compare")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -368,7 +369,6 @@ def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
     write_function_csv(run.out("value.csv"), result.value)
     write_convergence_csv(run.out("convergence.csv"), result)
     run.say(f"levels used {result.levels_used}, converged {result.converged}")
-    _check_nisio_tol(run, result)
     return run.finish("evolve")
 
 
@@ -390,7 +390,6 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     if gap > config.oracle_gap_tol:
         run.violate("oracle.gap_tol (sup distance to integrated solution)",
                     gap, config.oracle_gap_tol)
-    _check_nisio_tol(run, result)
     return run.finish("oracle")
 
 
@@ -403,7 +402,6 @@ def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
     write_generator_limit_csv(run.out("generator_limit.csv"), rows)
     run.diagnostics["generator_limit"] = [[h, e] for h, e in rows]
     run.say("generator-limit errors: " + ", ".join(f"{e:.3e}" for _, e in rows))
-    _check_nisio_tol(run, result)
     return run.finish("convergence")
 
 
@@ -447,7 +445,6 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
         if not row.bound_ok:
             run.violate(f"mc dual bound ({row.name})", row.mean,
                         reference + 3.0 * row.stderr + config.mc_scheme_tol)
-    _check_nisio_tol(run, result)
     return run.finish("mc")
 
 

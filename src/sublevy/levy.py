@@ -450,31 +450,33 @@ def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) ->
     return SpectralWorkspace(grid, mults.shape[0]).apply(mults, values)
 
 
-def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:
-    """Evolve f for time t under the linear semigroup with the given symbol."""
-    if t < 0:
-        raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-    if t == 0:
-        return f
-    grid = f.grid
-    if sym.shape != grid.shape:
-        raise ConfigurationError("symbol shape does not match the grid")
-    mult = np.exp(t * _half(grid, sym[None]))
-    return GridFunction(grid, apply_multipliers(grid, mult, f.values)[0])
-
-
-def generator_apply_single(sym: np.ndarray, f: GridFunction) -> GridFunction:
-    """Apply one generator spectrally: multiply modes by psi(k).
-
-    sym must be conjugate symmetric across mode negation, as levy_symbol
-    returns it; the inverse real FFT would read only its Hermitian part.
-    """
-    grid = f.grid
+def _check_symbol(sym: np.ndarray, grid: TorusGrid) -> None:
+    """A caller-given symbol must fit the grid and be conjugate symmetric across
+    mode negation, as levy_symbol returns it: the inverse real FFT reads only
+    its Hermitian part, so any other symbol would give a wrong real function."""
     if sym.shape != grid.shape:
         raise ConfigurationError("symbol shape does not match the grid")
     scale = max(1.0, float(np.max(np.abs(sym))))
     if np.max(np.abs(sym[negation_permutation(grid)] - np.conj(sym))) > SYMMETRY_TOL * scale:
         raise ConfigurationError("symbol is not conjugate symmetric across mode negation")
+
+
+def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:
+    """Evolve f for time t under the linear semigroup with the given symbol."""
+    if t < 0:
+        raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
+    grid = f.grid
+    _check_symbol(sym, grid)
+    if t == 0:
+        return f
+    mult = np.exp(t * _half(grid, sym[None]))
+    return GridFunction(grid, apply_multipliers(grid, mult, f.values)[0])
+
+
+def generator_apply_single(sym: np.ndarray, f: GridFunction) -> GridFunction:
+    """Apply one generator spectrally: multiply modes by psi(k)."""
+    grid = f.grid
+    _check_symbol(sym, grid)
     return GridFunction(grid, apply_multipliers(grid, _half(grid, sym[None]), f.values)[0])
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import (GridFunction, TorusGrid, _csv_header, sup_distance, write_grid_table,
                    write_table)
-from .levy import SpectralWorkspace, SymbolTable, apply_multipliers, family_constant
+from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
@@ -115,7 +115,6 @@ class NisioResult:
     increments: tuple[float, ...]
     records: tuple[LevelRecord, ...]
     lipschitz_bound: float
-    family_constant: float
     argmax: ArgmaxField | None = None
 
     def __post_init__(self) -> None:
@@ -225,7 +224,6 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
             )
 
     l_f = lipschitz_bound(table, f)
-    const = family_constant(table.family)
 
     records: list[LevelRecord] = []
     increments: list[float] = []
@@ -267,21 +265,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         increments=tuple(increments),
         records=tuple(records),
         lipschitz_bound=l_f,
-        family_constant=const,
         argmax=argmax,
     )
-
-
-def chernoff_equidistant(table: SymbolTable, t: float, f: GridFunction,
-                         n: int) -> GridFunction:
-    """n-fold composition of the t/n envelope step; for n = 2^m this matches
-    the dyadic level-m iterate bitwise."""
-    if t <= 0:
-        raise ConfigurationError(f"horizon must be positive, got {t}")
-    if n < 1:
-        raise ConfigurationError(f"step count must be at least 1, got {n}")
-    values, _ = _compose(table, [(t / n, n)], f.values)
-    return GridFunction(table.grid, values)
 
 
 # -- generator-side diagnostics --------------------------------------------------

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, _csv_header, write_grid_table, write_table
-from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
+from .grid import GridFunction, _csv_header, write_grid_table, write_table
+from .levy import (LevyQuadruple, SpectralWorkspace, SymbolTable, apply_multipliers,
+                   snap_to_grid)
 
 SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
 # this also caps the trajectory at 80 MB
 PICARD_WORK_BUDGET = 10**7
 RK4_ABS_STABILITY = 2.5  # inside the negative real-axis stability interval (~2.785)
+MASS_WINDOW_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -53,49 +55,35 @@ class Trajectory:
 
 # -- compound-Poisson series ------------------------------------------------------
 
-def _atom_offsets(grid: TorusGrid, points: np.ndarray) -> np.ndarray:
-    offsets = np.round(points / grid.spacing).astype(int)
-    back = offsets * grid.spacing
-    err = np.abs(points - back)
-    err = np.minimum(err, 2.0 * np.pi - err)
-    if points.size and float(np.max(err)) > 1e-9:
-        raise ConfigurationError("series oracle requires atoms on grid points")
-    return offsets % grid.n
-
-
-def poisson_series_apply(rate: float, mu_atoms, t: float, f: GridFunction,
+def poisson_series_apply(q: LevyQuadruple, t: float, f: GridFunction,
                          tail_tol: float = 1e-10) -> GridFunction:
     """Exponentiate a pure large-jump generator by the jump-count series.
 
     Sums exp(-m) m^k / k! Q^k f over k <= N where Q convolves with the
     normalized jump kernel (exact cyclic shifts, atoms lie on the grid),
-    m = rate * total atom weight, and N is chosen so the neglected tail
+    m = t * total atom weight, and N is chosen so the neglected tail
     contributes at most tail_tol in sup norm.
     """
-    if rate < 0:
-        raise ConfigurationError(f"rate must be nonnegative, got {rate}")
     if t < 0:
         raise ConfigurationError(f"time must be nonnegative, got {t}")
     if tail_tol <= 0:
         raise ConfigurationError(f"tail tolerance must be positive, got {tail_tol}")
-    grid = f.grid
-    points, weights = [], []
-    for p, w in mu_atoms:
-        points.append(np.atleast_1d(np.asarray(p, dtype=float)))
-        weights.append(float(w))
-    if not points or rate == 0 or t == 0:
+    if np.any(q.b != 0) or np.any(q.sigma != 0) or q.nu_points.size:
+        raise ConfigurationError(
+            "series oracle requires a pure large-jump quadruple "
+            "(no drift, diffusion or small jumps)"
+        )
+    if q.mu_points.size == 0 or t == 0:
         return f
-    pts = np.stack(points)
-    wts = np.asarray(weights)
-    if pts.shape[1] != grid.dim:
-        raise ConfigurationError("atom dimension does not match the grid")
-    if np.any(wts <= 0):
-        raise ConfigurationError("atom weights must be strictly positive")
-    offsets = _atom_offsets(grid, pts)
+    grid = f.grid
+    snapped, moved = snap_to_grid(q, grid)
+    if moved > 1e-9:
+        raise ConfigurationError("series oracle requires atoms on grid points")
+    offsets = np.round(snapped.mu_points / grid.spacing).astype(int) % grid.n
 
-    total = float(wts.sum())
-    m = rate * total * t
-    probs = wts / total
+    total = float(q.mu_weights.sum())
+    m = total * t
+    probs = q.mu_weights / total
 
     # smallest N with Poisson(m) tail below the scaled target
     target = tail_tol / (1.0 + f.sup_norm)
@@ -189,21 +177,13 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
 class ResidualSample:
     time: float
     sup_residual: float
-    pointwise: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.pointwise, dtype=float).copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "pointwise", p)
 
 
 def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]:
     """Central-difference defect of a trajectory against the sup-generator.
 
     Per interior snapshot time the residual is the sup norm of
-    (u(t+d) - u(t-d)) / (2d) - (sup-generator) u(t); the pointwise field is
-    kept so maximizer-switch loci can be inspected instead of failing a
-    blanket tolerance.
+    (u(t+d) - u(t-d)) / (2d) - (sup-generator) u(t).
     """
     if len(traj.snapshots) < 3:
         raise ConfigurationError("residual check needs at least 3 snapshots")
@@ -216,28 +196,23 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     for i in range(1, len(traj.snapshots) - 1):
         du = (traj.snapshots[i + 1].values - traj.snapshots[i - 1].values) / (2.0 * delta)
         rhs = ws.envelope(table.psi_half, traj.snapshots[i].values)
-        pointwise = du - rhs
-        out.append(ResidualSample(float(traj.times[i]),
-                                  float(np.max(np.abs(pointwise))), pointwise))
+        out.append(ResidualSample(float(traj.times[i]), float(np.max(np.abs(du - rhs)))))
     return out
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------
 
-def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float,
-                    shrink: float = 0.5) -> float:
+def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> float:
     """Worst-case mass escaping a plateau window under any single member.
 
     A function equal to 1 on the window (per-axis halfwidth) and decaying to 0
     over a raised-cosine ramp is evolved under each member alone; the report
     is max over members of 1 - min over the shrunk window (halfwidth scaled by
-    shrink) of the evolved plateau.  Small values certify that a line-valued
-    example embedded on a large torus does not see the wrap-around.
+    MASS_WINDOW_SHRINK) of the evolved plateau.  Small values certify that a
+    line-valued example embedded on a large torus does not see the wrap-around.
     """
     if not 0 < window_halfwidth < np.pi:
         raise ConfigurationError("window halfwidth must lie strictly inside (0, pi)")
-    if not 0 < shrink < 1:
-        raise ConfigurationError("shrink factor must lie in (0, 1)")
     if t < 0:
         raise ConfigurationError(f"time must be nonnegative, got {t}")
     grid = table.grid
@@ -252,7 +227,7 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float,
             np.where(d <= w + ramp, 0.5 * (1.0 + np.cos(np.pi * (d - w) / ramp)), 0.0),
         )
         plateau = plateau * axis_val
-        inside &= d <= shrink * w
+        inside &= d <= MASS_WINDOW_SHRINK * w
     evolved = apply_multipliers(grid, table.multipliers(t), plateau)
     return max(1.0 - float(np.min(evolved[:, inside])), 0.0)
 

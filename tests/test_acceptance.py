@@ -99,9 +99,7 @@ def test_criterion_1_linear_consistency(acc_grid, acc_cos):
         lin = apply_linear(table.psi[0], 0.3, acc_cos)
         worst_linear = max(worst_linear, sup_distance(res.value, lin))
         if q.mu_points.shape[0] and q.sigma[0, 0] == 0.0 and not q.nu_points.shape[0]:
-            series = poisson_series_apply(
-                1.0, list(zip(q.mu_points, q.mu_weights)), 0.3, acc_cos
-            )
+            series = poisson_series_apply(q, 0.3, acc_cos)
             worst_series = max(worst_series, sup_distance(series, lin))
     elapsed = time.perf_counter() - start
     ok = worst_linear <= 1e-10 and worst_series <= 1e-9 and elapsed < 1.0

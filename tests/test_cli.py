@@ -198,6 +198,17 @@ class TestEvolve:
         assert diag["snap_distance"] == 0.0
         assert manifest["config"]["time"] == 0.2
 
+    def test_family_constant_describes_the_evolved_family(self, tmp_path):
+        # the small-jump atom at 0.3 snaps to the grid point 2 pi / 16; the
+        # constant is that of the family the table evolves
+        family = [{"b": [0.0], "sigma": [[0.0]], "nu": [{"z": [0.3], "v": 2.0}]}]
+        path = write_config(tmp_path, grid={"dim": 1, "n": 16}, family=family)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 0
+        diag = json.loads((tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+        h = 2.0 * math.pi / 16
+        assert diag["snap_distance"] == pytest.approx(h - 0.3, abs=1e-15)
+        assert diag["family_constant"] == pytest.approx(2.0 * h * h, abs=1e-15)
+
     def test_budget_exhausted_exit_2_with_outputs(self, tmp_path, capsys):
         path = write_config(tmp_path, nisio={"max_level": 0, "tol": 0.0})
         assert main(["evolve", "--config", str(path), "--quiet"]) == 2
@@ -282,6 +293,8 @@ class TestOracle:
         assert main(["oracle", "--config", str(path), "--quiet"]) == 2
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert any("oracle.gap_tol" in v["name"] for v in manifest["violations"])
+        # the envelope stage reports its own tolerance as soon as it ends
+        assert "nisio.tol" in manifest["violations"][0]["name"]
 
     def test_huge_horizon_exceeds_work_budget(self, tmp_path, capsys):
         cfg = json.loads((CONFIGS / "two_sigma_oracle.json").read_text())

@@ -196,7 +196,7 @@ def test_generator_limit_csv_bytes(tmp_path):
 
 
 def test_residual_csv_bytes(tmp_path):
-    samples = [ResidualSample(np.float64(t), r, np.zeros(4))
+    samples = [ResidualSample(np.float64(t), r)
                for t, r in zip(SPECIAL, reversed(SPECIAL))]
     same_bytes(tmp_path, write_residual_csv, reference_residual_csv, samples)
 

@@ -196,6 +196,14 @@ class TestApplyLinear:
         with pytest.raises(ConfigurationError):
             apply_linear(two_sigma_table.psi[0], -0.1, cos128)
 
+    @pytest.mark.parametrize("t", [0.5, 0.0])
+    def test_asymmetric_symbol_rejected(self, grid128, cos128, t):
+        # the inverse real FFT would read only the Hermitian part and return
+        # a wrong real function
+        psi = levy_symbol(diffusion(1.0), grid128) + 1j
+        with pytest.raises(ConfigurationError, match="conjugate symmetric"):
+            apply_linear(psi, t, cos128)
+
     def test_semigroup_law(self, grid64):
         rng = np.random.default_rng(23)
         q = LevyQuadruple.create(
@@ -250,9 +258,7 @@ class TestApplyLinear:
             f = random_trig(grid64, rng, kmax=16)
             t = float(rng.uniform(0.1, 1.0))
             spectral = apply_linear(psi, t, f)
-            series = poisson_series_apply(
-                1.0, list(zip(q.mu_points, q.mu_weights)), t, f, tail_tol=1e-10
-            )
+            series = poisson_series_apply(q, t, f, tail_tol=1e-10)
             assert sup_distance(spectral, series) <= 1e-10 + 1e-9
 
 

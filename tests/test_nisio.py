@@ -14,7 +14,6 @@ from sublevy import (
     apply_J,
     apply_linear,
     apply_partition,
-    chernoff_equidistant,
     cyclic_shift,
     diffusion,
     dpp_check,
@@ -153,7 +152,6 @@ class TestNisioEvolve:
         assert len(res.records) == 6
         assert res.records[3].steps == 8
         assert res.lipschitz_bound > 0
-        assert res.family_constant == pytest.approx(1.0)
         assert all(i >= -1e-10 for i in res.increments)
 
     def test_budget_zero_levels(self, two_sigma_table, bump128):
@@ -183,13 +181,13 @@ class TestNisioEvolve:
 
 class TestChernoff:
     def test_n1_is_single_step(self, two_sigma_table, bump128):
-        a = chernoff_equidistant(two_sigma_table, 0.3, bump128, 1)
+        a = apply_partition(two_sigma_table, Partition.equidistant(0.3, 1), bump128)
         b, _ = apply_J(two_sigma_table, 0.3, bump128)
         assert sup_distance(a, b) == 0.0
 
     def test_power_of_two_matches_dyadic_bitwise(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=3, tol=0.0)
-        eq = chernoff_equidistant(two_sigma_table, 0.2, bump128, 8)
+        eq = apply_partition(two_sigma_table, Partition.equidistant(0.2, 8), bump128)
         assert np.array_equal(res.value.values, eq.values)
 
     def test_power_of_two_matches_dyadic_bitwise_2d(self):
@@ -198,13 +196,13 @@ class TestChernoff:
         table = SymbolTable.build(fam, g)
         f = sample(g, "bump", center=[0.0, 0.0], width=np.pi)
         res = nisio_evolve(table, 0.2, f, max_level=3, tol=0.0, monotonicity_tol=1e-3)
-        eq = chernoff_equidistant(table, 0.2, f, 8)
+        eq = apply_partition(table, Partition.equidistant(0.2, 8), f)
         assert np.array_equal(res.value.values, eq.values)
 
     def test_all_iterates_below_envelope(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=10, tol=0.0)
         for n in (3, 5, 32):
-            eq = chernoff_equidistant(two_sigma_table, 0.2, bump128, n)
+            eq = apply_partition(two_sigma_table, Partition.equidistant(0.2, n), bump128)
             assert float(np.max(eq.values - res.value.values)) <= 1e-8
 
 
@@ -438,7 +436,8 @@ class TestFamilyRefinement:
     def test_final_value_dominates_every_level(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=4, tol=0.0)
         for level in range(4):
-            iterate = chernoff_equidistant(two_sigma_table, 0.2, bump128, 2**level)
+            iterate = apply_partition(two_sigma_table, Partition.equidistant(0.2, 2**level),
+                                      bump128)
             assert float(np.min(res.value.values - iterate.values)) >= -1e-10
         deep = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=6, tol=0.0)
         assert float(np.min(deep.value.values - res.value.values)) >= -5e-9
@@ -465,7 +464,8 @@ class TestWorkspaceReuse:
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
         for k, values in enumerate(levels):
-            again = chernoff_equidistant(two_sigma_table, 0.2, bump128, 2**k)
+            again = apply_partition(two_sigma_table, Partition.equidistant(0.2, 2**k),
+                                    bump128)
             assert np.array_equal(values, again.values)
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
@@ -516,8 +516,9 @@ class TestWorkspaceReuse:
         out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
         if calls == 1:
-            same = chernoff_equidistant(two_sigma_table, pi.end, bump128, pi.step_count)
-            assert np.array_equal(out.values, same.values)
+            same, _ = _compose(two_sigma_table, [(pi.end / pi.step_count, pi.step_count)],
+                               bump128.values)
+            assert np.array_equal(out.values, same)
         built.clear()
-        chernoff_equidistant(two_sigma_table, 0.2, bump128, 8)
+        apply_partition(two_sigma_table, Partition.equidistant(0.2, 8), bump128)
         assert built == [0.2 / 8]

@@ -39,17 +39,17 @@ def single_table64():
 class TestPoissonSeries:
     def test_zero_rate_is_identity(self, grid64):
         f = sample(grid64, "cosine", k=3)
-        out = poisson_series_apply(0.0, [(np.pi, 1.0)], 0.7, f)
+        out = poisson_series_apply(compound_poisson([(np.pi, 1.0)], rate=0.0), 0.7, f)
         assert out is f
 
     def test_zero_time_is_identity(self, grid64):
         f = sample(grid64, "cosine", k=3)
-        assert poisson_series_apply(1.0, [(np.pi, 1.0)], 0.0, f) is f
+        assert poisson_series_apply(compound_poisson([(np.pi, 1.0)]), 0.0, f) is f
 
     def test_half_turn_closed_form(self, grid128):
         # jumps of pi flip cos, so the series telescopes to exp(-2t) cos
         f = sample(grid128, "cosine", k=1)
-        out = poisson_series_apply(1.0, [(np.pi, 1.0)], 0.5, f, tail_tol=1e-12)
+        out = poisson_series_apply(compound_poisson([(np.pi, 1.0)]), 0.5, f, tail_tol=1e-12)
         expected = GridFunction(grid128, math.exp(-1.0) * f.values)
         assert sup_distance(out, expected) <= 1e-11
 
@@ -61,19 +61,29 @@ class TestPoissonSeries:
             q = compound_poisson(atoms, rate=1.0)
             f = random_trig(grid64, rng, kmax=20)
             t = float(rng.uniform(0.2, 1.0))
-            series = poisson_series_apply(1.0, list(zip(q.mu_points, q.mu_weights)), t, f)
+            series = poisson_series_apply(q, t, f)
             psi = SymbolTable.build(GeneratorFamily((q,)), grid64).psi[0]
             assert sup_distance(series, apply_linear(psi, t, f)) <= 1e-9 + 1e-10
 
     def test_off_grid_atom_rejected(self, grid64):
         f = sample(grid64, "cosine", k=1)
-        with pytest.raises(ConfigurationError):
-            poisson_series_apply(1.0, [(0.11, 1.0)], 0.5, f)
+        with pytest.raises(ConfigurationError, match="requires atoms on grid points"):
+            poisson_series_apply(compound_poisson([(0.11, 1.0)]), 0.5, f)
+
+    @pytest.mark.parametrize("q", [
+        LevyQuadruple.create(b=0.5, mu=[(np.pi, 1.0)], dim=1),
+        LevyQuadruple.create(sigma=0.25, mu=[(np.pi, 1.0)], dim=1),
+        LevyQuadruple.create(mu=[(np.pi, 1.0)], nu=[(np.pi / 2, 1.0)], dim=1),
+    ], ids=["drift", "diffusion", "small-jump"])
+    def test_only_pure_large_jumps(self, grid64, q):
+        f = sample(grid64, "cosine", k=1)
+        with pytest.raises(ConfigurationError, match="pure large-jump quadruple"):
+            poisson_series_apply(q, 0.5, f)
 
     def test_budget_error_on_huge_mass(self, grid64):
         f = sample(grid64, "cosine", k=1)
         with pytest.raises(BudgetError):
-            poisson_series_apply(1e6, [(np.pi, 1.0)], 1.0, f)
+            poisson_series_apply(compound_poisson([(np.pi, 1.0)], rate=1e6), 1.0, f)
 
 
 class TestPicard:
@@ -233,7 +243,7 @@ class TestTwoDimensionalOracles:
         atoms = [([g.spacing * 3, g.spacing * 12], 0.8), ([g.spacing * 7, 0.0], 0.4)]
         q = compound_poisson(atoms, rate=1.0, dim=2)
         f = GridFunction(g, np.cos(g.meshgrid()[0] + 2 * g.meshgrid()[1]))
-        series = poisson_series_apply(1.0, list(zip(q.mu_points, q.mu_weights)), 0.4, f)
+        series = poisson_series_apply(q, 0.4, f)
         psi = SymbolTable.build(GeneratorFamily((q,)), g).psi[0]
         assert sup_distance(series, apply_linear(psi, 0.4, f)) <= 1e-9
 
