@@ -394,10 +394,10 @@ class SpectralWorkspace:
     """Buffers of the spectral kernel for m members on one grid.
 
     A caller that applies multipliers in a loop keeps one workspace for the
-    whole loop, so no step allocates: the half-spectrum coefficients, the
-    member spectra, the float64 member stack and the finiteness mask are
-    written in place.  The stack returned by apply stays valid until the next
-    call on the same workspace.
+    whole loop, so no step allocates a spectrum or a stack: the half-spectrum
+    coefficients, the member spectra and the float64 member stack are written
+    in place.  The stack returned by apply stays valid until the next call on
+    the same workspace.
     """
 
     def __init__(self, grid: TorusGrid, members: int):
@@ -406,26 +406,32 @@ class SpectralWorkspace:
         self.coeffs = np.empty(half, dtype=complex)
         self.spec = np.empty((members,) + half, dtype=complex)
         self.stack = np.empty((members,) + grid.shape)
-        self.mask = np.empty(self.stack.shape, dtype=bool)
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of values by each multiplier; one row per member.
 
         mults holds half-spectrum multipliers, shape (m, ..., n/2+1); the
         result is the workspace's (m, *grid.shape) float64 stack of evolved
-        values.  One forward real FFT serves every member; the inverse runs
-        over the member axis as the complex inverse FFTs of the leading grid
-        axes, in place, and one inverse real FFT of the last axis, the steps
-        of irfftn.  The (-1)^k phase and 1/N normalization of the centred
-        coefficient convention cancel for a diagonal multiplier, so neither
-        is applied.
+        values.  One forward transform serves every member: a real FFT of the
+        last axis, then in-place complex FFTs of the leading axes from the
+        last to the first, the steps of rfftn without its argument handling.
+        The inverse runs over the member axis as the complex inverse FFTs of
+        the leading grid axes, in place, and one inverse real FFT of the last
+        axis, the steps of irfftn.  The (-1)^k phase and 1/N normalization of
+        the centred coefficient convention cancel for a diagonal multiplier,
+        so neither is applied.
         """
-        np.fft.rfftn(values, out=self.coeffs)
-        spec = np.multiply(mults, self.coeffs, out=self.spec)
+        coeffs = np.fft.rfft(values, out=self.coeffs)
+        for axis in range(self.grid.dim - 2, -1, -1):
+            np.fft.fft(coeffs, axis=axis, out=coeffs)
+        spec = np.multiply(mults, coeffs, out=self.spec)
         for axis in range(1, self.grid.dim):
             np.fft.ifft(spec, axis=axis, out=spec)
         np.fft.irfft(spec, self.grid.n, axis=-1, out=self.stack)
-        if not np.isfinite(self.stack, out=self.mask).all():
+        # on the whole stack: a member that is -inf where another is finite
+        # leaves the member maximum finite (an infinite mode-0 coefficient
+        # reaches every point with the same sign)
+        if not np.isfinite(self.stack).all():
             raise ConsistencyError("member evolution produced non-finite values")
         return self.stack
 
@@ -433,11 +439,12 @@ class SpectralWorkspace:
                  argmax: np.ndarray | None = None) -> np.ndarray:
         """The sup-envelope step: the member maximum of apply(mults, values) into
         out (new when None; values itself is allowed) and, when argmax is given,
-        the lowest maximizing member index into it.  The only member reduction."""
+        the lowest maximizing member index into it.  The only member reduction;
+        np.maximum.reduce is what np.max runs, without its dispatch."""
         stack = self.apply(mults, values)
         if argmax is not None:
             np.argmax(stack, axis=0, out=argmax)
-        return np.max(stack, axis=0, out=out)
+        return np.maximum.reduce(stack, axis=0, out=out)
 
 
 def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -199,8 +199,10 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     semigroup bug and raises ConsistencyError.  The default guard is
     calibrated for one-dimensional desk grids; envelopes on the 2-torus below
     n = 128 carry more spectral truncation at the maximizer interfaces and
-    may need a wider guard.  Recording more than ARGMAX_BUDGET maximizer
-    entries raises BudgetError before iterating.
+    may need a wider guard.  The maximizers of record_argmax_level are
+    recorded while that level runs; only a stop before it costs a separate
+    pass.  Recording more than ARGMAX_BUDGET maximizer entries raises
+    BudgetError before iterating.
     """
     if t <= 0:
         raise ConfigurationError(f"horizon must be positive, got {t}")
@@ -228,10 +230,14 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     records: list[LevelRecord] = []
     increments: list[float] = []
     converged = False
+    argmax = None
     for level in range(max_level + 1):
         steps = 2**level
         start = time.perf_counter()
-        new_values, _ = _compose(table, [(t / steps, steps)], f.values)
+        new_values, selections = _compose(table, [(t / steps, steps)], f.values,
+                                          record=level == record_argmax_level)
+        if selections is not None:
+            argmax = ArgmaxField(level, selections)
         elapsed = (time.perf_counter() - start) * 1e3
         inc = float("nan")  # level 0 has no coarser level to compare with
         if level > 0:
@@ -251,8 +257,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
             converged = True
             break
 
-    argmax = None
-    if record_argmax_level is not None:
+    if record_argmax_level is not None and argmax is None:  # the stop came first
         steps = 2**record_argmax_level
         _, selections = _compose(table, [(t / steps, steps)], f.values, record=True)
         argmax = ArgmaxField(record_argmax_level, selections)

@@ -483,8 +483,22 @@ class TestSpectralKernel:
             with pytest.raises(ConsistencyError, match="non-finite"):
                 apply_multipliers(grid64, mults, sample(grid64, "cosine", k=3).values)
 
+    def test_member_at_minus_infinity_raises(self, grid64):
+        # an infinite mode-0 multiplier on data of positive mean makes member 1
+        # -inf at every point; member 0 keeps the member maximum finite
+        table = SymbolTable.build(GeneratorFamily((diffusion(1.0), diffusion(0.5))), grid64)
+        mults = table.multipliers(0.1).copy()
+        mults[1, 0] = -np.inf
+        values = sample(grid64, "cosine", k=3).values + 2.0
+        ws = SpectralWorkspace(grid64, 2)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with np.errstate(invalid="ignore"):
+                assert np.isneginf(np.fft.irfft(mults[1] * np.fft.rfft(values), 64)).all()
+            with pytest.raises(ConsistencyError, match="non-finite"):
+                ws.envelope(mults, values)
+
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
-    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("m", [1, 2, 4])
     def test_workspace_bitwise_equals_irfftn(self, dim, n, m):
         grid = make_grid(dim, n)
         members = (_kernel_family(grid).members * 2)[:m]
@@ -492,6 +506,7 @@ class TestSpectralKernel:
         rng = np.random.default_rng(10 * n + m)
         ws = SpectralWorkspace(grid, m)
         axes = tuple(range(1, dim + 1))
+        am = np.empty(grid.shape, dtype=np.int64)
         # repeated calls on one workspace keep no state from the previous call
         for t in (0.05, 0.3):
             mults = table.multipliers(t)
@@ -500,7 +515,14 @@ class TestSpectralKernel:
             out = ws.apply(mults, v)
             assert out is ws.stack
             assert np.array_equal(out, ref)
+            assert np.array_equal(ws.coeffs, np.fft.rfftn(v))
             assert np.array_equal(apply_multipliers(grid, mults, v), ref)
+            # the envelope step into a new array, a separate one, and values itself
+            for out in (None, np.empty(grid.shape), v):
+                top = ws.envelope(mults, v, out=out, argmax=am)
+                assert out is None or top is out
+                assert np.array_equal(top, np.max(ref, axis=0))
+                assert np.array_equal(am, np.argmax(ref, axis=0))
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     def test_envelope_bitwise_equals_member_max(self, dim, n):

@@ -27,6 +27,7 @@ from sublevy import (
     sample,
     sup_distance,
 )
+from sublevy.levy import SpectralWorkspace
 from sublevy.nisio import _compose
 from conftest import random_trig
 
@@ -475,6 +476,36 @@ class TestWorkspaceReuse:
             f, sel = apply_J(two_sigma_table, 0.05, f, record_argmax=True)
             assert np.array_equal(am[step], sel)
         assert np.array_equal(values, f.values)
+
+    @pytest.mark.parametrize("level,max_level,tol,extra_pass", [
+        (0, 3, 0.0, False),
+        (2, 4, 0.0, False),
+        (4, 4, 0.0, False),   # the last level run
+        (6, 3, 0.0, True),    # above the level budget
+        (9, 12, 1e-3, True),  # above the level where the increment stops
+    ])
+    def test_maximizers_recorded_inside_the_dyadic_loop(self, two_sigma_table, bump128,
+                                                         monkeypatch, level, max_level, tol,
+                                                         extra_pass):
+        recorded = []
+        envelope = SpectralWorkspace.envelope
+
+        def counting(ws, mults, values, out=None, argmax=None):
+            recorded.append(argmax is not None)
+            return envelope(ws, mults, values, out=out, argmax=argmax)
+
+        monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
+        res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=max_level, tol=tol,
+                           record_argmax_level=level)
+        monkeypatch.undo()
+        assert (level > res.levels_used) == extra_pass
+        loop_steps = sum(2**k for k in range(res.levels_used + 1))
+        assert len(recorded) == loop_steps + (2**level if extra_pass else 0)
+        assert sum(recorded) == 2**level
+        _, selections = _compose(two_sigma_table, [(0.2 / 2**level, 2**level)],
+                                 bump128.values, record=True)
+        assert res.argmax.level == level
+        assert np.array_equal(res.argmax.selections, selections)
 
     def test_partition_matches_single_steps(self, two_sigma_table, bump128):
         pi = Partition(np.array([0.0, 0.05, 0.12, 0.2]))
