@@ -18,7 +18,6 @@ from .grid import (
     forward_transform,
     inverse_transform,
     make_grid,
-    pointwise_max,
     read_function_csv,
     sample,
     sup_distance,
@@ -30,7 +29,6 @@ from .levy import (
     LevyQuadruple,
     SpectralWorkspace,
     SymbolTable,
-    apply_linear,
     apply_multipliers,
     compound_poisson,
     diffusion,
@@ -38,8 +36,6 @@ from .levy import (
     family_constant,
     family_from_json,
     family_to_json,
-    generator_apply_single,
-    levy_symbol,
     load_family,
     sample_increment,
     sample_increments,

@@ -33,6 +33,7 @@ from .levy import (
 )
 from .mc import (
     MIN_PATHS,
+    check_strategies,
     dual_bound_suite,
     extract_strategy,
     load_strategy,
@@ -57,27 +58,35 @@ DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 MC_DRAW_BUDGET = 10**8
 
 
+def _convert(value, kind, what: str):
+    """value as kind; a number field (int or float) refuses a JSON boolean, and
+    an int field refuses a number with a fractional part."""
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigurationError(
+            f"config field {what!r} must be a number, got {json.dumps(value)}")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigurationError(f"config field {what!r} must be an integer, got {value!r}")
+    return out
+
+
 def _need(data: dict, key: str, kind, what: str):
     if key not in data:
         raise ConfigurationError(f"config is missing required field {what!r}")
-    value = data[key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
+    return _convert(data[key], kind, what)
 
 
-def _get(data: dict, key: str, kind, default, what: str | None = None):
+def _get(data: dict, key: str, kind, default, section: str = ""):
     if key not in data:
         return default
-    return _need(data, key, kind, what or key)
+    return _need(data, key, kind, f"{section}.{key}" if section else key)
 
 
 def _floats(values, what: str) -> tuple:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
+    return tuple(_convert(v, float, what) for v in _convert(values, tuple, what))
 
 
 @dataclass(frozen=True)
@@ -175,17 +184,17 @@ class RunConfig:
             family=family,
             initial=initial,
             time=_need(data, "time", float, "time"),
-            nisio_max_level=_get(nis, "max_level", int, 12),
-            nisio_tol=_get(nis, "tol", float, 1e-6),
-            nisio_monotonicity_tol=_get(nis, "monotonicity_tol", float, 1e-8),
-            oracle_dt=_get(ora, "dt", float, 1e-3),
-            oracle_gap_tol=_get(ora, "gap_tol", float, 5e-4),
+            nisio_max_level=_get(nis, "max_level", int, 12, "nisio"),
+            nisio_tol=_get(nis, "tol", float, 1e-6, "nisio"),
+            nisio_monotonicity_tol=_get(nis, "monotonicity_tol", float, 1e-8, "nisio"),
+            oracle_dt=_get(ora, "dt", float, 1e-3, "oracle"),
+            oracle_gap_tol=_get(ora, "gap_tol", float, 5e-4, "oracle"),
             convergence_h=_floats(conv.get("h_list", DEFAULT_H_LIST), "convergence.h_list"),
-            mc_n_paths=_get(mc, "n_paths", int, 10_000),
-            mc_seed=_get(mc, "seed", int, 0),
-            mc_extract_level=_get(mc, "extract_level", int, 4),
-            mc_random_strategies=_get(mc, "random_strategies", int, 16),
-            mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2),
+            mc_n_paths=_get(mc, "n_paths", int, 10_000, "mc"),
+            mc_seed=_get(mc, "seed", int, 0, "mc"),
+            mc_extract_level=_get(mc, "extract_level", int, 4, "mc"),
+            mc_random_strategies=_get(mc, "random_strategies", int, 16, "mc"),
+            mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2, "mc"),
             mc_x0=_floats(mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim")), "mc.x0"),
             mc_strategy_files=strategy_files,
             output_dir=str(data.get("output_dir", "out")),
@@ -226,22 +235,22 @@ def build_family(spec, grid) -> GeneratorFamily:
         return load_family(spec["path"])
     name = spec.get("builtin")
     if name == "single_sigma":
-        s = _get(spec, "sigma", float, 1.0, "family.sigma")
+        s = _get(spec, "sigma", float, 1.0, "family")
         return GeneratorFamily((diffusion(s * s, dim=grid.dim),), (f"sigma={s:g}",))
     if name == "two_sigma":
         sigmas = _floats(spec.get("sigmas", (0.5, 1.0)), "family.sigmas")
         members = tuple(diffusion(s * s, dim=grid.dim) for s in sigmas)
         return GeneratorFamily(members, tuple(f"sigma={s:g}" for s in sigmas))
     if name == "half_turn_jump":
-        rate = _get(spec, "rate", float, 1.0, "family.rate")
+        rate = _get(spec, "rate", float, 1.0, "family")
         if grid.dim != 1:
             raise ConfigurationError("half_turn_jump is one-dimensional")
         return GeneratorFamily((compound_poisson([(np.pi, 1.0)], rate=rate),),
                                (f"half-turn rate={rate:g}",))
     if name == "wrapped_cauchy":
         gammas = _floats(spec.get("gammas", (0.5,)), "family.gammas")
-        rate = _get(spec, "rate", float, 1.0, "family.rate")
-        scale = _get(spec, "scale", float, 1.0, "family.scale")
+        rate = _get(spec, "rate", float, 1.0, "family")
+        scale = _get(spec, "scale", float, 1.0, "family")
         members = tuple(wrapped_cauchy_quadruple(grid, g, rate=rate, scale=scale)
                         for g in gammas)
         labels = tuple(f"cauchy gamma={g:g} scale={scale:g}" for g in gammas)
@@ -275,8 +284,8 @@ class _Run:
         os.makedirs(config.output_dir, exist_ok=True)
         t0 = time.perf_counter()
         self.grid = make_grid(config.grid_dim, config.grid_n)
-        self.family = build_family(config.family, self.grid)
-        self.table = SymbolTable.build(self.family, self.grid)
+        # the snapped family: what the envelope evolves is what mc simulates
+        self.table = SymbolTable.build(build_family(config.family, self.grid), self.grid)
         params = {k: v for k, v in config.initial.items() if k != "kind"}
         kind = config.initial.get("kind")
         if kind is None:
@@ -286,7 +295,7 @@ class _Run:
         self.diagnostics: dict = {
             "family_constant": family_constant(self.table.family),
             "snap_distance": self.table.snap_distance,
-            "member_labels": list(self.family.labels),
+            "member_labels": list(self.table.family.labels),
         }
 
     def out(self, name: str) -> str:
@@ -407,11 +416,13 @@ def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
+    family = run.table.family
     files = [(os.path.basename(path), load_strategy(path, run.grid))
              for path in config.mc_strategy_files]
+    check_strategies([strat for _, strat in files], len(family), config.time)
     steps = ((1 + config.mc_random_strategies) * 2**config.mc_extract_level
              + sum(strat.partition.step_count for _, strat in files))
-    if config.mc_n_paths * len(run.family) * steps > MC_DRAW_BUDGET:
+    if config.mc_n_paths * len(family) * steps > MC_DRAW_BUDGET:
         raise BudgetError(
             f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
             "(n_paths x members x the steps of every strategy)"
@@ -430,11 +441,11 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     for i in range(config.mc_random_strategies):
         strategies.append(
             (f"random-{i}", random_strategy(run.grid, extracted.partition,
-                                            len(run.family), rng)))
+                                            len(family), rng)))
     strategies += files
 
     report = _timed(run, "mc", lambda: dual_bound_suite(
-        run.family, run.initial, x0, config.time, strategies,
+        family, run.initial, x0, config.time, strategies,
         config.mc_n_paths, config.mc_seed, reference, config.mc_scheme_tol))
     write_estimates_csv(run.out("estimates.csv"), report)
     run.diagnostics["best_strategy"] = report.best_name

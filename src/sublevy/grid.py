@@ -178,22 +178,10 @@ def negation_permutation(grid: TorusGrid) -> tuple[np.ndarray, ...] | np.ndarray
     return np.ix_(idx, idx)
 
 
-def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
+def sup_distance(f: GridFunction, g: GridFunction) -> float:
     if f.grid != g.grid:
         raise ConfigurationError("grid functions live on different grids")
-
-
-def sup_distance(f: GridFunction, g: GridFunction) -> float:
-    _check_same_grid(f, g)
     return float(np.max(np.abs(f.values - g.values)))
-
-
-def pointwise_max(fs: list[GridFunction]) -> GridFunction:
-    if not fs:
-        raise ConfigurationError("pointwise_max of an empty list")
-    for g in fs[1:]:
-        _check_same_grid(fs[0], g)
-    return GridFunction(fs[0].grid, np.maximum.reduce([f.values for f in fs]))
 
 
 def cyclic_shift(f: GridFunction, offset) -> GridFunction:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, negation_permutation, read_json, wrap_point
+from .grid import TorusGrid, negation_permutation, read_json, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -278,19 +278,9 @@ def _symmetrize(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.conj(arr[perm]))
 
 
-def levy_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
-    """Per-mode characteristic exponent of the quadruple on this grid.
-
-    Atoms are snapped to grid points first.  The result satisfies psi(0) = 0,
-    Re psi <= 0, and exact conjugate symmetry across mode negation.
-    """
-    q, _ = snap_to_grid(q, grid)
-    return _snapped_symbol(q, grid, "quadruple")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing symbol is rejected below
-def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, label: str) -> np.ndarray:
-    """levy_symbol of a quadruple whose atoms lie on the grid, validated under label."""
+@np.errstate(over="ignore", invalid="ignore")  # SymbolTable rejects an overflowing symbol
+def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
+    """Per-mode characteristic exponent of a quadruple whose atoms lie on the grid."""
     modes = grid.mode_grids()
 
     lam, vec = q._sigma_decomposition
@@ -313,14 +303,12 @@ def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, label: str) -> np.ndarray
                 term = term - 1j * theta
             psi = psi + wts[j] * term
 
-    psi = _symmetrize(grid, psi)
-    if not np.all(np.isfinite(psi)):
-        raise ConfigurationError(f"symbol of {label} is not finite on this grid")
-    _validate_symbol(grid, psi, label)
-    return psi
+    return _symmetrize(grid, psi)
 
 
 def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(psi)):
+        raise ConfigurationError(f"symbol of {label} is not finite on this grid")
     origin = (0,) * grid.dim
     if psi[origin] != 0.0:
         raise ConsistencyError(f"symbol of {label}: psi(0) = {psi[origin]} is not exactly 0")
@@ -340,10 +328,13 @@ def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Per-member symbols of a family on a common grid.
+    """Per-member symbols of a family on a common grid: row i of psi is the
+    generator of member i, the one route from a quadruple to its evolution.
 
-    Construction snaps every jump atom to the grid (the largest displacement
-    is kept as a diagnostic) and validates the symbol invariants per member.
+    build snaps every jump atom to the grid (the largest displacement is kept
+    as a diagnostic); family holds the snapped quadruples the table evolves.
+    Construction validates every row: finite, psi(0) = 0, Re psi <= 0, and the
+    exact conjugate symmetry on which the inverse real FFT relies.
     """
 
     grid: TorusGrid
@@ -351,11 +342,17 @@ class SymbolTable:
     psi: np.ndarray = field(repr=False)
     snap_distance: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.psi.shape != (len(self.family),) + self.grid.shape:
+            raise ConfigurationError(
+                f"symbol table shape {self.psi.shape} must be (members,) + {self.grid.shape}")
+        for row, label in zip(self.psi, self.family.labels):
+            _validate_symbol(self.grid, row, label)
+
     @classmethod
     def build(cls, family: GeneratorFamily, grid: TorusGrid) -> "SymbolTable":
         snapped = [snap_to_grid(q, grid) for q in family.members]
-        psi = np.stack([_snapped_symbol(s, grid, label)
-                        for (s, _), label in zip(snapped, family.labels)])
+        psi = np.stack([_snapped_symbol(s, grid) for s, _ in snapped])
         psi.flags.writeable = False
         fam = GeneratorFamily(tuple(s for s, _ in snapped), family.labels)
         return cls(grid=grid, family=fam, psi=psi, snap_distance=max(d for _, d in snapped))
@@ -369,7 +366,7 @@ class SymbolTable:
     @property
     def psi_half(self) -> np.ndarray:
         """psi on the half spectrum, shape (m, ..., n/2+1), as the real FFTs store it."""
-        return _half(self.grid, self.psi)
+        return self.psi[..., : self.grid.n // 2 + 1]
 
     def multipliers(self, t: float) -> np.ndarray:
         """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1).
@@ -384,11 +381,6 @@ class SymbolTable:
 
 
 # -- multiplier application ----------------------------------------------------
-
-def _half(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
-    """The last-axis modes 0..n/2 of a full-spectrum array (a view)."""
-    return arr[..., : grid.n // 2 + 1]
-
 
 class SpectralWorkspace:
     """Buffers of the spectral kernel for m members on one grid.
@@ -455,36 +447,6 @@ def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) ->
     its next call.
     """
     return SpectralWorkspace(grid, mults.shape[0]).apply(mults, values)
-
-
-def _check_symbol(sym: np.ndarray, grid: TorusGrid) -> None:
-    """A caller-given symbol must fit the grid and be conjugate symmetric across
-    mode negation, as levy_symbol returns it: the inverse real FFT reads only
-    its Hermitian part, so any other symbol would give a wrong real function."""
-    if sym.shape != grid.shape:
-        raise ConfigurationError("symbol shape does not match the grid")
-    scale = max(1.0, float(np.max(np.abs(sym))))
-    if np.max(np.abs(sym[negation_permutation(grid)] - np.conj(sym))) > SYMMETRY_TOL * scale:
-        raise ConfigurationError("symbol is not conjugate symmetric across mode negation")
-
-
-def apply_linear(sym: np.ndarray, t: float, f: GridFunction) -> GridFunction:
-    """Evolve f for time t under the linear semigroup with the given symbol."""
-    if t < 0:
-        raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-    grid = f.grid
-    _check_symbol(sym, grid)
-    if t == 0:
-        return f
-    mult = np.exp(t * _half(grid, sym[None]))
-    return GridFunction(grid, apply_multipliers(grid, mult, f.values)[0])
-
-
-def generator_apply_single(sym: np.ndarray, f: GridFunction) -> GridFunction:
-    """Apply one generator spectrally: multiply modes by psi(k)."""
-    grid = f.grid
-    _check_symbol(sym, grid)
-    return GridFunction(grid, apply_multipliers(grid, _half(grid, sym[None]), f.values)[0])
 
 
 # -- path increments -----------------------------------------------------------

@@ -113,6 +113,18 @@ def interpolate_linear(f: GridFunction, point):
     return float(out[0]) if single else out
 
 
+def check_strategies(strategies, members: int, t: float) -> None:
+    """Refuse strategies whose partition does not end at the horizon t or whose
+    feedback selects a member outside 0..members-1."""
+    for s in strategies:
+        end = s.partition.end
+        if abs(end - t) > 1e-12 * max(1.0, t):
+            raise ConfigurationError(f"strategy partition ends at {end}, horizon is {t}")
+    top = max((int(s.feedback.max(initial=0)) for s in strategies), default=0)
+    if top >= members:
+        raise ConfigurationError(f"feedback selects member {top}, family has {members}")
+
+
 def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
                    rng: Generator, size: int) -> np.ndarray:
     """Advance size controlled paths from x0 under each of strategies, which
@@ -123,12 +135,8 @@ def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
     if not strategies or any(s.grid != strategies[0].grid or not np.array_equal(
             s.partition.times, strategies[0].partition.times) for s in strategies):
         raise ConfigurationError("simulate_paths needs strategies on one grid and one partition")
+    check_strategies(strategies, len(family), t)
     grid, partition = strategies[0].grid, strategies[0].partition
-    if abs(partition.end - t) > 1e-12 * max(1.0, t):
-        raise ConfigurationError(f"strategy partition ends at {partition.end}, horizon is {t}")
-    top = max(int(s.feedback.max(initial=0)) for s in strategies)
-    if top >= len(family):
-        raise ConfigurationError(f"feedback selects member {top}, family has {len(family)}")
     start = wrap_point(np.atleast_1d(np.asarray(x0, dtype=float)))
     if start.shape != (grid.dim,):
         raise ConfigurationError(f"start point must have {grid.dim} coordinates")

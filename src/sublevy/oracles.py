@@ -18,6 +18,7 @@ from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, write_grid_table, write_table
 from .levy import (LevyQuadruple, SpectralWorkspace, SymbolTable, apply_multipliers,
                    snap_to_grid)
+from .nisio import Partition
 
 SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
@@ -35,17 +36,11 @@ class Trajectory:
     snapshots: tuple[GridFunction, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float).reshape(-1)
+        times = Partition(self.times).times  # read-only, from 0, finite, increasing
         snaps = tuple(self.snapshots)
-        if t.size != len(snaps):
+        if times.size != len(snaps):
             raise ConfigurationError("snapshot count must equal time count")
-        if t.size == 0 or t[0] != 0.0:
-            raise ConfigurationError("trajectory must start at time 0")
-        if np.any(np.diff(t) <= 0):
-            raise ConfigurationError("trajectory times must be strictly increasing")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "snapshots", snaps)
 
     @property

@@ -6,6 +6,7 @@ from sublevy import (
     GridFunction,
     Spectrum,
     SymbolTable,
+    apply_multipliers,
     diffusion,
     inverse_transform,
     make_grid,
@@ -32,6 +33,21 @@ def random_trig(grid, rng, kmax=8, amplitude=1.0):
     f = inverse_transform(Spectrum(grid, coeffs))
     scale = amplitude / max(f.sup_norm, 1e-12)
     return GridFunction(grid, f.values * scale)
+
+
+def one_member_table(q, grid):
+    """The symbol table of the one-member family (q,) on grid."""
+    return SymbolTable.build(GeneratorFamily((q,)), grid)
+
+
+def member_evolution(table, t, f, member=0):
+    """One member's linear evolution of f for time t: its row of the table's kernel."""
+    return GridFunction(f.grid, apply_multipliers(f.grid, table.multipliers(t), f.values)[member])
+
+
+def member_generator(table, f, member=0):
+    """One member's generator applied to f: its row of the kernel on psi itself."""
+    return GridFunction(f.grid, apply_multipliers(f.grid, table.psi_half, f.values)[member])
 
 
 @pytest.fixture(scope="session")

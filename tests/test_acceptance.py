@@ -17,7 +17,6 @@ from sublevy import (
     Partition,
     SymbolTable,
     apply_J,
-    apply_linear,
     apply_partition,
     compound_poisson,
     cyclic_shift,
@@ -26,9 +25,7 @@ from sublevy import (
     drift,
     estimate,
     extract_strategy,
-    generator_apply_single,
     generator_limit_table,
-    levy_symbol,
     lipschitz_bound,
     make_grid,
     mass_diagnostic,
@@ -41,7 +38,7 @@ from sublevy import (
     dual_bound_suite,
     wrapped_cauchy_quadruple,
 )
-from conftest import random_trig
+from conftest import member_evolution, member_generator, one_member_table, random_trig
 
 # baseline dyadic-vs-integrated gap measured when tolerances were frozen;
 # exceeding twice this value is a regression even inside the hard budget
@@ -96,7 +93,7 @@ def test_criterion_1_linear_consistency(acc_grid, acc_cos):
     for name, q in singletons.items():
         table = SymbolTable.build(GeneratorFamily((q,), (name,)), acc_grid)
         res = nisio_evolve(table, 0.3, acc_cos, max_level=0, tol=0.0)
-        lin = apply_linear(table.psi[0], 0.3, acc_cos)
+        lin = member_evolution(table, 0.3, acc_cos)
         worst_linear = max(worst_linear, sup_distance(res.value, lin))
         if q.mu_points.shape[0] and q.sigma[0, 0] == 0.0 and not q.nu_points.shape[0]:
             series = poisson_series_apply(q, 0.3, acc_cos)
@@ -223,7 +220,7 @@ def test_criterion_8_second_difference_limit():
     for h in (0.1, 0.05, 0.01):
         h_eff = max(1, round(h / g.spacing)) * g.spacing
         q = lambda_free_quadruple(h_eff)
-        err = sup_distance(generator_apply_single(levy_symbol(q, g), f), target)
+        err = sup_distance(member_generator(one_member_table(q, g), f), target)
         details.append(f"h={h:g}: {err:.2e} <= {0.6 * h:.2e}")
         ok = ok and err <= 0.6 * h
     report(8, ok, "second-difference generators approach half the Laplacian: "

@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sublevy import apply_linear, diffusion, GeneratorFamily, SymbolTable, make_grid, sample
+from sublevy import diffusion, GeneratorFamily, SymbolTable, make_grid, sample
 from sublevy import Partition, estimate, random_strategy, save_strategy
+from sublevy import dual_bound_suite, family_from_json, load_strategy
 from sublevy import cli
 from sublevy.cli import RunConfig, main
 from sublevy.grid import read_function_csv
+from sublevy.mc import write_estimates_csv
+from conftest import member_evolution
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -162,6 +165,29 @@ class TestConfig:
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field, cause", [
+        ({"grid": {"dim": 1, "n": 128.7}}, "grid.n", "must be an integer, got 128.7"),
+        ({"nisio": {"max_level": 3.9}}, "nisio.max_level", "must be an integer, got 3.9"),
+        ({"nisio": {"tol": False}}, "nisio.tol", "must be a number, got false"),
+        ({"time": True}, "time", "must be a number, got true"),
+        ({"grid": {"dim": True, "n": 128}}, "grid.dim", "must be a number, got true"),
+        ({"mc": {"x0": [True]}}, "mc.x0", "must be a number, got true"),
+        ({"family": {"builtin": "two_sigma", "sigmas": [0.5, True]}}, "family.sigmas",
+         "must be a number, got true"),
+    ])
+    def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
+                                                         field, cause):
+        path = write_config(tmp_path, **overrides)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config field '{field}' {cause}" in err
+
+    def test_integral_number_is_an_integer(self, tmp_path):
+        cfg = RunConfig.from_file(str(write_config(tmp_path, grid={"dim": 1.0, "n": 128.0})))
+        assert (cfg.grid_dim, cfg.grid_n) == (1, 128)
+        assert type(cfg.grid_n) is int
+
     @pytest.mark.parametrize("family, field", [
         ({"builtin": "two_sigma", "sigmas": ["wide"]}, "family.sigmas"),
         ({"builtin": "single_sigma", "sigma": None}, "family.sigma"),
@@ -185,7 +211,7 @@ class TestEvolve:
         value = read_function_csv(out / "value.csv")
         grid = make_grid(1, 128)
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0),)), grid)
-        lin = apply_linear(table.psi[0], 0.2, sample(grid, "cosine", k=1))
+        lin = member_evolution(table, 0.2, sample(grid, "cosine", k=1))
         assert float(np.max(np.abs(value.values - lin.values))) <= 1e-10
         assert (out / "convergence.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -403,6 +429,52 @@ class TestMc:
         assert main(["mc", "--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and cause in err, err
+
+    @pytest.mark.parametrize("strategy, message", [
+        ({"partition": [0.0, 0.1], "feedback": [[0] * 128]},
+         "strategy partition ends at 0.1, horizon is 0.2"),
+        ({"partition": [0.0, 0.2], "feedback": [[5] + [0] * 127]},
+         "feedback selects member 5, family has 2"),
+    ])
+    def test_strategy_file_checked_before_the_envelope(self, tmp_path, capsys, strategy,
+                                                       message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(strategy))
+        path = write_config(tmp_path, family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
+                            mc={"strategies": [str(bad)]})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert list((tmp_path / "out").iterdir()) == []  # no value.csv, no manifest
+
+    def test_simulates_the_family_the_envelope_evolves(self, tmp_path):
+        # the large-jump atom at 0.3 snaps to 2 * (2 pi / 32) = 0.393 and the one
+        # at -0.7 to -0.785; the paths must jump by what the envelope evolves
+        family = [{"b": [0.0], "sigma": [[0.0]], "mu": [{"y": [0.3], "w": 3.0}]},
+                  {"b": [0.0], "sigma": [[0.0]], "mu": [{"y": [-0.7], "w": 2.0}]}]
+        initial = {"kind": "bump", "center": 0.0, "width": math.pi}
+        path = write_config(tmp_path, grid={"dim": 1, "n": 32}, family=family,
+                            initial=initial, nisio={"max_level": 8, "tol": 1e-4})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        grid = make_grid(1, 32)
+        table = SymbolTable.build(family_from_json(family), grid)
+        assert table.snap_distance == pytest.approx(4 * math.pi / 32 - 0.3, abs=1e-15)
+        f = sample(grid, "bump", center=0.0, width=math.pi)
+        extracted = load_strategy(out / "extracted_strategy.json", grid)
+        rng = np.random.default_rng(7)
+        strategies = [("extracted", extracted)] + [
+            (f"random-{i}", random_strategy(grid, extracted.partition, 2, rng)) for i in range(2)]
+        reference = read_function_csv(out / "value.csv").value_at((16,))  # x0 = 0
+
+        def estimates(fam, name):
+            report = dual_bound_suite(fam, f, [0.0], 0.2, strategies, 200, 7, reference, 1e-2)
+            write_estimates_csv(tmp_path / name, report)
+            return (tmp_path / name).read_bytes()
+
+        written = (out / "estimates.csv").read_bytes()
+        assert written == estimates(table.family, "snapped.csv")
+        assert written != estimates(family_from_json(family), "raw.csv")
 
     def test_seed_override_changes_estimates(self, tmp_path):
         p = write_config(tmp_path,

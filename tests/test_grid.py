@@ -8,7 +8,6 @@ from sublevy import (
     forward_transform,
     inverse_transform,
     make_grid,
-    pointwise_max,
     read_function_csv,
     sample,
     sup_distance,
@@ -116,33 +115,6 @@ class TestSupOps:
             sup_distance(sample(grid8, "constant", value=0.0),
                          sample(grid64, "constant", value=0.0))
 
-    def test_max_singleton(self, cos128):
-        assert sup_distance(pointwise_max([cos128]), cos128) == 0.0
-
-    def test_max_cos_pair(self, grid8):
-        f = sample(grid8, "cosine", k=1)
-        g = GridFunction(grid8, -f.values)
-        m = pointwise_max([f, g])
-        assert np.array_equal(m.values, np.abs(f.values))
-
-    def test_max_constants(self, grid8):
-        a = sample(grid8, "constant", value=1.0)
-        b = sample(grid8, "constant", value=2.0)
-        assert np.all(pointwise_max([a, b]).values == 2.0)
-
-    def test_max_empty(self):
-        with pytest.raises(ConfigurationError):
-            pointwise_max([])
-
-    def test_max_monotone(self, grid64):
-        rng = np.random.default_rng(11)
-        f = random_trig(grid64, rng)
-        g = GridFunction(grid64, f.values + 0.3)
-        h = random_trig(grid64, rng)
-        lower = pointwise_max([f, h])
-        upper = pointwise_max([g, h])
-        assert np.all(lower.values <= upper.values)
-
 
 class TestCyclicShift:
     def test_zero_and_full_turn(self, cos128):
@@ -157,9 +129,9 @@ class TestCyclicShift:
         rng = np.random.default_rng(5)
         f, g = random_trig(grid64, rng), random_trig(grid64, rng)
         assert cyclic_shift(f, 13).sup_norm == f.sup_norm
-        a = cyclic_shift(pointwise_max([f, g]), 13)
-        b = pointwise_max([cyclic_shift(f, 13), cyclic_shift(g, 13)])
-        assert np.array_equal(a.values, b.values)
+        a = cyclic_shift(GridFunction(grid64, np.maximum(f.values, g.values)), 13)
+        b = np.maximum(cyclic_shift(f, 13).values, cyclic_shift(g, 13).values)
+        assert np.array_equal(a.values, b)
 
 
 class TestCsv:

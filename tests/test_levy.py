@@ -14,7 +14,6 @@ from sublevy import (
     SpectralWorkspace,
     Spectrum,
     SymbolTable,
-    apply_linear,
     apply_multipliers,
     compound_poisson,
     cyclic_shift,
@@ -24,9 +23,7 @@ from sublevy import (
     family_from_json,
     family_to_json,
     forward_transform,
-    generator_apply_single,
     inverse_transform,
-    levy_symbol,
     load_family,
     make_grid,
     poisson_series_apply,
@@ -38,7 +35,7 @@ from sublevy import (
     sup_distance,
     wrapped_cauchy_quadruple,
 )
-from conftest import random_trig
+from conftest import member_evolution, member_generator, one_member_table, random_trig
 
 
 def grid_point_near(grid, x):
@@ -105,7 +102,7 @@ class TestSnap:
 
 class TestLevySymbol:
     def test_pure_diffusion(self, grid8):
-        psi = levy_symbol(diffusion(1.0), grid8)
+        psi = one_member_table(diffusion(1.0), grid8).psi[0]
         k = np.fft.fftfreq(8, 1 / 8).astype(int)
         k[k == -4] = 4
         assert np.max(np.abs(psi - (-0.5 * k.astype(float) ** 2))) == 0.0
@@ -115,7 +112,7 @@ class TestLevySymbol:
         h = grid_point_near(grid256, 0.1)
         v = 1.0 / h**2
         q = LevyQuadruple.create(nu=[(h, v)], dim=1)
-        psi = levy_symbol(q, grid256)
+        psi = one_member_table(q, grid256).psi[0]
         expected = v * (math.cos(h) - 1.0) + 1j * v * (math.sin(h) - h)
         assert abs(psi[1] - expected) < 1e-12
         # close to the nominal h = 0.1 value -0.4995835 - 0.0166583i
@@ -123,7 +120,7 @@ class TestLevySymbol:
 
     def test_wrapped_cauchy_modes(self, grid256):
         q = wrapped_cauchy_quadruple(grid256, gamma=0.5, rate=1.0)
-        psi = levy_symbol(q, grid256)
+        psi = one_member_table(q, grid256).psi[0]
         assert abs(psi[2] - (math.exp(-1.0) - 1.0)) < 1e-9
         assert psi[2].real == pytest.approx(-0.6321206, abs=1e-6)
 
@@ -151,7 +148,7 @@ class TestLevySymbol:
             q = LevyQuadruple.create(
                 b=rng.normal(), sigma=rng.uniform(0.0, 2.0), mu=mu, nu=nu, dim=1
             )
-            psi = levy_symbol(q, grid64)
+            psi = one_member_table(q, grid64).psi[0]
             assert psi[0] == 0.0
             assert np.max(psi.real) <= 1e-12
             assert np.array_equal(psi[idx], np.conj(psi))
@@ -164,45 +161,55 @@ class TestLevySymbol:
             mu=[([g.spacing * 3, g.spacing * 5], 0.7)],
             dim=2,
         )
-        psi = levy_symbol(q, g)
+        psi = one_member_table(q, g).psi[0]
         idx = (-np.arange(16)) % 16
         assert psi[0, 0] == 0.0
         assert np.max(psi.real) <= 1e-12
         assert np.array_equal(psi[np.ix_(idx, idx)], np.conj(psi))
 
 
+def asymmetric_table(table):
+    """The table with i added to every mode but 0: psi(0) and Re psi stay valid,
+    conjugate symmetry does not."""
+    psi = table.psi.copy()
+    psi[:, 1:] += 1j
+    return SymbolTable(table.grid, table.family, psi)
+
+
 class TestApplyLinear:
+    """One member's linear evolution: its row of the table's kernel."""
+
     def test_time_zero_identity(self, two_sigma_table, cos128):
-        out = apply_linear(two_sigma_table.psi[1], 0.0, cos128)
-        assert out is cos128
+        assert np.all(two_sigma_table.multipliers(0.0) == 1.0)
+        out = member_evolution(two_sigma_table, 0.0, cos128, member=1)
+        assert sup_distance(out, cos128) <= 1e-15
+
+    def test_negative_time_rejected(self, two_sigma_table, cos128):
+        with pytest.raises(ConfigurationError):
+            member_evolution(two_sigma_table, -0.1, cos128)
+
+    @pytest.mark.parametrize("t", [0.5, 0.0])
+    def test_asymmetric_symbol_rejected(self, two_sigma_table, cos128, t):
+        # the inverse real FFT would read only the Hermitian part and return
+        # a wrong real function; the table refuses the symbol before any step
+        with pytest.raises(ConsistencyError, match="conjugate symmetry fails at mode"):
+            member_evolution(asymmetric_table(two_sigma_table), t, cos128)
 
     def test_compound_poisson_half_turn(self, grid128):
         q = compound_poisson([(np.pi, 1.0)], rate=1.0)
-        psi = levy_symbol(q, grid128)
-        assert psi[1] == pytest.approx(-2.0, abs=1e-14)  # exp(i pi) - 1
+        table = one_member_table(q, grid128)
+        assert table.psi[0, 1] == pytest.approx(-2.0, abs=1e-14)  # exp(i pi) - 1
         f = sample(grid128, "cosine", k=1)
-        out = apply_linear(psi, 0.5, f)
+        out = member_evolution(table, 0.5, f)
         assert sup_distance(out, GridFunction(grid128, math.exp(-1.0) * f.values)) < 1e-12
         assert math.exp(-1.0) == pytest.approx(0.3678794, abs=1e-7)
 
     def test_heat_multiplier(self, grid128):
-        psi = levy_symbol(diffusion(1.0), grid128)
+        table = one_member_table(diffusion(1.0), grid128)
         f = sample(grid128, "cosine", k=1)
-        out = apply_linear(psi, 1.0, f)
+        out = member_evolution(table, 1.0, f)
         assert sup_distance(out, GridFunction(grid128, math.exp(-0.5) * f.values)) < 1e-12
         assert math.exp(-0.5) == pytest.approx(0.6065307, abs=1e-7)
-
-    def test_negative_time_rejected(self, two_sigma_table, cos128):
-        with pytest.raises(ConfigurationError):
-            apply_linear(two_sigma_table.psi[0], -0.1, cos128)
-
-    @pytest.mark.parametrize("t", [0.5, 0.0])
-    def test_asymmetric_symbol_rejected(self, grid128, cos128, t):
-        # the inverse real FFT would read only the Hermitian part and return
-        # a wrong real function
-        psi = levy_symbol(diffusion(1.0), grid128) + 1j
-        with pytest.raises(ConfigurationError, match="conjugate symmetric"):
-            apply_linear(psi, t, cos128)
 
     def test_semigroup_law(self, grid64):
         rng = np.random.default_rng(23)
@@ -210,40 +217,40 @@ class TestApplyLinear:
             b=0.7, sigma=0.8,
             mu=[(grid64.spacing * 9, 0.5)], nu=[(grid64.spacing * 2, 1.5)], dim=1,
         )
-        psi = levy_symbol(q, grid64)
+        table = one_member_table(q, grid64)
         for _ in range(5):
             f = random_trig(grid64, rng, kmax=16)
             s, t = rng.uniform(0.05, 0.8, size=2)
-            one = apply_linear(psi, s + t, f)
-            two = apply_linear(psi, s, apply_linear(psi, t, f))
+            one = member_evolution(table, s + t, f)
+            two = member_evolution(table, s, member_evolution(table, t, f))
             assert sup_distance(one, two) <= 1e-10
 
     def test_contraction(self, grid128):
         rng = np.random.default_rng(29)
-        psi = levy_symbol(diffusion(1.0), grid128)
+        table = one_member_table(diffusion(1.0), grid128)
         for _ in range(5):
             f = random_trig(grid128, rng, kmax=32, amplitude=rng.uniform(0.5, 4.0))
-            out = apply_linear(psi, rng.uniform(0.0, 1.0), f)
+            out = member_evolution(table, rng.uniform(0.0, 1.0), f)
             assert out.sup_norm <= f.sup_norm + 1e-9
 
     def test_positivity(self, grid256):
-        psi = levy_symbol(diffusion(1.0), grid256)
+        table = one_member_table(diffusion(1.0), grid256)
         f = sample(grid256, "bump", center=0.5, width=1.0)
-        out = apply_linear(psi, 0.3, f)
+        out = member_evolution(table, 0.3, f)
         assert float(np.min(out.values)) >= -1e-6
 
     def test_translation_equivariance(self, grid128):
         rng = np.random.default_rng(31)
         q = LevyQuadruple.create(b=0.3, sigma=0.5, mu=[(np.pi, 1.0)], dim=1)
-        psi = levy_symbol(q, grid128)
+        table = one_member_table(q, grid128)
         f = random_trig(grid128, rng, kmax=20)
-        a = cyclic_shift(apply_linear(psi, 0.4, f), 17)
-        b = apply_linear(psi, 0.4, cyclic_shift(f, 17))
+        a = cyclic_shift(member_evolution(table, 0.4, f), 17)
+        b = member_evolution(table, 0.4, cyclic_shift(f, 17))
         assert sup_distance(a, b) <= 1e-12
 
     def test_constant_preserved_exactly(self, two_sigma_table, grid128):
         f = sample(grid128, "constant", value=2.75)
-        out = apply_linear(two_sigma_table.psi[1], 0.37, f)
+        out = member_evolution(two_sigma_table, 0.37, f, member=1)
         assert np.all(out.values == 2.75)
 
     def test_matches_series_oracle_on_jump_quadruples(self, grid64):
@@ -254,37 +261,37 @@ class TestApplyLinear:
                 for _ in range(rng.integers(1, 5))
             ]
             q = compound_poisson(atoms, rate=float(rng.uniform(0.2, 2.0)))
-            psi = levy_symbol(q, grid64)
+            table = one_member_table(q, grid64)
             f = random_trig(grid64, rng, kmax=16)
             t = float(rng.uniform(0.1, 1.0))
-            spectral = apply_linear(psi, t, f)
+            spectral = member_evolution(table, t, f)
             series = poisson_series_apply(q, t, f, tail_tol=1e-10)
             assert sup_distance(spectral, series) <= 1e-10 + 1e-9
 
 
 class TestGeneratorApply:
+    """One member's generator: its row of the kernel on the table's psi."""
+
     def test_diffusion_on_cos(self, grid128, cos128):
         # rounding noise on empty modes is amplified by psi(k) ~ k^2/2
-        psi = levy_symbol(diffusion(1.0), grid128)
-        out = generator_apply_single(psi, cos128)
+        out = member_generator(one_member_table(diffusion(1.0), grid128), cos128)
         assert sup_distance(out, GridFunction(grid128, -0.5 * cos128.values)) < 1e-12
 
     def test_second_difference_limit(self):
         g = make_grid(1, 1024)
         f = sample(g, "cosine", k=1)
         h = grid_point_near(g, 0.01)
-        psi = levy_symbol(LevyQuadruple.create(nu=[(h, 1.0 / h**2)], dim=1), g)
-        out = generator_apply_single(psi, f)
+        table = one_member_table(LevyQuadruple.create(nu=[(h, 1.0 / h**2)], dim=1), g)
+        out = member_generator(table, f)
         assert sup_distance(out, GridFunction(g, -0.5 * f.values)) <= 5e-3
 
-    def test_asymmetric_symbol_rejected(self, grid128, cos128):
-        psi = levy_symbol(diffusion(1.0), grid128) + 1j
-        with pytest.raises(ConfigurationError, match="conjugate symmetric"):
-            generator_apply_single(psi, cos128)
+    def test_asymmetric_symbol_rejected(self, two_sigma_table, cos128):
+        with pytest.raises(ConsistencyError, match="conjugate symmetry fails at mode"):
+            member_generator(asymmetric_table(two_sigma_table), cos128)
 
     def test_constant_maps_to_zero(self, two_sigma_table, grid128):
         f = sample(grid128, "constant", value=4.0)
-        out = generator_apply_single(two_sigma_table.psi[0], f)
+        out = member_generator(two_sigma_table, f)
         assert out.sup_norm == 0.0
 
     def test_symbol_consistent_with_time_derivative(self, grid64):
@@ -292,13 +299,12 @@ class TestGeneratorApply:
         q = LevyQuadruple.create(
             b=0.4, sigma=0.6, mu=[(np.pi / 2, 0.8)], nu=[(grid64.spacing * 3, 1.2)], dim=1
         )
-        snapped, _ = snap_to_grid(q, grid64)
-        psi = levy_symbol(snapped, grid64)
+        table = one_member_table(q, grid64)
         rng = np.random.default_rng(41)
         f = random_trig(grid64, rng, kmax=8)
-        gen = generator_apply_single(psi, f)
+        gen = member_generator(table, f)
         eps = 1e-6
-        quotient = (apply_linear(psi, eps, f).values - f.values) / eps
+        quotient = (member_evolution(table, eps, f).values - f.values) / eps
         assert np.max(np.abs(quotient - gen.values)) < 1e-3
 
 
@@ -417,6 +423,10 @@ class TestSymbolTable:
     def test_multiplier_time_validation(self, two_sigma_table):
         with pytest.raises(ConfigurationError):
             two_sigma_table.multipliers(-1.0)
+
+    def test_shape_must_fit_family_and_grid(self, two_sigma_table):
+        with pytest.raises(ConfigurationError, match="symbol table shape"):
+            SymbolTable(two_sigma_table.grid, two_sigma_table.family, two_sigma_table.psi[:1])
 
 
 def _kernel_family(grid):

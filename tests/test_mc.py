@@ -25,9 +25,10 @@ from sublevy import (
     save_strategy,
     simulate_paths,
 )
-from sublevy import LevyQuadruple, apply_linear, compound_poisson
+from sublevy import LevyQuadruple, compound_poisson
 from sublevy import mc
 from sublevy.mc import BLOCK_PATHS, strategy_from_dict, strategy_to_dict
+from conftest import member_evolution
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +71,8 @@ class TestExtractStrategy:
             two_sigma_table, 0.2, bump128, max_level=1, tol=0.0, record_argmax_level=0
         )
         strat = extract_strategy(res, 0)
-        a = apply_linear(two_sigma_table.psi[0], 0.2, bump128).values
-        b = apply_linear(two_sigma_table.psi[1], 0.2, bump128).values
+        a = member_evolution(two_sigma_table, 0.2, bump128).values
+        b = member_evolution(two_sigma_table, 0.2, bump128, member=1).values
         clear = np.abs(a - b) > 1e-12
         assert np.all(strat.feedback[0][clear] == (b > a)[clear].astype(int))
 
@@ -266,7 +267,7 @@ class TestDualBoundSuite:
     def test_singleton_family_all_strategies_equal(self, grid128, cos128):
         fam = GeneratorFamily((diffusion(1.0),))
         table = SymbolTable.build(fam, grid128)
-        lin = apply_linear_at_zero(table, cos128)
+        lin = linear_value_at_zero(table, cos128)
         part = Partition.dyadic(0.5, 3)
         rng = np.random.default_rng(3)
         strategies = [(f"s{i}", random_strategy(grid128, part, 1, rng)) for i in range(4)]
@@ -375,8 +376,8 @@ class TestInterpolation:
             interpolate_linear(f, np.zeros((3, 2)))
 
 
-def apply_linear_at_zero(table, f):
-    out = apply_linear(table.psi[0], 0.5, f)
+def linear_value_at_zero(table, f):
+    out = member_evolution(table, 0.5, f)
     return out.value_at(table.grid.nearest_index(np.array([0.0])))
 
 

@@ -12,7 +12,6 @@ from sublevy import (
     Partition,
     SymbolTable,
     apply_J,
-    apply_linear,
     apply_partition,
     cyclic_shift,
     diffusion,
@@ -29,7 +28,7 @@ from sublevy import (
 )
 from sublevy.levy import SpectralWorkspace
 from sublevy.nisio import _compose
-from conftest import random_trig
+from conftest import member_evolution, random_trig
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ class TestPartition:
 class TestApplyJ:
     def test_singleton_is_linear(self, single_table, cos128):
         out, _ = apply_J(single_table, 0.7, cos128)
-        lin = apply_linear(single_table.psi[0], 0.7, cos128)
+        lin = member_evolution(single_table, 0.7, cos128)
         assert sup_distance(out, lin) == 0.0
 
     def test_zero_time_identity(self, two_sigma_table, cos128):
@@ -118,7 +117,7 @@ class TestApplyPartition:
         rng = np.random.default_rng(3)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.59, 3)), [0.6]])
         out = apply_partition(single_table, Partition(times), bump128)
-        lin = apply_linear(single_table.psi[0], 0.6, bump128)
+        lin = member_evolution(single_table, 0.6, bump128)
         assert sup_distance(out, lin) <= 1e-10
 
     def test_trivial_partition_is_identity(self, two_sigma_table, bump128):
@@ -131,7 +130,7 @@ class TestNisioEvolve:
         res = nisio_evolve(single_table, 0.5, cos128, max_level=8, tol=1e-6)
         assert res.converged
         assert res.levels_used == 1
-        lin = apply_linear(single_table.psi[0], 0.5, cos128)
+        lin = member_evolution(single_table, 0.5, cos128)
         assert sup_distance(res.value, lin) <= 1e-10
 
     def test_increment_ratios_first_order(self, two_sigma_table, bump128):
@@ -384,7 +383,7 @@ class TestKernelProperties:
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=4, tol=0.0)
         deep = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=10, tol=0.0)
         for i in range(len(two_sigma_table)):
-            lin = apply_linear(two_sigma_table.psi[i], 0.2, bump128)
+            lin = member_evolution(two_sigma_table, 0.2, bump128, member=i)
             assert float(np.max(lin.values - res.value.values)) <= 1e-10
             # deeper levels accumulate one rounding quantum per step
             assert float(np.max(lin.values - deep.value.values)) <= 1e-9
@@ -401,7 +400,7 @@ class TestTwoDimensional:
         res = nisio_evolve(table, 0.2, f, max_level=5, tol=0.0, monotonicity_tol=1e-4)
         assert all(i >= -1e-5 for i in res.increments)
         for i in range(2):
-            lin = apply_linear(table.psi[i], 0.2, f)
+            lin = member_evolution(table, 0.2, f, member=i)
             assert float(np.max(lin.values - res.value.values)) <= 1e-5
         c = sample(g, "constant", value=1.5)
         res_c = nisio_evolve(table, 0.2, c, max_level=2, tol=1e-12)
@@ -420,7 +419,7 @@ class TestTwoDimensional:
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0, dim=2),)), g)
         f = sample(g, "cosine", k=[1, 2])
         res = nisio_evolve(table, 0.3, f, max_level=3, tol=0.0)
-        lin = apply_linear(table.psi[0], 0.3, f)
+        lin = member_evolution(table, 0.3, f)
         assert sup_distance(res.value, lin) <= 1e-10
 
 

@@ -11,7 +11,6 @@ from sublevy import (
     GridFunction,
     SymbolTable,
     Trajectory,
-    apply_linear,
     compound_poisson,
     diffusion,
     drift,
@@ -27,7 +26,7 @@ from sublevy import (
     wrapped_cauchy_quadruple,
 )
 from sublevy.oracles import PICARD_WORK_BUDGET
-from conftest import random_trig
+from conftest import member_evolution, one_member_table, random_trig
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,8 @@ class TestPoissonSeries:
             f = random_trig(grid64, rng, kmax=20)
             t = float(rng.uniform(0.2, 1.0))
             series = poisson_series_apply(q, t, f)
-            psi = SymbolTable.build(GeneratorFamily((q,)), grid64).psi[0]
-            assert sup_distance(series, apply_linear(psi, t, f)) <= 1e-9 + 1e-10
+            table = one_member_table(q, grid64)
+            assert sup_distance(series, member_evolution(table, t, f)) <= 1e-9 + 1e-10
 
     def test_off_grid_atom_rejected(self, grid64):
         f = sample(grid64, "cosine", k=1)
@@ -91,7 +90,7 @@ class TestPicard:
         g = single_table64.grid
         f = sample(g, "cosine", k=1)
         traj = picard_solve(single_table64, f, 0.2, 1e-3)
-        lin = apply_linear(single_table64.psi[0], 0.2, f)
+        lin = member_evolution(single_table64, 0.2, f)
         assert sup_distance(traj.final, lin) <= 1e-8
 
     def test_constant_is_fixed(self, two_sigma_table, grid128):
@@ -147,7 +146,7 @@ class TestPicard:
     def test_dominates_members(self, two_sigma_table, bump128):
         traj = picard_solve(two_sigma_table, bump128, 0.2, 1e-3)
         for i in range(len(two_sigma_table)):
-            lin = apply_linear(two_sigma_table.psi[i], 0.2, bump128)
+            lin = member_evolution(two_sigma_table, 0.2, bump128, member=i)
             assert float(np.max(lin.values - traj.final.values)) <= 1e-6
 
 
@@ -223,6 +222,16 @@ class TestTrajectoryValidation:
         with pytest.raises(ConfigurationError):
             residual_check(skewed, two_sigma_table)
 
+    @pytest.mark.parametrize("times,cause", [
+        ([0.0, math.nan], "finite"),
+        ([0.0, math.inf], "finite"),
+        ([1e-3, 2e-3], "start at time 0"),
+        ([0.0, 0.0], "strictly increasing"),
+    ])
+    def test_times_validated_as_a_partition(self, bump128, times, cause):
+        with pytest.raises(ConfigurationError, match=cause):
+            Trajectory(np.array(times), (bump128, bump128))
+
     def test_2d_trajectory_csv(self, tmp_path):
         g = make_grid(2, 8)
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0, dim=2),)), g)
@@ -244,8 +253,7 @@ class TestTwoDimensionalOracles:
         q = compound_poisson(atoms, rate=1.0, dim=2)
         f = GridFunction(g, np.cos(g.meshgrid()[0] + 2 * g.meshgrid()[1]))
         series = poisson_series_apply(q, 0.4, f)
-        psi = SymbolTable.build(GeneratorFamily((q,)), g).psi[0]
-        assert sup_distance(series, apply_linear(psi, 0.4, f)) <= 1e-9
+        assert sup_distance(series, member_evolution(one_member_table(q, g), 0.4, f)) <= 1e-9
 
     def test_mass_diagnostic_2d_zero_family(self):
         g = make_grid(2, 32)
@@ -262,14 +270,13 @@ class TestMixedFamilyCrossValidation:
     def test_drift_translates_the_right_way(self, grid64):
         # whole-grid-step drift is an exact cyclic shift below the Nyquist
         # mode (whose rotation is grid-invisible and collocated away)
-        from sublevy import cyclic_shift, drift, levy_symbol
-        from conftest import random_trig
+        from sublevy import cyclic_shift
 
         m = 5
         t = m * grid64.spacing  # unit drift covers m cells in time t
-        psi = levy_symbol(drift(1.0), grid64)
+        table = one_member_table(drift(1.0), grid64)
         f = random_trig(grid64, np.random.default_rng(8), kmax=20)
-        moved = apply_linear(psi, t, f)
+        moved = member_evolution(table, t, f)
         assert sup_distance(moved, cyclic_shift(f, m)) <= 1e-12
 
     def test_all_quadruple_parts_agree_across_routes(self, grid128):
