@@ -14,7 +14,6 @@ from .grid import (
     GridFunction,
     Spectrum,
     TorusGrid,
-    cyclic_shift,
     forward_transform,
     inverse_transform,
     make_grid,
@@ -29,17 +28,14 @@ from .levy import (
     LevyQuadruple,
     SpectralWorkspace,
     SymbolTable,
-    apply_multipliers,
     compound_poisson,
     diffusion,
     drift,
     family_constant,
     family_from_json,
-    family_to_json,
     load_family,
     sample_increment,
     sample_increments,
-    save_family,
     snap_to_grid,
     wrapped_cauchy_quadruple,
 )
@@ -47,7 +43,6 @@ from .mc import (
     DualBoundReport,
     McEstimate,
     SimpleStrategy,
-    constant_strategy,
     dual_bound_suite,
     estimate,
     extract_strategy,

@@ -94,12 +94,15 @@ class TorusGrid:
         k = _mode_axis(self.n)
         return tuple(np.meshgrid(*([k] * self.dim), indexing="ij"))
 
-    def nearest_index(self, point: np.ndarray) -> tuple[int, ...]:
-        """Row-major multi-index of the grid point closest to a torus point."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape != (self.dim,):
+    def nearest_index(self, points) -> tuple[np.ndarray, ...]:
+        """Index of the grid point nearest each torus point of an (..., d) array:
+        one integer array of shape (...) per axis, ties rounded half to even.
+        The only nearest-cell rule; a single point gives a tuple of scalars."""
+        p = np.atleast_1d(np.asarray(points, dtype=float))
+        if p.shape[-1] != self.dim:
             raise ConfigurationError(f"point must have {self.dim} coordinates")
-        return tuple(int(round((c + np.pi) / self.spacing)) % self.n for c in p)
+        cells = np.rint((p + np.pi) / self.spacing).astype(np.int64) % self.n
+        return tuple(np.moveaxis(cells, -1, 0))
 
 
 def make_grid(dim: int, n: int) -> TorusGrid:
@@ -184,19 +187,6 @@ def sup_distance(f: GridFunction, g: GridFunction) -> float:
     return float(np.max(np.abs(f.values - g.values)))
 
 
-def cyclic_shift(f: GridFunction, offset) -> GridFunction:
-    """Translate by whole grid steps: out(x) = f(x + offset*spacing) per axis."""
-    if np.isscalar(offset):
-        offset = (int(offset),) * f.grid.dim
-    offset = tuple(int(m) for m in offset)
-    if len(offset) != f.grid.dim:
-        raise ConfigurationError(f"offset must have {f.grid.dim} entries")
-    return GridFunction(
-        f.grid,
-        np.roll(f.values, shift=tuple(-m for m in offset), axis=tuple(range(f.grid.dim))),
-    )
-
-
 def wrap_point(p: np.ndarray) -> np.ndarray:
     """Representative of a torus point in (-pi, pi]^d."""
     p = np.asarray(p, dtype=float)
@@ -242,6 +232,8 @@ def sample(grid: TorusGrid, kind: str, **params) -> GridFunction:
     """
     makers = {"cosine": _cosine, "bump": _bump, "constant": _constant}
     if kind in makers:
+        for key, value in params.items():
+            refuse_booleans(value, f"{kind} parameter {key!r}")
         try:
             return GridFunction(grid, makers[kind](grid, **params))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -267,6 +259,19 @@ def read_json(path, what: str):
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def refuse_booleans(value, what: str):
+    """value itself, refused when it is or holds (in nested lists) a JSON boolean:
+    a number field would otherwise read true and false as 1 and 0."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            raise ConfigurationError(f"{what} must be a number, got {json.dumps(item)}")
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return value
 
 
 def _csv_header(dim: int, lead: str | None = None, value: str = "value") -> list[str]:

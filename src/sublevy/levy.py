@@ -26,14 +26,13 @@ functions by construction.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import TorusGrid, negation_permutation, read_json, wrap_point
+from .grid import TorusGrid, negation_permutation, read_json, refuse_booleans, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -372,7 +371,7 @@ class SymbolTable:
         """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1).
 
         The symbol is conjugate symmetric, but the multipliers are not
-        re-symmetrized: apply_multipliers uses only their Hermitian part.
+        re-symmetrized: SpectralWorkspace.apply uses only their Hermitian part.
         """
         if t < 0:
             raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
@@ -439,16 +438,6 @@ class SpectralWorkspace:
         return np.maximum.reduce(stack, axis=0, out=out)
 
 
-def apply_multipliers(grid: TorusGrid, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The spectral kernel (SpectralWorkspace.apply) on a fresh workspace.
-
-    The returned (m, *grid.shape) stack belongs to the caller; a loop should
-    keep one SpectralWorkspace instead, whose stack stays valid only until
-    its next call.
-    """
-    return SpectralWorkspace(grid, mults.shape[0]).apply(mults, values)
-
-
 # -- path increments -----------------------------------------------------------
 
 def sample_increments(q: LevyQuadruple, dt: float, rng: np.random.Generator,
@@ -486,37 +475,19 @@ def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> n
 
 # -- JSON interchange ----------------------------------------------------------
 
-def quadruple_to_dict(q: LevyQuadruple) -> dict:
-    return {
-        "b": q.b.tolist(),
-        "sigma": q.sigma.tolist(),
-        "mu": [{"y": q.mu_points[j].tolist(), "w": float(q.mu_weights[j])}
-               for j in range(q.mu_points.shape[0])],
-        "nu": [{"z": q.nu_points[j].tolist(), "v": float(q.nu_weights[j])}
-               for j in range(q.nu_points.shape[0])],
-    }
-
-
 def quadruple_from_dict(obj: dict) -> LevyQuadruple:
+    def number(entry, key, name):
+        return refuse_booleans(entry[key], f"quadruple field {name!r}")
+
     try:
-        mu = [(entry["y"], entry["w"]) for entry in obj.get("mu", [])]
-        nu = [(entry["z"], entry["v"]) for entry in obj.get("nu", [])]
-        return LevyQuadruple.create(
-            b=obj.get("b", 0.0), sigma=np.asarray(obj.get("sigma", 0.0), dtype=float),
-            mu=mu, nu=nu,
-            dim=len(np.atleast_1d(obj.get("b", [0.0]))),
-        )
+        b = refuse_booleans(obj.get("b", 0.0), "quadruple field 'b'")
+        sigma = refuse_booleans(obj.get("sigma", 0.0), "quadruple field 'sigma'")
+        mu = [(number(e, "y", "mu.y"), number(e, "w", "mu.w")) for e in obj.get("mu", [])]
+        nu = [(number(e, "z", "nu.z"), number(e, "v", "nu.v")) for e in obj.get("nu", [])]
+        return LevyQuadruple.create(b=b, sigma=np.asarray(sigma, dtype=float), mu=mu, nu=nu,
+                                    dim=len(np.atleast_1d(b)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed quadruple object: {exc}") from exc
-
-
-def family_to_json(fam: GeneratorFamily) -> list[dict]:
-    out = []
-    for q, label in zip(fam.members, fam.labels):
-        obj = quadruple_to_dict(q)
-        obj["label"] = label
-        out.append(obj)
-    return out
 
 
 def family_from_json(data) -> GeneratorFamily:
@@ -529,11 +500,6 @@ def family_from_json(data) -> GeneratorFamily:
         members.append(quadruple_from_dict(obj))
         labels.append(str(obj.get("label", f"member-{i}")))
     return GeneratorFamily(tuple(members), tuple(labels))
-
-
-def save_family(path, fam: GeneratorFamily) -> None:
-    with open(path, "w") as fh:
-        json.dump(family_to_json(fam), fh, indent=2)
 
 
 def load_family(path) -> GeneratorFamily:

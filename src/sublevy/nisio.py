@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import (GridFunction, TorusGrid, _csv_header, sup_distance, write_grid_table,
                    write_table)
-from .levy import SpectralWorkspace, SymbolTable, apply_multipliers
+from .levy import SpectralWorkspace, SymbolTable
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
@@ -66,12 +66,6 @@ class Partition:
     @property
     def step_count(self) -> int:
         return self.times.size - 1
-
-    @property
-    def mesh(self) -> float:
-        if self.step_count == 0:
-            return 0.0
-        return float(np.max(np.diff(self.times)))
 
     def gaps(self) -> np.ndarray:
         return np.diff(self.times)
@@ -286,7 +280,8 @@ def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     """Largest member generator sup-norm at f; the step-regularity constant."""
-    return float(np.max(np.abs(apply_multipliers(table.grid, table.psi_half, f.values))))
+    stack = SpectralWorkspace(table.grid, len(table)).apply(table.psi_half, f.values)
+    return float(np.max(np.abs(stack)))
 
 
 def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, write_grid_table, write_table
-from .levy import (LevyQuadruple, SpectralWorkspace, SymbolTable, apply_multipliers,
-                   snap_to_grid)
+from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
 from .nisio import Partition
 
 SERIES_TERM_BUDGET = 10**4
@@ -223,7 +222,7 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> fl
         )
         plateau = plateau * axis_val
         inside &= d <= MASS_WINDOW_SHRINK * w
-    evolved = apply_multipliers(grid, table.multipliers(t), plateau)
+    evolved = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), plateau)
     return max(1.0 - float(np.min(evolved[:, inside])), 0.0)
 
 

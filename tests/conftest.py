@@ -5,8 +5,8 @@ from sublevy import (
     GeneratorFamily,
     GridFunction,
     Spectrum,
+    SpectralWorkspace,
     SymbolTable,
-    apply_multipliers,
     diffusion,
     inverse_transform,
     make_grid,
@@ -42,12 +42,14 @@ def one_member_table(q, grid):
 
 def member_evolution(table, t, f, member=0):
     """One member's linear evolution of f for time t: its row of the table's kernel."""
-    return GridFunction(f.grid, apply_multipliers(f.grid, table.multipliers(t), f.values)[member])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.multipliers(t), f.values)
+    return GridFunction(f.grid, stack[member])
 
 
 def member_generator(table, f, member=0):
     """One member's generator applied to f: its row of the kernel on psi itself."""
-    return GridFunction(f.grid, apply_multipliers(f.grid, table.psi_half, f.values)[member])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi_half, f.values)
+    return GridFunction(f.grid, stack[member])
 
 
 @pytest.fixture(scope="session")

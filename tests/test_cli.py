@@ -174,19 +174,54 @@ class TestConfig:
         ({"mc": {"x0": [True]}}, "mc.x0", "must be a number, got true"),
         ({"family": {"builtin": "two_sigma", "sigmas": [0.5, True]}}, "family.sigmas",
          "must be a number, got true"),
+        # inline and file quadruples, and initial-function parameters
+        ({"family": [{"b": [True], "sigma": [[0.25]]}]}, "quadruple field 'b'",
+         "must be a number, got true"),
+        ({"family": [{"b": [0.0], "sigma": [[False]]}]}, "quadruple field 'sigma'",
+         "must be a number, got false"),
+        ({"family": [{"b": [0.0], "mu": [{"y": [0.5], "w": True}]}]}, "quadruple field 'mu.w'",
+         "must be a number, got true"),
+        ({"family": [{"b": [0.0], "mu": [{"y": [True], "w": 1.0}]}]}, "quadruple field 'mu.y'",
+         "must be a number, got true"),
+        ({"family": [{"b": [0.0], "nu": [{"z": [0.5], "v": True}]}]}, "quadruple field 'nu.v'",
+         "must be a number, got true"),
+        ({"family": {"path": "bool_family.json"}}, "quadruple field 'nu.z'",
+         "must be a number, got true"),
+        ({"initial": {"kind": "bump", "center": 0.0, "width": True}}, "bump parameter 'width'",
+         "must be a number, got true"),
+        ({"initial": {"kind": "bump", "center": [True], "width": 1.0}},
+         "bump parameter 'center'", "must be a number, got true"),
+        ({"initial": {"kind": "cosine", "k": 1, "phase": True}}, "cosine parameter 'phase'",
+         "must be a number, got true"),
+        ({"initial": {"kind": "cosine", "k": [True]}}, "cosine parameter 'k'",
+         "must be a number, got true"),
+        ({"initial": {"kind": "constant", "value": False}}, "constant parameter 'value'",
+         "must be a number, got false"),
     ])
     def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
                                                          field, cause):
+        # read when a case names it as the family file
+        (tmp_path / "bool_family.json").write_text(
+            json.dumps([{"b": [0.0], "nu": [{"z": [True], "v": 1.0}]}]))
         path = write_config(tmp_path, **overrides)
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"config field '{field}' {cause}" in err
+        # a bare name is a config field; the others name their reader's field
+        what = field if "'" in field else f"config field '{field}'"
+        assert f"{what} {cause}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_number_is_an_integer(self, tmp_path):
         cfg = RunConfig.from_file(str(write_config(tmp_path, grid={"dim": 1.0, "n": 128.0})))
         assert (cfg.grid_dim, cfg.grid_n) == (1, 128)
         assert type(cfg.grid_n) is int
+
+    def test_unknown_initial_kind_leaves_no_output_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, initial={"kind": "sawtooth", "k": 1})
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: unknown initial function 'sawtooth'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("family, field", [
         ({"builtin": "two_sigma", "sigmas": ["wide"]}, "family.sigmas"),
@@ -421,6 +456,11 @@ class TestMc:
         ({"partition": [0.0, math.nan], "feedback": [[0] * 128]}, "finite"),
         ({"partition": [0.0, 0.2], "feedback": [[2.5] + [0] * 127]}, "integers"),
         ({"partition": [0.0, 0.2], "feedback": [["1"] + [0] * 127]}, "integers"),
+        ({"partition": [0.0, 0.2], "feedback": [[True] + [0] * 127]},
+         "strategy field 'feedback' must be a number, got true"),
+        # [0, 1] would end past the horizon 0.2 instead
+        ({"partition": [0, True], "feedback": [[0] * 128]},
+         "strategy field 'partition' must be a number, got true"),
     ])
     def test_bad_strategy_file_is_one_line(self, tmp_path, capsys, strategy, cause):
         bad = tmp_path / "bad.json"
@@ -445,7 +485,7 @@ class TestMc:
         assert main(["mc", "--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err, err
-        assert list((tmp_path / "out").iterdir()) == []  # no value.csv, no manifest
+        assert not (tmp_path / "out").exists()  # no value.csv, no manifest
 
     def test_simulates_the_family_the_envelope_evolves(self, tmp_path):
         # the large-jump atom at 0.3 snaps to 2 * (2 pi / 32) = 0.393 and the one

@@ -4,7 +4,6 @@ import pytest
 from sublevy import (
     ConfigurationError,
     GridFunction,
-    cyclic_shift,
     forward_transform,
     inverse_transform,
     make_grid,
@@ -36,6 +35,21 @@ class TestMakeGrid:
     def test_out_of_range(self, dim, n):
         with pytest.raises(ConfigurationError):
             make_grid(dim, n)
+
+    def test_nearest_index_of_a_batch(self):
+        g = make_grid(2, 8)
+        h = g.spacing
+        # the third point is half a cell past x_2 on the first axis: the tie goes
+        # to the even index 2, not 3; pi wraps onto index 0
+        pts = np.array([[[-np.pi, 0.0], [np.pi, 0.4 * h]], [[-np.pi + 2.5 * h, -0.6 * h],
+                                                           [5 * h - np.pi, np.pi - 0.4 * h]]])
+        ix, iy = g.nearest_index(pts)
+        assert ix.shape == iy.shape == (2, 2)
+        assert ix.tolist() == [[0, 0], [2, 5]] and iy.tolist() == [[4, 4], [3, 0]]
+        for point, i, j in zip(pts.reshape(-1, 2), ix.ravel(), iy.ravel()):
+            assert g.nearest_index(point) == (i, j)
+        with pytest.raises(ConfigurationError):
+            g.nearest_index(np.zeros((3, 1)))
 
 
 class TestSample:
@@ -117,21 +131,10 @@ class TestSupOps:
 
 
 class TestCyclicShift:
-    def test_zero_and_full_turn(self, cos128):
-        assert np.array_equal(cyclic_shift(cos128, 0).values, cos128.values)
-        assert np.array_equal(cyclic_shift(cos128, cos128.grid.n).values, cos128.values)
-
     def test_half_turn_flips_cos(self, cos128):
-        shifted = cyclic_shift(cos128, cos128.grid.n // 2)
-        assert np.max(np.abs(shifted.values + cos128.values)) < 1e-15
-
-    def test_isometry_and_commutes_with_max(self, grid64):
-        rng = np.random.default_rng(5)
-        f, g = random_trig(grid64, rng), random_trig(grid64, rng)
-        assert cyclic_shift(f, 13).sup_norm == f.sup_norm
-        a = cyclic_shift(GridFunction(grid64, np.maximum(f.values, g.values)), 13)
-        b = np.maximum(cyclic_shift(f, 13).values, cyclic_shift(g, 13).values)
-        assert np.array_equal(a.values, b)
+        # x_j + pi is the grid point n/2 steps on
+        shifted = np.roll(cos128.values, -(cos128.grid.n // 2))
+        assert np.max(np.abs(shifted + cos128.values)) < 1e-15
 
 
 class TestCsv:

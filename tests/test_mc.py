@@ -9,7 +9,6 @@ from sublevy import (
     Partition,
     SimpleStrategy,
     SymbolTable,
-    constant_strategy,
     diffusion,
     drift,
     dual_bound_suite,
@@ -79,7 +78,7 @@ class TestExtractStrategy:
 
 class TestSimulatePath:
     def test_zero_family_stays_put(self, grid128, zero_family):
-        strat = constant_strategy(grid128, Partition.dyadic(1.0, 2), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(1.0, 2), np.zeros((4, 128)))
         rng = np.random.default_rng(0)
         out = simulate_paths(zero_family, [strat], np.array([0.3]), 1.0, rng, 1)
         assert out.shape == (1, 1, 1)
@@ -87,7 +86,7 @@ class TestSimulatePath:
 
     def test_pure_drift_translates(self, grid128):
         fam = GeneratorFamily((drift(1.0),))
-        strat = constant_strategy(grid128, Partition.dyadic(1.0, 3), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(1.0, 3), np.zeros((8, 128)))
         rng = np.random.default_rng(0)
         out = simulate_paths(fam, [strat], np.array([0.5]), 1.0, rng, 1)
         assert out[0, 0, 0] == pytest.approx(1.5, abs=1e-12)
@@ -95,7 +94,7 @@ class TestSimulatePath:
     def test_gaussian_characteristic_function(self, grid128):
         fam = GeneratorFamily((diffusion(1.0),))
         t, x0 = 0.5, 0.25
-        strat = constant_strategy(grid128, Partition.dyadic(t, 2), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(t, 2), np.zeros((4, 128)))
         n = 4000
         vals = np.empty(n, dtype=complex)
         for i in range(n):
@@ -106,28 +105,29 @@ class TestSimulatePath:
         assert abs(np.mean(vals) - want) <= 4 * stderr + 1e-3
 
     def test_partition_must_end_at_horizon(self, grid128, zero_family):
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 1), np.zeros((2, 128)))
         with pytest.raises(ConfigurationError):
             simulate_paths(zero_family, [strat], np.array([0.0]), 1.0,
                            np.random.default_rng(0), 1)
 
     def test_out_of_range_feedback_rejected(self, grid128, zero_family):
-        strat = constant_strategy(grid128, Partition.dyadic(1.0, 1), 3)
+        strat = SimpleStrategy(grid128, Partition.dyadic(1.0, 1), np.full((2, 128), 3))
         with pytest.raises(ConfigurationError):
             simulate_paths(zero_family, [strat], np.array([0.0]), 1.0,
                            np.random.default_rng(0), 1)
 
     def test_strategies_must_share_grid_and_partition(self, grid64, grid128, zero_family):
-        a = constant_strategy(grid128, Partition.dyadic(1.0, 1), 0)
-        for others in ([], [a, constant_strategy(grid128, Partition.dyadic(1.0, 2), 0)],
-                       [a, constant_strategy(grid64, Partition.dyadic(1.0, 1), 0)]):
+        a = SimpleStrategy(grid128, Partition.dyadic(1.0, 1), np.zeros((2, 128)))
+        finer = SimpleStrategy(grid128, Partition.dyadic(1.0, 2), np.zeros((4, 128)))
+        other_grid = SimpleStrategy(grid64, Partition.dyadic(1.0, 1), np.zeros((2, 64)))
+        for others in ([], [a, finer], [a, other_grid]):
             with pytest.raises(ConfigurationError):
                 simulate_paths(zero_family, others, np.array([0.0]), 1.0,
                                np.random.default_rng(0), 1)
 
     def test_each_strategy_advances_on_the_same_draws(self, grid128, two_sigma_family):
         part = Partition.dyadic(0.2, 3)
-        strats = [constant_strategy(grid128, part, i) for i in (0, 1, 0)]
+        strats = [SimpleStrategy(grid128, part, np.full((8, 128), i)) for i in (0, 1, 0)]
         x0 = np.array([0.4])
         out = simulate_paths(two_sigma_family, strats, x0, 0.2, np.random.default_rng(2), 50)
         assert out.shape == (3, 50, 1)
@@ -140,14 +140,14 @@ class TestSimulatePath:
 class TestEstimate:
     def test_constant_payoff_zero_stderr(self, grid128, zero_family):
         f = sample(grid128, "constant", value=4.25)
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 1), np.zeros((2, 128)))
         est = estimate(zero_family, strat, f, np.array([0.0]), 0.5, 200, seed=1)
         assert est.mean == 4.25
         assert est.stderr == 0.0
 
     def test_heat_multiplier_mean(self, grid128, cos128):
         fam = GeneratorFamily((diffusion(1.0),))
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 2), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 2), np.zeros((4, 128)))
         est = estimate(fam, strat, cos128, np.array([0.0]), 0.5, 10_000, seed=37)
         want = math.exp(-0.25)
         assert want == pytest.approx(0.7788008, abs=1e-7)
@@ -161,7 +161,7 @@ class TestEstimate:
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
     def test_path_floor(self, grid128, zero_family, cos128):
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 1), np.zeros((2, 128)))
         with pytest.raises(ConfigurationError):
             estimate(zero_family, strat, cos128, np.array([0.0]), 0.5, 99, seed=0)
 
@@ -196,7 +196,7 @@ class TestBlocks:
     def test_strategies_share_draws(self, mc_setup, grid128):
         family, _, bump = mc_setup
         part = Partition.dyadic(0.2, 2)
-        base = constant_strategy(grid128, part, 0)
+        base = SimpleStrategy(grid128, part, np.zeros((4, 128)))
         feedback = base.feedback.copy()
         feedback[-1, grid128.n // 2:] = 1  # differs on the right half, last interval
         other = SimpleStrategy(grid128, part, feedback)
@@ -255,7 +255,8 @@ class TestDualBoundSuite:
         rng = np.random.default_rng(6)
         strategies = [(f"s{i}", random_strategy(grid, Partition.dyadic(0.3, 2 + i % 2), 3, rng))
                       for i in range(5)]
-        strategies.insert(2, ("const", constant_strategy(grid, Partition.dyadic(0.3, 3), 1)))
+        const = SimpleStrategy(grid, Partition.dyadic(0.3, 3), np.ones((8, 16, 16)))
+        strategies.insert(2, ("const", const))
         x0, n = np.array([0.2, -0.1]), BLOCK_PATHS + 76
         report = dual_bound_suite(fam, f, x0, 0.3, strategies, n, 13, 1.0, 1e-2)
         assert [r.name for r in report.rows] == [name for name, _ in strategies]
@@ -273,7 +274,7 @@ class TestDualBoundSuite:
         strategies = [(f"s{i}", random_strategy(grid128, part, 1, rng)) for i in range(4)]
         report = dual_bound_suite(fam, cos128, np.array([0.0]), 0.5, strategies,
                                   2000, 17, lin, scheme_tol=1e-2)
-        assert report.ok
+        assert all(row.bound_ok for row in report.rows)
         for row in report.rows:
             assert abs(row.mean - lin) <= 3 * row.stderr + 2e-3
 
@@ -289,7 +290,7 @@ class TestDualBoundSuite:
                                                 len(family), rng)))
         report = dual_bound_suite(family, bump, x0, 0.2, strategies, 2000, 23,
                                   ref, scheme_tol=1e-2)
-        assert report.ok
+        assert all(row.bound_ok for row in report.rows)
         assert report.best_name == "extracted"
         # running max over strategies is nondecreasing as strategies are added
         running = -np.inf
@@ -299,12 +300,13 @@ class TestDualBoundSuite:
 
     def test_violation_is_named(self, grid128, zero_family):
         f = sample(grid128, "constant", value=1.0)
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 1), np.zeros((2, 128)))
         report = dual_bound_suite(zero_family, f, np.array([0.0]), 0.5,
                                   [("onlyone", strat)], 200, 3,
                                   reference_value=0.5, scheme_tol=1e-3)
-        assert not report.ok
-        assert report.violations == ["onlyone"]
+        (row,) = report.rows
+        assert (row.name, row.bound_ok) == ("onlyone", False)
+        assert row.limit == 0.5 + 3.0 * row.stderr + 1e-3
 
 
 class TestStrategyJson:
@@ -318,7 +320,7 @@ class TestStrategyJson:
         assert np.array_equal(back.partition.times, strat.partition.times)
 
     def test_wire_shape(self, grid128):
-        strat = constant_strategy(grid128, Partition.dyadic(0.4, 0), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.4, 0), np.zeros((1, 128)))
         obj = strategy_to_dict(strat)
         assert set(obj) == {"partition", "feedback"}
         assert len(obj["feedback"]) == 1
@@ -385,6 +387,6 @@ class TestGridMismatch:
     def test_estimate_rejects_foreign_payoff(self, grid128, zero_family):
         other = make_grid(1, 64)
         f = sample(other, "constant", value=1.0)
-        strat = constant_strategy(grid128, Partition.dyadic(0.5, 1), 0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(0.5, 1), np.zeros((2, 128)))
         with pytest.raises(ConfigurationError):
             estimate(zero_family, strat, f, np.array([0.0]), 0.5, 200, seed=0)
