@@ -60,10 +60,14 @@ MC_DRAW_BUDGET = 10**8
 
 
 def _convert(value, kind, what: str):
-    """value as kind; a number field (int or float) refuses a JSON boolean, and
-    an int field refuses a number with a fractional part."""
+    """value as kind; a number field (int or float) refuses a JSON boolean, an
+    int field refuses a number with a fractional part, and a string field (a
+    path) refuses anything but a string."""
     if kind in (int, float):
         refuse_booleans(value, f"config field {what!r}")
+    if kind is str and not isinstance(value, str):
+        raise ConfigurationError(
+            f"config field {what!r} must be a string, got {json.dumps(value)}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -165,10 +169,10 @@ class RunConfig:
         if family is None:
             raise ConfigurationError("config is missing required field 'family'")
         if isinstance(family, dict) and "path" in family:
-            family = {**family, "path": resolve(str(family["path"]))}
+            family = {**family, "path": resolve(_convert(family["path"], str, "family.path"))}
         initial = dict(_need(data, "initial", dict, "initial"))
         if initial.get("kind") == "samples" and "path" in initial:
-            initial["path"] = resolve(str(initial["path"]))
+            initial["path"] = resolve(_convert(initial["path"], str, "initial.path"))
 
         nis = _get(data, "nisio", dict, {})
         ora = _get(data, "oracle", dict, {})
@@ -177,7 +181,8 @@ class RunConfig:
         strategy_files = mc.get("strategies", [])
         if not isinstance(strategy_files, list):
             raise ConfigurationError("config field 'mc.strategies' must be an array of paths")
-        strategy_files = tuple(resolve(str(p)) for p in strategy_files)
+        strategy_files = tuple(resolve(_convert(path, str, "mc.strategies"))
+                               for path in strategy_files)
         return cls(
             grid_dim=_need(grid_spec, "dim", int, "grid.dim"),
             grid_n=_need(grid_spec, "n", int, "grid.n"),
@@ -197,7 +202,7 @@ class RunConfig:
             mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2, "mc"),
             mc_x0=_floats(mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim")), "mc.x0"),
             mc_strategy_files=strategy_files,
-            output_dir=str(data.get("output_dir", "out")),
+            output_dir=_get(data, "output_dir", str, "out"),
         )
 
     @classmethod

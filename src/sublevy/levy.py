@@ -381,6 +381,17 @@ class SymbolTable:
 
 # -- multiplier application ----------------------------------------------------
 
+# Points (rows x members x grid points) up to which one batched kernel call
+# costs about what a one-row call does: below it the fixed cost of each numpy
+# call outweighs the arithmetic (measured sweep in README, "Lockstep levels").
+BATCH_POINTS = 4096
+
+
+def batch_rows(grid: TorusGrid, members: int) -> int:
+    """Rows one kernel call takes at once: as many as BATCH_POINTS holds, at least one."""
+    return max(1, BATCH_POINTS // (members * grid.size))
+
+
 class SpectralWorkspace:
     """Buffers of the spectral kernel for m members on one grid.
 
@@ -388,54 +399,67 @@ class SpectralWorkspace:
     whole loop, so no step allocates a spectrum or a stack: the half-spectrum
     coefficients, the member spectra and the float64 member stack are written
     in place.  The stack returned by apply stays valid until the next call on
-    the same workspace.
+    the same workspace.  A workspace made with rows has a leading batch axis
+    of that length, and each call takes values of shape (b, *grid.shape) for
+    any b <= rows: b independent rows in one call, each row bitwise what a
+    call on that row alone gives.
     """
 
-    def __init__(self, grid: TorusGrid, members: int):
+    def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
+        batch = () if rows is None else (rows,)
         half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.grid = grid
-        self.coeffs = np.empty(half, dtype=complex)
-        self.spec = np.empty((members,) + half, dtype=complex)
-        self.stack = np.empty((members,) + grid.shape)
+        self.coeffs = np.empty(batch + half, dtype=complex)
+        self.spec = np.empty(batch + (members,) + half, dtype=complex)
+        self.stack = np.empty(batch + (members,) + grid.shape)
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of values by each multiplier; one row per member.
 
-        mults holds half-spectrum multipliers, shape (m, ..., n/2+1); the
-        result is the workspace's (m, *grid.shape) float64 stack of evolved
-        values.  One forward transform serves every member: a real FFT of the
-        last axis, then in-place complex FFTs of the leading axes from the
-        last to the first, the steps of rfftn without its argument handling.
-        The inverse runs over the member axis as the complex inverse FFTs of
-        the leading grid axes, in place, and one inverse real FFT of the last
-        axis, the steps of irfftn.  The (-1)^k phase and 1/N normalization of
-        the centred coefficient convention cancel for a diagonal multiplier,
-        so neither is applied.
+        mults holds half-spectrum multipliers, shape (m, ..., n/2+1), shared
+        by every row, or (b, m, ..., n/2+1), one set per row of batched
+        values; the result is the workspace's ([b,] m, *grid.shape) float64
+        stack of evolved values.  One forward
+        transform serves every member: a real FFT of the last axis, then
+        in-place complex FFTs of the leading grid axes from the last to the
+        first, the steps of rfftn without its argument handling.  The inverse
+        runs over the member axis as the complex inverse FFTs of the leading
+        grid axes, in place, and one inverse real FFT of the last axis, the
+        steps of irfftn.  The (-1)^k phase and 1/N normalization of the
+        centred coefficient convention cancel for a diagonal multiplier, so
+        neither is applied.
         """
-        coeffs = np.fft.rfft(values, out=self.coeffs)
-        for axis in range(self.grid.dim - 2, -1, -1):
+        lead = values.ndim - self.grid.dim  # 1 for batched values, else 0
+        coeffs, spec, stack = self.coeffs, self.spec, self.stack
+        if lead:
+            rows = len(values)
+            coeffs, spec, stack = coeffs[:rows], spec[:rows], stack[:rows]
+        np.fft.rfft(values, out=coeffs)
+        for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
             np.fft.fft(coeffs, axis=axis, out=coeffs)
-        spec = np.multiply(mults, coeffs, out=self.spec)
-        for axis in range(1, self.grid.dim):
+        np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
+        for axis in range(lead + 1, lead + self.grid.dim):
             np.fft.ifft(spec, axis=axis, out=spec)
-        np.fft.irfft(spec, self.grid.n, axis=-1, out=self.stack)
+        np.fft.irfft(spec, self.grid.n, axis=-1, out=stack)
         # on the whole stack: a member that is -inf where another is finite
         # leaves the member maximum finite (an infinite mode-0 coefficient
         # reaches every point with the same sign)
-        if not np.isfinite(self.stack).all():
+        if not np.isfinite(stack).all():
             raise ConsistencyError("member evolution produced non-finite values")
-        return self.stack
+        return stack
 
     def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
-                 argmax: np.ndarray | None = None) -> np.ndarray:
+                 argmax: np.ndarray | None = None, argmax_row: int = 0) -> np.ndarray:
         """The sup-envelope step: the member maximum of apply(mults, values) into
         out (new when None; values itself is allowed) and, when argmax is given,
-        the lowest maximizing member index into it.  The only member reduction;
-        np.maximum.reduce is what np.max runs, without its dispatch."""
+        the lowest maximizing member index into it, of row argmax_row for
+        batched values.  The only member reduction; np.maximum.reduce is what
+        np.max runs, without its dispatch."""
         stack = self.apply(mults, values)
+        lead = stack.ndim - 1 - self.grid.dim
         if argmax is not None:
-            np.argmax(stack, axis=0, out=argmax)
-        return np.maximum.reduce(stack, axis=0, out=out)
+            np.argmax(stack[argmax_row] if lead else stack, axis=0, out=argmax)
+        return np.maximum.reduce(stack, axis=lead, out=out)
 
 
 # -- path increments -----------------------------------------------------------

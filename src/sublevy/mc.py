@@ -196,7 +196,6 @@ class BoundRow:
 class DualBoundReport:
     rows: tuple[BoundRow, ...]
     reference_value: float
-    scheme_tol: float
     best_name: str
     best_mean: float
 
@@ -228,7 +227,7 @@ def dual_bound_suite(family: GeneratorFamily, f: GridFunction, x0, t: float,
                              est.mean <= limit))
         if est.mean > best_mean:
             best_name, best_mean = str(name), est.mean
-    return DualBoundReport(tuple(rows), reference_value, scheme_tol, best_name, best_mean)
+    return DualBoundReport(tuple(rows), reference_value, best_name, best_mean)
 
 
 # -- interchange ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import (GridFunction, TorusGrid, _csv_header, sup_distance, write_grid_table,
                    write_table)
-from .levy import SpectralWorkspace, SymbolTable
+from .levy import SpectralWorkspace, SymbolTable, batch_rows
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
@@ -135,7 +135,8 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction,
     if t == 0:
         am = np.zeros(table.grid.shape, dtype=np.int64) if record_argmax else None
         return f, am
-    values, am = _compose(table, [(t, 1)], f.values, record=record_argmax)
+    _, values, am = next(_compose(table, [[(t, 1)]], f.values,
+                                  record_row=0 if record_argmax else None))
     return GridFunction(table.grid, values), am[0] if record_argmax else None
 
 
@@ -143,7 +144,7 @@ def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridF
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    values, _ = _compose(table, _runs(pi), f.values)
+    _, values, _ = next(_compose(table, [_runs(pi)], f.values))
     return GridFunction(table.grid, values)
 
 
@@ -161,24 +162,69 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
     return runs
 
 
-def _compose(table: SymbolTable, runs, values: np.ndarray,
-             record: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Envelope steps over (gap, count) runs of equal gaps in forward-time
-    order, last run first, on one workspace with one multiplier build per run.
+def _compose(table: SymbolTable, rows, values: np.ndarray, record_row: int | None = None):
+    """Compose envelope steps for independent rows in lockstep; yields
+    (row, result, maximizers) as each row completes, in completion order.
 
-    With record, the maximizer fields come back in forward-time order.  The
-    input array is only read; the result is new unless there are no steps."""
-    ws = SpectralWorkspace(table.grid, len(table))
-    step = sum(count for _, count in runs)
-    out = np.empty(table.grid.shape)
-    am = np.empty((step,) + table.grid.shape, dtype=np.int64) if record else None
-    for gap, count in reversed(runs):
-        mults = table.multipliers(gap)
-        for _ in range(count):
-            step -= 1  # the value here is the lookahead of forward-time interval step
-            values = ws.envelope(mults, values, out=out,
-                                 argmax=am[step] if record else None)
-    return values, am
+    A row is a list of (gap, count) runs of equal gaps in forward-time order,
+    applied last run first to values, which every row starts from and which
+    is only read.  On each tick every row in flight takes one step, all in one
+    kernel call; batch_rows(grid, m) rows are in flight at most, and a waiting
+    row enters, in the given order, when one completes.  A row builds its
+    multipliers once per run.  Row record_row records its maximizer fields,
+    which come back in forward-time order (None for every other row).  A
+    result is a new array unless its row has no steps."""
+    grid, m = table.grid, len(table)
+    cap = min(batch_rows(grid, m), len(rows))
+    ws = SpectralWorkspace(grid, m, rows=cap)
+    vals = np.empty((cap,) + grid.shape)
+    mults = np.empty((cap, m) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    am = None
+    if record_row is not None:
+        am = np.empty((sum(c for _, c in rows[record_row]),) + grid.shape, dtype=np.int64)
+    waiting = iter(range(len(rows)))
+    flight = []  # per slot: [row, runs not yet started (the last at the end), steps left in run]
+    while True:
+        while len(flight) < cap and (row := next(waiting, None)) is not None:
+            runs = list(rows[row])
+            if not sum(count for _, count in runs):
+                yield row, values, am if row == record_row else None
+                continue
+            gap, count = runs.pop()
+            vals[len(flight)] = values
+            mults[len(flight)] = table.multipliers(gap)
+            flight.append([row, runs, count])
+            if row == record_row:
+                step = am.shape[0]
+        if not flight:
+            return
+        b = len(flight)
+        v, mu = vals[:b], mults[:b]
+        slot = next((s for s, entry in enumerate(flight) if entry[0] == record_row), None)
+        ticks = min(left for _, _, left in flight)
+        for _ in range(ticks):
+            if slot is None:
+                ws.envelope(mu, v, out=v)
+            else:
+                step -= 1  # the value here is the lookahead of forward-time interval step
+                ws.envelope(mu, v, out=v, argmax=am[step], argmax_row=slot)
+        done = []
+        for s, entry in enumerate(flight):
+            entry[2] -= ticks
+            if entry[2] == 0:
+                if entry[1]:
+                    gap, entry[2] = entry[1].pop()
+                    mults[s] = table.multipliers(gap)
+                else:
+                    done.append(s)
+        for s in done:
+            row = flight[s][0]
+            yield row, vals[s].copy(), am if row == record_row else None
+        for s in reversed(done):  # close the gaps: the slots in flight stay a prefix
+            vals[s:b - 1] = vals[s + 1:b]
+            mults[s:b - 1] = mults[s + 1:b]
+            del flight[s]
+            b -= 1
 
 
 def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
@@ -193,10 +239,10 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     semigroup bug and raises ConsistencyError.  The default guard is
     calibrated for one-dimensional desk grids; envelopes on the 2-torus below
     n = 128 carry more spectral truncation at the maximizer interfaces and
-    may need a wider guard.  The maximizers of record_argmax_level are
-    recorded while that level runs; only a stop before it costs a separate
-    pass.  Recording more than ARGMAX_BUDGET maximizer entries raises
-    BudgetError before iterating.
+    may need a wider guard.  The levels run in lockstep (see _compose) and
+    the maximizers of record_argmax_level are recorded while that level runs;
+    only a stop before it costs a separate pass.  Recording more than
+    ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
     """
     if t <= 0:
         raise ConfigurationError(f"horizon must be positive, got {t}")
@@ -225,14 +271,16 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     increments: list[float] = []
     converged = False
     argmax = None
-    for level in range(max_level + 1):
-        steps = 2**level
-        start = time.perf_counter()
-        new_values, selections = _compose(table, [(t / steps, steps)], f.values,
-                                          record=level == record_argmax_level)
+    # level l takes 2^l steps and enters no later than level l + 1, so the
+    # levels complete in order; the stop drops the levels still in flight
+    levels = [[(t / 2**level, 2**level)] for level in range(max_level + 1)]
+    record_row = record_argmax_level if record_argmax_level in range(max_level + 1) else None
+    start = time.perf_counter()
+    for level, new_values, selections in _compose(table, levels, f.values, record_row):
         if selections is not None:
             argmax = ArgmaxField(level, selections)
-        elapsed = (time.perf_counter() - start) * 1e3
+        now = time.perf_counter()
+        elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
         if level > 0:
             diff = new_values - values
@@ -244,7 +292,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                 )
             inc = float(np.max(diff))
             increments.append(inc)
-        records.append(LevelRecord(level, steps, inc, float(np.max(np.abs(new_values))),
+        records.append(LevelRecord(level, 2**level, inc, float(np.max(np.abs(new_values))),
                                    elapsed))
         values = new_values
         if tol > 0 and inc < tol:
@@ -253,7 +301,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 
     if record_argmax_level is not None and argmax is None:  # the stop came first
         steps = 2**record_argmax_level
-        _, selections = _compose(table, [(t / steps, steps)], f.values, record=True)
+        _, _, selections = next(_compose(table, [[(t / steps, steps)]], f.values, 0))
         argmax = ArgmaxField(record_argmax_level, selections)
 
     return NisioResult(
@@ -293,8 +341,8 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     if not 0 <= level <= MAX_LEVEL:
         raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     steps = 2**level
-    joint, _ = _compose(table, [((s + t) / steps, steps)], f.values)
-    composed, _ = _compose(table, [(s / steps, steps), (t / steps, steps)], f.values)
+    rows = [[((s + t) / steps, steps)], [(s / steps, steps), (t / steps, steps)]]
+    joint, composed = (values for _, values, _ in _compose(table, rows, f.values))
     return float(np.max(np.abs(joint - composed)))
 
 
@@ -318,14 +366,11 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
             f"dyadic level {MAX_LEVEL}, got {hs[-1]:g}"
         )
     target = generator_sup(table, f)
-    rows = []
-    for h in hs:
-        level = max(8, math.ceil(math.log2(1.0 / h)) + 4)
-        steps = 2**level
-        values, _ = _compose(table, [(h / steps, steps)], f.values)
-        err = float(np.max(np.abs((values - f.values) / h - target.values)))
-        rows.append((h, err))
-    return rows
+    steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
+    # h decreases and its step count grows, so the rows complete in h order
+    evolved = _compose(table, [[(h / n, n)] for h, n in zip(hs, steps)], f.values)
+    return [(h, float(np.max(np.abs((values - f.values) / h - target.values))))
+            for h, (_, values, _) in zip(hs, evolved)]
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

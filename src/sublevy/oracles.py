@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, write_grid_table, write_table
-from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
+from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, batch_rows, snap_to_grid
 from .nisio import Partition
 
 SERIES_TERM_BUDGET = 10**4
@@ -185,12 +185,18 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     if np.max(gaps) - np.min(gaps) > 1e-9 * float(np.max(gaps)):
         raise ConfigurationError("residual check needs uniformly spaced snapshots")
     delta = float(gaps[0])
-    ws = SpectralWorkspace(traj.snapshots[0].grid, len(table))
+    grid = traj.snapshots[0].grid
+    rows = batch_rows(grid, len(table))
+    ws = SpectralWorkspace(grid, len(table), rows=rows)
     out = []
-    for i in range(1, len(traj.snapshots) - 1):
-        du = (traj.snapshots[i + 1].values - traj.snapshots[i - 1].values) / (2.0 * delta)
-        rhs = ws.envelope(table.psi_half, traj.snapshots[i].values)
-        out.append(ResidualSample(float(traj.times[i]), float(np.max(np.abs(du - rhs)))))
+    for lo in range(1, len(traj.snapshots) - 1, rows):
+        hi = min(lo + rows, len(traj.snapshots) - 1)
+        u = np.stack([s.values for s in traj.snapshots[lo - 1:hi + 1]])
+        du = (u[2:] - u[:-2]) / (2.0 * delta)
+        rhs = ws.envelope(table.psi_half, u[1:-1])
+        sup = np.max(np.abs(du - rhs), axis=tuple(range(1, du.ndim)))
+        out += [ResidualSample(float(traj.times[i]), float(r))
+                for i, r in zip(range(lo, hi), sup)]
     return out
 
 

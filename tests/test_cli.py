@@ -197,6 +197,12 @@ class TestConfig:
          "must be a number, got true"),
         ({"initial": {"kind": "constant", "value": False}}, "constant parameter 'value'",
          "must be a number, got false"),
+        # path fields take only strings
+        ({"output_dir": True}, "output_dir", "must be a string, got true"),
+        ({"family": {"path": 3}}, "family.path", "must be a string, got 3"),
+        ({"initial": {"kind": "samples", "path": False}}, "initial.path",
+         "must be a string, got false"),
+        ({"mc": {"strategies": [7]}}, "mc.strategies", "must be a string, got 7"),
     ])
     def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
                                                          field, cause):

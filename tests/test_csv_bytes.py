@@ -206,7 +206,7 @@ def test_estimates_csv_bytes(tmp_path):
     rows = tuple(BoundRow(name, SPECIAL[i], SPECIAL[-1 - i], 10_000 + i, 2**63 + i, SPECIAL[i],
                           i % 2 == 0)
                  for i, name in enumerate(names))
-    report = DualBoundReport(rows, 1.0, 1e-2, names[0], SPECIAL[0])
+    report = DualBoundReport(rows, 1.0, names[0], SPECIAL[0])
     data = same_bytes(tmp_path, write_estimates_csv, reference_estimates_csv, report)
     assert b'"odd, ""quoted"" name.json",' in data
 

@@ -7,6 +7,7 @@ import pytest
 from sublevy import (
     BudgetError,
     ConfigurationError,
+    ConsistencyError,
     GeneratorFamily,
     GridFunction,
     Partition,
@@ -16,6 +17,7 @@ from sublevy import (
     diffusion,
     dpp_check,
     compound_poisson,
+    drift,
     generator_limit_table,
     generator_sup,
     lipschitz_bound,
@@ -25,7 +27,8 @@ from sublevy import (
     sample,
     sup_distance,
 )
-from sublevy.levy import SpectralWorkspace
+from sublevy import levy
+from sublevy.levy import SpectralWorkspace, batch_rows
 from sublevy.nisio import _compose
 from conftest import member_evolution, random_trig
 
@@ -448,12 +451,12 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        _compose(two_sigma_table, [(0.05, 4)], v, record=True)
+        list(_compose(two_sigma_table, [[(0.05, 4)], [(0.1, 2)]], v, record_row=0))
         assert np.array_equal(v, before)
 
     def test_levels_do_not_share_memory(self, two_sigma_table, bump128):
-        levels = [_compose(two_sigma_table, [(0.2 / 2**k, 2**k)], bump128.values)[0]
-                  for k in range(4)]
+        levels = [values for _, values, _ in _compose(
+            two_sigma_table, [[(0.2 / 2**k, 2**k)] for k in range(4)], bump128.values)]
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
@@ -463,7 +466,7 @@ class TestWorkspaceReuse:
             assert np.array_equal(values, again.values)
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
-        values, am = _compose(two_sigma_table, [(0.05, 4)], bump128.values, record=True)
+        _, values, am = next(_compose(two_sigma_table, [[(0.05, 4)]], bump128.values, 0))
         f = bump128
         for step in range(3, -1, -1):
             f, sel = apply_J(two_sigma_table, 0.05, f, record_argmax=True)
@@ -483,20 +486,23 @@ class TestWorkspaceReuse:
         recorded = []
         envelope = SpectralWorkspace.envelope
 
-        def counting(ws, mults, values, out=None, argmax=None):
+        def counting(ws, mults, values, argmax=None, **kwargs):
             recorded.append(argmax is not None)
-            return envelope(ws, mults, values, out=out, argmax=argmax)
+            return envelope(ws, mults, values, argmax=argmax, **kwargs)
 
         monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=max_level, tol=tol,
                            record_argmax_level=level)
         monkeypatch.undo()
         assert (level > res.levels_used) == extra_pass
-        loop_steps = sum(2**k for k in range(res.levels_used + 1))
-        assert len(recorded) == loop_steps + (2**level if extra_pass else 0)
-        assert sum(recorded) == 2**level
-        _, selections = _compose(two_sigma_table, [(0.2 / 2**level, 2**level)],
-                                 bump128.values, record=True)
+        # every level is in flight from the first tick, so level L completes
+        # at tick 2^L; a record level dropped at the stop recorded until then
+        loop_ticks = 2**res.levels_used
+        assert len(recorded) == loop_ticks + (2**level if extra_pass else 0)
+        dropped = loop_ticks if extra_pass and level <= max_level else 0
+        assert sum(recorded) == 2**level + dropped
+        _, _, selections = next(_compose(two_sigma_table, [[(0.2 / 2**level, 2**level)]],
+                                         bump128.values, 0))
         assert res.argmax.level == level
         assert np.array_equal(res.argmax.selections, selections)
 
@@ -509,13 +515,20 @@ class TestWorkspaceReuse:
 
     def test_mixed_runs_record_maximizers_in_forward_time(self, two_sigma_table, bump128):
         runs = [(0.03, 2), (0.07, 1), (0.05, 2)]
-        values, am = _compose(two_sigma_table, runs, bump128.values, record=True)
+        _, values, am = next(_compose(two_sigma_table, [runs], bump128.values, 0))
         f = bump128
         gaps = [gap for gap, count in runs for _ in range(count)]
         for step in range(len(gaps) - 1, -1, -1):
             f, sel = apply_J(two_sigma_table, gaps[step], f, record_argmax=True)
             assert np.array_equal(am[step], sel)
         assert np.array_equal(values, f.values)
+        # in lockstep with a shorter and a longer row: the mixed row changes
+        # multipliers between ticks and moves down a slot when the short row
+        # completes, and still records the same maximizers
+        rows = [[(0.02, 3)], runs, [(0.01, 9)]]
+        done = {row: (v, a) for row, v, a in _compose(two_sigma_table, rows, bump128.values, 1)}
+        assert sorted(done) == [0, 1, 2] and done[0][1] is None and done[2][1] is None
+        assert np.array_equal(done[1][0], values) and np.array_equal(done[1][1], am)
 
     @pytest.mark.parametrize("times,calls", [
         ([0.0, 0.05, 0.12, 0.2], 3),               # three distinct gaps
@@ -540,9 +553,63 @@ class TestWorkspaceReuse:
         out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
         if calls == 1:
-            same, _ = _compose(two_sigma_table, [(pi.end / pi.step_count, pi.step_count)],
-                               bump128.values)
+            _, same, _ = next(_compose(
+                two_sigma_table, [[(pi.end / pi.step_count, pi.step_count)]], bump128.values))
             assert np.array_equal(out.values, same)
         built.clear()
         apply_partition(two_sigma_table, Partition.equidistant(0.2, 8), bump128)
         assert built == [0.2 / 8]
+
+
+class TestLockstepLevels:
+    """The dyadic levels advance in lockstep, several rows per kernel call; one
+    level at a time (a point budget of one row) must give bitwise the same run."""
+
+    @staticmethod
+    def _run(monkeypatch, one_row, table, f, **kwargs):
+        with monkeypatch.context() as patch:
+            if one_row:
+                patch.setattr(levy, "BATCH_POINTS", 1)
+            assert (batch_rows(table.grid, len(table)) == 1) == one_row
+            try:
+                return nisio_evolve(table, 0.5, f, max_level=8, **kwargs)
+            except ConsistencyError as exc:
+                return str(exc)
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 16)])
+    @pytest.mark.parametrize("case", ["stop before record", "stop after record", "tol 0",
+                                      "guard trip"])
+    def test_matches_one_level_at_a_time(self, monkeypatch, dim, n, case):
+        grid = make_grid(dim, n)
+        f = sample(grid, "bump", center=[0.0] * dim, width=np.pi)
+        trip = case == "guard trip"
+        second = drift([1.0] * dim, dim=dim) if trip else diffusion(1.0, dim=dim)
+        table = SymbolTable.build(GeneratorFamily((diffusion(0.25, dim=dim), second)), grid)
+        # the 2D n=16 maximizer interfaces need a wider guard than the default;
+        # the guard trips at level 5 with the 1D width and level 1 with the default
+        kwargs = {"stop before record": {"tol": 5e-4, "record_argmax_level": 7},
+                  "stop after record": {"tol": 5e-4, "record_argmax_level": 2},
+                  "tol 0": {"tol": 0.0, "record_argmax_level": 3},
+                  "guard trip": {"tol": 0.0, "record_argmax_level": 4,
+                                 "monotonicity_tol": {1: 2e-4, 2: 1e-8}[dim]}}[case]
+        kwargs.setdefault("monotonicity_tol", 1e-4)
+        lockstep = self._run(monkeypatch, False, table, f, **kwargs)
+        single = self._run(monkeypatch, True, table, f, **kwargs)
+        if trip:
+            level = {1: 5, 2: 1}[dim]
+            assert isinstance(lockstep, str)
+            assert lockstep.startswith(f"dyadic level {level} drops below level {level - 1}")
+            assert lockstep == single
+            return
+        if case.startswith("stop"):
+            assert lockstep.levels_used == 5 and lockstep.converged
+        assert np.array_equal(lockstep.value.values, single.value.values)
+        assert lockstep.increments == single.increments
+        assert ([(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
+                 for r in lockstep.records]
+                == [(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
+                    for r in single.records])
+        assert lockstep.argmax.level == single.argmax.level == kwargs["record_argmax_level"]
+        assert np.array_equal(lockstep.argmax.selections, single.argmax.selections)
+        assert (lockstep.levels_used, lockstep.converged) == (single.levels_used,
+                                                              single.converged)

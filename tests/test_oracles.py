@@ -14,6 +14,7 @@ from sublevy import (
     compound_poisson,
     diffusion,
     drift,
+    generator_sup,
     make_grid,
     mass_diagnostic,
     nisio_evolve,
@@ -162,6 +163,21 @@ class TestResiduals:
         f = sample(grid128, "constant", value=1.5)
         traj = picard_solve(two_sigma_table, f, 0.01, 1e-3)
         assert all(s.sup_residual <= 1e-12 for s in residual_check(traj, two_sigma_table))
+
+    @pytest.mark.parametrize("dim,n,t", [(1, 128, 0.2), (2, 16, 0.02)])
+    def test_batches_match_one_snapshot_at_a_time(self, dim, n, t):
+        # 199 interior snapshots in batches of 16 rows (1D), 19 in batches of 8 (2D)
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(
+            GeneratorFamily((diffusion(0.25, dim=dim), diffusion(1.0, dim=dim))), grid)
+        traj = picard_solve(table, sample(grid, "bump", center=[0.0] * dim, width=np.pi),
+                            t, 1e-3)
+        snaps, delta = traj.snapshots, float(traj.times[1])
+        expected = [(float(traj.times[i]), float(np.max(np.abs(
+            (snaps[i + 1].values - snaps[i - 1].values) / (2.0 * delta)
+            - generator_sup(table, snaps[i]).values))))
+            for i in range(1, len(snaps) - 1)]
+        assert [(s.time, s.sup_residual) for s in residual_check(traj, table)] == expected
 
     def test_second_order_in_delta(self, two_sigma_table, bump128):
         # compare residuals from snapshot spacings delta and delta/2
