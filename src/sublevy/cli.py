@@ -151,6 +151,8 @@ class RunConfig:
             raise ConfigurationError("mc.random_strategies and scheme_tol must be >= 0")
         if len(self.mc_x0) != self.grid_dim:
             raise ConfigurationError("mc.x0 must have one coordinate per grid axis")
+        if not self.output_dir:
+            raise ConfigurationError("config field 'output_dir' must not be empty")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | None = None) -> "RunConfig":
@@ -503,6 +505,10 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         # an internal invariant broke; name it rather than dumping a traceback
         message = f"{type(exc).__name__}: {exc}"
+    except OSError as exc:
+        # every input is read through a reader that refuses with a
+        # ConfigurationError, so what is left is making or writing an output
+        message = f"cannot write output: {exc}"
     # one line, even when the message quotes a config string holding a newline
     print("error: " + message.replace("\n", "\\n"), file=sys.stderr)
     return 1

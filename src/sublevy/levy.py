@@ -385,11 +385,22 @@ class SymbolTable:
 # costs about what a one-row call does: below it the fixed cost of each numpy
 # call outweighs the arithmetic (measured sweep in README, "Lockstep levels").
 BATCH_POINTS = 4096
+# Points of one member's evolution (rows x grid points) from which the envelope
+# step runs member at a time: there the member stack no longer fits in a
+# core's cache, and evolving one member and folding it into the maximum at
+# once beats streaming the whole stack through each stage (measured sweep in
+# README, "Large grids").
+MEMBER_POINTS = 2**16
 
 
 def batch_rows(grid: TorusGrid, members: int) -> int:
     """Rows one kernel call takes at once: as many as BATCH_POINTS holds, at least one."""
     return max(1, BATCH_POINTS // (members * grid.size))
+
+
+def _head(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of the first elements of a C-contiguous buffer, in the given shape."""
+    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
 class SpectralWorkspace:
@@ -402,7 +413,9 @@ class SpectralWorkspace:
     the same workspace.  A workspace made with rows has a leading batch axis
     of that length, and each call takes values of shape (b, *grid.shape) for
     any b <= rows: b independent rows in one call, each row bitwise what a
-    call on that row alone gives.
+    call on that row alone gives.  When one member's evolution of every row
+    holds MEMBER_POINTS points or more, envelope runs member at a time through
+    one member's spectrum and values.
     """
 
     def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
@@ -412,6 +425,11 @@ class SpectralWorkspace:
         self.coeffs = np.empty(batch + half, dtype=complex)
         self.spec = np.empty(batch + (members,) + half, dtype=complex)
         self.stack = np.empty(batch + (members,) + grid.shape)
+        self.member = None
+        if (rows or 1) * grid.size >= MEMBER_POINTS:
+            # one member's spectrum and values at the start of the stack
+            # buffers, whose rest envelope then leaves alone: no new memory
+            self.member = (_head(self.spec, batch + half), _head(self.stack, batch + grid.shape))
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of values by each multiplier; one row per member.
@@ -454,12 +472,65 @@ class SpectralWorkspace:
         out (new when None; values itself is allowed) and, when argmax is given,
         the lowest maximizing member index into it, of row argmax_row for
         batched values.  The only member reduction; np.maximum.reduce is what
-        np.max runs, without its dispatch."""
+        np.max runs, without its dispatch.  Member at a time, np.maximum folds
+        the members in the same order, so both schedules give the same bits,
+        and out and argmax are unspecified after a ConsistencyError."""
+        if self.member is not None:
+            return self._envelope_by_member(mults, values, out, argmax, argmax_row)
         stack = self.apply(mults, values)
         lead = stack.ndim - 1 - self.grid.dim
         if argmax is not None:
             np.argmax(stack[argmax_row] if lead else stack, axis=0, out=argmax)
         return np.maximum.reduce(stack, axis=lead, out=out)
+
+    def _envelope_by_member(self, mults, values, out, argmax, argmax_row):
+        """The envelope step one member at a time: apply's forward transform
+        once, then per member its multiply, its inverse into out (member 0) or
+        the member buffer, its finiteness check and the fold into the
+        maximum."""
+        lead = values.ndim - self.grid.dim
+        coeffs, (spec, buf), pick = self.coeffs, self.member, Ellipsis
+        if lead:
+            rows = len(values)
+            coeffs, spec, buf, pick = coeffs[:rows], spec[:rows], buf[:rows], argmax_row
+        np.fft.rfft(values, out=coeffs)
+        for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
+            np.fft.fft(coeffs, axis=axis, out=coeffs)
+        if out is None:
+            out = np.empty(values.shape)
+        if argmax is not None:
+            argmax.fill(0)
+        # the member axis first: one set of multipliers per row has it second
+        members = np.moveaxis(mults, mults.ndim - 1 - self.grid.dim, 0)
+        with np.errstate(all="ignore"):
+            for i, mult in enumerate(members):
+                member = buf if i else out
+                np.multiply(mult, coeffs, out=spec)
+                self._inverse(spec, member)
+                if not np.isfinite(member).all():
+                    break
+                if i:
+                    if argmax is not None:
+                        # strict: a tie keeps the lower index, as np.argmax does
+                        np.copyto(argmax, i, where=buf[pick] > out[pick])
+                    np.maximum(out, buf, out=out)
+            else:
+                return out
+        # a member is not finite: the whole stack, evolved again from the kept
+        # coefficients, gives the floating-point warnings apply gives
+        spec, stack = (self.spec[:rows], self.stack[:rows]) if lead else (self.spec, self.stack)
+        np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
+        self._inverse(spec, stack)
+        raise ConsistencyError("member evolution produced non-finite values")
+
+    def _inverse(self, spec: np.ndarray, out: np.ndarray) -> None:
+        """apply's inverse transform of spec, whose last grid.dim axes are grid
+        axes, into out.  apply keeps its own copy of these steps and of the
+        forward transform: no helper calls on small grids, where the fixed
+        cost of each call is most of a step."""
+        for axis in range(spec.ndim - self.grid.dim, spec.ndim - 1):
+            np.fft.ifft(spec, axis=axis, out=spec)
+        np.fft.irfft(spec, self.grid.n, axis=-1, out=out)
 
 
 # -- path increments -----------------------------------------------------------

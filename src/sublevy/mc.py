@@ -258,8 +258,9 @@ def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
 
 
 def save_strategy(path, strat: SimpleStrategy) -> None:
+    text = json.dumps(strategy_to_dict(strat))  # json.dump would take the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(strategy_to_dict(strat), fh)
+        fh.write(text)
 
 
 def load_strategy(path, grid: TorusGrid) -> SimpleStrategy:

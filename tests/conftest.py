@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from sublevy import levy
 from sublevy import (
     GeneratorFamily,
     GridFunction,
@@ -50,6 +53,16 @@ def member_generator(table, f, member=0):
     """One member's generator applied to f: its row of the kernel on psi itself."""
     stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi_half, f.values)
     return GridFunction(f.grid, stack[member])
+
+
+def schedule_workspace(grid, members, by_member, rows=None):
+    """A SpectralWorkspace whose envelope runs member at a time (by_member) or
+    on the whole member stack, whatever levy.MEMBER_POINTS picks for the grid."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(levy, "MEMBER_POINTS", 1 if by_member else math.inf)
+        ws = SpectralWorkspace(grid, members, rows=rows)
+    assert (ws.member is not None) == by_member
+    return ws
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,29 @@ class TestConfig:
         assert capsys.readouterr().err == "error: unknown initial function 'sawtooth'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, overrides", [(["--out", ""], {}),
+                                                 ([], {"output_dir": ""})])
+    def test_empty_output_dir_refused(self, tmp_path, capsys, argv, overrides):
+        path = write_config(tmp_path, **overrides)
+        assert main(["evolve", "--config", str(path), "--quiet", *argv]) == 1
+        assert capsys.readouterr().err == "error: config field 'output_dir' must not be empty\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "mc"])
+    @pytest.mark.parametrize("blocked", ["directory", "file"])
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys, command, blocked):
+        # a file where the output directory goes, or a directory where the
+        # first output file goes
+        out = tmp_path / "out"
+        if blocked == "directory":
+            out.write_text("")
+        else:
+            (out / "value.csv").mkdir(parents=True)
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: [Errno ") and err.count("\n") == 1
+        assert str(out) in err
+
     @pytest.mark.parametrize("family, field", [
         ({"builtin": "two_sigma", "sigmas": ["wide"]}, "family.sigmas"),
         ({"builtin": "single_sigma", "sigma": None}, "family.sigma"),

@@ -4,10 +4,12 @@ The reference writers below are the per-element ``csv.writer`` loops that
 the grid tables (``write_function_csv``, ``write_trajectory_csv``,
 ``write_argmax_csv``) and the small tables (convergence, generator limit,
 residuals, estimates and the oracle gap table) used before they moved onto
-``grid.write_grid_table`` and ``grid.write_table``.
+``grid.write_grid_table`` and ``grid.write_table``.  The extracted strategy
+file is held to the bytes of ``json.dump``.
 """
 
 import csv
+import json
 import math
 from types import SimpleNamespace
 
@@ -23,10 +25,18 @@ from sublevy.grid import (
     write_function_csv,
     write_table,
 )
-from sublevy.mc import BoundRow, DualBoundReport, write_estimates_csv
+from sublevy.mc import (
+    BoundRow,
+    DualBoundReport,
+    SimpleStrategy,
+    save_strategy,
+    strategy_to_dict,
+    write_estimates_csv,
+)
 from sublevy.nisio import (
     ArgmaxField,
     LevelRecord,
+    Partition,
     write_argmax_csv,
     write_convergence_csv,
     write_generator_limit_csv,
@@ -216,3 +226,18 @@ def test_gap_table_csv_bytes(tmp_path, time, gap):
     write_table(tmp_path / "new.csv", ["time", "sup_distance"], [(time, gap)])
     reference_gap_table_csv(tmp_path / "ref.csv", time, gap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("times", [Partition.equidistant(0.2, 16).times,
+                                   np.array([0.0, 5e-324, 1e-300, 0.1 + 0.2, 3.0, 1e300])])
+def test_extracted_strategy_json_bytes(tmp_path, times):
+    # the 16 x 128 shape of the strategy the mc command extracts on a 1D n=128 grid
+    grid = make_grid(1, 128)
+    partition = Partition(times)
+    rng = np.random.default_rng(partition.step_count)
+    strat = SimpleStrategy(grid, partition,
+                           rng.integers(0, 12, (partition.step_count, *grid.shape)))
+    save_strategy(tmp_path / "new.json", strat)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(strategy_to_dict(strat), fh)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

@@ -4,7 +4,8 @@ A NaN, +inf or -inf is put in one member's multiplier (the other members stay
 finite) or in the input values, on 1D n=16 and 2D n=8 grids, with evolution
 multipliers or generator symbols and data of either sign of mean.
 SpectralWorkspace.envelope must raise ConsistencyError ("non-finite") exactly
-when SpectralWorkspace.apply does on the same input, with the same warnings.
+when SpectralWorkspace.apply does on the same input, with the same warnings,
+whether it runs on the whole member stack or member at a time.
 """
 
 import warnings
@@ -25,7 +26,7 @@ from sublevy import (  # noqa: E402
     compound_poisson,
     make_grid,
 )
-from conftest import random_trig  # noqa: E402
+from conftest import random_trig, schedule_workspace  # noqa: E402
 
 GRIDS = {1: make_grid(1, 16), 2: make_grid(2, 8)}
 
@@ -76,10 +77,12 @@ def test_envelope_raises_exactly_when_apply_does(dim, m, t, target, bad, member,
     else:
         row = values
     row.flat[position % row.size] = bad
-    ws = SpectralWorkspace(grid, m)
-    expected = _outcome(lambda: ws.apply(mults, values))
+    expected = _outcome(lambda: SpectralWorkspace(grid, m).apply(mults, values))
     am = np.empty(grid.shape, dtype=np.int64)
-    assert _outcome(lambda: ws.envelope(mults, values)) == expected
-    assert _outcome(lambda: ws.envelope(mults, values, out=values, argmax=am)) == expected
-    if not expected[0]:
-        assert np.isfinite(values).all()
+    for by_member in (False, True):
+        ws = schedule_workspace(grid, m, by_member)
+        v = values.copy()
+        assert _outcome(lambda: ws.envelope(mults, v)) == expected
+        assert _outcome(lambda: ws.envelope(mults, v, out=v, argmax=am)) == expected
+        if not expected[0]:
+            assert np.isfinite(v).all()

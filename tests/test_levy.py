@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +32,12 @@ from sublevy import (
     sup_distance,
     wrapped_cauchy_quadruple,
 )
-from conftest import member_evolution, member_generator, one_member_table, random_trig
+from sublevy.cli import RunConfig, build_family
+from sublevy.levy import batch_rows
+from conftest import (member_evolution, member_generator, one_member_table, random_trig,
+                      schedule_workspace)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def grid_point_near(grid, x):
@@ -496,12 +502,13 @@ class TestSpectralKernel:
         mults = table.multipliers(0.1).copy()
         mults[1, 0] = -np.inf
         values = sample(grid64, "cosine", k=3).values + 2.0
-        ws = SpectralWorkspace(grid64, 2)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            with np.errstate(invalid="ignore"):
-                assert np.isneginf(np.fft.irfft(mults[1] * np.fft.rfft(values), 64)).all()
-            with pytest.raises(ConsistencyError, match="non-finite"):
-                ws.envelope(mults, values)
+        for by_member in (False, True):
+            ws = schedule_workspace(grid64, 2, by_member)
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                with np.errstate(invalid="ignore"):
+                    assert np.isneginf(np.fft.irfft(mults[1] * np.fft.rfft(values), 64)).all()
+                with pytest.raises(ConsistencyError, match="non-finite"):
+                    ws.envelope(mults, values)
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -552,6 +559,86 @@ class TestSpectralKernel:
         # constant data is kept by every member, and the tie goes to member 0
         assert np.array_equal(out, v)
         assert not am.any()
+
+
+def _bits(a: np.ndarray) -> bytes:
+    """The bytes of a: np.array_equal takes -0.0 for +0.0."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestMemberSchedule:
+    """On large grids envelope evolves one member at a time and folds it into
+    the maximum at once; it must give the bits of the whole-stack schedule."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("rows,per_row", [(None, False), (3, False), (3, True)])
+    def test_bitwise_equals_whole_stack(self, dim, n, rows, per_row):
+        grid = make_grid(dim, n)
+        members = _kernel_family(grid).members
+        # member 3 repeats member 1, so the two tie exactly everywhere
+        table = SymbolTable.build(GeneratorFamily(members + members[1:2]), grid)
+        m = len(table)
+        whole = schedule_workspace(grid, m, False, rows=rows)
+        split = schedule_workspace(grid, m, True, rows=rows)
+        shape = grid.shape if rows is None else (rows,) + grid.shape
+        values = np.random.default_rng(10 * dim + n).standard_normal(shape)
+        if per_row:
+            mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
+        else:
+            mults = table.multipliers(0.05)
+        for row in (0,) if rows is None else (0, 2):
+            for target in ("new", "separate", "values"):
+                results = []
+                for ws in (whole, split):
+                    v = values.copy()
+                    out = {"new": None, "separate": np.empty(shape), "values": v}[target]
+                    am = np.full(grid.shape, -1, dtype=np.int64)
+                    top = ws.envelope(mults, v, out=out, argmax=am, argmax_row=row)
+                    assert out is None or top is out
+                    results.append((_bits(top), am))
+                assert results[0][0] == results[1][0]
+                assert np.array_equal(results[0][1], results[1][1])
+            stack = whole.apply(mults, values)
+            assert np.array_equal(results[1][1], np.argmax(stack[row] if rows else stack, axis=0))
+            assert np.all(results[1][1] != 3)
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_signed_zeros_fold_in_member_order(self, dim, n):
+        # zero data under multipliers of +1 and -1: every member is exactly
+        # +0.0 or -0.0 at each point, with both signs at some points.
+        # np.maximum returns its second argument on a tie of zeros, so only
+        # the member order of np.maximum.reduce gives these bits
+        grid = make_grid(dim, n)
+        half = grid.shape[:-1] + (n // 2 + 1,)
+        signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * dim)
+        mults = signs * np.ones((4,) + half, dtype=complex)
+        values = np.zeros(grid.shape)
+        whole = schedule_workspace(grid, 4, False)
+        stack = whole.apply(mults, values).copy()
+        assert np.all(stack == 0.0)
+        assert np.any(np.signbit(stack).any(axis=0) & ~np.signbit(stack).all(axis=0))
+        reduced = np.maximum.reduce(stack, axis=0)
+        assert _bits(reduced) != _bits(np.maximum.reduce(stack[::-1], axis=0))
+        for ws in (whole, schedule_workspace(grid, 4, True)):
+            am = np.full(grid.shape, -1, dtype=np.int64)
+            assert _bits(ws.envelope(mults, values.copy(), argmax=am)) == _bits(reduced)
+            assert not am.any()
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_take_the_single_call(self, config):
+        # the 1D workloads: one apply and one np.maximum.reduce per tick
+        cfg = RunConfig.from_file(str(config))
+        grid = make_grid(cfg.grid_dim, cfg.grid_n)
+        m = len(build_family(cfg.family, grid))
+        for rows in (None, batch_rows(grid, m)):
+            assert SpectralWorkspace(grid, m, rows=rows).member is None
+
+    def test_large_2d_grid_goes_member_at_a_time(self):
+        # the 2D n=256, m=4 envelope workload: one level in flight, member at a time
+        grid = make_grid(2, 256)
+        assert batch_rows(grid, 4) == 1
+        assert SpectralWorkspace(grid, 4, rows=1).member is not None
+        assert SpectralWorkspace(grid, 4).member is not None
 
 
 class TestFamilyJson:
