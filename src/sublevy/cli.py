@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (make_grid, read_json, refuse_booleans, sample, sup_distance,
-                   write_function_csv, write_table)
+from .grid import (make_grid, numbers_only, read_json, sample, sup_distance,
+                   wrap_point, write_function_csv, write_table)
 from .levy import (
     GeneratorFamily,
     SymbolTable,
@@ -60,11 +60,10 @@ MC_DRAW_BUDGET = 10**8
 
 
 def _convert(value, kind, what: str):
-    """value as kind; a number field (int or float) refuses a JSON boolean, an
-    int field refuses a number with a fractional part, and a string field (a
-    path) refuses anything but a string."""
-    if kind in (int, float):
-        refuse_booleans(value, f"config field {what!r}")
+    """value as kind.  A string field (a path) refuses anything but a string.  A
+    float field refuses a value that is not finite; then a number field (int
+    or float) refuses a JSON boolean or string, even one that kind parses, and
+    an int field refuses a number with a fractional part."""
     if kind is str and not isinstance(value, str):
         raise ConfigurationError(
             f"config field {what!r} must be a string, got {json.dumps(value)}")
@@ -72,6 +71,10 @@ def _convert(value, kind, what: str):
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"config field {what!r} is malformed: {exc}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigurationError(f"config field {what!r} must be finite, got {out}")
+    if kind in (int, float):
+        numbers_only(value, f"config field {what!r}")
     if kind is int and isinstance(value, float) and out != value:
         raise ConfigurationError(f"config field {what!r} must be an integer, got {value!r}")
     return out
@@ -90,7 +93,11 @@ def _get(data: dict, key: str, kind, default, section: str = ""):
 
 
 def _floats(values, what: str) -> tuple:
-    return tuple(_convert(v, float, what) for v in _convert(values, tuple, what))
+    """A list of numbers; a JSON string is not one (tuple would split it)."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(
+            f"config field {what!r} must be an array of numbers, got {json.dumps(values)}")
+    return tuple(_convert(v, float, what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,8 @@ class RunConfig:
     """Validated run description; round-trips through to_dict unchanged.
 
     Every field is required here: the defaults of optional config keys live
-    in from_dict alone."""
+    in from_dict alone, and so does the check of each number read (_convert:
+    finite, a JSON number, an integer where one is due)."""
 
     grid_dim: int
     grid_n: int
@@ -121,16 +129,6 @@ class RunConfig:
     output_dir: str
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("time", self.time), ("nisio.tol", self.nisio_tol),
-            ("nisio.monotonicity_tol", self.nisio_monotonicity_tol),
-            ("oracle.dt", self.oracle_dt), ("oracle.gap_tol", self.oracle_gap_tol),
-            ("mc.scheme_tol", self.mc_scheme_tol),
-            *(("convergence.h_list", h) for h in self.convergence_h),
-            *(("mc.x0", c) for c in self.mc_x0),
-        ):
-            if not math.isfinite(value):
-                raise ConfigurationError(f"config field {name!r} must be finite, got {value}")
         if self.time <= 0:
             raise ConfigurationError(f"time horizon must be positive, got {self.time}")
         if not 0 <= self.nisio_max_level <= MAX_LEVEL:
@@ -438,7 +436,7 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
         )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)
-    x0 = np.asarray(config.mc_x0)
+    x0 = wrap_point(config.mc_x0)  # the point the paths start from
     reference = result.value.value_at(run.grid.nearest_index(x0))
     run.diagnostics["reference_value"] = reference
 

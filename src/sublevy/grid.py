@@ -233,7 +233,7 @@ def sample(grid: TorusGrid, kind: str, **params) -> GridFunction:
     makers = {"cosine": _cosine, "bump": _bump, "constant": _constant}
     if kind in makers:
         for key, value in params.items():
-            refuse_booleans(value, f"{kind} parameter {key!r}")
+            numbers_only(value, f"{kind} parameter {key!r}")
         try:
             return GridFunction(grid, makers[kind](grid, **params))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -261,13 +261,14 @@ def read_json(path, what: str):
         raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def refuse_booleans(value, what: str):
-    """value itself, refused when it is or holds (in nested lists) a JSON boolean:
-    a number field would otherwise read true and false as 1 and 0."""
+def numbers_only(value, what: str):
+    """value itself, refused when it is or holds (in nested lists) a JSON boolean
+    or string: a number field would otherwise read true and false as 1 and 0,
+    "0.2" as 0.2, and a string of digits as a list of them."""
     stack = [value]
     while stack:
         item = stack.pop()
-        if isinstance(item, bool):
+        if isinstance(item, (bool, str)):
             raise ConfigurationError(f"{what} must be a number, got {json.dumps(item)}")
         if isinstance(item, (list, tuple)):
             stack.extend(item)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import TorusGrid, negation_permutation, read_json, refuse_booleans, wrap_point
+from .grid import TorusGrid, negation_permutation, numbers_only, read_json, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -467,32 +467,32 @@ class SpectralWorkspace:
         return stack
 
     def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
-                 argmax: np.ndarray | None = None, argmax_row: int = 0) -> np.ndarray:
+                 argmax: np.ndarray | None = None) -> np.ndarray:
         """The sup-envelope step: the member maximum of apply(mults, values) into
-        out (new when None; values itself is allowed) and, when argmax is given,
-        the lowest maximizing member index into it, of row argmax_row for
-        batched values.  The only member reduction; np.maximum.reduce is what
-        np.max runs, without its dispatch.  Member at a time, np.maximum folds
-        the members in the same order, so both schedules give the same bits,
-        and out and argmax are unspecified after a ConsistencyError."""
+        out (new when None; values itself is allowed) and, when argmax is given
+        (unbatched values only), the lowest maximizing member index into it.
+        The only member reduction; np.maximum.reduce is what np.max runs,
+        without its dispatch.  Member at a time, np.maximum folds the members
+        in the same order, so both schedules give the same bits, and out and
+        argmax are unspecified after a ConsistencyError."""
         if self.member is not None:
-            return self._envelope_by_member(mults, values, out, argmax, argmax_row)
+            return self._envelope_by_member(mults, values, out, argmax)
         stack = self.apply(mults, values)
         lead = stack.ndim - 1 - self.grid.dim
         if argmax is not None:
-            np.argmax(stack[argmax_row] if lead else stack, axis=0, out=argmax)
+            np.argmax(stack, axis=0, out=argmax)
         return np.maximum.reduce(stack, axis=lead, out=out)
 
-    def _envelope_by_member(self, mults, values, out, argmax, argmax_row):
+    def _envelope_by_member(self, mults, values, out, argmax):
         """The envelope step one member at a time: apply's forward transform
         once, then per member its multiply, its inverse into out (member 0) or
         the member buffer, its finiteness check and the fold into the
         maximum."""
         lead = values.ndim - self.grid.dim
-        coeffs, (spec, buf), pick = self.coeffs, self.member, Ellipsis
+        coeffs, (spec, buf) = self.coeffs, self.member
         if lead:
             rows = len(values)
-            coeffs, spec, buf, pick = coeffs[:rows], spec[:rows], buf[:rows], argmax_row
+            coeffs, spec, buf = coeffs[:rows], spec[:rows], buf[:rows]
         np.fft.rfft(values, out=coeffs)
         for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
             np.fft.fft(coeffs, axis=axis, out=coeffs)
@@ -512,7 +512,7 @@ class SpectralWorkspace:
                 if i:
                     if argmax is not None:
                         # strict: a tie keeps the lower index, as np.argmax does
-                        np.copyto(argmax, i, where=buf[pick] > out[pick])
+                        np.copyto(argmax, i, where=buf > out)
                     np.maximum(out, buf, out=out)
             else:
                 return out
@@ -572,11 +572,11 @@ def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> n
 
 def quadruple_from_dict(obj: dict) -> LevyQuadruple:
     def number(entry, key, name):
-        return refuse_booleans(entry[key], f"quadruple field {name!r}")
+        return numbers_only(entry[key], f"quadruple field {name!r}")
 
     try:
-        b = refuse_booleans(obj.get("b", 0.0), "quadruple field 'b'")
-        sigma = refuse_booleans(obj.get("sigma", 0.0), "quadruple field 'sigma'")
+        b = numbers_only(obj.get("b", 0.0), "quadruple field 'b'")
+        sigma = numbers_only(obj.get("sigma", 0.0), "quadruple field 'sigma'")
         mu = [(number(e, "y", "mu.y"), number(e, "w", "mu.w")) for e in obj.get("mu", [])]
         nu = [(number(e, "z", "nu.z"), number(e, "v", "nu.v")) for e in obj.get("nu", [])]
         return LevyQuadruple.create(b=b, sigma=np.asarray(sigma, dtype=float), mu=mu, nu=nu,

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .grid import GridFunction, TorusGrid, read_json, refuse_booleans, wrap_point, write_table
+from .grid import GridFunction, TorusGrid, numbers_only, read_json, wrap_point, write_table
 from .levy import GeneratorFamily, sample_increments
 from .nisio import NisioResult, Partition
 
@@ -242,13 +242,16 @@ def strategy_to_dict(strat: SimpleStrategy) -> dict:
 
 def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
     try:
-        times = refuse_booleans(obj["partition"], "strategy field 'partition'")
+        times = numbers_only(obj["partition"], "strategy field 'partition'")
         partition = Partition(np.asarray(times, dtype=float))
-        raw = np.asarray(refuse_booleans(obj["feedback"], "strategy field 'feedback'"))
+        raw = np.asarray(obj["feedback"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed strategy object: {exc}") from exc
     if raw.dtype.kind not in "iuf" or not np.all((raw == np.round(raw)) & (abs(raw) < 2**53)):
         raise ConfigurationError("strategy feedback entries must be integers")
+    # after the integer check, which names a string entry; a true among
+    # numbers passes that check as 1
+    numbers_only(obj["feedback"], "strategy field 'feedback'")
     fb = raw.astype(np.int64)
     if fb.ndim != 2 or fb.shape[1] != grid.size:
         raise ConfigurationError(

@@ -121,30 +121,23 @@ class NisioResult:
 
 # -- one-step envelope ---------------------------------------------------------
 
-def apply_J(table: SymbolTable, t: float, f: GridFunction,
-            record_argmax: bool = False) -> tuple[GridFunction, np.ndarray | None]:
-    """One sup-envelope step: pointwise max over members of the t-evolution.
-
-    The optional second return holds the maximizing member index per grid
-    point (ties broken by lowest index).
-    """
+def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
+    """One sup-envelope step: pointwise max over members of the t-evolution."""
     if t < 0:
         raise ConfigurationError(f"step time must be nonnegative, got {t}")
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
     if t == 0:
-        am = np.zeros(table.grid.shape, dtype=np.int64) if record_argmax else None
-        return f, am
-    _, values, am = next(_compose(table, [[(t, 1)]], f.values,
-                                  record_row=0 if record_argmax else None))
-    return GridFunction(table.grid, values), am[0] if record_argmax else None
+        return f
+    _, values = next(_compose(table, [[(t, 1)]], f.values))
+    return GridFunction(table.grid, values)
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    _, values, _ = next(_compose(table, [_runs(pi)], f.values))
+    _, values = next(_compose(table, [_runs(pi)], f.values))
     return GridFunction(table.grid, values)
 
 
@@ -162,52 +155,41 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
     return runs
 
 
-def _compose(table: SymbolTable, rows, values: np.ndarray, record_row: int | None = None):
+def _compose(table: SymbolTable, rows, values: np.ndarray):
     """Compose envelope steps for independent rows in lockstep; yields
-    (row, result, maximizers) as each row completes, in completion order.
+    (row, result) as each row completes, in completion order.
 
     A row is a list of (gap, count) runs of equal gaps in forward-time order,
     applied last run first to values, which every row starts from and which
     is only read.  On each tick every row in flight takes one step, all in one
     kernel call; batch_rows(grid, m) rows are in flight at most, and a waiting
     row enters, in the given order, when one completes.  A row builds its
-    multipliers once per run.  Row record_row records its maximizer fields,
-    which come back in forward-time order (None for every other row).  A
-    result is a new array unless its row has no steps."""
+    multipliers once per run.  A result is a new array unless its row has no
+    steps."""
     grid, m = table.grid, len(table)
     cap = min(batch_rows(grid, m), len(rows))
     ws = SpectralWorkspace(grid, m, rows=cap)
     vals = np.empty((cap,) + grid.shape)
     mults = np.empty((cap, m) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-    am = None
-    if record_row is not None:
-        am = np.empty((sum(c for _, c in rows[record_row]),) + grid.shape, dtype=np.int64)
     waiting = iter(range(len(rows)))
     flight = []  # per slot: [row, runs not yet started (the last at the end), steps left in run]
     while True:
         while len(flight) < cap and (row := next(waiting, None)) is not None:
             runs = list(rows[row])
             if not sum(count for _, count in runs):
-                yield row, values, am if row == record_row else None
+                yield row, values
                 continue
             gap, count = runs.pop()
             vals[len(flight)] = values
             mults[len(flight)] = table.multipliers(gap)
             flight.append([row, runs, count])
-            if row == record_row:
-                step = am.shape[0]
         if not flight:
             return
         b = len(flight)
         v, mu = vals[:b], mults[:b]
-        slot = next((s for s, entry in enumerate(flight) if entry[0] == record_row), None)
         ticks = min(left for _, _, left in flight)
         for _ in range(ticks):
-            if slot is None:
-                ws.envelope(mu, v, out=v)
-            else:
-                step -= 1  # the value here is the lookahead of forward-time interval step
-                ws.envelope(mu, v, out=v, argmax=am[step], argmax_row=slot)
+            ws.envelope(mu, v, out=v)
         done = []
         for s, entry in enumerate(flight):
             entry[2] -= ticks
@@ -218,8 +200,7 @@ def _compose(table: SymbolTable, rows, values: np.ndarray, record_row: int | Non
                 else:
                     done.append(s)
         for s in done:
-            row = flight[s][0]
-            yield row, vals[s].copy(), am if row == record_row else None
+            yield flight[s][0], vals[s].copy()
         for s in reversed(done):  # close the gaps: the slots in flight stay a prefix
             vals[s:b - 1] = vals[s + 1:b]
             mults[s:b - 1] = mults[s + 1:b]
@@ -239,9 +220,10 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     semigroup bug and raises ConsistencyError.  The default guard is
     calibrated for one-dimensional desk grids; envelopes on the 2-torus below
     n = 128 carry more spectral truncation at the maximizer interfaces and
-    may need a wider guard.  The levels run in lockstep (see _compose) and
-    the maximizers of record_argmax_level are recorded while that level runs;
-    only a stop before it costs a separate pass.  Recording more than
+    may need a wider guard.  The levels run in lockstep (see _compose), on
+    values only; the maximizers of record_argmax_level come from one pass of
+    their own after the levels, 2^record_argmax_level steps, as many as the
+    Monte Carlo dual then simulates per path.  Recording more than
     ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
     """
     if t <= 0:
@@ -270,15 +252,11 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     records: list[LevelRecord] = []
     increments: list[float] = []
     converged = False
-    argmax = None
     # level l takes 2^l steps and enters no later than level l + 1, so the
     # levels complete in order; the stop drops the levels still in flight
     levels = [[(t / 2**level, 2**level)] for level in range(max_level + 1)]
-    record_row = record_argmax_level if record_argmax_level in range(max_level + 1) else None
     start = time.perf_counter()
-    for level, new_values, selections in _compose(table, levels, f.values, record_row):
-        if selections is not None:
-            argmax = ArgmaxField(level, selections)
+    for level, new_values in _compose(table, levels, f.values):
         now = time.perf_counter()
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
@@ -299,9 +277,15 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
             converged = True
             break
 
-    if record_argmax_level is not None and argmax is None:  # the stop came first
+    argmax = None
+    if record_argmax_level is not None:
         steps = 2**record_argmax_level
-        _, _, selections = next(_compose(table, [[(t / steps, steps)]], f.values, 0))
+        ws = SpectralWorkspace(table.grid, len(table))
+        mults = table.multipliers(t / steps)
+        selections = np.empty((steps,) + table.grid.shape, dtype=np.int64)
+        v = f.values.copy()
+        for step in range(steps - 1, -1, -1):  # forward-time step, the last applied first
+            ws.envelope(mults, v, out=v, argmax=selections[step])
         argmax = ArgmaxField(record_argmax_level, selections)
 
     return NisioResult(
@@ -342,7 +326,7 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
         raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     steps = 2**level
     rows = [[((s + t) / steps, steps)], [(s / steps, steps), (t / steps, steps)]]
-    joint, composed = (values for _, values, _ in _compose(table, rows, f.values))
+    joint, composed = (values for _, values in _compose(table, rows, f.values))
     return float(np.max(np.abs(joint - composed)))
 
 
@@ -370,7 +354,7 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
     # h decreases and its step count grows, so the rows complete in h order
     evolved = _compose(table, [[(h / n, n)] for h, n in zip(hs, steps)], f.values)
     return [(h, float(np.max(np.abs((values - f.values) / h - target.values))))
-            for h, (_, values, _) in zip(hs, evolved)]
+            for h, (_, values) in zip(hs, evolved)]
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

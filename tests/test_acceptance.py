@@ -134,8 +134,8 @@ def test_criterion_4_lipschitz_bounds(acc_table, acc_cos):
     worst_step = -np.inf
     for _ in range(20):
         t1, t2 = rng.uniform(0.0, 1.0, size=2)
-        a, _ = apply_J(acc_table, t1, acc_cos)
-        b, _ = apply_J(acc_table, t2, acc_cos)
+        a = apply_J(acc_table, t1, acc_cos)
+        b = apply_J(acc_table, t2, acc_cos)
         worst_step = max(worst_step, sup_distance(a, b) - l_f * abs(t1 - t2))
     worst_env = -np.inf
     for t in rng.uniform(0.05, 1.0, size=5):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from sublevy import Partition, estimate, random_strategy, save_strategy
 from sublevy import dual_bound_suite, family_from_json, load_strategy
 from sublevy import cli
 from sublevy.cli import RunConfig, main
-from sublevy.grid import read_function_csv
+from sublevy.grid import read_function_csv, wrap_point
 from sublevy.mc import write_estimates_csv
 from conftest import member_evolution
 
@@ -203,12 +204,37 @@ class TestConfig:
         ({"initial": {"kind": "samples", "path": False}}, "initial.path",
          "must be a string, got false"),
         ({"mc": {"strategies": [7]}}, "mc.strategies", "must be a string, got 7"),
+        # a JSON string is not a number, even one that parses as a number, and
+        # a list field does not split a string into its characters
+        ({"family": {"builtin": "two_sigma", "sigmas": "12"}}, "family.sigmas",
+         'must be an array of numbers, got "12"'),
+        ({"family": {"builtin": "two_sigma", "sigmas": [0.5, "1"]}}, "family.sigmas",
+         'must be a number, got "1"'),
+        ({"convergence": {"h_list": "1"}}, "convergence.h_list",
+         'must be an array of numbers, got "1"'),
+        ({"time": "0.2"}, "time", 'must be a number, got "0.2"'),
+        ({"grid": {"dim": 1, "n": "128"}}, "grid.n", 'must be a number, got "128"'),
+        ({"nisio": {"max_level": "4"}}, "nisio.max_level", 'must be a number, got "4"'),
+        ({"mc": {"x0": ["0.5"]}}, "mc.x0", 'must be a number, got "0.5"'),
+        ({"family": {"builtin": "drift", "b": "1"}}, "family.b", 'must be a number, got "1"'),
+        ({"family": [{"b": ["0.5"], "sigma": [[0.25]]}]}, "quadruple field 'b'",
+         'must be a number, got "0.5"'),
+        ({"family": [{"b": [0.0], "mu": [{"y": [0.5], "w": "1"}]}]}, "quadruple field 'mu.w'",
+         'must be a number, got "1"'),
+        ({"family": {"path": "str_family.json"}}, "quadruple field 'nu.z'",
+         'must be a number, got "0.5"'),
+        ({"initial": {"kind": "bump", "center": 0.0, "width": "1.5"}},
+         "bump parameter 'width'", 'must be a number, got "1.5"'),
+        ({"initial": {"kind": "cosine", "k": "1"}}, "cosine parameter 'k'",
+         'must be a number, got "1"'),
     ])
     def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
                                                          field, cause):
         # read when a case names it as the family file
         (tmp_path / "bool_family.json").write_text(
             json.dumps([{"b": [0.0], "nu": [{"z": [True], "v": 1.0}]}]))
+        (tmp_path / "str_family.json").write_text(
+            json.dumps([{"b": [0.0], "nu": [{"z": ["0.5"], "v": 1.0}]}]))
         path = write_config(tmp_path, **overrides)
         assert main(["evolve", "--config", str(path), "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -440,6 +466,26 @@ class TestMc:
         assert argmax[0] == "step,index,x,lambda_index"
         assert len(argmax) == 1 + 4 * 128  # extract_level 2 -> 4 steps
 
+    def test_far_start_point_reads_the_reference_where_the_paths_start(self, tmp_path):
+        # x0 far outside (-pi, pi]: the paths start from its wrapped point, so
+        # the reference must be read there too (the raw point lands elsewhere,
+        # and from about 4.5e17 overflows the int64 cell index)
+        runs = {}
+        for name, x0 in (("far", 1e16), ("wrapped", float(wrap_point(1e16)))):
+            path = write_config(tmp_path, name=f"{name}.json",
+                                family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
+                                initial={"kind": "bump", "center": 0.0, "width": math.pi},
+                                nisio={"max_level": 6, "tol": 1e-4}, mc={"x0": [x0]},
+                                output_dir=str(tmp_path / name))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["mc", "--config", str(path), "--quiet"]) == 0
+            assert not caught, [str(w.message) for w in caught]
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            runs[name] = (manifest["diagnostics"]["reference_value"],
+                          (tmp_path / name / "estimates.csv").read_bytes())
+        assert runs["far"] == runs["wrapped"]
+
     def test_unconverged_reference_is_a_violation(self, tmp_path, capsys):
         path = write_config(tmp_path,
                             family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
@@ -490,6 +536,8 @@ class TestMc:
         # [0, 1] would end past the horizon 0.2 instead
         ({"partition": [0, True], "feedback": [[0] * 128]},
          "strategy field 'partition' must be a number, got true"),
+        ({"partition": [0.0, "0.2"], "feedback": [[0] * 128]},
+         'strategy field \'partition\' must be a number, got "0.2"'),
     ])
     def test_bad_strategy_file_is_one_line(self, tmp_path, capsys, strategy, cause):
         bad = tmp_path / "bad.json"

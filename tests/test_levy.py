@@ -586,20 +586,22 @@ class TestMemberSchedule:
             mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
         else:
             mults = table.multipliers(0.05)
-        for row in (0,) if rows is None else (0, 2):
-            for target in ("new", "separate", "values"):
-                results = []
-                for ws in (whole, split):
-                    v = values.copy()
-                    out = {"new": None, "separate": np.empty(shape), "values": v}[target]
-                    am = np.full(grid.shape, -1, dtype=np.int64)
-                    top = ws.envelope(mults, v, out=out, argmax=am, argmax_row=row)
-                    assert out is None or top is out
-                    results.append((_bits(top), am))
-                assert results[0][0] == results[1][0]
+        for target in ("new", "separate", "values"):
+            results = []
+            for ws in (whole, split):
+                v = values.copy()
+                out = {"new": None, "separate": np.empty(shape), "values": v}[target]
+                # maximizers are recorded of unbatched values only
+                am = None if rows else np.full(grid.shape, -1, dtype=np.int64)
+                top = ws.envelope(mults, v, out=out, argmax=am)
+                assert out is None or top is out
+                results.append((_bits(top), am))
+            assert results[0][0] == results[1][0]
+            if rows is None:
                 assert np.array_equal(results[0][1], results[1][1])
+        if rows is None:
             stack = whole.apply(mults, values)
-            assert np.array_equal(results[1][1], np.argmax(stack[row] if rows else stack, axis=0))
+            assert np.array_equal(results[1][1], np.argmax(stack, axis=0))
             assert np.all(results[1][1] != 3)
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])

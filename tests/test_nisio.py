@@ -70,17 +70,21 @@ class TestPartition:
 
 class TestApplyJ:
     def test_singleton_is_linear(self, single_table, cos128):
-        out, _ = apply_J(single_table, 0.7, cos128)
+        out = apply_J(single_table, 0.7, cos128)
         lin = member_evolution(single_table, 0.7, cos128)
         assert sup_distance(out, lin) == 0.0
 
     def test_zero_time_identity(self, two_sigma_table, cos128):
-        out, am = apply_J(two_sigma_table, 0.0, cos128, record_argmax=True)
+        out = apply_J(two_sigma_table, 0.0, cos128)
         assert out is cos128
-        assert np.all(am == 0)
 
     def test_cp_pair_takes_pointwise_best(self, cp_pair_table, grid128, cos128):
-        out, am = apply_J(cp_pair_table, 0.5, cos128, record_argmax=True)
+        out = apply_J(cp_pair_table, 0.5, cos128)
+        # the kernel step that apply_J takes, with its maximizers
+        am = np.empty(grid128.shape, dtype=np.int64)
+        top = SpectralWorkspace(grid128, 2).envelope(cp_pair_table.multipliers(0.5),
+                                                     cos128.values, argmax=am)
+        assert np.array_equal(top, out.values)
         decayed = math.exp(-1.0) * cos128.values
         expected = np.maximum(cos128.values, decayed)
         assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -91,7 +95,7 @@ class TestApplyJ:
 
     def test_constants_preserved(self, two_sigma_table, grid128):
         c = sample(grid128, "constant", value=-1.25)
-        out, _ = apply_J(two_sigma_table, 0.3, c)
+        out = apply_J(two_sigma_table, 0.3, c)
         assert np.all(out.values == -1.25)
 
 
@@ -100,7 +104,7 @@ class TestApplyPartition:
         via_partition = apply_partition(
             two_sigma_table, Partition(np.array([0.0, 0.4])), bump128
         )
-        direct, _ = apply_J(two_sigma_table, 0.4, bump128)
+        direct = apply_J(two_sigma_table, 0.4, bump128)
         assert sup_distance(via_partition, direct) == 0.0
 
     def test_refinement_is_monotone(self, two_sigma_table, bump128):
@@ -155,7 +159,7 @@ class TestNisioEvolve:
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=0, tol=0.0)
         assert not res.converged
         assert res.levels_used == 0
-        out, _ = apply_J(two_sigma_table, 0.2, bump128)
+        out = apply_J(two_sigma_table, 0.2, bump128)
         assert sup_distance(res.value, out) == 0.0
 
     def test_invalid_inputs(self, two_sigma_table, bump128):
@@ -179,7 +183,7 @@ class TestNisioEvolve:
 class TestChernoff:
     def test_n1_is_single_step(self, two_sigma_table, bump128):
         a = apply_partition(two_sigma_table, Partition.equidistant(0.3, 1), bump128)
-        b, _ = apply_J(two_sigma_table, 0.3, bump128)
+        b = apply_J(two_sigma_table, 0.3, bump128)
         assert sup_distance(a, b) == 0.0
 
     def test_power_of_two_matches_dyadic_bitwise(self, two_sigma_table, bump128):
@@ -350,8 +354,8 @@ class TestKernelProperties:
         rng = np.random.default_rng(77)
         for _ in range(20):
             t1, t2 = rng.uniform(0.0, 1.0, size=2)
-            a, _ = apply_J(two_sigma_table, t1, cos128)
-            b, _ = apply_J(two_sigma_table, t2, cos128)
+            a = apply_J(two_sigma_table, t1, cos128)
+            b = apply_J(two_sigma_table, t2, cos128)
             assert sup_distance(a, b) <= l_f * abs(t1 - t2) + 1e-9
 
     def test_distance_to_identity(self, two_sigma_table, cos128):
@@ -451,11 +455,11 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        list(_compose(two_sigma_table, [[(0.05, 4)], [(0.1, 2)]], v, record_row=0))
+        list(_compose(two_sigma_table, [[(0.05, 4)], [(0.1, 2)]], v))
         assert np.array_equal(v, before)
 
     def test_levels_do_not_share_memory(self, two_sigma_table, bump128):
-        levels = [values for _, values, _ in _compose(
+        levels = [values for _, values in _compose(
             two_sigma_table, [[(0.2 / 2**k, 2**k)] for k in range(4)], bump128.values)]
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
@@ -466,43 +470,54 @@ class TestWorkspaceReuse:
             assert np.array_equal(values, again.values)
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
-        _, values, am = next(_compose(two_sigma_table, [[(0.05, 4)]], bump128.values, 0))
+        res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=2, tol=0.0,
+                           record_argmax_level=2)
+        mults = two_sigma_table.multipliers(0.05)
         f = bump128
         for step in range(3, -1, -1):
-            f, sel = apply_J(two_sigma_table, 0.05, f, record_argmax=True)
-            assert np.array_equal(am[step], sel)
-        assert np.array_equal(values, f.values)
+            sel = np.empty(bump128.grid.shape, dtype=np.int64)
+            values = SpectralWorkspace(bump128.grid, 2).envelope(mults, f.values, argmax=sel)
+            f = apply_J(two_sigma_table, 0.05, f)
+            assert np.array_equal(values, f.values)
+            assert np.array_equal(res.argmax.selections[step], sel)
+        assert np.array_equal(res.value.values, f.values)
 
-    @pytest.mark.parametrize("level,max_level,tol,extra_pass", [
+    @pytest.mark.parametrize("level,max_level,tol,above_levels_used", [
         (0, 3, 0.0, False),
         (2, 4, 0.0, False),
         (4, 4, 0.0, False),   # the last level run
         (6, 3, 0.0, True),    # above the level budget
         (9, 12, 1e-3, True),  # above the level where the increment stops
     ])
-    def test_maximizers_recorded_inside_the_dyadic_loop(self, two_sigma_table, bump128,
-                                                         monkeypatch, level, max_level, tol,
-                                                         extra_pass):
-        recorded = []
+    def test_maximizers_from_one_pass(self, two_sigma_table, bump128, monkeypatch, level,
+                                      max_level, tol, above_levels_used):
+        calls = []  # (records maximizers, batched values) per kernel call
         envelope = SpectralWorkspace.envelope
 
-        def counting(ws, mults, values, argmax=None, **kwargs):
-            recorded.append(argmax is not None)
-            return envelope(ws, mults, values, argmax=argmax, **kwargs)
+        def counting(ws, mults, values, out=None, argmax=None):
+            calls.append((argmax is not None, values.ndim > ws.grid.dim))
+            return envelope(ws, mults, values, out=out, argmax=argmax)
 
         monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=max_level, tol=tol,
                            record_argmax_level=level)
         monkeypatch.undo()
-        assert (level > res.levels_used) == extra_pass
+        assert (level > res.levels_used) == above_levels_used
         # every level is in flight from the first tick, so level L completes
-        # at tick 2^L; a record level dropped at the stop recorded until then
+        # at tick 2^L and the loop makes 2^levels_used kernel calls, none of
+        # which records; then the pass makes 2^level, each on one row
         loop_ticks = 2**res.levels_used
-        assert len(recorded) == loop_ticks + (2**level if extra_pass else 0)
-        dropped = loop_ticks if extra_pass and level <= max_level else 0
-        assert sum(recorded) == 2**level + dropped
-        _, _, selections = next(_compose(two_sigma_table, [[(0.2 / 2**level, 2**level)]],
-                                         bump128.values, 0))
+        assert len(calls) == loop_ticks + 2**level
+        assert not any(records for records, _ in calls[:loop_ticks])
+        assert calls[loop_ticks:] == [(True, False)] * 2**level
+        # the pass, by hand: forward-time step j is applied 2^level - 1 - j steps in
+        steps = 2**level
+        ws = SpectralWorkspace(two_sigma_table.grid, len(two_sigma_table))
+        mults = two_sigma_table.multipliers(0.2 / steps)
+        selections = np.empty((steps,) + two_sigma_table.grid.shape, dtype=np.int64)
+        v = bump128.values.copy()
+        for step in range(steps - 1, -1, -1):
+            v = ws.envelope(mults, v, argmax=selections[step])
         assert res.argmax.level == level
         assert np.array_equal(res.argmax.selections, selections)
 
@@ -510,25 +525,24 @@ class TestWorkspaceReuse:
         pi = Partition(np.array([0.0, 0.05, 0.12, 0.2]))
         f = bump128
         for gap in pi.gaps()[::-1]:
-            f, _ = apply_J(two_sigma_table, float(gap), f)
+            f = apply_J(two_sigma_table, float(gap), f)
         assert np.array_equal(apply_partition(two_sigma_table, pi, bump128).values, f.values)
 
     def test_mixed_runs_record_maximizers_in_forward_time(self, two_sigma_table, bump128):
         runs = [(0.03, 2), (0.07, 1), (0.05, 2)]
-        _, values, am = next(_compose(two_sigma_table, [runs], bump128.values, 0))
+        _, values = next(_compose(two_sigma_table, [runs], bump128.values))
         f = bump128
         gaps = [gap for gap, count in runs for _ in range(count)]
         for step in range(len(gaps) - 1, -1, -1):
-            f, sel = apply_J(two_sigma_table, gaps[step], f, record_argmax=True)
-            assert np.array_equal(am[step], sel)
+            f = apply_J(two_sigma_table, gaps[step], f)
         assert np.array_equal(values, f.values)
         # in lockstep with a shorter and a longer row: the mixed row changes
         # multipliers between ticks and moves down a slot when the short row
-        # completes, and still records the same maximizers
+        # completes, and still gives the same values
         rows = [[(0.02, 3)], runs, [(0.01, 9)]]
-        done = {row: (v, a) for row, v, a in _compose(two_sigma_table, rows, bump128.values, 1)}
-        assert sorted(done) == [0, 1, 2] and done[0][1] is None and done[2][1] is None
-        assert np.array_equal(done[1][0], values) and np.array_equal(done[1][1], am)
+        done = dict(_compose(two_sigma_table, rows, bump128.values))
+        assert sorted(done) == [0, 1, 2]
+        assert np.array_equal(done[1], values)
 
     @pytest.mark.parametrize("times,calls", [
         ([0.0, 0.05, 0.12, 0.2], 3),               # three distinct gaps
@@ -553,7 +567,7 @@ class TestWorkspaceReuse:
         out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
         if calls == 1:
-            _, same, _ = next(_compose(
+            _, same = next(_compose(
                 two_sigma_table, [[(pi.end / pi.step_count, pi.step_count)]], bump128.values))
             assert np.array_equal(out.values, same)
         built.clear()
