@@ -13,14 +13,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (make_grid, numbers_only, read_json, sample, sup_distance,
-                   wrap_point, write_function_csv, write_table)
+from .grid import (keys_only, make_grid, numbers_only, read_json, sample,
+                   sup_distance, wrap_point, write_function_csv, write_table)
 from .levy import (
     GeneratorFamily,
     SymbolTable,
@@ -52,18 +52,21 @@ from .nisio import (
 )
 from .oracles import picard_solve, residual_check, write_residual_csv, write_trajectory_csv
 
-DEFAULT_H_LIST = (0.1, 0.05, 0.025, 0.0125)
 # increments one mc run may use, each counted once per strategy that advances on
 # it: paths x members x the steps of every strategy (strategies on one partition
 # share one draw per path, step and member)
 MC_DRAW_BUDGET = 10**8
+# accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
+RETIRED_KEYS = ("oracle.tail_tol", "output")
 
 
 def _convert(value, kind, what: str):
-    """value as kind.  A string field (a path) refuses anything but a string.  A
-    float field refuses a value that is not finite; then a number field (int
-    or float) refuses a JSON boolean or string, even one that kind parses, and
-    an int field refuses a number with a fractional part."""
+    """value as kind: kept as written for None, read as kind(value, what) by a reader
+    (not a type).  A string field (a path) refuses anything but a string.  A float
+    field refuses a value that is not finite; then a number field refuses a JSON
+    boolean or string, even one that kind parses, and an int field, a fraction."""
+    if kind is None or not isinstance(kind, type):
+        return value if kind is None else kind(value, what)
     if kind is str and not isinstance(value, str):
         raise ConfigurationError(
             f"config field {what!r} must be a string, got {json.dumps(value)}")
@@ -80,18 +83,6 @@ def _convert(value, kind, what: str):
     return out
 
 
-def _need(data: dict, key: str, kind, what: str):
-    if key not in data:
-        raise ConfigurationError(f"config is missing required field {what!r}")
-    return _convert(data[key], kind, what)
-
-
-def _get(data: dict, key: str, kind, default, section: str = ""):
-    if key not in data:
-        return default
-    return _need(data, key, kind, f"{section}.{key}" if section else key)
-
-
 def _floats(values, what: str) -> tuple:
     """A list of numbers; a JSON string is not one (tuple would split it)."""
     if not isinstance(values, (list, tuple)):
@@ -100,57 +91,62 @@ def _floats(values, what: str) -> tuple:
     return tuple(_convert(v, float, what) for v in values)
 
 
+def _paths(values, what: str) -> tuple:
+    if not isinstance(values, list):
+        raise ConfigurationError(f"config field {what!r} must be an array of paths")
+    return tuple(_convert(path, str, what) for path in values)
+
+
+def _row(key: str, kind, default=MISSING, check=lambda value: True, message: str = ""):
+    """The RunConfig field of one dotted config key: its kind (see _convert), default
+    (MISSING: required) and bound check, refused with message ({} is the value)."""
+    return dataclasses.field(metadata={"key": key, "kind": kind, "default": default,
+                                       "check": check, "message": message})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; round-trips through to_dict unchanged.
+    """Validated run description; round-trips through to_dict unchanged.  Each field
+    is one row of the config schema (_row); from_dict applies the defaults."""
 
-    Every field is required here: the defaults of optional config keys live
-    in from_dict alone, and so does the check of each number read (_convert:
-    finite, a JSON number, an integer where one is due)."""
-
-    grid_dim: int
-    grid_n: int
-    family: object
-    initial: dict
-    time: float
-    nisio_max_level: int
-    nisio_tol: float
-    nisio_monotonicity_tol: float
-    oracle_dt: float
-    oracle_gap_tol: float
-    convergence_h: tuple
-    mc_n_paths: int
-    mc_seed: int
-    mc_extract_level: int
-    mc_random_strategies: int
-    mc_scheme_tol: float
-    mc_x0: tuple
-    mc_strategy_files: tuple
-    output_dir: str
+    grid_dim: int = _row("grid.dim", int)
+    grid_n: int = _row("grid.n", int)
+    family: object = _row("family", None)  # read by build_family
+    initial: dict = _row("initial", dict)
+    time: float = _row("time", float, MISSING, lambda v: v > 0,
+                       "time horizon must be positive, got {}")
+    nisio_max_level: int = _row("nisio.max_level", int, 12, lambda v: 0 <= v <= MAX_LEVEL,
+                                f"nisio.max_level must be in [0, {MAX_LEVEL}]")
+    nisio_tol: float = _row("nisio.tol", float, 1e-6, lambda v: v >= 0,
+                            "nisio.tol must be nonnegative")
+    nisio_monotonicity_tol: float = _row("nisio.monotonicity_tol", float, 1e-8, lambda v: v > 0,
+                                         "nisio.monotonicity_tol must be positive")
+    oracle_dt: float = _row("oracle.dt", float, 1e-3, lambda v: v > 0,
+                            "oracle.dt and gap_tol must be positive")
+    oracle_gap_tol: float = _row("oracle.gap_tol", float, 5e-4, lambda v: v > 0,
+                                 "oracle.dt and gap_tol must be positive")
+    convergence_h: tuple = _row("convergence.h_list", _floats, (0.1, 0.05, 0.025, 0.0125))
+    mc_n_paths: int = _row("mc.n_paths", int, 10_000, lambda v: v >= MIN_PATHS,
+                           f"mc.n_paths must be at least {MIN_PATHS}")
+    mc_seed: int = _row("mc.seed", int, 0, lambda v: 0 <= v < 2**64,
+                        "mc.seed must be in [0, 2^64)")
+    mc_extract_level: int = _row("mc.extract_level", int, 4, lambda v: 0 <= v <= MAX_LEVEL,
+                                 f"mc.extract_level must be in [0, {MAX_LEVEL}]")
+    mc_random_strategies: int = _row("mc.random_strategies", int, 16, lambda v: v >= 0,
+                                     "mc.random_strategies and scheme_tol must be >= 0")
+    mc_scheme_tol: float = _row("mc.scheme_tol", float, 1e-2, lambda v: v >= 0,
+                                "mc.random_strategies and scheme_tol must be >= 0")
+    mc_x0: tuple = _row("mc.x0", _floats, None)  # None: the origin, set in from_dict
+    mc_strategy_files: tuple = _row("mc.strategies", _paths, ())
+    output_dir: str = _row("output_dir", str, "out", bool,
+                           "config field 'output_dir' must not be empty")
 
     def __post_init__(self) -> None:
-        if self.time <= 0:
-            raise ConfigurationError(f"time horizon must be positive, got {self.time}")
-        if not 0 <= self.nisio_max_level <= MAX_LEVEL:
-            raise ConfigurationError(f"nisio.max_level must be in [0, {MAX_LEVEL}]")
-        if self.nisio_tol < 0:
-            raise ConfigurationError("nisio.tol must be nonnegative")
-        if self.nisio_monotonicity_tol <= 0:
-            raise ConfigurationError("nisio.monotonicity_tol must be positive")
-        if self.oracle_dt <= 0 or self.oracle_gap_tol <= 0:
-            raise ConfigurationError("oracle.dt and gap_tol must be positive")
-        if self.mc_n_paths < MIN_PATHS:
-            raise ConfigurationError(f"mc.n_paths must be at least {MIN_PATHS}")
-        if not 0 <= self.mc_extract_level <= MAX_LEVEL:
-            raise ConfigurationError(f"mc.extract_level must be in [0, {MAX_LEVEL}]")
-        if not 0 <= self.mc_seed < 2**64:
-            raise ConfigurationError("mc.seed must be in [0, 2^64)")
-        if self.mc_random_strategies < 0 or self.mc_scheme_tol < 0:
-            raise ConfigurationError("mc.random_strategies and scheme_tol must be >= 0")
+        for f in dataclasses.fields(self):
+            if not f.metadata["check"](value := getattr(self, f.name)):
+                raise ConfigurationError(f.metadata["message"].format(value))
         if len(self.mc_x0) != self.grid_dim:
             raise ConfigurationError("mc.x0 must have one coordinate per grid axis")
-        if not self.output_dir:
-            raise ConfigurationError("config field 'output_dir' must not be empty")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | None = None) -> "RunConfig":
@@ -158,78 +154,84 @@ class RunConfig:
             raise ConfigurationError("config root must be a JSON object")
 
         def resolve(path: str) -> str:
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+            path = os.path.join(base_dir or "", path)  # an absolute path stays as it is
             if not os.path.exists(path):
                 raise ConfigurationError(f"referenced file does not exist: {path}")
             return path
 
-        grid_spec = _need(data, "grid", dict, "grid")
-        family = data.get("family")
-        if family is None:
-            raise ConfigurationError("config is missing required field 'family'")
-        if isinstance(family, dict) and "path" in family:
-            family = {**family, "path": resolve(_convert(family["path"], str, "family.path"))}
-        initial = dict(_need(data, "initial", dict, "initial"))
-        if initial.get("kind") == "samples" and "path" in initial:
-            initial["path"] = resolve(_convert(initial["path"], str, "initial.path"))
-
-        nis = _get(data, "nisio", dict, {})
-        ora = _get(data, "oracle", dict, {})
-        conv = _get(data, "convergence", dict, {})
-        mc = _get(data, "mc", dict, {})
-        strategy_files = mc.get("strategies", [])
-        if not isinstance(strategy_files, list):
-            raise ConfigurationError("config field 'mc.strategies' must be an array of paths")
-        strategy_files = tuple(resolve(_convert(path, str, "mc.strategies"))
-                               for path in strategy_files)
-        return cls(
-            grid_dim=_need(grid_spec, "dim", int, "grid.dim"),
-            grid_n=_need(grid_spec, "n", int, "grid.n"),
-            family=family,
-            initial=initial,
-            time=_need(data, "time", float, "time"),
-            nisio_max_level=_get(nis, "max_level", int, 12, "nisio"),
-            nisio_tol=_get(nis, "tol", float, 1e-6, "nisio"),
-            nisio_monotonicity_tol=_get(nis, "monotonicity_tol", float, 1e-8, "nisio"),
-            oracle_dt=_get(ora, "dt", float, 1e-3, "oracle"),
-            oracle_gap_tol=_get(ora, "gap_tol", float, 5e-4, "oracle"),
-            convergence_h=_floats(conv.get("h_list", DEFAULT_H_LIST), "convergence.h_list"),
-            mc_n_paths=_get(mc, "n_paths", int, 10_000, "mc"),
-            mc_seed=_get(mc, "seed", int, 0, "mc"),
-            mc_extract_level=_get(mc, "extract_level", int, 4, "mc"),
-            mc_random_strategies=_get(mc, "random_strategies", int, 16, "mc"),
-            mc_scheme_tol=_get(mc, "scheme_tol", float, 1e-2, "mc"),
-            mc_x0=_floats(mc.get("x0", [0.0] * _need(grid_spec, "dim", int, "grid.dim")), "mc.x0"),
-            mc_strategy_files=strategy_files,
-            output_dir=_get(data, "output_dir", str, "out"),
-        )
+        rows = {f.metadata["key"]: f for f in dataclasses.fields(cls)}
+        known = rows.keys() | set(RETIRED_KEYS)
+        keys_only(data, {key.partition(".")[0] for key in known})  # a dotted "nisio.tol" too
+        sections = {key.partition(".")[0] for key in rows if "." in key}
+        # data with the keys of each section dotted: "nisio.tol"
+        flat = {name: value for name, value in data.items() if name not in sections}
+        flat.update((f"{name}.{key}", value) for name in data if name in sections
+                    for key, value in _convert(data[name], dict, name).items())
+        keys_only(flat, known)
+        for key, f in rows.items():
+            section = key.partition(".")[0]  # named alone when it is missing
+            if key not in flat and f.metadata["default"] is MISSING:
+                raise ConfigurationError("config is missing required field "
+                                         f"{key if section in data else section!r}")
+        values = {f.name: _convert(flat[key], f.metadata["kind"], key) if key in flat
+                  else f.metadata["default"] for key, f in rows.items()}
+        if values["mc_x0"] is None:
+            values["mc_x0"] = (0.0,) * values["grid_dim"]
+        fam, initial = values["family"], values["initial"]
+        if isinstance(fam, dict) and "path" in fam:
+            values["family"] = {**fam, "path": resolve(_convert(fam["path"], str, "family.path"))}
+        if initial.get("kind") == "samples":
+            keys_only(initial, ("kind", "path"), "initial.")
+            if "path" in initial:
+                initial["path"] = resolve(_convert(initial["path"], str, "initial.path"))
+        values["mc_strategy_files"] = tuple(map(resolve, values["mc_strategy_files"]))
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        return cls.from_dict(read_json(path, "config"),
-                             base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls.from_dict(read_json(path, "config"), os.path.dirname(os.path.abspath(path)))
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {"dim": self.grid_dim, "n": self.grid_n},
-            "family": self.family,
-            "initial": dict(self.initial),
-            "time": self.time,
-            "nisio": {"max_level": self.nisio_max_level, "tol": self.nisio_tol,
-                      "monotonicity_tol": self.nisio_monotonicity_tol},
-            "oracle": {"dt": self.oracle_dt, "gap_tol": self.oracle_gap_tol},
-            "convergence": {"h_list": list(self.convergence_h)},
-            "mc": {"n_paths": self.mc_n_paths, "seed": self.mc_seed,
-                   "extract_level": self.mc_extract_level,
-                   "random_strategies": self.mc_random_strategies,
-                   "scheme_tol": self.mc_scheme_tol, "x0": list(self.mc_x0),
-                   "strategies": list(self.mc_strategy_files)},
-            "output_dir": self.output_dir,
-        }
+        out: dict = {}
+        for f in dataclasses.fields(self):
+            section, _, key = f.metadata["key"].rpartition(".")
+            value = list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+            (out.setdefault(section, {}) if section else out)[key] = value
+        return out
 
 
 # -- family construction ---------------------------------------------------------
+
+def _diffusions(grid, sigmas) -> GeneratorFamily:
+    return GeneratorFamily(tuple(diffusion(s * s, dim=grid.dim) for s in sigmas),
+                           tuple(f"sigma={s:g}" for s in sigmas))
+
+
+def _half_turn_jump(grid, rate) -> GeneratorFamily:
+    if grid.dim != 1:
+        raise ConfigurationError("half_turn_jump is one-dimensional")
+    return GeneratorFamily((compound_poisson([(np.pi, 1.0)], rate=rate),),
+                           (f"half-turn rate={rate:g}",))
+
+
+def _wrapped_cauchy(grid, gammas, rate, scale) -> GeneratorFamily:
+    return GeneratorFamily(
+        tuple(wrapped_cauchy_quadruple(grid, g, rate=rate, scale=scale) for g in gammas),
+        tuple(f"cauchy gamma={g:g} scale={scale:g}" for g in gammas))
+
+
+# builtin name -> ({parameter: (kind, default)}, builder taking them as keywords)
+BUILTINS = {
+    "single_sigma": ({"sigma": (float, 1.0)}, lambda grid, sigma: _diffusions(grid, [sigma])),
+    "two_sigma": ({"sigmas": (_floats, (0.5, 1.0))}, _diffusions),
+    "half_turn_jump": ({"rate": (float, 1.0)}, _half_turn_jump),
+    "wrapped_cauchy": ({"gammas": (_floats, (0.5,)), "rate": (float, 1.0),
+                        "scale": (float, 1.0)}, _wrapped_cauchy),
+    "drift": ({"b": (None, 1.0)}, lambda grid, b: GeneratorFamily(  # b as written, in the label
+        (drift(_floats(b if isinstance(b, list) else [b], "family.b"), dim=grid.dim),),
+        (f"drift b={b!r}",))),
+}
+
 
 def build_family(spec, grid) -> GeneratorFamily:
     if isinstance(spec, list):
@@ -237,34 +239,14 @@ def build_family(spec, grid) -> GeneratorFamily:
     if not isinstance(spec, dict):
         raise ConfigurationError("family must be an array, a {path}, or a {builtin}")
     if "path" in spec:
-        return load_family(spec["path"])
+        return load_family(keys_only(spec, ("path",), "family.")["path"])
     name = spec.get("builtin")
-    if name == "single_sigma":
-        s = _get(spec, "sigma", float, 1.0, "family")
-        return GeneratorFamily((diffusion(s * s, dim=grid.dim),), (f"sigma={s:g}",))
-    if name == "two_sigma":
-        sigmas = _floats(spec.get("sigmas", (0.5, 1.0)), "family.sigmas")
-        members = tuple(diffusion(s * s, dim=grid.dim) for s in sigmas)
-        return GeneratorFamily(members, tuple(f"sigma={s:g}" for s in sigmas))
-    if name == "half_turn_jump":
-        rate = _get(spec, "rate", float, 1.0, "family")
-        if grid.dim != 1:
-            raise ConfigurationError("half_turn_jump is one-dimensional")
-        return GeneratorFamily((compound_poisson([(np.pi, 1.0)], rate=rate),),
-                               (f"half-turn rate={rate:g}",))
-    if name == "wrapped_cauchy":
-        gammas = _floats(spec.get("gammas", (0.5,)), "family.gammas")
-        rate = _get(spec, "rate", float, 1.0, "family")
-        scale = _get(spec, "scale", float, 1.0, "family")
-        members = tuple(wrapped_cauchy_quadruple(grid, g, rate=rate, scale=scale)
-                        for g in gammas)
-        labels = tuple(f"cauchy gamma={g:g} scale={scale:g}" for g in gammas)
-        return GeneratorFamily(members, labels)
-    if name == "drift":
-        b = spec.get("b", 1.0)
-        velocity = _floats(b if isinstance(b, list) else [b], "family.b")
-        return GeneratorFamily((drift(velocity, dim=grid.dim),), (f"drift b={b!r}",))
-    raise ConfigurationError(f"unknown family builtin {name!r}")
+    if not isinstance(name, str) or name not in BUILTINS:
+        raise ConfigurationError(f"unknown family builtin {name!r}")
+    params, builder = BUILTINS[name]
+    keys_only(spec, ("builtin", *params), "family.")
+    return builder(grid, **{key: _convert(spec[key], kind, f"family.{key}") if key in spec
+                            else default for key, (kind, default) in params.items()})
 
 
 # -- shared command plumbing -------------------------------------------------------

@@ -188,9 +188,15 @@ def sup_distance(f: GridFunction, g: GridFunction) -> float:
 
 
 def wrap_point(p: np.ndarray) -> np.ndarray:
-    """Representative of a torus point in (-pi, pi]^d."""
+    """Representative of a torus point in (-pi, pi]^d; wrapping it again returns it."""
     p = np.asarray(p, dtype=float)
-    return p - TWO_PI * np.ceil((p - np.pi) / TWO_PI)
+    out = p - TWO_PI * np.ceil((p - np.pi) / TWO_PI)
+    far = np.isfinite(p) & ~((out > -np.pi) & (out <= np.pi))
+    if np.any(far):
+        # rounded out near odd multiples of pi and past 1e12; fmod and one shift are exact
+        r = np.fmod(np.where(far, p, 0.0), TWO_PI)
+        out = np.where(far, r - TWO_PI * (r > np.pi) + TWO_PI * (r <= -np.pi), out)[()]
+    return out
 
 
 # -- named initial functions -------------------------------------------------
@@ -273,6 +279,14 @@ def numbers_only(value, what: str):
         if isinstance(item, (list, tuple)):
             stack.extend(item)
     return value
+
+
+def keys_only(obj: dict, known, prefix: str = "", what: str = "config") -> dict:
+    """obj, refused at a key that known lacks (prefix is its place); a non-object passes."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in known:
+            raise ConfigurationError(f"{what} field {prefix + str(key)!r} is not known")
+    return obj
 
 
 def _csv_header(dim: int, lead: str | None = None, value: str = "value") -> list[str]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import TorusGrid, negation_permutation, numbers_only, read_json, wrap_point
+from .grid import TorusGrid, keys_only, negation_permutation, numbers_only, read_json, wrap_point
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -571,14 +571,16 @@ def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> n
 # -- JSON interchange ----------------------------------------------------------
 
 def quadruple_from_dict(obj: dict) -> LevyQuadruple:
-    def number(entry, key, name):
-        return numbers_only(entry[key], f"quadruple field {name!r}")
+    def atom(entry, name, *keys):
+        keys_only(entry, keys, name + ".", "quadruple")
+        return tuple(numbers_only(entry[k], f"quadruple field '{name}.{k}'") for k in keys)
 
+    keys_only(obj, ("b", "sigma", "mu", "nu", "label"), what="quadruple")
     try:
         b = numbers_only(obj.get("b", 0.0), "quadruple field 'b'")
         sigma = numbers_only(obj.get("sigma", 0.0), "quadruple field 'sigma'")
-        mu = [(number(e, "y", "mu.y"), number(e, "w", "mu.w")) for e in obj.get("mu", [])]
-        nu = [(number(e, "z", "nu.z"), number(e, "v", "nu.v")) for e in obj.get("nu", [])]
+        mu = [atom(e, "mu", "y", "w") for e in obj.get("mu", [])]
+        nu = [atom(e, "nu", "z", "v") for e in obj.get("nu", [])]
         return LevyQuadruple.create(b=b, sigma=np.asarray(sigma, dtype=float), mu=mu, nu=nu,
                                     dim=len(np.atleast_1d(b)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

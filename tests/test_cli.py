@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -49,6 +51,31 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+# one unknown key in each place a config or a file it names can hold one, and the
+# field that the refusal names
+UNKNOWN_KEYS = [
+    ({"tyme": 0.2}, "config field 'tyme'"),
+    ({"nisio.tol": 1e-3}, "config field 'nisio.tol'"),  # a section key at the top level
+    ({"grid": {"dim": 1, "n": 128, "m": 8}}, "config field 'grid.m'"),
+    ({"nisio": {"max_levls": 2}}, "config field 'nisio.max_levls'"),
+    ({"oracle": {"gap_tl": 1.0}}, "config field 'oracle.gap_tl'"),
+    ({"convergence": {"h": [0.1]}}, "config field 'convergence.h'"),
+    ({"mc": {"n_path": 100}}, "config field 'mc.n_path'"),
+    ({"family": {"builtin": "single_sigma", "sigmas": [2.0]}}, "config field 'family.sigmas'"),
+    ({"family": {"builtin": "two_sigma", "sigma": [2, 3]}}, "config field 'family.sigma'"),
+    ({"family": {"builtin": "half_turn_jump", "rates": 2.0}}, "config field 'family.rates'"),
+    ({"family": {"builtin": "wrapped_cauchy", "gamma": 0.5}}, "config field 'family.gamma'"),
+    ({"family": {"builtin": "drift", "velocity": 1.0}}, "config field 'family.velocity'"),
+    ({"family": {"path": "family.json", "label": "x"}}, "config field 'family.label'"),
+    ({"initial": {"kind": "samples", "path": "f.csv", "scale": 2}},
+     "config field 'initial.scale'"),
+    ({"family": [{"b": 0.0, "sgima": 1.0}]}, "quadruple field 'sgima'"),
+    ({"family": [{"b": 0.0, "mu": [{"y": 1.0, "w": 1.0, "z": 0}]}]}, "quadruple field 'mu.z'"),
+    ({"family": [{"b": 0.0, "nu": [{"z": 0.5, "v": 1.0, "w": 1}]}]}, "quadruple field 'nu.w'"),
+    ({"family": {"path": "bad_family.json"}}, "quadruple field 'sigma2'"),
+]
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = write_config(tmp_path)
@@ -56,7 +83,7 @@ class TestConfig:
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
-    def test_unknown_keys_are_ignored(self, tmp_path):
+    def test_retired_keys_are_ignored(self, tmp_path):
         # neither is read: an out-of-range oracle.tail_tol passes, and output
         # does not redirect the output directory
         path = write_config(tmp_path, oracle={"tail_tol": -1.0}, output=str(tmp_path / "x"))
@@ -65,6 +92,27 @@ class TestConfig:
         assert cfg.to_dict()["oracle"] == {"dt": 1e-3, "gap_tol": 5e-4}
         assert main(["oracle", "--config", str(path), "--quiet"]) == 0
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("overrides, field", UNKNOWN_KEYS,
+                             ids=[field.split("'")[1] for _, field in UNKNOWN_KEYS])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, overrides, field):
+        (tmp_path / "family.json").write_text(json.dumps([{"sigma": 1.0}]))
+        (tmp_path / "bad_family.json").write_text(json.dumps([{"sigma2": 1.0}]))
+        (tmp_path / "f.csv").write_text("")
+        path = write_config(tmp_path, **overrides)
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {field} is not known\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_schema_lists_the_config_table(self):
+        readme = (CONFIGS.parent / "README.md").read_text()
+        block = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+        schema = json.loads(re.sub(r"//.*", "", block))
+        keys = {f.metadata["key"] for f in dataclasses.fields(RunConfig)}
+        sections = {key.split(".")[0] for key in keys if "." in key}
+        listed = {name for name in schema if name not in sections}
+        listed |= {f"{name}.{key}" for name in sections & schema.keys() for key in schema[name]}
+        assert listed == keys
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -353,12 +401,12 @@ class TestEvolve:
 
     def test_nonfinite_config_echo_is_null(self, tmp_path):
         path = tmp_path / "config.json"
-        # Python's json reads NaN; the family builtin ignores the extra key
-        path.write_text(write_config(tmp_path).read_text().replace(
-            '"sigma": 1.0', '"sigma": 1.0, "note": NaN'))
+        # Python's json reads NaN; an inline member's label is echoed, not checked
+        path.write_text(write_config(tmp_path, family=[{"sigma": 1.0, "label": "L"}])
+                        .read_text().replace('"L"', "NaN"))
         assert main(["evolve", "--config", str(path), "--quiet"]) == 0
         manifest = strict_json(tmp_path / "out" / "manifest.json")
-        assert manifest["config"]["family"]["note"] is None
+        assert manifest["config"]["family"][0]["label"] is None
 
     def test_value_csv_bytes_deterministic(self, tmp_path):
         p1 = write_config(tmp_path, name="a.json",

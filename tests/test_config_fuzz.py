@@ -10,6 +10,7 @@ Infinity).
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sublevy.cli import main  # noqa: E402
+from sublevy.cli import BUILTINS, RunConfig, main  # noqa: E402
 from sublevy.nisio import Partition  # noqa: E402
 
 scalars = st.one_of(
@@ -162,3 +163,22 @@ def test_random_config_ends_in_a_known_exit(case, command):
     assert not caught, [str(w.message) for w in caught]
     if code == 1:
         assert text.count("\n") == 1 and text.endswith("\n"), text
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_valid_fields_set_every_table_key(dim):
+    # a new config row or builtin parameter must be added to valid_fields too;
+    # configs() sets grid itself, and the test body sets output_dir
+    fields = valid_fields(dim)
+    keys = {f.metadata["key"] for f in dataclasses.fields(RunConfig)}
+    sections = {key.split(".")[0] for key in keys if "." in key}
+    fuzzed = {name for name in fields if name not in sections}
+    fuzzed |= {f"{name}.{key}" for name in sections & fields.keys()
+               for choice in fields[name] for key in choice}
+    assert keys - fuzzed == {"grid.dim", "grid.n", "output_dir"}
+    assert fuzzed <= keys
+    builtins = {}
+    for family in valid_fields(1)["family"]:
+        if isinstance(family, dict):
+            builtins.setdefault(family["builtin"], set()).update(set(family) - {"builtin"})
+    assert builtins == {name: set(params) for name, (params, _) in BUILTINS.items()}

@@ -10,6 +10,7 @@ from sublevy import (
     read_function_csv,
     sample,
     sup_distance,
+    wrap_point,
     write_function_csv,
 )
 from conftest import random_trig
@@ -128,6 +129,41 @@ class TestSupOps:
         with pytest.raises(ConfigurationError):
             sup_distance(sample(grid8, "constant", value=0.0),
                          sample(grid64, "constant", value=0.0))
+
+
+class TestWrapPoint:
+    @staticmethod
+    def inside(x):
+        return (x > -np.pi) & (x <= np.pi)
+
+    def test_moderate_points_keep_the_formula(self):
+        # the formula wrap_point has always used; where it lands in (-pi, pi] the
+        # result is bit for bit the same, and where it rounds out (at some odd
+        # multiples of pi, and at some points beyond 1e11) the result is in range
+        two_pi = 2.0 * np.pi
+        rng = np.random.default_rng(0)
+        odd = np.pi * (2 * np.arange(-2000, 2000) + 1)
+        p = np.concatenate([rng.uniform(-s, s, 20_000) for s in (4.0, 1e3, 1e6, 1e9, 1e12, 1e15)]
+                           + [odd, np.nextafter(odd, 0), np.nextafter(odd, np.inf),
+                              [0.0, -0.0, np.pi, -np.pi, 1e15, -1e15]])
+        formula = p - two_pi * np.ceil((p - np.pi) / two_pi)
+        kept = self.inside(formula)
+        assert kept[:80_000].all()  # every random point up to 1e9
+        out = wrap_point(p)
+        assert np.array_equal(out[kept].view(np.int64), formula[kept].view(np.int64))
+        assert np.all(self.inside(out))
+
+    def test_every_finite_point_wraps_into_range_once(self):
+        rng = np.random.default_rng(1)
+        big = np.finfo(float).max
+        p = np.concatenate([rng.uniform(-1e300, 1e300, 20_000), rng.uniform(-1e18, 1e18, 20_000),
+                            [5e17, -5e17, big, -big, np.nextafter(-np.pi, 0), -np.pi, np.pi]])
+        out = wrap_point(p)
+        assert np.all(self.inside(out))
+        assert np.array_equal(wrap_point(out).view(np.int64), out.view(np.int64))
+        assert self.inside(wrap_point(5e17)) and wrap_point(wrap_point(5e17)) == wrap_point(5e17)
+        assert isinstance(wrap_point(5e17), np.float64)
+        assert np.isnan(wrap_point(np.array([np.nan, 5e17]))[0])
 
 
 class TestCyclicShift:
