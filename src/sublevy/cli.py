@@ -62,14 +62,15 @@ RETIRED_KEYS = ("oracle.tail_tol", "output")
 
 def _convert(value, kind, what: str):
     """value as kind: kept as written for None, read as kind(value, what) by a reader
-    (not a type).  A string field (a path) refuses anything but a string.  A float
-    field refuses a value that is not finite; then a number field refuses a JSON
-    boolean or string, even one that kind parses, and an int field, a fraction."""
+    (not a type).  A string field (a path) refuses anything but a string, and an
+    object field (a section) anything but an object.  A float field refuses a value
+    that is not finite; then a number field refuses a JSON boolean or string, even
+    one that kind parses, and an int field, a fraction."""
     if kind is None or not isinstance(kind, type):
         return value if kind is None else kind(value, what)
-    if kind is str and not isinstance(value, str):
-        raise ConfigurationError(
-            f"config field {what!r} must be a string, got {json.dumps(value)}")
+    if kind in (str, dict) and not isinstance(value, kind):
+        noun = "a string" if kind is str else "an object"
+        raise ConfigurationError(f"config field {what!r} must be {noun}, got {json.dumps(value)}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -398,13 +398,8 @@ def batch_rows(grid: TorusGrid, members: int) -> int:
     return max(1, BATCH_POINTS // (members * grid.size))
 
 
-def _head(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """A view of the first elements of a C-contiguous buffer, in the given shape."""
-    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
 class SpectralWorkspace:
-    """Buffers of the spectral kernel for m members on one grid.
+    """Buffers and stages of the spectral kernel for m members on one grid.
 
     A caller that applies multipliers in a loop keeps one workspace for the
     whole loop, so no step allocates a spectrum or a stack: the half-spectrum
@@ -413,9 +408,11 @@ class SpectralWorkspace:
     the same workspace.  A workspace made with rows has a leading batch axis
     of that length, and each call takes values of shape (b, *grid.shape) for
     any b <= rows: b independent rows in one call, each row bitwise what a
-    call on that row alone gives.  When one member's evolution of every row
-    holds MEMBER_POINTS points or more, envelope runs member at a time through
-    one member's spectrum and values.
+    call on that row alone gives.  One method runs every stage of the kernel,
+    and envelope folds its result in one of two ways: the whole member stack
+    at once or, when one member's evolution of every row holds MEMBER_POINTS
+    points or more (by_member), one member at a time, through the first
+    member of the spectra and of the stack.
     """
 
     def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
@@ -425,11 +422,7 @@ class SpectralWorkspace:
         self.coeffs = np.empty(batch + half, dtype=complex)
         self.spec = np.empty(batch + (members,) + half, dtype=complex)
         self.stack = np.empty(batch + (members,) + grid.shape)
-        self.member = None
-        if (rows or 1) * grid.size >= MEMBER_POINTS:
-            # one member's spectrum and values at the start of the stack
-            # buffers, whose rest envelope then leaves alone: no new memory
-            self.member = (_head(self.spec, batch + half), _head(self.stack, batch + grid.shape))
+        self.by_member = (rows or 1) * grid.size >= MEMBER_POINTS
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of values by each multiplier; one row per member.
@@ -437,29 +430,37 @@ class SpectralWorkspace:
         mults holds half-spectrum multipliers, shape (m, ..., n/2+1), shared
         by every row, or (b, m, ..., n/2+1), one set per row of batched
         values; the result is the workspace's ([b,] m, *grid.shape) float64
-        stack of evolved values.  One forward
-        transform serves every member: a real FFT of the last axis, then
-        in-place complex FFTs of the leading grid axes from the last to the
-        first, the steps of rfftn without its argument handling.  The inverse
-        runs over the member axis as the complex inverse FFTs of the leading
-        grid axes, in place, and one inverse real FFT of the last axis, the
-        steps of irfftn.  The (-1)^k phase and 1/N normalization of the
+        stack of evolved values."""
+        return self._stages(mults, values, self.spec, self.stack)
+
+    def _stages(self, mults, values, spec, stack, forward=True):
+        """Every stage of the kernel, on the leading rows that batched values
+        take.  The forward transform of values into the coefficients (skipped
+        when not forward, which keeps the last one's) is a real FFT of the
+        last axis, then in-place complex FFTs of the leading grid axes from the
+        last to the first, the steps of rfftn.  With mults given, the multiply
+        into spec, the inverse into stack (in-place inverse FFTs of the leading
+        grid axes, then an inverse real FFT of the last axis, the steps of
+        irfftn) and the finiteness check follow; spec and stack have the
+        member count of mults.  The (-1)^k phase and 1/N normalization of the
         centred coefficient convention cancel for a diagonal multiplier, so
-        neither is applied.
-        """
+        neither is applied."""
         lead = values.ndim - self.grid.dim  # 1 for batched values, else 0
-        coeffs, spec, stack = self.coeffs, self.spec, self.stack
+        coeffs = self.coeffs
         if lead:
             rows = len(values)
             coeffs, spec, stack = coeffs[:rows], spec[:rows], stack[:rows]
-        np.fft.rfft(values, out=coeffs)
-        for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
-            np.fft.fft(coeffs, axis=axis, out=coeffs)
+        if forward:
+            np.fft.rfft(values, out=coeffs)
+            for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
+                np.fft.fft(coeffs, axis=axis, out=coeffs)
+        if mults is None:
+            return None
         np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
         for axis in range(lead + 1, lead + self.grid.dim):
             np.fft.ifft(spec, axis=axis, out=spec)
         np.fft.irfft(spec, self.grid.n, axis=-1, out=stack)
-        # on the whole stack: a member that is -inf where another is finite
+        # on every member: a member that is -inf where another is finite
         # leaves the member maximum finite (an infinite mode-0 coefficient
         # reaches every point with the same sign)
         if not np.isfinite(stack).all():
@@ -475,62 +476,39 @@ class SpectralWorkspace:
         without its dispatch.  Member at a time, np.maximum folds the members
         in the same order, so both schedules give the same bits, and out and
         argmax are unspecified after a ConsistencyError."""
-        if self.member is not None:
-            return self._envelope_by_member(mults, values, out, argmax)
-        stack = self.apply(mults, values)
-        lead = stack.ndim - 1 - self.grid.dim
-        if argmax is not None:
-            np.argmax(stack, axis=0, out=argmax)
-        return np.maximum.reduce(stack, axis=lead, out=out)
-
-    def _envelope_by_member(self, mults, values, out, argmax):
-        """The envelope step one member at a time: apply's forward transform
-        once, then per member its multiply, its inverse into out (member 0) or
-        the member buffer, its finiteness check and the fold into the
-        maximum."""
         lead = values.ndim - self.grid.dim
-        coeffs, (spec, buf) = self.coeffs, self.member
-        if lead:
-            rows = len(values)
-            coeffs, spec, buf = coeffs[:rows], spec[:rows], buf[:rows]
-        np.fft.rfft(values, out=coeffs)
-        for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
-            np.fft.fft(coeffs, axis=axis, out=coeffs)
+        if not self.by_member:
+            stack = self._stages(mults, values, self.spec, self.stack)
+            if argmax is not None:
+                np.argmax(stack, axis=0, out=argmax)
+            return np.maximum.reduce(stack, axis=lead, out=out)
+        # the forward transform once, outside the errstate below: its warnings
+        # are apply's; then each member from the kept coefficients into out
+        # (member 0) or the first member of the stack, folded in at once
+        self._stages(None, values, self.spec, self.stack)
         if out is None:
             out = np.empty(values.shape)
         if argmax is not None:
             argmax.fill(0)
-        # the member axis first: one set of multipliers per row has it second
-        members = np.moveaxis(mults, mults.ndim - 1 - self.grid.dim, 0)
-        with np.errstate(all="ignore"):
-            for i, mult in enumerate(members):
-                member = buf if i else out
-                np.multiply(mult, coeffs, out=spec)
-                self._inverse(spec, member)
-                if not np.isfinite(member).all():
-                    break
-                if i:
-                    if argmax is not None:
-                        # strict: a tie keeps the lower index, as np.argmax does
-                        np.copyto(argmax, i, where=buf > out)
-                    np.maximum(out, buf, out=out)
-            else:
-                return out
-        # a member is not finite: the whole stack, evolved again from the kept
-        # coefficients, gives the floating-point warnings apply gives
-        spec, stack = (self.spec[:rows], self.stack[:rows]) if lead else (self.spec, self.stack)
-        np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
-        self._inverse(spec, stack)
-        raise ConsistencyError("member evolution produced non-finite values")
-
-    def _inverse(self, spec: np.ndarray, out: np.ndarray) -> None:
-        """apply's inverse transform of spec, whose last grid.dim axes are grid
-        axes, into out.  apply keeps its own copy of these steps and of the
-        forward transform: no helper calls on small grids, where the fixed
-        cost of each call is most of a step."""
-        for axis in range(spec.ndim - self.grid.dim, spec.ndim - 1):
-            np.fft.ifft(spec, axis=axis, out=spec)
-        np.fft.irfft(spec, self.grid.n, axis=-1, out=out)
+        top = np.expand_dims(out, lead)
+        spec, stack = (a[:, :1] if lead else a[:1] for a in (self.spec, self.stack))
+        axis = mults.ndim - 1 - self.grid.dim  # the member axis
+        try:
+            with np.errstate(all="ignore"):
+                for i in range(mults.shape[axis]):
+                    mult = mults[(slice(None),) * axis + (slice(i, i + 1),)]
+                    member = self._stages(mult, values, spec, stack if i else top, False)
+                    if i:
+                        if argmax is not None:
+                            # strict: a tie keeps the lower index, as np.argmax does
+                            np.copyto(argmax, i, where=member[0] > out)
+                        np.maximum(top, member, out=top)
+            return out
+        except ConsistencyError:
+            # a member is not finite: the whole stack, evolved again from the
+            # kept coefficients, raises with the floating-point warnings apply gives
+            self._stages(mults, values, self.spec, self.stack, False)
+            raise
 
 
 # -- path increments -----------------------------------------------------------

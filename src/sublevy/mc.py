@@ -22,7 +22,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
-from .grid import GridFunction, TorusGrid, numbers_only, read_json, wrap_point, write_table
+from .grid import (GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point,
+                   write_table)
 from .levy import GeneratorFamily, sample_increments
 from .nisio import NisioResult, Partition
 
@@ -241,6 +242,7 @@ def strategy_to_dict(strat: SimpleStrategy) -> dict:
 
 
 def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
+    keys_only(obj, ("partition", "feedback"), what="strategy")
     try:
         times = numbers_only(obj["partition"], "strategy field 'partition'")
         partition = Partition(np.asarray(times, dtype=float))

@@ -181,6 +181,8 @@ def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]
     """
     if len(traj.snapshots) < 3:
         raise ConfigurationError("residual check needs at least 3 snapshots")
+    if traj.snapshots[0].grid != table.grid:
+        raise ConfigurationError("trajectory does not live on the table's grid")
     gaps = np.diff(traj.times)
     if np.max(gaps) - np.min(gaps) > 1e-9 * float(np.max(gaps)):
         raise ConfigurationError("residual check needs uniformly spaced snapshots")

@@ -61,7 +61,7 @@ def schedule_workspace(grid, members, by_member, rows=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(levy, "MEMBER_POINTS", 1 if by_member else math.inf)
         ws = SpectralWorkspace(grid, members, rows=rows)
-    assert (ws.member is not None) == by_member
+    assert ws.by_member == by_member
     return ws
 
 

@@ -177,6 +177,16 @@ class TestConfig:
         assert main(["mc", "--config", str(path), "--quiet"]) == 1
         assert "'mc.strategies' must be an array" in capsys.readouterr().err
 
+    def test_unknown_strategy_key_is_refused(self, tmp_path, capsys):
+        save_strategy(tmp_path / "s.json", random_strategy(
+            make_grid(1, 128), Partition.dyadic(0.2, 2), 1, np.random.default_rng(0)))
+        data = json.loads((tmp_path / "s.json").read_text())
+        (tmp_path / "s.json").write_text(json.dumps({**data, "feedbak": data["feedback"]}))
+        path = write_config(tmp_path, mc={"strategies": ["s.json"]})
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: strategy field 'feedbak' is not known\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed):
         path = write_config(tmp_path)
@@ -275,6 +285,12 @@ class TestConfig:
          "bump parameter 'width'", 'must be a number, got "1.5"'),
         ({"initial": {"kind": "cosine", "k": "1"}}, "cosine parameter 'k'",
          'must be a number, got "1"'),
+        # sections and initial data take only objects, not arrays of pairs
+        ({"nisio": [["max_level", 2]]}, "nisio", 'must be an object, got [["max_level", 2]]'),
+        ({"nisio": []}, "nisio", "must be an object, got []"),
+        ({"nisio": 5}, "nisio", "must be an object, got 5"),
+        ({"initial": [["kind", "constant"], ["value", 1.0]]}, "initial",
+         'must be an object, got [["kind", "constant"], ["value", 1.0]]'),
     ])
     def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
                                                          field, cause):

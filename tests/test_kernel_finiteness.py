@@ -2,7 +2,9 @@
 
 A NaN, +inf or -inf is put in one member's multiplier (the other members stay
 finite) or in the input values, on 1D n=16 and 2D n=8 grids, with evolution
-multipliers or generator symbols and data of either sign of mean.
+multipliers or generator symbols and data of either sign of mean, for one row
+of values or a batch of three, with multipliers shared by the rows or one set
+per row.
 SpectralWorkspace.envelope must raise ConsistencyError ("non-finite") exactly
 when SpectralWorkspace.apply does on the same input, with the same warnings,
 whether it runs on the whole member stack or member at a time.
@@ -64,23 +66,32 @@ def _outcome(step):
        t=st.sampled_from([None, 0.05, 0.5]), target=st.sampled_from(["mults", "values"]),
        bad=st.sampled_from([np.nan, np.inf, -np.inf]), member=st.integers(0, 2),
        position=st.integers(0, 10**6), mean=st.sampled_from([-2.0, 0.0, 2.0]),
-       seed=st.integers(0, 2**16))
+       seed=st.integers(0, 2**16), rows=st.sampled_from([None, 3]), per_row=st.booleans())
 def test_envelope_raises_exactly_when_apply_does(dim, m, t, target, bad, member, position,
-                                                 mean, seed):
+                                                 mean, seed, rows, per_row):
     table = TABLES[dim, m]
     grid = table.grid
+    rng = np.random.default_rng(seed)
     # None stands for the generator symbols, which vanish at mode 0
-    mults = (table.psi_half if t is None else table.multipliers(t)).copy()
-    values = random_trig(grid, np.random.default_rng(seed), kmax=grid.n // 2).values + mean
+    scales = (1.0, 0.5, 2.0) if rows and per_row else (1.0,)
+    mults = np.stack([table.psi_half * s if t is None else table.multipliers(t * s)
+                      for s in scales])
+    if not (rows and per_row):
+        mults = mults[0]
+    values = np.stack([random_trig(grid, rng, kmax=grid.n // 2).values + mean
+                       for _ in range(rows or 1)])
+    if rows is None:
+        values = values[0]
     if target == "mults":
-        row = mults[member % m]
+        row = np.moveaxis(mults, mults.ndim - 1 - dim, 0)[member % m]
     else:
         row = values
     row.flat[position % row.size] = bad
-    expected = _outcome(lambda: SpectralWorkspace(grid, m).apply(mults, values))
-    am = np.empty(grid.shape, dtype=np.int64)
+    expected = _outcome(lambda: SpectralWorkspace(grid, m, rows=rows).apply(mults, values))
+    # maximizers are recorded of unbatched values only
+    am = np.empty(grid.shape, dtype=np.int64) if rows is None else None
     for by_member in (False, True):
-        ws = schedule_workspace(grid, m, by_member)
+        ws = schedule_workspace(grid, m, by_member, rows=rows)
         v = values.copy()
         assert _outcome(lambda: ws.envelope(mults, v)) == expected
         assert _outcome(lambda: ws.envelope(mults, v, out=v, argmax=am)) == expected

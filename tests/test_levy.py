@@ -633,14 +633,14 @@ class TestMemberSchedule:
         grid = make_grid(cfg.grid_dim, cfg.grid_n)
         m = len(build_family(cfg.family, grid))
         for rows in (None, batch_rows(grid, m)):
-            assert SpectralWorkspace(grid, m, rows=rows).member is None
+            assert not SpectralWorkspace(grid, m, rows=rows).by_member
 
     def test_large_2d_grid_goes_member_at_a_time(self):
         # the 2D n=256, m=4 envelope workload: one level in flight, member at a time
         grid = make_grid(2, 256)
         assert batch_rows(grid, 4) == 1
-        assert SpectralWorkspace(grid, 4, rows=1).member is not None
-        assert SpectralWorkspace(grid, 4).member is not None
+        assert SpectralWorkspace(grid, 4, rows=1).by_member
+        assert SpectralWorkspace(grid, 4).by_member
 
 
 class TestFamilyJson:

@@ -197,6 +197,14 @@ class TestResiduals:
         with pytest.raises(ConfigurationError):
             residual_check(traj, single_table64)
 
+    def test_trajectory_on_another_grid_rejected(self):
+        # an n=32 trajectory against an n=16 table
+        table16 = one_member_table(diffusion(1.0), make_grid(1, 16))
+        f = sample(make_grid(1, 32), "cosine", k=1)
+        traj = picard_solve(one_member_table(diffusion(1.0), f.grid), f, 0.01, 1e-3)
+        with pytest.raises(ConfigurationError, match="table's grid"):
+            residual_check(traj, table16)
+
 
 class TestMassDiagnostic:
     def test_zero_family(self, grid256):
