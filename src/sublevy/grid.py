@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_POINTS_PER_AXIS = 2**16
+MAX_POINTS = 2**22  # 2D n=2048, where a table and one m=4 envelope step peak near 0.7 GB
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,6 +69,9 @@ class TorusGrid:
             raise ConfigurationError(
                 f"grid size out of range [4, {MAX_POINTS_PER_AXIS}]: n={self.n}"
             )
+        if self.n**self.dim > MAX_POINTS:
+            raise ConfigurationError(
+                f"grid of {self.n}^{self.dim} points is above the limit of {MAX_POINTS}")
 
     @property
     def spacing(self) -> float:

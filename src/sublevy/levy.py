@@ -69,18 +69,24 @@ class LevyQuadruple:
 
     def __post_init__(self) -> None:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if b.shape not in ((1,), (2,)):
+            raise ConfigurationError(f"drift must be a vector of length 1 or 2, got {b.shape}")
         d = b.shape[0]
-        if d not in (1, 2):
-            raise ConfigurationError(f"drift must have 1 or 2 coordinates, got {d}")
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape == ():
             sigma = sigma.reshape(1, 1)
         if sigma.shape != (d, d):
             raise ConfigurationError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
-        mu_p = np.asarray(self.mu_points, dtype=float).reshape(-1, d)
-        mu_w = np.asarray(self.mu_weights, dtype=float).reshape(-1)
-        nu_p = np.asarray(self.nu_points, dtype=float).reshape(-1, d)
-        nu_w = np.asarray(self.nu_weights, dtype=float).reshape(-1)
+        atoms = []
+        for name, p, w in (("large-jump", self.mu_points, self.mu_weights),
+                           ("small-jump", self.nu_points, self.nu_weights)):
+            p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
+            p = p.reshape(0, d) if p.size == 0 else p  # the empty default
+            if p.ndim != 2 or p.shape[1] != d or w.shape != (p.shape[0],):
+                raise ConfigurationError(f"{name} atoms must be (k, {d}) points with (k,) "
+                                         f"weights, got shapes {p.shape} and {w.shape}")
+            atoms += [p, w]
+        mu_p, mu_w, nu_p, nu_w = atoms
         for name, arr in (("b", b), ("sigma", sigma), ("large-jump atoms", mu_p),
                           ("large-jump weights", mu_w), ("small-jump atoms", nu_p),
                           ("small-jump weights", nu_w)):
@@ -90,8 +96,6 @@ class LevyQuadruple:
             raise ConfigurationError("sigma must be symmetric to 1e-12")
         if np.min(np.linalg.eigvalsh(sigma)) < -PSD_TOL:
             raise ConfigurationError("sigma must be positive semidefinite to 1e-12")
-        if mu_p.shape[0] != mu_w.shape[0] or nu_p.shape[0] != nu_w.shape[0]:
-            raise ConfigurationError("atom point and weight counts disagree")
         if np.any(mu_w <= 0) or np.any(nu_w <= 0):
             raise ConfigurationError("atom weights must be strictly positive")
         mu_p = wrap_point(mu_p) if mu_p.size else mu_p

@@ -10,6 +10,7 @@ strategy extraction for the Monte Carlo dual.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -129,15 +130,16 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
         raise ConfigurationError("grid function does not live on the table's grid")
     if t == 0:
         return f
-    _, values = next(_compose(table, [[(t, 1)]], f.values))
-    return GridFunction(table.grid, values)
+    return GridFunction(table.grid, next(_compose(table, [(t, 1)], f.values)))
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
     if f.grid != table.grid:
         raise ConfigurationError("grid function does not live on the table's grid")
-    _, values = next(_compose(table, [_runs(pi)], f.values))
+    values = f.values
+    for run in reversed(_runs(pi)):
+        values = next(_compose(table, [run], values))
     return GridFunction(table.grid, values)
 
 
@@ -156,56 +158,37 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
 
 
 def _compose(table: SymbolTable, rows, values: np.ndarray):
-    """Compose envelope steps for independent rows in lockstep; yields
-    (row, result) as each row completes, in completion order.
-
-    A row is a list of (gap, count) runs of equal gaps in forward-time order,
-    applied last run first to values, which every row starts from and which
-    is only read.  On each tick every row in flight takes one step, all in one
-    kernel call; batch_rows(grid, m) rows are in flight at most, and a waiting
-    row enters, in the given order, when one completes.  A row builds its
-    multipliers once per run.  A result is a new array unless its row has no
-    steps."""
+    """Compose envelope steps for independent rows in lockstep; yields each row's
+    result, a new array, in row order.  A row is one run (gap, count) of count >= 1
+    equal steps from values, which is only read.  Rows must come in order of count,
+    so that they complete in row order; any other order raises ConsistencyError.
+    On each tick every row in flight takes one step, all in one kernel call;
+    batch_rows(grid, m) rows are in flight at most, and the next row enters when
+    one completes."""
+    counts = [count for _, count in rows]
+    if counts != sorted(counts) or min(counts, default=1) < 1:
+        raise ConsistencyError(f"rows need step counts >= 1 in nondecreasing order, got {counts}")
     grid, m = table.grid, len(table)
     cap = min(batch_rows(grid, m), len(rows))
     ws = SpectralWorkspace(grid, m, rows=cap)
     vals = np.empty((cap,) + grid.shape)
     mults = np.empty((cap, m) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
-    waiting = iter(range(len(rows)))
-    flight = []  # per slot: [row, runs not yet started (the last at the end), steps left in run]
+    waiting = iter(rows)
+    tick, ends = 0, []  # per slot in flight, the tick its row completes at
     while True:
-        while len(flight) < cap and (row := next(waiting, None)) is not None:
-            runs = list(rows[row])
-            if not sum(count for _, count in runs):
-                yield row, values
-                continue
-            gap, count = runs.pop()
-            vals[len(flight)] = values
-            mults[len(flight)] = table.multipliers(gap)
-            flight.append([row, runs, count])
-        if not flight:
+        for gap, count in itertools.islice(waiting, cap - len(ends)):
+            vals[len(ends)] = values
+            mults[len(ends)] = table.multipliers(gap)
+            ends.append(tick + count)
+        if not ends:
             return
-        b = len(flight)
+        b = len(ends)
         v, mu = vals[:b], mults[:b]
-        ticks = min(left for _, _, left in flight)
-        for _ in range(ticks):
+        for _ in range(ends[0] - tick):
             ws.envelope(mu, v, out=v)
-        done = []
-        for s, entry in enumerate(flight):
-            entry[2] -= ticks
-            if entry[2] == 0:
-                if entry[1]:
-                    gap, entry[2] = entry[1].pop()
-                    mults[s] = table.multipliers(gap)
-                else:
-                    done.append(s)
-        for s in done:
-            yield flight[s][0], vals[s].copy()
-        for s in reversed(done):  # close the gaps: the slots in flight stay a prefix
-            vals[s:b - 1] = vals[s + 1:b]
-            mults[s:b - 1] = mults[s + 1:b]
-            del flight[s]
-            b -= 1
+        tick = ends.pop(0)  # the rows in flight complete in slot order
+        yield vals[0].copy()
+        vals[:b - 1], mults[:b - 1] = vals[1:b], mults[1:b]
 
 
 def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
@@ -252,11 +235,11 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     records: list[LevelRecord] = []
     increments: list[float] = []
     converged = False
-    # level l takes 2^l steps and enters no later than level l + 1, so the
-    # levels complete in order; the stop drops the levels still in flight
-    levels = [[(t / 2**level, 2**level)] for level in range(max_level + 1)]
+    # _compose needs its rows in order of step count: level l takes 2^l steps,
+    # so the levels complete in order; the stop drops the levels still in flight
+    levels = [(t / 2**level, 2**level) for level in range(max_level + 1)]
     start = time.perf_counter()
-    for level, new_values in _compose(table, levels, f.values):
+    for level, new_values in enumerate(_compose(table, levels, f.values)):
         now = time.perf_counter()
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
@@ -319,14 +302,15 @@ def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
 def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
               level: int) -> float:
     """Sup distance between the (s+t)-evolution and the composed s- then
-    t-evolution, all at the same dyadic level."""
+    t-evolution, all at the same dyadic level.  The joint row and the t-run go
+    in one lockstep pass, then the s-run on the t-run's result."""
     if s <= 0 or t <= 0:
         raise ConfigurationError("dynamic programming check needs s > 0 and t > 0")
     if not 0 <= level <= MAX_LEVEL:
         raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     steps = 2**level
-    rows = [[((s + t) / steps, steps)], [(s / steps, steps), (t / steps, steps)]]
-    joint, composed = (values for _, values in _compose(table, rows, f.values))
+    joint, later = _compose(table, [((s + t) / steps, steps), (t / steps, steps)], f.values)
+    composed = next(_compose(table, [(s / steps, steps)], later))
     return float(np.max(np.abs(joint - composed)))
 
 
@@ -351,10 +335,10 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
         )
     target = generator_sup(table, f)
     steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
-    # h decreases and its step count grows, so the rows complete in h order
-    evolved = _compose(table, [[(h / n, n)] for h, n in zip(hs, steps)], f.values)
+    # _compose needs rows in order of step count: h decreases, so the count never falls
+    evolved = _compose(table, [(h / n, n) for h, n in zip(hs, steps)], f.values)
     return [(h, float(np.max(np.abs((values - f.values) / h - target.values))))
-            for h, (_, values) in zip(hs, evolved)]
+            for h, values in zip(hs, evolved)]
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

@@ -128,6 +128,15 @@ class TestConfig:
         path = write_config(tmp_path, mc={"n_paths": 10})
         assert main(["mc", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("n", [4096, 2**16])
+    def test_grid_too_large_is_one_line(self, tmp_path, capsys, n):
+        # refused before any array is allocated: 2D n=65536 would need 32 GiB of modes
+        path = write_config(tmp_path, grid={"dim": 2, "n": n})
+        assert main(["evolve", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid of {n}^2 points is above the limit of {2**22}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mc", [
         {"n_paths": 10**400},
         {"random_strategies": 10**400},

@@ -32,7 +32,7 @@ class TestMakeGrid:
         assert g.size == 4096
         assert g.spacing == pytest.approx(np.pi / 32)
 
-    @pytest.mark.parametrize("dim,n", [(0, 8), (3, 8), (1, 2), (1, 2**17)])
+    @pytest.mark.parametrize("dim,n", [(0, 8), (3, 8), (1, 2), (1, 2**17), (2, 4096), (2, 2**16)])
     def test_out_of_range(self, dim, n):
         with pytest.raises(ConfigurationError):
             make_grid(dim, n)

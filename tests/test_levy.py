@@ -76,6 +76,20 @@ class TestQuadrupleValidation:
         with pytest.raises(ConfigurationError, match="not finite"):
             SymbolTable.build(GeneratorFamily((diffusion(1e306),)), grid64)
 
+    @pytest.mark.parametrize("args, match", [
+        # one row of four coordinates is not two 2D atoms
+        ((np.zeros(2), np.zeros((2, 2)), [[1.0, 2.0, 3.0, 4.0]], [1.0, 1.0]), "points"),
+        ((np.zeros(2), np.zeros((2, 2)), [[1.0, 2.0, 3.0]], [1.0]), "points"),
+        ((np.zeros((2, 2)), np.zeros((2, 2))), "drift"),
+    ])
+    def test_misshapen_arrays_rejected(self, args, match):
+        with pytest.raises(ConfigurationError, match=match):
+            LevyQuadruple(*args)
+        # the empty atom defaults still take the drift's dimension
+        q = LevyQuadruple(np.zeros(2), np.zeros((2, 2)))
+        assert q.mu_points.shape == q.nu_points.shape == (0, 2)
+        assert q.mu_weights.shape == q.nu_weights.shape == (0,)
+
     def test_atoms_wrapped_to_half_open_interval(self):
         q = LevyQuadruple.create(mu=[(3 * np.pi, 1.0), (-np.pi, 1.0)], dim=1)
         assert np.all(q.mu_points > -np.pi)

@@ -455,12 +455,12 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        list(_compose(two_sigma_table, [[(0.05, 4)], [(0.1, 2)]], v))
+        list(_compose(two_sigma_table, [(0.1, 2), (0.05, 4)], v))
         assert np.array_equal(v, before)
 
-    def test_levels_do_not_share_memory(self, two_sigma_table, bump128):
-        levels = [values for _, values in _compose(
-            two_sigma_table, [[(0.2 / 2**k, 2**k)] for k in range(4)], bump128.values)]
+    def test_levels_do_not_share_memory(self, two_sigma_table, bump128, monkeypatch):
+        levels = list(_compose(
+            two_sigma_table, [(0.2 / 2**k, 2**k) for k in range(4)], bump128.values))
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
@@ -468,6 +468,22 @@ class TestWorkspaceReuse:
             again = apply_partition(two_sigma_table, Partition.equidistant(0.2, 2**k),
                                     bump128)
             assert np.array_equal(values, again.values)
+        # rows of equal count complete on one tick (all five rows in flight), and
+        # with fewer slots than rows a waiting row enters as a slot frees; each
+        # row gives bitwise what it gives alone
+        rows = [(0.01, 1), (0.03, 2), (0.02, 2), (0.05, 2), (0.04, 3)]
+        alone = [next(_compose(two_sigma_table, [row], bump128.values)) for row in rows]
+        for points, slots in ((levy.BATCH_POINTS, 16), (2 * 2 * 128, 2), (1, 1)):
+            monkeypatch.setattr(levy, "BATCH_POINTS", points)
+            assert batch_rows(two_sigma_table.grid, len(two_sigma_table)) == slots
+            together = list(_compose(two_sigma_table, rows, bump128.values))
+            assert len(together) == len(rows)
+            for values, single in zip(together, alone):
+                assert np.array_equal(values, single)
+        # a row out of order, or without steps, would be stepped past its count
+        for bad in ([(0.05, 4), (0.1, 2)], [(0.1, 0)]):
+            with pytest.raises(ConsistencyError, match="nondecreasing order"):
+                next(_compose(two_sigma_table, bad, bump128.values))
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=2, tol=0.0,
@@ -530,19 +546,14 @@ class TestWorkspaceReuse:
 
     def test_mixed_runs_record_maximizers_in_forward_time(self, two_sigma_table, bump128):
         runs = [(0.03, 2), (0.07, 1), (0.05, 2)]
-        _, values = next(_compose(two_sigma_table, [runs], bump128.values))
+        values = bump128.values
+        for run in reversed(runs):
+            values = next(_compose(two_sigma_table, [run], values))
         f = bump128
         gaps = [gap for gap, count in runs for _ in range(count)]
         for step in range(len(gaps) - 1, -1, -1):
             f = apply_J(two_sigma_table, gaps[step], f)
         assert np.array_equal(values, f.values)
-        # in lockstep with a shorter and a longer row: the mixed row changes
-        # multipliers between ticks and moves down a slot when the short row
-        # completes, and still gives the same values
-        rows = [[(0.02, 3)], runs, [(0.01, 9)]]
-        done = dict(_compose(two_sigma_table, rows, bump128.values))
-        assert sorted(done) == [0, 1, 2]
-        assert np.array_equal(done[1], values)
 
     @pytest.mark.parametrize("times,calls", [
         ([0.0, 0.05, 0.12, 0.2], 3),               # three distinct gaps
@@ -567,8 +578,8 @@ class TestWorkspaceReuse:
         out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
         if calls == 1:
-            _, same = next(_compose(
-                two_sigma_table, [[(pi.end / pi.step_count, pi.step_count)]], bump128.values))
+            same = next(_compose(
+                two_sigma_table, [(pi.end / pi.step_count, pi.step_count)], bump128.values))
             assert np.array_equal(out.values, same)
         built.clear()
         apply_partition(two_sigma_table, Partition.equidistant(0.2, 8), bump128)
