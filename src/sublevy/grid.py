@@ -132,7 +132,7 @@ class GridFunction:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    @property
+    @functools.cached_property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 

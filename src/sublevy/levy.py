@@ -32,28 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import TorusGrid, keys_only, negation_permutation, numbers_only, read_json, wrap_point
+from .grid import (GridFunction, TorusGrid, keys_only, negation_permutation, numbers_only,
+                   read_json, wrap_point)
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
 REAL_PART_TOL = 1e-12
 
 
-def _atoms_array(atoms, dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    pts, wts = [], []
-    for entry in atoms:
-        p, w = entry
-        pts.append(np.atleast_1d(np.asarray(p, dtype=float)))
-        wts.append(float(w))
-    if not pts:
-        return np.zeros((0, dim)), np.zeros(0)
-    points = wrap_point(np.stack(pts))
-    weights = np.asarray(wts)
-    if points.shape[1] != dim:
-        raise ConfigurationError(f"{name} atoms must have {dim} coordinates")
-    if np.any(weights <= 0):
-        raise ConfigurationError(f"{name} atom weights must be strictly positive")
-    return points, weights
+def _atoms_array(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(point, weight) pairs as a point and a weight array; LevyQuadruple checks them."""
+    pairs = [(np.atleast_1d(np.asarray(p, dtype=float)), float(w)) for p, w in atoms]
+    return np.array([p for p, _ in pairs]), np.array([w for _, w in pairs])
 
 
 @dataclass(frozen=True)
@@ -68,6 +58,8 @@ class LevyQuadruple:
     nu_weights: np.ndarray = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
+        """The one validation of a quadruple: shapes, finiteness, a symmetric PSD
+        sigma, and per atom kind positive weights; atoms are wrapped to the torus."""
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if b.shape not in ((1,), (2,)):
             raise ConfigurationError(f"drift must be a vector of length 1 or 2, got {b.shape}")
@@ -77,37 +69,29 @@ class LevyQuadruple:
             sigma = sigma.reshape(1, 1)
         if sigma.shape != (d, d):
             raise ConfigurationError(f"sigma must be {d}x{d}, got shape {sigma.shape}")
-        atoms = []
-        for name, p, w in (("large-jump", self.mu_points, self.mu_weights),
-                           ("small-jump", self.nu_points, self.nu_weights)):
-            p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
-            p = p.reshape(0, d) if p.size == 0 else p  # the empty default
-            if p.ndim != 2 or p.shape[1] != d or w.shape != (p.shape[0],):
-                raise ConfigurationError(f"{name} atoms must be (k, {d}) points with (k,) "
-                                         f"weights, got shapes {p.shape} and {w.shape}")
-            atoms += [p, w]
-        mu_p, mu_w, nu_p, nu_w = atoms
-        for name, arr in (("b", b), ("sigma", sigma), ("large-jump atoms", mu_p),
-                          ("large-jump weights", mu_w), ("small-jump atoms", nu_p),
-                          ("small-jump weights", nu_w)):
+        for name, arr in (("b", b), ("sigma", sigma)):
             if not np.all(np.isfinite(arr)):
                 raise ConfigurationError(f"quadruple {name} must be finite")
         if np.max(np.abs(sigma - sigma.T), initial=0.0) > SYMMETRY_TOL:
             raise ConfigurationError("sigma must be symmetric to 1e-12")
         if np.min(np.linalg.eigvalsh(sigma)) < -PSD_TOL:
             raise ConfigurationError("sigma must be positive semidefinite to 1e-12")
-        if np.any(mu_w <= 0) or np.any(nu_w <= 0):
-            raise ConfigurationError("atom weights must be strictly positive")
-        mu_p = wrap_point(mu_p) if mu_p.size else mu_p
-        nu_p = wrap_point(nu_p) if nu_p.size else nu_p
-        if nu_p.size and np.any(np.all(nu_p == 0.0, axis=1)):
+        frozen = {"b": b, "sigma": sigma}
+        for key, name in (("mu", "large-jump"), ("nu", "small-jump")):
+            p = np.asarray(getattr(self, key + "_points"), dtype=float)
+            w = np.asarray(getattr(self, key + "_weights"), dtype=float)
+            p = p.reshape(0, d) if p.size == 0 else p  # the empty default
+            if p.ndim != 2 or p.shape[1] != d or w.shape != (p.shape[0],):
+                raise ConfigurationError(f"{name} atoms must be (k, {d}) points with (k,) "
+                                         f"weights, got shapes {p.shape} and {w.shape}")
+            if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
+                raise ConfigurationError(f"quadruple {name} atoms and weights must be finite")
+            if np.any(w <= 0):
+                raise ConfigurationError(f"{name} atom weights must be strictly positive")
+            frozen[key + "_points"], frozen[key + "_weights"] = wrap_point(p), w
+        if np.any(np.all(frozen["nu_points"] == 0.0, axis=1)):
             raise ConfigurationError("small-jump atoms must be nonzero")
-
-        for name, arr in (
-            ("b", b), ("sigma", sigma),
-            ("mu_points", mu_p), ("mu_weights", mu_w),
-            ("nu_points", nu_p), ("nu_weights", nu_w),
-        ):
+        for name, arr in frozen.items():
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -123,9 +107,7 @@ class LevyQuadruple:
         sig = np.asarray(sigma, dtype=float)
         if sig.shape == ():
             sig = np.diag(np.full(dim, float(sig)))
-        mu_p, mu_w = _atoms_array(mu, dim, "large-jump")
-        nu_p, nu_w = _atoms_array(nu, dim, "small-jump")
-        return cls(b_arr, sig, mu_p, mu_w, nu_p, nu_w)
+        return cls(b_arr, sig, *_atoms_array(mu), *_atoms_array(nu))
 
     @property
     def dim(self) -> int:
@@ -168,14 +150,13 @@ def drift(velocity, dim: int = 1) -> LevyQuadruple:
 
 def compound_poisson(atoms, rate: float = 1.0, dim: int = 1) -> LevyQuadruple:
     """Large-jump quadruple; atom weights are rescaled to total intensity rate."""
-    pts, wts = _atoms_array(atoms, dim, "large-jump")
+    zero = (np.zeros(dim), np.zeros((dim, dim)))
+    q = LevyQuadruple(*zero, *_atoms_array(atoms))  # checked before rate / sum flips a sign
     if rate < 0:
         raise ConfigurationError("compound Poisson rate must be nonnegative")
-    if wts.size == 0 or rate == 0:
-        return LevyQuadruple.create(b=np.zeros(dim), sigma=np.zeros((dim, dim)), dim=dim)
-    wts = wts * (rate / wts.sum())
-    return LevyQuadruple(np.zeros(dim), np.zeros((dim, dim)), pts, wts,
-                         np.zeros((0, dim)), np.zeros(0))
+    if q.mu_weights.size == 0 or rate == 0:
+        return LevyQuadruple(*zero)
+    return LevyQuadruple(*zero, q.mu_points, q.mu_weights * (rate / q.mu_weights.sum()))
 
 
 def wrapped_cauchy_quadruple(grid: TorusGrid, gamma: float, rate: float = 1.0,
@@ -363,8 +344,24 @@ class SymbolTable:
     def __len__(self) -> int:
         return len(self.family)
 
+    @functools.cached_property
     def max_abs_symbol(self) -> float:
         return float(np.max(np.abs(self.psi)))
+
+    def values_of(self, f: GridFunction) -> np.ndarray:
+        """f's values, the one door by which a grid function enters this table's
+        kernel: refused when f lives on another grid, or is so large that the
+        spectral sums of one step overflow."""
+        if f.grid != self.grid:
+            raise ConfigurationError("grid function does not live on the table's grid")
+        # the forward DFT's sums reach sup|f| * size, a generator row multiplies
+        # them by at most max|psi| (an evolution multiplier by at most 1), and
+        # each inverse axis adds n terms before its 1/n scaling
+        if not math.isfinite(f.sup_norm * self.grid.size * self.grid.n
+                             * max(1.0, self.max_abs_symbol)):
+            raise ConfigurationError(f"grid function of sup norm {f.sup_norm:g} is too large "
+                                     "for this table: its spectral sums overflow")
+        return f.values
 
     @property
     def psi_half(self) -> np.ndarray:

@@ -126,18 +126,15 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     """One sup-envelope step: pointwise max over members of the t-evolution."""
     if t < 0:
         raise ConfigurationError(f"step time must be nonnegative, got {t}")
-    if f.grid != table.grid:
-        raise ConfigurationError("grid function does not live on the table's grid")
+    values = table.values_of(f)
     if t == 0:
         return f
-    return GridFunction(table.grid, next(_compose(table, [(t, 1)], f.values)))
+    return GridFunction(table.grid, next(_compose(table, [(t, 1)], values)))
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
-    if f.grid != table.grid:
-        raise ConfigurationError("grid function does not live on the table's grid")
-    values = f.values
+    values = table.values_of(f)
     for run in reversed(_runs(pi)):
         values = next(_compose(table, [run], values))
     return GridFunction(table.grid, values)
@@ -217,9 +214,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         raise ConfigurationError(f"tolerance must be nonnegative, got {tol}")
     if monotonicity_tol <= 0:
         raise ConfigurationError("monotonicity guard must be positive")
-    if f.grid != table.grid:
-        raise ConfigurationError("grid function does not live on the table's grid")
-    if not math.isfinite(t * table.max_abs_symbol()):
+    values = table.values_of(f)
+    if not math.isfinite(t * table.max_abs_symbol):
         raise ConfigurationError(f"horizon {t:g} is too long for this grid: t * |psi| overflows")
     if record_argmax_level is not None:
         if not 0 <= record_argmax_level <= MAX_LEVEL:
@@ -239,7 +235,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     # so the levels complete in order; the stop drops the levels still in flight
     levels = [(t / 2**level, 2**level) for level in range(max_level + 1)]
     start = time.perf_counter()
-    for level, new_values in enumerate(_compose(table, levels, f.values)):
+    for level, new_values in enumerate(_compose(table, levels, values)):
         now = time.perf_counter()
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
@@ -287,15 +283,13 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 
 def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
-    if f.grid != table.grid:
-        raise ConfigurationError("grid function does not live on the table's grid")
     ws = SpectralWorkspace(table.grid, len(table))
-    return GridFunction(table.grid, ws.envelope(table.psi_half, f.values))
+    return GridFunction(table.grid, ws.envelope(table.psi_half, table.values_of(f)))
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     """Largest member generator sup-norm at f; the step-regularity constant."""
-    stack = SpectralWorkspace(table.grid, len(table)).apply(table.psi_half, f.values)
+    stack = SpectralWorkspace(table.grid, len(table)).apply(table.psi_half, table.values_of(f))
     return float(np.max(np.abs(stack)))
 
 
@@ -309,7 +303,8 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     if not 0 <= level <= MAX_LEVEL:
         raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     steps = 2**level
-    joint, later = _compose(table, [((s + t) / steps, steps), (t / steps, steps)], f.values)
+    rows = [((s + t) / steps, steps), (t / steps, steps)]
+    joint, later = _compose(table, rows, table.values_of(f))
     composed = next(_compose(table, [(s / steps, steps)], later))
     return float(np.max(np.abs(joint - composed)))
 
@@ -346,9 +341,8 @@ def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunctio
     """Largest sup-distance caused by moving a single partition time by eps."""
     if eps < 0:
         raise ConfigurationError(f"perturbation must be nonnegative, got {eps}")
-    if eps == 0:
-        return 0.0
-    if pi.step_count == 0:
+    table.values_of(f)  # refused even when nothing moves
+    if eps == 0 or pi.step_count == 0:
         return 0.0
     min_gap = float(np.min(pi.gaps()))
     if eps >= 0.5 * min_gap:

@@ -115,7 +115,7 @@ def poisson_series_apply(q: LevyQuadruple, t: float, f: GridFunction,
 
 def stability_limit(table: SymbolTable) -> float:
     """Largest step the explicit integrator accepts for this symbol table."""
-    top = table.max_abs_symbol()
+    top = table.max_abs_symbol
     if top == 0.0:
         return math.inf
     return RK4_ABS_STABILITY / top
@@ -134,8 +134,7 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         raise ConfigurationError(f"horizon must be positive, got {t}")
     if dt <= 0:
         raise ConfigurationError(f"step must be positive, got {dt}")
-    if f.grid != table.grid:
-        raise ConfigurationError("grid function does not live on the table's grid")
+    u = table.values_of(f)
     grid, psi = table.grid, table.psi_half
     if t / dt * grid.size > PICARD_WORK_BUDGET:
         raise BudgetError(
@@ -151,7 +150,6 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
             f"step {dt} exceeds the stability limit {limit:.3e} for this table"
         )
     ws = SpectralWorkspace(grid, len(table))
-    u = f.values
     times = [0.0]
     snaps = [f]
     for k in range(1, steps + 1):

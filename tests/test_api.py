@@ -1,9 +1,14 @@
 import ast
+import inspect
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import sublevy
+from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable, diffusion,
+                     make_grid, sample)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -57,3 +62,26 @@ def test_every_public_name_has_a_caller():
     uncalled = {n for n in names if n not in used and not re.search(rf"\b{n}\b", bench)}
     assert uncalled <= set(AWAITING_CALLER), sorted(uncalled - set(AWAITING_CALLER))
     assert set(AWAITING_CALLER) <= names
+
+
+# every public function of a symbol table and a grid function, found by its
+# signature, and a valid value for each other parameter without a default
+TABLE_AND_F = sorted(n for n in sublevy.__all__ if inspect.isfunction(getattr(sublevy, n))
+                     and {"table", "f"} <= set(inspect.signature(getattr(sublevy, n)).parameters))
+OTHER_ARGS = {"t": 0.1, "s": 0.1, "pi": Partition.dyadic(0.1, 2), "level": 2, "h_list": [0.1],
+              "eps": 1e-3, "dt": 0.01}
+
+
+@pytest.mark.parametrize("name", TABLE_AND_F)
+@pytest.mark.parametrize("dim, n", [(1, 32), (2, 8)])
+def test_grid_function_enters_a_table_through_one_door(name, dim, n):
+    """Each (table, f) function refuses f on another grid with the door's one message."""
+    table = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))),
+                              make_grid(1, 64))
+    f = sample(make_grid(dim, n), "constant", value=1.0)
+    fn = getattr(sublevy, name)
+    args = {p: OTHER_ARGS[p] for p, v in inspect.signature(fn).parameters.items()
+            if v.default is inspect.Parameter.empty and p not in ("table", "f")}
+    with pytest.raises(ConfigurationError,
+                       match="^grid function does not live on the table's grid$"):
+        fn(table=table, f=f, **args)

@@ -204,6 +204,25 @@ class TestConfig:
         path = write_config(tmp_path, mc={"seed": seed})
         assert main(["mc", "--config", str(path), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("value, code", [(1e308, 1), (1e304, 0)])
+    def test_overflowing_initial_data_is_one_line(self, tmp_path, capsys, value, code):
+        # on 1D n=16 two_sigma the spectral sums of 1e308 overflow and 1e304 stays
+        # below the bound; the refusal comes before any output is written
+        path = write_config(tmp_path, grid={"dim": 1, "n": 16},
+                            family={"builtin": "two_sigma", "sigmas": [0.5, 1.0]},
+                            initial={"kind": "constant", "value": value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve", "--config", str(path), "--quiet"]) == code
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: grid function of sup norm 1e+308 is too large for this "
+                           "table: its spectral sums overflow\n")
+            assert not (tmp_path / "out").exists()
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("overrides", [
         {"time": "nan"},
         {"oracle": {"dt": "inf"}},

@@ -60,8 +60,13 @@ class TestQuadrupleValidation:
             LevyQuadruple.create(nu=[(0.0, 1.0)], dim=1)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LevyQuadruple.create(mu=[(1.0, 0.0)], dim=1)
+        # compound_poisson's atoms are checked before rate / sum would flip a sign,
+        # and at rate 0, where no atom is kept
+        for make in (lambda: LevyQuadruple.create(mu=[(1.0, 0.0)], dim=1),
+                     lambda: compound_poisson([(0.5, -1.0)]),
+                     lambda: compound_poisson([(0.5, -1.0)], rate=0.0)):
+            with pytest.raises(ConfigurationError, match="strictly positive"):
+                make()
 
     @pytest.mark.parametrize("dim,params", [
         (1, {"b": np.nan}), (1, {"sigma": np.inf}), (1, {"mu": [(np.nan, 1.0)]}),
@@ -434,7 +439,7 @@ class TestSymbolTable:
         table = SymbolTable.build(fam, grid64)
         assert len(table) == 2
         assert 0.0 < table.snap_distance <= grid64.spacing / 2
-        assert table.max_abs_symbol() >= 0.5 * 32**2
+        assert table.max_abs_symbol >= 0.5 * 32**2
 
     def test_multiplier_time_validation(self, two_sigma_table):
         with pytest.raises(ConfigurationError):
@@ -490,7 +495,7 @@ class TestSpectralKernel:
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
             ref = inverse_transform(Spectrum(grid, table.psi[i] * coeffs))
-            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-12 * table.max_abs_symbol()
+            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-12 * table.max_abs_symbol
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
     def test_multipliers_live_on_the_half_spectrum(self, dim, n):
