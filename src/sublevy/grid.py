@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_POINTS_PER_AXIS = 2**16
-MAX_POINTS = 2**22  # 2D n=2048, where a table and one m=4 envelope step peak near 0.7 GB
+MAX_POINTS = 2**22  # 2D n=2048, where a table and one m=4 envelope step peak near 0.6 GB
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,13 +45,6 @@ def _phase_axis(n: int) -> np.ndarray:
     p = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     p.flags.writeable = False
     return p
-
-
-@functools.lru_cache(maxsize=None)
-def _neg_index_axis(n: int) -> np.ndarray:
-    idx = (-np.arange(n)) % n
-    idx.flags.writeable = False
-    return idx
 
 
 @dataclass(frozen=True)
@@ -93,10 +87,10 @@ class TorusGrid:
         x = self.axis_points()
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    def mode_grids(self) -> tuple[np.ndarray, ...]:
-        """Integer mode arrays (FFT order, Nyquist = +n/2), one per axis."""
-        k = _mode_axis(self.n)
-        return tuple(np.meshgrid(*([k] * self.dim), indexing="ij"))
+    def mode_axes(self) -> tuple[np.ndarray, ...]:
+        """Integer modes (FFT order, Nyquist = +n/2) of each axis, shaped to
+        broadcast against the grid: (n,) in 1D, (n, 1) and (1, n) in 2D."""
+        return np.ix_(*[_mode_axis(self.n)] * self.dim)
 
     def nearest_index(self, points) -> tuple[np.ndarray, ...]:
         """Index of the grid point nearest each torus point of an (..., d) array:
@@ -173,16 +167,17 @@ def inverse_transform(s: Spectrum) -> GridFunction:
     return GridFunction(s.grid, (np.fft.ifftn(s.coeffs * _phase_nd(s.grid)) * s.grid.size).real)
 
 
-def negation_permutation(grid: TorusGrid) -> tuple[np.ndarray, ...] | np.ndarray:
-    """Index object mapping each FFT slot to the slot of the negated mode.
+def negated_modes(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return it, arr at the negated mode of each FFT slot:
+    along every axis slot 0 keeps its value and slot j takes slot n - j.
 
     Modes on the Nyquist shell are self-aliased: -n/2 and +n/2 occupy the
-    same slot, so the permutation wraps through it.
+    same slot, so that slot keeps its value too.
     """
-    idx = _neg_index_axis(grid.n)
-    if grid.dim == 1:
-        return idx
-    return np.ix_(idx, idx)
+    for corner in itertools.product((False, True), repeat=arr.ndim):
+        out[tuple(slice(1, None) if c else slice(0, 1) for c in corner)] = (
+            arr[tuple(slice(None, 0, -1) if c else slice(0, 1) for c in corner)])
+    return out
 
 
 def sup_distance(f: GridFunction, g: GridFunction) -> float:

@@ -26,13 +26,14 @@ functions by construction.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, keys_only, negation_permutation, numbers_only,
+from .grid import (GridFunction, TorusGrid, keys_only, negated_modes, numbers_only,
                    read_json, wrap_point)
 
 SYMMETRY_TOL = 1e-12
@@ -257,37 +258,45 @@ def snap_to_grid(q: LevyQuadruple, grid: TorusGrid) -> tuple[LevyQuadruple, floa
 
 # -- symbols -------------------------------------------------------------------
 
-def _symmetrize(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
-    perm = negation_permutation(grid)
-    return 0.5 * (arr + np.conj(arr[perm]))
+def _phase(point, modes) -> np.ndarray:
+    """<point, k> per mode, from the grid's broadcast mode axes."""
+    return sum(point[a] * modes[a] for a in range(len(modes)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # SymbolTable rejects an overflowing symbol
-def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid) -> np.ndarray:
-    """Per-mode characteristic exponent of a quadruple whose atoms lie on the grid."""
-    modes = grid.mode_grids()
-
+def _quadratic_form(q: LevyQuadruple, grid: TorusGrid, modes) -> np.ndarray:
+    """<k, Sigma k> per mode, summed over the eigenpairs of Sigma."""
     lam, vec = q._sigma_decomposition
     quad = np.zeros(grid.shape)
     for i in range(q.dim):
-        if lam[i] == 0.0:
-            continue
-        proj = sum(vec[a, i] * modes[a] for a in range(q.dim))
-        quad = quad + lam[i] * proj.astype(float) ** 2
+        if lam[i] != 0.0:
+            quad += lam[i] * _phase(vec[:, i], modes) ** 2
+    return quad
 
-    drift_phase = sum(float(q.b[a]) * modes[a] for a in range(q.dim))
-    psi = 1j * drift_phase.astype(float) - 0.5 * quad
 
+@np.errstate(over="ignore", invalid="ignore")  # SymbolTable rejects an overflowing symbol
+def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, out: np.ndarray) -> None:
+    """Write into out, a complex array of the grid's shape, the per-mode
+    characteristic exponent of a quadruple whose atoms lie on the grid.  Each
+    jump term, and then the conjugate of out at the negated modes, goes
+    through one scratch of out's size; the symmetrized symbol is the mean of
+    the two."""
+    modes = grid.mode_axes()
+    np.multiply(1j, _phase(q.b, modes), out=out)
+    out -= 0.5 * _quadratic_form(q, grid, modes)
+
+    term = np.empty_like(out)
     for pts, wts, compensated in ((q.mu_points, q.mu_weights, False),
                                   (q.nu_points, q.nu_weights, True)):
-        for j in range(pts.shape[0]):
-            theta = sum(float(pts[j, a]) * modes[a] for a in range(q.dim)).astype(float)
-            term = np.exp(1j * theta) - 1.0
+        for point, weight in zip(pts, wts):
+            theta = _phase(point, modes)
+            np.exp(np.multiply(1j, theta, out=term), out=term)
+            term -= 1.0
             if compensated:
-                term = term - 1j * theta
-            psi = psi + wts[j] * term
+                term -= 1j * theta
+            out += np.multiply(weight, term, out=term)
 
-    return _symmetrize(grid, psi)
+    np.conjugate(negated_modes(out, term), out=term)
+    np.multiply(0.5, np.add(out, term, out=term), out=out)
 
 
 def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
@@ -299,14 +308,15 @@ def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
     re = psi.real
     worst = np.unravel_index(np.argmax(re), re.shape)
     if re[worst] > REAL_PART_TOL:
-        mode = tuple(int(m[worst]) for m in grid.mode_grids())
+        mode = tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), worst))
         raise ConsistencyError(
             f"symbol of {label}: Re psi{mode} = {re[worst]:.3e} exceeds {REAL_PART_TOL}"
         )
-    perm = negation_permutation(grid)
-    if not np.array_equal(psi[perm], np.conj(psi)):
-        bad = np.argwhere(psi[perm] != np.conj(psi))[0]
-        mode = tuple(int(m[tuple(bad)]) for m in grid.mode_grids())
+    mirror = negated_modes(psi, np.empty_like(psi))
+    np.conjugate(mirror, out=mirror)  # conj psi(-k) at each mode k
+    if not np.array_equal(mirror, psi):
+        bad = np.argwhere(mirror != psi)[0]
+        mode = tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), bad))
         raise ConsistencyError(f"symbol of {label}: conjugate symmetry fails at mode {mode}")
 
 
@@ -335,8 +345,11 @@ class SymbolTable:
 
     @classmethod
     def build(cls, family: GeneratorFamily, grid: TorusGrid) -> "SymbolTable":
+        """The table of family on grid, each row written in place."""
         snapped = [snap_to_grid(q, grid) for q in family.members]
-        psi = np.stack([_snapped_symbol(s, grid) for s, _ in snapped])
+        psi = np.empty((len(snapped),) + grid.shape, dtype=complex)
+        for (s, _), row in zip(snapped, psi):
+            _snapped_symbol(s, grid, row)
         psi.flags.writeable = False
         fam = GeneratorFamily(tuple(s for s, _ in snapped), family.labels)
         return cls(grid=grid, family=fam, psi=psi, snap_distance=max(d for _, d in snapped))
@@ -346,7 +359,7 @@ class SymbolTable:
 
     @functools.cached_property
     def max_abs_symbol(self) -> float:
-        return float(np.max(np.abs(self.psi)))
+        return max(float(np.max(np.abs(row))) for row in self.psi)  # one row's |psi| at a time
 
     def values_of(self, f: GridFunction) -> np.ndarray:
         """f's values, the one door by which a grid function enters this table's
@@ -368,16 +381,17 @@ class SymbolTable:
         """psi on the half spectrum, shape (m, ..., n/2+1), as the real FFTs store it."""
         return self.psi[..., : self.grid.n // 2 + 1]
 
-    def multipliers(self, t: float) -> np.ndarray:
-        """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1).
+    def multipliers(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1),
+        written into out when given (a complex array of that shape) and returned.
 
         The symbol is conjugate symmetric, but the multipliers are not
         re-symmetrized: SpectralWorkspace.apply uses only their Hermitian part.
         """
         if t < 0:
             raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-        mults = t * self.psi_half
-        return np.exp(mults, out=mults)  # in place: no second table-sized array
+        out = np.multiply(t, self.psi_half, out=out)
+        return np.exp(out, out=out)
 
 
 # -- multiplier application ----------------------------------------------------
@@ -412,18 +426,31 @@ class SpectralWorkspace:
     call on that row alone gives.  One method runs every stage of the kernel,
     and envelope folds its result in one of two ways: the whole member stack
     at once or, when one member's evolution of every row holds MEMBER_POINTS
-    points or more (by_member), one member at a time, through the first
-    member of the spectra and of the stack.
+    points or more (by_member), one member at a time.  A by_member workspace
+    keeps the spectra and stack of one member, all that schedule writes;
+    apply with more members, and the non-finite replay, evolve into new ones.
     """
 
     def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
-        batch = () if rows is None else (rows,)
-        half = grid.shape[:-1] + (grid.n // 2 + 1,)
         self.grid = grid
-        self.coeffs = np.empty(batch + half, dtype=complex)
-        self.spec = np.empty(batch + (members,) + half, dtype=complex)
-        self.stack = np.empty(batch + (members,) + grid.shape)
         self.by_member = (rows or 1) * grid.size >= MEMBER_POINTS
+        batch = () if rows is None else (rows,)
+        self.coeffs = np.empty(batch + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        self.spec, self.stack = self._buffers(1 if self.by_member else members)
+
+    def _buffers(self, members: int) -> tuple[np.ndarray, np.ndarray]:
+        """New member spectra and float64 member stack of every row."""
+        batch = self.coeffs.shape[:self.coeffs.ndim - self.grid.dim]
+        return (np.empty(batch + (members,) + self.coeffs.shape[len(batch):], dtype=complex),
+                np.empty(batch + (members,) + self.grid.shape))
+
+    def _whole(self, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spectra and stack for every member of mults: the workspace's own when
+        they hold that many, else new ones."""
+        members = mults.shape[mults.ndim - 1 - self.grid.dim]
+        if self.stack.shape[self.stack.ndim - 1 - self.grid.dim] == members:
+            return self.spec, self.stack
+        return self._buffers(members)
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of values by each multiplier; one row per member.
@@ -431,8 +458,9 @@ class SpectralWorkspace:
         mults holds half-spectrum multipliers, shape (m, ..., n/2+1), shared
         by every row, or (b, m, ..., n/2+1), one set per row of batched
         values; the result is the workspace's ([b,] m, *grid.shape) float64
-        stack of evolved values."""
-        return self._stages(mults, values, self.spec, self.stack)
+        stack of evolved values, or a new one when the workspace keeps fewer
+        members."""
+        return self._stages(mults, values, *self._whole(mults))
 
     def _stages(self, mults, values, spec, stack, forward=True):
         """Every stage of the kernel, on the leading rows that batched values
@@ -485,20 +513,20 @@ class SpectralWorkspace:
             return np.maximum.reduce(stack, axis=lead, out=out)
         # the forward transform once, outside the errstate below: its warnings
         # are apply's; then each member from the kept coefficients into out
-        # (member 0) or the first member of the stack, folded in at once
+        # (member 0) or the one-member stack, folded in at once
         self._stages(None, values, self.spec, self.stack)
         if out is None:
             out = np.empty(values.shape)
         if argmax is not None:
             argmax.fill(0)
         top = np.expand_dims(out, lead)
-        spec, stack = (a[:, :1] if lead else a[:1] for a in (self.spec, self.stack))
         axis = mults.ndim - 1 - self.grid.dim  # the member axis
         try:
             with np.errstate(all="ignore"):
                 for i in range(mults.shape[axis]):
                     mult = mults[(slice(None),) * axis + (slice(i, i + 1),)]
-                    member = self._stages(mult, values, spec, stack if i else top, False)
+                    member = self._stages(mult, values, self.spec, self.stack if i else top,
+                                          False)
                     if i:
                         if argmax is not None:
                             # strict: a tie keeps the lower index, as np.argmax does
@@ -508,7 +536,7 @@ class SpectralWorkspace:
         except ConsistencyError:
             # a member is not finite: the whole stack, evolved again from the
             # kept coefficients, raises with the floating-point warnings apply gives
-            self._stages(mults, values, self.spec, self.stack, False)
+            self._stages(mults, values, *self._whole(mults), False)
             raise
 
 
@@ -550,18 +578,23 @@ def sample_increment(q: LevyQuadruple, dt: float, rng: np.random.Generator) -> n
 # -- JSON interchange ----------------------------------------------------------
 
 def quadruple_from_dict(obj: dict) -> LevyQuadruple:
-    def atom(entry, name, *keys):
+    def atom(j, entry, name, *keys):
         keys_only(entry, keys, name + ".", "quadruple")
-        return tuple(numbers_only(entry[k], f"quadruple field '{name}.{k}'") for k in keys)
+        point, weight = (numbers_only(entry[k], f"quadruple field '{name}.{k}'") for k in keys)
+        if np.atleast_1d(np.asarray(point, dtype=float)).shape != (dim,):
+            raise ConfigurationError(f"quadruple field '{name}[{j}].{keys[0]}' must have {dim} "
+                                     f"coordinates, as 'b' has, got {json.dumps(point)}")
+        return point, weight
 
     keys_only(obj, ("b", "sigma", "mu", "nu", "label"), what="quadruple")
     try:
         b = numbers_only(obj.get("b", 0.0), "quadruple field 'b'")
+        dim = len(np.atleast_1d(b))
         sigma = numbers_only(obj.get("sigma", 0.0), "quadruple field 'sigma'")
-        mu = [atom(e, "mu", "y", "w") for e in obj.get("mu", [])]
-        nu = [atom(e, "nu", "z", "v") for e in obj.get("nu", [])]
+        mu = [atom(j, e, "mu", "y", "w") for j, e in enumerate(obj.get("mu", []))]
+        nu = [atom(j, e, "nu", "z", "v") for j, e in enumerate(obj.get("nu", []))]
         return LevyQuadruple.create(b=b, sigma=np.asarray(sigma, dtype=float), mu=mu, nu=nu,
-                                    dim=len(np.atleast_1d(b)))
+                                    dim=dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed quadruple object: {exc}") from exc
 

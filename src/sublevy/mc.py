@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError
 from .grid import (GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point,
@@ -66,7 +65,7 @@ class McEstimate:
 
 
 def random_strategy(grid: TorusGrid, partition: Partition, member_count: int,
-                    rng: Generator) -> SimpleStrategy:
+                    rng: np.random.Generator) -> SimpleStrategy:
     fb = rng.integers(0, member_count, size=(partition.step_count,) + grid.shape)
     return SimpleStrategy(grid, partition, fb)
 
@@ -122,7 +121,7 @@ def check_strategies(strategies, members: int, t: float) -> None:
 
 
 def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
-                   rng: Generator, size: int) -> np.ndarray:
+                   rng: np.random.Generator, size: int) -> np.ndarray:
     """Advance size controlled paths from x0 under each of strategies, which
     share one grid and one partition; returns the terminal torus points, shape
     (strategies, size, d).  On each step every member draws size increments
@@ -163,7 +162,8 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
     for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         size = min(BLOCK_PATHS, n_paths - lo)
         for members in groups.values():
-            rng = Generator(Philox(key=np.array([seed, block], dtype=np.uint64)))
+            key = np.array([seed, block], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             ends = simulate_paths(family, [strategies[i] for i in members], x0, t, rng, size)
             payoffs[members, lo:lo + size] = interpolate_linear(
                 f, ends.reshape(-1, f.grid.dim)).reshape(len(members), size)

@@ -175,7 +175,7 @@ def _compose(table: SymbolTable, rows, values: np.ndarray):
     while True:
         for gap, count in itertools.islice(waiting, cap - len(ends)):
             vals[len(ends)] = values
-            mults[len(ends)] = table.multipliers(gap)
+            table.multipliers(gap, out=mults[len(ends)])
             ends.append(tick + count)
         if not ends:
             return
@@ -288,9 +288,11 @@ def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
-    """Largest member generator sup-norm at f; the step-regularity constant."""
-    stack = SpectralWorkspace(table.grid, len(table)).apply(table.psi_half, table.values_of(f))
-    return float(np.max(np.abs(stack)))
+    """Largest member generator sup-norm at f; the step-regularity constant.
+    The members are evolved one at a time, through one member's buffers."""
+    values = table.values_of(f)
+    ws = SpectralWorkspace(table.grid, 1)
+    return max(float(np.max(np.abs(ws.apply(row[None], values)))) for row in table.psi_half)
 
 
 def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,

@@ -1,6 +1,9 @@
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -85,3 +88,12 @@ def test_grid_function_enters_a_table_through_one_door(name, dim, n):
     with pytest.raises(ConfigurationError,
                        match="^grid function does not live on the table's grid$"):
         fn(table=table, f=f, **args)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """Only a Monte Carlo run imports numpy.random, so a CLI start does not pay for it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, sublevy.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert run.stdout == "[]\n"

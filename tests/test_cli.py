@@ -319,6 +319,11 @@ class TestConfig:
         ({"nisio": 5}, "nisio", "must be an object, got 5"),
         ({"initial": [["kind", "constant"], ["value", 1.0]]}, "initial",
          'must be an object, got [["kind", "constant"], ["value", 1.0]]'),
+        # an atom list whose points do not all have the coordinate count of b
+        ({"family": [{"b": [0, 0], "mu": [{"y": [0.5, 1], "w": 1}, {"y": [0.5], "w": 1}]}]},
+         "quadruple field 'mu[1].y'", "must have 2 coordinates, as 'b' has, got [0.5]"),
+        ({"family": [{"b": [0], "nu": [{"z": 0.5, "v": 1}, {"z": [0.5, 1], "v": 1}]}]},
+         "quadruple field 'nu[1].z'", "must have 1 coordinates, as 'b' has, got [0.5, 1]"),
     ])
     def test_number_fields_refuse_booleans_and_fractions(self, tmp_path, capsys, overrides,
                                                          field, cause):

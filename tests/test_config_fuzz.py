@@ -65,6 +65,8 @@ def valid_fields(dim: int) -> dict:
             {"kind": "cosine", "k": [1] * dim, "phase": 0.3},
             {"kind": "bump", "center": zero, "width": 1.5},
             {"kind": "constant", "value": 0.5},
+            # spectral sums overflow on every grid: the table's door refuses it
+            {"kind": "constant", "value": 1e308},
         ],
         "time": [0.2],
         "nisio": [{"max_level": 4, "tol": 1e-6, "monotonicity_tol": 1e-8}],

@@ -1,0 +1,67 @@
+"""Memory of a run: the symbol table is written in place, and an envelope run
+keeps its temporaries to buffers of one member's size.
+
+tracemalloc sees numpy's array buffers, so a traced peak counts every array a
+call holds at once.  The unit is a row: one member's complex symbol on the
+grid, grid.size * 16 bytes.  The table holds one row per member; a
+half-spectrum multiplier or spectrum is half a row, and a float64 grid
+function too.  The grid is 2D n=256, where the envelope runs member at a time
+(at n=64 the 2D monotonicity guard trips, see nisio_evolve).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sublevy import (GeneratorFamily, LevyQuadruple, SymbolTable, diffusion, lipschitz_bound,
+                     make_grid, nisio_evolve, sample)
+
+GRID = make_grid(2, 256)
+ROW = GRID.size * 16
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of memory traced while it ran, in rows."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / ROW
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def family():
+    # isotropic, anisotropic, and a weak diffusion with two jump atoms
+    jumps = LevyQuadruple.create(b=[0.0, 0.0], sigma=0.1,
+                                 mu=[([math.pi / 4, 0.0], 3.0), ([0.0, -math.pi / 4], 3.0)])
+    return GeneratorFamily((diffusion(0.25, dim=2), diffusion(1.0, dim=2),
+                            LevyQuadruple.create(b=[0.0, 0.0], sigma=[[1.0, 0.4], [0.4, 0.5]]),
+                            jumps))
+
+
+def test_table_is_built_in_place(family):
+    # the table, one complex scratch row and float temporaries of a row's
+    # size; writing each member's symbol and then stacking them held more
+    # than twice the table
+    table, peak = _traced_peak(lambda: SymbolTable.build(family, GRID))
+    assert table.psi.nbytes == len(family) * ROW
+    assert peak <= len(family) + 3
+
+
+def test_an_envelope_run_holds_one_member_at_a_time(family):
+    table = SymbolTable.build(family, GRID)
+    f = sample(GRID, "bump", center=[0.0, 0.0], width=math.pi)
+    # the Lipschitz bound: the coefficients, one member's spectrum, its
+    # evolution and the evolution's absolute value, half a row each
+    bound, peak = _traced_peak(lambda: lipschitz_bound(table, f))
+    assert bound > 0.0
+    assert peak <= 2.5
+    # one dyadic level: the lockstep row's multipliers (half a row per
+    # member), the coefficients, one member's spectrum and stack, the row's
+    # values, and the level's value, its predecessor, their difference and
+    # its absolute value; the table was built before tracing started
+    result, peak = _traced_peak(lambda: nisio_evolve(table, 0.2, f, max_level=1, tol=0.0))
+    assert result.levels_used == 1 and np.all(np.isfinite(result.value.values))
+    assert peak <= len(table) / 2 + 5

@@ -569,9 +569,9 @@ class TestWorkspaceReuse:
         built = []
         multipliers = SymbolTable.multipliers
 
-        def counting(table, t):
+        def counting(table, t, out=None):
             built.append(t)
-            return multipliers(table, t)
+            return multipliers(table, t, out)
 
         monkeypatch.setattr(SymbolTable, "multipliers", counting)
         pi = Partition(np.array(times))
