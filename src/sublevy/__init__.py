@@ -71,7 +71,6 @@ from .oracles import (
     mass_diagnostic,
     picard_solve,
     poisson_series_apply,
-    residual_check,
     stability_limit,
 )
 

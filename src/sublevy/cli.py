@@ -50,7 +50,7 @@ from .nisio import (
     write_convergence_csv,
     write_generator_limit_csv,
 )
-from .oracles import picard_solve, residual_check, write_residual_csv, write_trajectory_csv
+from .oracles import picard_solve, write_residual_csv, write_trajectory_csv
 
 # increments one mc run may use, each counted once per strategy that advances on
 # it: paths x members x the steps of every strategy (strategies on one partition
@@ -374,16 +374,15 @@ def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
 def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
     result = _run_nisio(run)
-    write_function_csv(run.out("value.csv"), result.value)
-    write_convergence_csv(run.out("convergence.csv"), result)
     traj = _timed(run, "picard", lambda: picard_solve(
         run.table, run.initial, config.time, config.oracle_dt))
-    write_function_csv(run.out("picard_value.csv"), traj.final)
-    write_trajectory_csv(run.out("trajectory.csv"), traj)
-    residuals = _timed(run, "residuals", lambda: residual_check(traj, run.table))
-    write_residual_csv(run.out("residuals.csv"), residuals)
     gap = sup_distance(result.value, traj.final)
     run.diagnostics["oracle_gap"] = gap
+    write_function_csv(run.out("value.csv"), result.value)
+    write_convergence_csv(run.out("convergence.csv"), result)
+    write_function_csv(run.out("picard_value.csv"), traj.final)
+    write_trajectory_csv(run.out("trajectory.csv"), traj)
+    write_residual_csv(run.out("residuals.csv"), traj)
     write_table(run.out("gap_table.csv"), ["time", "sup_distance"], [(config.time, gap)])
     run.say(f"oracle gap {gap:.3e} (tolerance {config.oracle_gap_tol:g})")
     if gap > config.oracle_gap_tol:
@@ -395,9 +394,9 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
 def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
     result = _run_nisio(run)
-    write_convergence_csv(run.out("convergence.csv"), result)
     rows = _timed(run, "generator_limit", lambda: generator_limit_table(
         run.table, run.initial, config.convergence_h))
+    write_convergence_csv(run.out("convergence.csv"), result)
     write_generator_limit_csv(run.out("generator_limit.csv"), rows)
     run.diagnostics["generator_limit"] = [[h, e] for h, e in rows]
     run.say("generator-limit errors: " + ", ".join(f"{e:.3e}" for _, e in rows))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, write_grid_table, write_table
-from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, batch_rows, snap_to_grid
+from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
 from .nisio import Partition
 
 SERIES_TERM_BUDGET = 10**4
@@ -29,18 +29,25 @@ MASS_WINDOW_SHRINK = 0.5
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one evolution at increasing times starting at 0."""
+    """Snapshots of one evolution at increasing times starting at 0, and one
+    sup-norm residual per interior time times[1:-1] (see picard_solve)."""
 
     times: np.ndarray
     snapshots: tuple[GridFunction, ...] = field(repr=False)
+    residuals: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         times = Partition(self.times).times  # read-only, from 0, finite, increasing
         snaps = tuple(self.snapshots)
         if times.size != len(snaps):
             raise ConfigurationError("snapshot count must equal time count")
+        residuals = np.array(self.residuals, dtype=float)
+        if residuals.shape != (max(times.size - 2, 0),):
+            raise ConfigurationError("residual count must equal interior time count")
+        residuals.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "snapshots", snaps)
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def final(self) -> GridFunction:
@@ -127,6 +134,9 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     The step must satisfy dt <= stability_limit(table); snapshots are kept at
     every multiple of dt, so the final snapshot approximates the worst-case
     evolution at time t with O(dt^4) accuracy away from maximizer switches.
+    The residual at each interior snapshot time t_j is the sup norm of
+    (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j; the generator value is
+    the first stage of step j+1, so no second sweep evaluates it.
     A run of more than PICARD_WORK_BUDGET step-points (steps x grid points)
     raises BudgetError before integrating.
     """
@@ -152,6 +162,7 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     ws = SpectralWorkspace(grid, len(table))
     times = [0.0]
     snaps = [f]
+    residuals = []
     for k in range(1, steps + 1):
         k1 = ws.envelope(psi, u)
         k2 = ws.envelope(psi, u + 0.5 * dt * k1)
@@ -160,44 +171,12 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise ConsistencyError(f"integration blew up at step {k}")
+        if k >= 2:  # k1 is the generator at t_{k-1}
+            residuals.append(float(np.max(np.abs(
+                (u - snaps[k - 2].values) / (2.0 * dt) - k1))))
         times.append(k * dt)
         snaps.append(GridFunction(grid, u))
-    return Trajectory(np.asarray(times), tuple(snaps))
-
-
-@dataclass(frozen=True)
-class ResidualSample:
-    time: float
-    sup_residual: float
-
-
-def residual_check(traj: Trajectory, table: SymbolTable) -> list[ResidualSample]:
-    """Central-difference defect of a trajectory against the sup-generator.
-
-    Per interior snapshot time the residual is the sup norm of
-    (u(t+d) - u(t-d)) / (2d) - (sup-generator) u(t).
-    """
-    if len(traj.snapshots) < 3:
-        raise ConfigurationError("residual check needs at least 3 snapshots")
-    if traj.snapshots[0].grid != table.grid:
-        raise ConfigurationError("trajectory does not live on the table's grid")
-    gaps = np.diff(traj.times)
-    if np.max(gaps) - np.min(gaps) > 1e-9 * float(np.max(gaps)):
-        raise ConfigurationError("residual check needs uniformly spaced snapshots")
-    delta = float(gaps[0])
-    grid = traj.snapshots[0].grid
-    rows = batch_rows(grid, len(table))
-    ws = SpectralWorkspace(grid, len(table), rows=rows)
-    out = []
-    for lo in range(1, len(traj.snapshots) - 1, rows):
-        hi = min(lo + rows, len(traj.snapshots) - 1)
-        u = np.stack([s.values for s in traj.snapshots[lo - 1:hi + 1]])
-        du = (u[2:] - u[:-2]) / (2.0 * delta)
-        rhs = ws.envelope(table.psi_half, u[1:-1])
-        sup = np.max(np.abs(du - rhs), axis=tuple(range(1, du.ndim)))
-        out += [ResidualSample(float(traj.times[i]), float(r))
-                for i, r in zip(range(lo, hi), sup)]
-    return out
+    return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------
@@ -240,5 +219,6 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
                      zip(traj.times.tolist(), (s.values for s in traj.snapshots)))
 
 
-def write_residual_csv(path, samples: list[ResidualSample]) -> None:
-    write_table(path, ["time", "sup_residual"], [(s.time, s.sup_residual) for s in samples])
+def write_residual_csv(path, traj: Trajectory) -> None:
+    write_table(path, ["time", "sup_residual"],
+                zip(traj.times[1:-1].tolist(), traj.residuals.tolist()))

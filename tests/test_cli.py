@@ -521,6 +521,37 @@ class TestOracle:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "budget" in err
 
+    def test_one_step_completes(self, tmp_path):
+        # one RK4 step has no interior snapshot, so no residual; the guard's 1e-8
+        # trips on this data at so short a horizon
+        cfg = json.loads((CONFIGS / "two_sigma_oracle.json").read_text())
+        cfg.update(time=1e-3, nisio={**cfg["nisio"], "monotonicity_tol": 1e-5},
+                   output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        assert (out / "residuals.csv").read_bytes() == b"time,sup_residual\r\n"
+        assert (out / "gap_table.csv").exists()
+        assert strict_json(out / "manifest.json")["violations"] == []
+
+    @pytest.mark.parametrize("config, field, message", [
+        ("two_sigma_oracle", {"oracle": {"dt": 2e-3, "gap_tol": 5e-4}}, "stability limit"),
+        ("two_sigma_oracle", {"oracle": {"dt": 3e-4, "gap_tol": 5e-4}}, "integer multiple"),
+        ("two_sigma_convergence", {"convergence": {"h_list": [0.1, 0.2]}},
+         "strictly decreasing"),
+    ])
+    def test_refused_after_the_envelope_writes_nothing(self, tmp_path, capsys, config, field,
+                                                       message):
+        cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+        cfg.update(field, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([config.rsplit("_", 1)[1], "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "out").exists()  # no value.csv, no manifest
+
 
 class TestConvergence:
     def test_emits_tables(self, tmp_path):

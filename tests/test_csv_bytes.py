@@ -41,7 +41,7 @@ from sublevy.nisio import (
     write_convergence_csv,
     write_generator_limit_csv,
 )
-from sublevy.oracles import ResidualSample, Trajectory, write_residual_csv, write_trajectory_csv
+from sublevy.oracles import Trajectory, write_residual_csv, write_trajectory_csv
 
 SPECIAL = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -7.0, 0.0, -1e-300]
 
@@ -112,7 +112,8 @@ def test_function_csv_bytes(tmp_path, dim, n):
 def test_trajectory_csv_bytes(tmp_path, dim, n):
     grid = make_grid(dim, n)
     times = np.array([0.0, 1e-3, 0.1 + 0.2, 1.0, 2.5e300])
-    traj = Trajectory(times, tuple(awkward_values(grid, seed=10 + i) for i in range(len(times))))
+    traj = Trajectory(times, tuple(awkward_values(grid, seed=10 + i) for i in range(len(times))),
+                      np.zeros(len(times) - 2))
     write_trajectory_csv(tmp_path / "new.csv", traj)
     reference_trajectory_csv(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -125,7 +126,8 @@ def test_grid_table_reads_coordinates_once(tmp_path, monkeypatch):
     monkeypatch.setattr(TorusGrid, "axis_points", lambda g: calls.append(g) or axis_points(g))
     times = np.linspace(0.0, 1.0, 7)
     write_trajectory_csv(tmp_path / "t.csv",
-                         Trajectory(times, tuple(awkward_values(grid, k) for k in range(7))))
+                         Trajectory(times, tuple(awkward_values(grid, k) for k in range(7)),
+                                    np.zeros(5)))
     assert len(calls) == 1
 
 
@@ -158,12 +160,12 @@ def reference_generator_limit_csv(path, rows):
             w.writerow([f"{h:.17g}", f"{err:.17g}"])
 
 
-def reference_residual_csv(path, samples):
+def reference_residual_csv(path, traj):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "sup_residual"])
-        for s in samples:
-            w.writerow([f"{s.time:.17g}", f"{s.sup_residual:.17g}"])
+        for t, r in zip(traj.times[1:-1], traj.residuals):
+            w.writerow([f"{t:.17g}", f"{r:.17g}"])
 
 
 def reference_estimates_csv(path, report):
@@ -206,9 +208,10 @@ def test_generator_limit_csv_bytes(tmp_path):
 
 
 def test_residual_csv_bytes(tmp_path):
-    samples = [ResidualSample(np.float64(t), r)
-               for t, r in zip(SPECIAL, reversed(SPECIAL))]
-    same_bytes(tmp_path, write_residual_csv, reference_residual_csv, samples)
+    # the interior times times[1:-1] are written; the end points are not
+    traj = SimpleNamespace(times=np.array([0.0, *SPECIAL, 1.0]),
+                           residuals=np.array(SPECIAL[::-1]))
+    same_bytes(tmp_path, write_residual_csv, reference_residual_csv, traj)
 
 
 def test_estimates_csv_bytes(tmp_path):
