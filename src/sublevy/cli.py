@@ -44,6 +44,7 @@ from .mc import (
 )
 from .nisio import (
     MAX_LEVEL,
+    Partition,
     generator_limit_table,
     nisio_evolve,
     write_argmax_csv,
@@ -54,7 +55,8 @@ from .oracles import picard_solve, write_residual_csv, write_trajectory_csv
 
 # increments one mc run may use, each counted once per strategy that advances on
 # it: paths x members x the steps of every strategy (strategies on one partition
-# share one draw per path, step and member)
+# share one draw per path, step and member); the jump atoms those increments
+# draw, in expectation, have the same budget
 MC_DRAW_BUDGET = 10**8
 # accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
 RETIRED_KEYS = ("oracle.tail_tol", "output")
@@ -415,6 +417,16 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
         raise BudgetError(
             f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
             "(n_paths x members x the steps of every strategy)"
+        )
+    # each partition's paths draw every member's jumps over the whole horizon
+    partitions = {tuple(strat.partition.times.tolist()) for _, strat in files}
+    partitions.add(tuple(Partition.dyadic(config.time, config.mc_extract_level).times.tolist()))
+    mass = sum(float(q.mu_weights.sum() + q.nu_weights.sum()) for q in family.members)
+    atoms = config.mc_n_paths * len(partitions) * config.time * mass
+    if atoms > MC_DRAW_BUDGET:
+        raise BudgetError(
+            f"mc would draw about {atoms:.3g} jump atoms, more than the budget of "
+            f"{MC_DRAW_BUDGET:.0e} (n_paths x partitions x time x the members' jump mass)"
         )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)

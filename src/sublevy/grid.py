@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_POINTS_PER_AXIS = 2**16
-MAX_POINTS = 2**22  # 2D n=2048, where a table and one m=4 envelope step peak near 0.6 GB
+MAX_POINTS = 2**22  # 2D n=2048, where a table and one m=4 envelope step peak near 0.5 GB
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +78,11 @@ class TorusGrid:
     @property
     def size(self) -> int:
         return self.n**self.dim
+
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of the half spectrum a real FFT stores: last-axis modes 0..n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
 
     def axis_points(self) -> np.ndarray:
         """Grid coordinates -pi + j*spacing along one axis."""
@@ -221,7 +226,9 @@ def _bump(grid: TorusGrid, center, width: float) -> np.ndarray:
     for axis, xi in enumerate(grid.meshgrid()):
         d = xi - c[axis]
         d = np.abs(d - TWO_PI * np.round(d / TWO_PI))  # torus arc distance
-        out = out * np.where(d <= width, 0.5 * (1.0 + np.cos(np.pi * d / width)), 0.0)
+        # d capped at width: outside the bump the quotient would overflow
+        ramp = 0.5 * (1.0 + np.cos(np.pi * np.minimum(d, width) / width))
+        out = out * np.where(d <= width, ramp, 0.0)
     return out
 
 

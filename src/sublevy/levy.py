@@ -17,10 +17,11 @@ collocated generator keeps the composition law exact at every mode; the price
 is that the Nyquist mode does not rotate under drift, which only matters for
 data with energy there.
 
-Evolution runs on the half spectrum (last-axis modes 0..n/2) with real FFTs.
-The multipliers exp(t psi) are not re-symmetrized: the inverse real FFT reads
-only the Hermitian part of its input, so real functions map to real
-functions by construction.
+Evolution runs on the half spectrum (last-axis modes 0..n/2) with real FFTs,
+and a symbol table keeps only that half: psi(-k) = conj psi(k) gives the
+rest.  The multipliers exp(t psi) are not re-symmetrized: the inverse real
+FFT reads only the Hermitian part of its input, so real functions map to
+real functions by construction.
 """
 
 from __future__ import annotations
@@ -224,7 +225,11 @@ def family_constant(fam: GeneratorFamily) -> float:
         tr_norm = float(np.sum(np.abs(np.linalg.eigvalsh(q.sigma))))
         mu_mass = float(q.mu_weights.sum())
         nu_moment = float(np.sum(q.nu_weights * np.sum(q.nu_points**2, axis=1)))
-        best = max(best, float(np.linalg.norm(q.b)) + tr_norm + mu_mass + nu_moment)
+        with np.errstate(over="ignore"):
+            drift_norm = math.sqrt(q.b @ q.b)  # the bits np.linalg.norm gives
+        if drift_norm == math.inf:  # b.b overflowed, |b| need not
+            drift_norm = math.hypot(*q.b)
+        best = max(best, drift_norm + tr_norm + mu_mass + nu_moment)
     return best
 
 
@@ -299,7 +304,17 @@ def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, out: np.ndarray) -> None:
     np.multiply(0.5, np.add(out, term, out=term), out=out)
 
 
+def _mode(grid: TorusGrid, index) -> tuple[int, ...]:
+    """The integer mode at an index of a full or half spectrum: the first
+    n/2+1 slots of a mode axis are the modes 0..n/2."""
+    return tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), index))
+
+
 def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
+    """Refuse a half-spectrum row that is not finite, has psi(0) != 0 or
+    Re psi > REAL_PART_TOL, or breaks conjugate symmetry.  A half row holds
+    both k and -k only on the last-axis modes 0 and n/2, so those two slices
+    are the only place it can break symmetry."""
     if not np.all(np.isfinite(psi)):
         raise ConfigurationError(f"symbol of {label} is not finite on this grid")
     origin = (0,) * grid.dim
@@ -308,16 +323,16 @@ def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
     re = psi.real
     worst = np.unravel_index(np.argmax(re), re.shape)
     if re[worst] > REAL_PART_TOL:
-        mode = tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), worst))
-        raise ConsistencyError(
-            f"symbol of {label}: Re psi{mode} = {re[worst]:.3e} exceeds {REAL_PART_TOL}"
-        )
-    mirror = negated_modes(psi, np.empty_like(psi))
-    np.conjugate(mirror, out=mirror)  # conj psi(-k) at each mode k
-    if not np.array_equal(mirror, psi):
-        bad = np.argwhere(mirror != psi)[0]
-        mode = tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), bad))
-        raise ConsistencyError(f"symbol of {label}: conjugate symmetry fails at mode {mode}")
+        raise ConsistencyError(f"symbol of {label}: Re psi{_mode(grid, worst)} = "
+                               f"{re[worst]:.3e} exceeds {REAL_PART_TOL}")
+    for last in (0, grid.n // 2):
+        shell = psi[..., last]
+        mirror = negated_modes(shell, np.empty_like(shell))
+        np.conjugate(mirror, out=mirror)  # conj psi(-k) at each mode k of the slice
+        if not np.array_equal(mirror, shell):
+            bad = tuple(np.argwhere(mirror != shell)[0]) + (last,)
+            raise ConsistencyError(
+                f"symbol of {label}: conjugate symmetry fails at mode {_mode(grid, bad)}")
 
 
 @dataclass(frozen=True)
@@ -325,10 +340,13 @@ class SymbolTable:
     """Per-member symbols of a family on a common grid: row i of psi is the
     generator of member i, the one route from a quadruple to its evolution.
 
-    build snaps every jump atom to the grid (the largest displacement is kept
-    as a diagnostic); family holds the snapped quadruples the table evolves.
-    Construction validates every row: finite, psi(0) = 0, Re psi <= 0, and the
-    exact conjugate symmetry on which the inverse real FFT relies.
+    psi holds each row on the half spectrum the real FFTs read, shape
+    (m, ..., n/2+1); the other modes are conj psi(-k).  build snaps every jump
+    atom to the grid (the largest displacement is kept as a diagnostic);
+    family holds the snapped quadruples the table evolves.  Construction
+    validates every row: finite, psi(0) = 0, Re psi <= 0, and exact conjugate
+    symmetry on the last-axis modes 0 and n/2, which is all a half row needs
+    for the inverse real FFT to see the symbol the full row would be.
     """
 
     grid: TorusGrid
@@ -337,19 +355,22 @@ class SymbolTable:
     snap_distance: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.psi.shape != (len(self.family),) + self.grid.shape:
-            raise ConfigurationError(
-                f"symbol table shape {self.psi.shape} must be (members,) + {self.grid.shape}")
+        if self.psi.shape != (len(self.family),) + self.grid.half_shape:
+            raise ConfigurationError(f"symbol table shape {self.psi.shape} must be "
+                                     f"(members,) + {self.grid.half_shape}")
         for row, label in zip(self.psi, self.family.labels):
             _validate_symbol(self.grid, row, label)
 
     @classmethod
     def build(cls, family: GeneratorFamily, grid: TorusGrid) -> "SymbolTable":
-        """The table of family on grid, each row written in place."""
+        """The table of family on grid: each member's full row is written into
+        one row-sized scratch, and its half spectrum copied into the table."""
         snapped = [snap_to_grid(q, grid) for q in family.members]
-        psi = np.empty((len(snapped),) + grid.shape, dtype=complex)
+        psi = np.empty((len(snapped),) + grid.half_shape, dtype=complex)
+        full = np.empty(grid.shape, dtype=complex)
         for (s, _), row in zip(snapped, psi):
-            _snapped_symbol(s, grid, row)
+            _snapped_symbol(s, grid, full)
+            row[...] = full[..., : grid.n // 2 + 1]
         psi.flags.writeable = False
         fam = GeneratorFamily(tuple(s for s, _ in snapped), family.labels)
         return cls(grid=grid, family=fam, psi=psi, snap_distance=max(d for _, d in snapped))
@@ -359,6 +380,7 @@ class SymbolTable:
 
     @functools.cached_property
     def max_abs_symbol(self) -> float:
+        """max |psi| over every mode: the half's, since |conj z| = |z|."""
         return max(float(np.max(np.abs(row))) for row in self.psi)  # one row's |psi| at a time
 
     def values_of(self, f: GridFunction) -> np.ndarray:
@@ -376,11 +398,6 @@ class SymbolTable:
                                      "for this table: its spectral sums overflow")
         return f.values
 
-    @property
-    def psi_half(self) -> np.ndarray:
-        """psi on the half spectrum, shape (m, ..., n/2+1), as the real FFTs store it."""
-        return self.psi[..., : self.grid.n // 2 + 1]
-
     def multipliers(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1),
         written into out when given (a complex array of that shape) and returned.
@@ -390,7 +407,7 @@ class SymbolTable:
         """
         if t < 0:
             raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-        out = np.multiply(t, self.psi_half, out=out)
+        out = np.multiply(t, self.psi, out=out)
         return np.exp(out, out=out)
 
 
@@ -435,7 +452,7 @@ class SpectralWorkspace:
         self.grid = grid
         self.by_member = (rows or 1) * grid.size >= MEMBER_POINTS
         batch = () if rows is None else (rows,)
-        self.coeffs = np.empty(batch + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+        self.coeffs = np.empty(batch + grid.half_shape, dtype=complex)
         self.spec, self.stack = self._buffers(1 if self.by_member else members)
 
     def _buffers(self, members: int) -> tuple[np.ndarray, np.ndarray]:

@@ -169,7 +169,7 @@ def _compose(table: SymbolTable, rows, values: np.ndarray):
     cap = min(batch_rows(grid, m), len(rows))
     ws = SpectralWorkspace(grid, m, rows=cap)
     vals = np.empty((cap,) + grid.shape)
-    mults = np.empty((cap, m) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    mults = np.empty((cap, m) + grid.half_shape, dtype=complex)
     waiting = iter(rows)
     tick, ends = 0, []  # per slot in flight, the tick its row completes at
     while True:
@@ -240,7 +240,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
         if level > 0:
-            diff = new_values - values
+            # the difference overwrites the predecessor, a _compose copy
+            diff = np.subtract(new_values, values, out=values)
             drop = float(np.min(diff))
             if drop < -monotonicity_tol:
                 raise ConsistencyError(
@@ -249,8 +250,9 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                 )
             inc = float(np.max(diff))
             increments.append(inc)
-        records.append(LevelRecord(level, 2**level, inc, float(np.max(np.abs(new_values))),
-                                   elapsed))
+        # sup |V| without an |V| grid
+        sup = max(abs(float(np.min(new_values))), abs(float(np.max(new_values))))
+        records.append(LevelRecord(level, 2**level, inc, sup, elapsed))
         values = new_values
         if tol > 0 and inc < tol:
             converged = True
@@ -284,7 +286,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
     ws = SpectralWorkspace(table.grid, len(table))
-    return GridFunction(table.grid, ws.envelope(table.psi_half, table.values_of(f)))
+    return GridFunction(table.grid, ws.envelope(table.psi, table.values_of(f)))
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
@@ -292,7 +294,7 @@ def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     The members are evolved one at a time, through one member's buffers."""
     values = table.values_of(f)
     ws = SpectralWorkspace(table.grid, 1)
-    return max(float(np.max(np.abs(ws.apply(row[None], values)))) for row in table.psi_half)
+    return max(float(np.max(np.abs(ws.apply(row[None], values)))) for row in table.psi)
 
 
 def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,

@@ -145,7 +145,7 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     if dt <= 0:
         raise ConfigurationError(f"step must be positive, got {dt}")
     u = table.values_of(f)
-    grid, psi = table.grid, table.psi_half
+    grid, psi = table.grid, table.psi
     if t / dt * grid.size > PICARD_WORK_BUDGET:
         raise BudgetError(
             f"integration needs {t / dt:.3g} steps on {grid.size} grid points, more than "

@@ -51,8 +51,19 @@ def member_evolution(table, t, f, member=0):
 
 def member_generator(table, f, member=0):
     """One member's generator applied to f: its row of the kernel on psi itself."""
-    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi_half, f.values)
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi, f.values)
     return GridFunction(f.grid, stack[member])
+
+
+def full_row(table, member=0):
+    """One member's symbol on every mode of the grid, written by the function
+    SymbolTable.build writes each row with; the table's row must be its half
+    spectrum, bitwise."""
+    grid = table.grid
+    full = np.empty(grid.shape, dtype=complex)
+    levy._snapped_symbol(table.family.members[member], grid, full)
+    assert table.psi[member].tobytes() == full[..., : grid.n // 2 + 1].tobytes()
+    return full
 
 
 def schedule_workspace(grid, members, by_member, rows=None):

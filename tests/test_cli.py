@@ -157,6 +157,28 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "budget of 1e+08 increments" in err
 
+    @pytest.mark.parametrize("rate, partitions, atoms", [
+        (1e12, 1, "1e+13"),
+        (1e20, 1, "1e+21"),  # the Poisson counts' sum would overflow an int64
+        (6e6, 2, "1.2e+08"),  # a strategy file on its own partition draws its own
+    ])
+    def test_mc_jump_atom_budget(self, tmp_path, capsys, rate, partitions, atoms):
+        # expected atoms: n_paths x partitions x time x the family's jump mass
+        mc = {"n_paths": 100, "extract_level": 2, "random_strategies": 0}
+        if partitions == 2:
+            save_strategy(tmp_path / "other.json", random_strategy(
+                make_grid(1, 32), Partition.dyadic(0.1, 3), 1, np.random.default_rng(0)))
+            mc["strategies"] = ["other.json"]
+        path = write_config(tmp_path, grid={"dim": 1, "n": 32}, time=0.1, mc=mc,
+                            family={"builtin": "half_turn_jump", "rate": rate})
+        start = time.perf_counter()
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err == (
+            f"error: mc would draw about {atoms} jump atoms, more than the budget of 1e+08 "
+            "(n_paths x partitions x time x the members' jump mass)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where, message", [
         ("config", "config {bad} is not valid JSON: {exc}"),
         ("family", "family file {bad} is not valid JSON: {exc}"),
@@ -222,6 +244,26 @@ class TestConfig:
             assert not (tmp_path / "out").exists()
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("overrides, err", [
+        # the bump is one grid point, on which the spectral guard trips
+        ({"initial": {"kind": "bump", "center": 0.0, "width": 1e-320}},
+         "error: ConsistencyError: dyadic level 3 drops below level 2 by 3.104e-04; "
+         "refinement must be monotone\n"),
+        ({"family": [{"b": 1e300}]}, ""),
+    ])
+    def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys, overrides, err):
+        config = {"grid": {"dim": 1, "n": 32}, "time": 0.1, "nisio": {"max_level": 4, "tol": 1e-4},
+                  "family": {"builtin": "two_sigma", "sigmas": [0.5, 1.0]}}
+        path = write_config(tmp_path, **{**config, **overrides})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve", "--config", str(path), "--quiet"]) == (1 if err else 0)
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == err
+        if not err:
+            diag = strict_json(tmp_path / "out" / "manifest.json")["diagnostics"]
+            assert diag["family_constant"] == 1e300
 
     @pytest.mark.parametrize("overrides", [
         {"time": "nan"},

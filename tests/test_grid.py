@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ class TestSample:
         assert np.all(f.values >= 0)
         assert np.all(f.values[np.abs(x) > np.pi / 2] == 0)
         assert f.values[grid64.nearest_index(np.array([0.0]))] == 1.0
+
+    @pytest.mark.parametrize("width", [1e-320, 5e-324])
+    def test_subnormal_bump_width_warns_nothing(self, grid64, width):
+        # pi * d / width overflowed at every point outside the bump, and then
+        # cos(inf) was invalid; the one grid point at the centre keeps 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = sample(grid64, "bump", center=0.0, width=width)
+        assert f.values[grid64.nearest_index(np.array([0.0]))] == 1.0
+        assert np.count_nonzero(f.values) == 1
 
     def test_unknown_builtin(self, grid8):
         with pytest.raises(ConfigurationError):

@@ -74,7 +74,7 @@ def test_envelope_raises_exactly_when_apply_does(dim, m, t, target, bad, member,
     rng = np.random.default_rng(seed)
     # None stands for the generator symbols, which vanish at mode 0
     scales = (1.0, 0.5, 2.0) if rows and per_row else (1.0,)
-    mults = np.stack([table.psi_half * s if t is None else table.multipliers(t * s)
+    mults = np.stack([table.psi * s if t is None else table.multipliers(t * s)
                       for s in scales])
     if not (rows and per_row):
         mults = mults[0]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from sublevy import (
 )
 from sublevy.cli import RunConfig, build_family
 from sublevy.levy import batch_rows
-from conftest import (member_evolution, member_generator, one_member_table, random_trig,
-                      schedule_workspace)
+from conftest import (full_row, member_evolution, member_generator, one_member_table,
+                      random_trig, schedule_workspace)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -123,7 +124,7 @@ class TestSnap:
 
 class TestLevySymbol:
     def test_pure_diffusion(self, grid8):
-        psi = one_member_table(diffusion(1.0), grid8).psi[0]
+        psi = full_row(one_member_table(diffusion(1.0), grid8))
         k = np.fft.fftfreq(8, 1 / 8).astype(int)
         k[k == -4] = 4
         assert np.max(np.abs(psi - (-0.5 * k.astype(float) ** 2))) == 0.0
@@ -133,7 +134,7 @@ class TestLevySymbol:
         h = grid_point_near(grid256, 0.1)
         v = 1.0 / h**2
         q = LevyQuadruple.create(nu=[(h, v)], dim=1)
-        psi = one_member_table(q, grid256).psi[0]
+        psi = full_row(one_member_table(q, grid256))
         expected = v * (math.cos(h) - 1.0) + 1j * v * (math.sin(h) - h)
         assert abs(psi[1] - expected) < 1e-12
         # close to the nominal h = 0.1 value -0.4995835 - 0.0166583i
@@ -141,7 +142,7 @@ class TestLevySymbol:
 
     def test_wrapped_cauchy_modes(self, grid256):
         q = wrapped_cauchy_quadruple(grid256, gamma=0.5, rate=1.0)
-        psi = one_member_table(q, grid256).psi[0]
+        psi = full_row(one_member_table(q, grid256))
         assert abs(psi[2] - (math.exp(-1.0) - 1.0)) < 1e-9
         assert psi[2].real == pytest.approx(-0.6321206, abs=1e-6)
 
@@ -169,7 +170,7 @@ class TestLevySymbol:
             q = LevyQuadruple.create(
                 b=rng.normal(), sigma=rng.uniform(0.0, 2.0), mu=mu, nu=nu, dim=1
             )
-            psi = one_member_table(q, grid64).psi[0]
+            psi = full_row(one_member_table(q, grid64))
             assert psi[0] == 0.0
             assert np.max(psi.real) <= 1e-12
             assert np.array_equal(psi[idx], np.conj(psi))
@@ -182,7 +183,7 @@ class TestLevySymbol:
             mu=[([g.spacing * 3, g.spacing * 5], 0.7)],
             dim=2,
         )
-        psi = one_member_table(q, g).psi[0]
+        psi = full_row(one_member_table(q, g))
         idx = (-np.arange(16)) % 16
         assert psi[0, 0] == 0.0
         assert np.max(psi.real) <= 1e-12
@@ -190,11 +191,12 @@ class TestLevySymbol:
 
 
 def asymmetric_table(table):
-    """The table with i added to every mode but 0: psi(0) and Re psi stay valid,
-    conjugate symmetry does not."""
-    psi = table.psi.copy()
+    """The table with i added to every mode but 0 of each full row: psi(0) and
+    Re psi stay valid, conjugate symmetry does not (on the half spectrum the
+    table keeps, at the Nyquist mode)."""
+    psi = np.stack([full_row(table, i) for i in range(len(table))])
     psi[:, 1:] += 1j
-    return SymbolTable(table.grid, table.family, psi)
+    return SymbolTable(table.grid, table.family, psi[..., : table.grid.n // 2 + 1])
 
 
 class TestApplyLinear:
@@ -343,6 +345,20 @@ class TestFamilyConstant:
         fam = GeneratorFamily((LevyQuadruple.create(nu=[(h, 1.0 / h**2)], dim=1),))
         assert family_constant(fam) == pytest.approx(1.0, abs=1e-12)
 
+    def test_drift_norm_keeps_the_bits_of_numpy_norm(self):
+        rng = np.random.default_rng(43)
+        for b in rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-5, 5, size=(200, 1)):
+            fam = GeneratorFamily((drift(b, dim=2),))
+            assert family_constant(fam).hex() == float(np.linalg.norm(b)).hex()
+
+    @pytest.mark.parametrize("b, norm", [([1e300], 1e300), ([-3e200, 4e200], 5e200)])
+    def test_huge_drift_norm_is_finite_and_silent(self, b, norm):
+        # b.b overflows where |b| does not
+        fam = GeneratorFamily((drift(b, dim=len(b)),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert family_constant(fam) == pytest.approx(norm, rel=1e-15)
+
 
 class TestSampleIncrement:
     def test_zero_quadruple(self):
@@ -446,8 +462,28 @@ class TestSymbolTable:
             two_sigma_table.multipliers(-1.0)
 
     def test_shape_must_fit_family_and_grid(self, two_sigma_table):
+        grid, family = two_sigma_table.grid, two_sigma_table.family
         with pytest.raises(ConfigurationError, match="symbol table shape"):
-            SymbolTable(two_sigma_table.grid, two_sigma_table.family, two_sigma_table.psi[:1])
+            SymbolTable(grid, family, two_sigma_table.psi[:1])
+        with pytest.raises(ConfigurationError, match="symbol table shape"):  # a full spectrum
+            SymbolTable(grid, family, np.zeros((2,) + grid.shape, dtype=complex))
+
+    @pytest.mark.parametrize("dim,index,message", [
+        (1, (0,), "psi(0) = 1j is not exactly 0"),  # the 1D mode-0 slice is the origin
+        (1, (4,), "conjugate symmetry fails at mode (4,)"),
+        (2, (5, 0), "conjugate symmetry fails at mode (3, 0)"),  # (-3, 0) pairs with (3, 0)
+        (2, (0, 4), "conjugate symmetry fails at mode (0, 4)"),
+        (2, (6, 4), "conjugate symmetry fails at mode (2, 4)"),
+    ])
+    def test_half_row_breaking_symmetry_names_the_mode(self, dim, index, message):
+        # a half row holds a mode and its negation only on the last-axis modes
+        # 0 and n/2; i added at one slot there breaks conjugate symmetry
+        grid = make_grid(dim, 8)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        psi = table.psi.copy()
+        psi[(1,) + index] += 1j
+        with pytest.raises(ConsistencyError, match=re.escape(f"member-1: {message}")):
+            SymbolTable(grid, table.family, psi)
 
 
 def _kernel_family(grid):
@@ -483,7 +519,7 @@ class TestSpectralKernel:
         assert out.shape == (len(table),) + grid.shape
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
-            ref = inverse_transform(Spectrum(grid, np.exp(t * table.psi[i]) * coeffs))
+            ref = inverse_transform(Spectrum(grid, np.exp(t * full_row(table, i)) * coeffs))
             assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-13
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
@@ -491,10 +527,10 @@ class TestSpectralKernel:
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         f = random_trig(grid, np.random.default_rng(3), kmax=6)
-        out = SpectralWorkspace(grid, len(table)).apply(table.psi_half, f.values)
+        out = SpectralWorkspace(grid, len(table)).apply(table.psi, f.values)
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
-            ref = inverse_transform(Spectrum(grid, table.psi[i] * coeffs))
+            ref = inverse_transform(Spectrum(grid, full_row(table, i) * coeffs))
             assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-12 * table.max_abs_symbol
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
@@ -503,7 +539,17 @@ class TestSpectralKernel:
         table = SymbolTable.build(_kernel_family(grid), grid)
         mults = table.multipliers(0.1)
         assert mults.shape == (len(table),) + (n,) * (dim - 1) + (n // 2 + 1,)
-        assert table.psi.shape == (len(table),) + grid.shape
+        assert table.psi.shape == mults.shape
+        for i in range(len(table)):
+            assert full_row(table, i).shape == grid.shape
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
+    def test_max_abs_symbol_is_the_full_rows(self, dim, n):
+        # |conj z| = |z| bitwise, so the half spectrum holds the full maximum
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        full = max(float(np.max(np.abs(full_row(table, i)))) for i in range(len(table)))
+        assert table.max_abs_symbol.hex() == full.hex()
 
     def test_nonfinite_output_raises(self, grid64):
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0),)), grid64)
@@ -700,15 +746,14 @@ class TestSymbolValidation:
     def test_positive_real_part_names_the_mode(self, grid8):
         from sublevy.levy import _validate_symbol
 
-        psi = np.zeros(8, dtype=complex)
+        psi = np.zeros(5, dtype=complex)  # modes 0..4 of n=8
         psi[3] = 0.5
-        psi[-3] = 0.5
         with pytest.raises(ConsistencyError, match=r"Re psi\(3,\)"):
             _validate_symbol(grid8, psi, "corrupted")
 
     def test_origin_must_vanish(self, grid8):
         from sublevy.levy import _validate_symbol
 
-        psi = np.full(8, -1e-3 + 0j)
+        psi = np.full(5, -1e-3 + 0j)
         with pytest.raises(ConsistencyError, match="psi\\(0\\)"):
             _validate_symbol(grid8, psi, "corrupted")

@@ -1,12 +1,13 @@
-"""Memory of a run: the symbol table is written in place, and an envelope run
-keeps its temporaries to buffers of one member's size.
+"""Memory of a run: the symbol table keeps the half spectrum the real FFTs
+read and is written in place, and an envelope run keeps its temporaries to
+buffers of one member's size.
 
 tracemalloc sees numpy's array buffers, so a traced peak counts every array a
 call holds at once.  The unit is a row: one member's complex symbol on the
-grid, grid.size * 16 bytes.  The table holds one row per member; a
-half-spectrum multiplier or spectrum is half a row, and a float64 grid
-function too.  The grid is 2D n=256, where the envelope runs member at a time
-(at n=64 the 2D monotonicity guard trips, see nisio_evolve).
+whole grid, grid.size * 16 bytes.  The table holds HALF of a row per member,
+the last-axis modes 0..n/2, and so does a multiplier or a spectrum; a float64
+grid function is half a row.  The grid is 2D n=256, where the envelope runs
+member at a time (at n=64 the 2D monotonicity guard trips, see nisio_evolve).
 """
 
 import math
@@ -20,6 +21,7 @@ from sublevy import (GeneratorFamily, LevyQuadruple, SymbolTable, diffusion, lip
 
 GRID = make_grid(2, 256)
 ROW = GRID.size * 16
+HALF = (GRID.n // 2 + 1) / GRID.n  # rows in one half-spectrum row
 
 
 def _traced_peak(fn):
@@ -42,12 +44,12 @@ def family():
 
 
 def test_table_is_built_in_place(family):
-    # the table, one complex scratch row and float temporaries of a row's
-    # size; writing each member's symbol and then stacking them held more
-    # than twice the table
+    # the half-spectrum table, the full-row scratch each member's symbol is
+    # written into, the jump terms' scratch row and float temporaries of
+    # about a row; a table of full rows held 6.26 rows here
     table, peak = _traced_peak(lambda: SymbolTable.build(family, GRID))
-    assert table.psi.nbytes == len(family) * ROW
-    assert peak <= len(family) + 3
+    assert table.psi.nbytes == len(family) * HALF * ROW
+    assert peak <= len(family) * HALF + 3.5
 
 
 def test_an_envelope_run_holds_one_member_at_a_time(family):
@@ -58,10 +60,11 @@ def test_an_envelope_run_holds_one_member_at_a_time(family):
     bound, peak = _traced_peak(lambda: lipschitz_bound(table, f))
     assert bound > 0.0
     assert peak <= 2.5
-    # one dyadic level: the lockstep row's multipliers (half a row per
+    # one dyadic level: the lockstep row's multipliers (a half row per
     # member), the coefficients, one member's spectrum and stack, the row's
-    # values, and the level's value, its predecessor, their difference and
-    # its absolute value; the table was built before tracing started
+    # values, and the level's value and its predecessor, which their
+    # difference overwrites; a difference and an |V| grid of their own held
+    # 6.03 rows here.  The table was built before tracing started
     result, peak = _traced_peak(lambda: nisio_evolve(table, 0.2, f, max_level=1, tol=0.0))
     assert result.levels_used == 1 and np.all(np.isfinite(result.value.values))
-    assert peak <= len(table) / 2 + 5
+    assert peak <= len(table) * HALF + 3.25
