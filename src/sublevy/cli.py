@@ -36,6 +36,7 @@ from .mc import (
     MIN_PATHS,
     check_strategies,
     dual_bound_suite,
+    expected_jump_atoms,
     extract_strategy,
     load_strategy,
     random_strategy,
@@ -44,7 +45,6 @@ from .mc import (
 )
 from .nisio import (
     MAX_LEVEL,
-    Partition,
     generator_limit_table,
     nisio_evolve,
     write_argmax_csv,
@@ -55,9 +55,12 @@ from .oracles import picard_solve, write_residual_csv, write_trajectory_csv
 
 # increments one mc run may use, each counted once per strategy that advances on
 # it: paths x members x the steps of every strategy (strategies on one partition
-# share one draw per path, step and member); the jump atoms those increments
-# draw, in expectation, have the same budget
+# share one draw per path, step and member)
 MC_DRAW_BUDGET = 10**8
+# jump atoms one mc run may draw, in expectation (mc.expected_jump_atoms); one
+# call of sample_increments can hold them all (one path block, extract_level 0),
+# at about 31 bytes an atom in 2D: a run just under this peaks near 0.34 GB
+MC_ATOM_BUDGET = 10**7
 # accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
 RETIRED_KEYS = ("oracle.tail_tol", "output")
 
@@ -418,15 +421,12 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
             f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
             "(n_paths x members x the steps of every strategy)"
         )
-    # each partition's paths draw every member's jumps over the whole horizon
-    partitions = {tuple(strat.partition.times.tolist()) for _, strat in files}
-    partitions.add(tuple(Partition.dyadic(config.time, config.mc_extract_level).times.tolist()))
-    mass = sum(float(q.mu_weights.sum() + q.nu_weights.sum()) for q in family.members)
-    atoms = config.mc_n_paths * len(partitions) * config.time * mass
-    if atoms > MC_DRAW_BUDGET:
+    atoms = expected_jump_atoms(family, config.time, config.mc_extract_level,
+                                [strat for _, strat in files], config.mc_n_paths)
+    if atoms > MC_ATOM_BUDGET:
         raise BudgetError(
             f"mc would draw about {atoms:.3g} jump atoms, more than the budget of "
-            f"{MC_DRAW_BUDGET:.0e} (n_paths x partitions x time x the members' jump mass)"
+            f"{MC_ATOM_BUDGET:.0e} (n_paths x partitions x time x the members' jump mass)"
         )
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)

@@ -225,11 +225,7 @@ def family_constant(fam: GeneratorFamily) -> float:
         tr_norm = float(np.sum(np.abs(np.linalg.eigvalsh(q.sigma))))
         mu_mass = float(q.mu_weights.sum())
         nu_moment = float(np.sum(q.nu_weights * np.sum(q.nu_points**2, axis=1)))
-        with np.errstate(over="ignore"):
-            drift_norm = math.sqrt(q.b @ q.b)  # the bits np.linalg.norm gives
-        if drift_norm == math.inf:  # b.b overflowed, |b| need not
-            drift_norm = math.hypot(*q.b)
-        best = max(best, drift_norm + tr_norm + mu_mass + nu_moment)
+        best = max(best, math.hypot(*q.b) + tr_norm + mu_mass + nu_moment)
     return best
 
 

@@ -80,6 +80,24 @@ def extract_strategy(result: NisioResult, level: int) -> SimpleStrategy:
     return SimpleStrategy(result.value.grid, partition, argmax.selections)
 
 
+def _partition_key(partition: Partition) -> tuple:
+    """Strategies whose partitions share this key are simulated together and
+    share their draws."""
+    return tuple(partition.times.tolist())
+
+
+def expected_jump_atoms(family: GeneratorFamily, t: float, level: int, strategies,
+                        n_paths: int) -> float:
+    """Jump atoms a suite is expected to draw: the strategies extracted from a
+    level-`level` run (and random ones beside them) share its dyadic partition,
+    and the paths of each distinct partition draw every member's jumps over
+    [0, t]: n_paths x partitions x t x the members' total jump mass."""
+    keys = {_partition_key(s.partition) for s in strategies}
+    keys.add(_partition_key(Partition.dyadic(t, level)))
+    mass = sum(float(q.mu_weights.sum() + q.nu_weights.sum()) for q in family.members)
+    return n_paths * len(keys) * t * mass
+
+
 def interpolate_linear(f: GridFunction, point):
     """Periodic multilinear interpolation of a grid function at one torus point
     (a float) or at an (n, d) batch of points (an array of n values)."""
@@ -157,7 +175,7 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
         raise ConfigurationError("payoff function and strategy live on different grids")
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(strategies):
-        groups.setdefault(tuple(s.partition.times.tolist()), []).append(i)
+        groups.setdefault(_partition_key(s.partition), []).append(i)
     payoffs = np.empty((len(strategies), n_paths))
     for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         size = min(BLOCK_PATHS, n_paths - lo)
