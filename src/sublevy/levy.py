@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as pocketfft
 
 from .errors import ConfigurationError, ConsistencyError
 from .grid import (GridFunction, TorusGrid, keys_only, negated_modes, numbers_only,
@@ -447,6 +448,13 @@ class SpectralWorkspace:
     def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
         self.grid = grid
         self.by_member = (rows or 1) * grid.size >= MEMBER_POINTS
+        # the (input, factor, output) core axes of each transform in _stages,
+        # counted from the end, so that they name the same grid axis with or
+        # without the batch and member axes: the last axis, and the leading
+        # grid axes from the last to the first
+        self._last = [(-1,), (), (-1,)]
+        self._leading = [[(-a,), (), (-a,)] for a in range(2, grid.dim + 1)]
+        self._inverse_factor = 1.0 / grid.n
         batch = () if rows is None else (rows,)
         self.coeffs = np.empty(batch + grid.half_shape, dtype=complex)
         self.spec, self.stack = self._buffers(1 if self.by_member else members)
@@ -486,22 +494,28 @@ class SpectralWorkspace:
         irfftn) and the finiteness check follow; spec and stack have the
         member count of mults.  The (-1)^k phase and 1/N normalization of the
         centred coefficient convention cancel for a diagonal multiplier, so
-        neither is applied."""
+        neither is applied.
+
+        Each transform is the pocketfft gufunc that np.fft's wrapper runs
+        (rfft_n_even, as every grid is even), called without the wrapper's
+        argument handling and with the factor it passes: 1 forward, 1/n
+        inverse.  The same gufuncs on the same buffers give the bits of
+        np.fft.rfftn and irfftn."""
         lead = values.ndim - self.grid.dim  # 1 for batched values, else 0
         coeffs = self.coeffs
         if lead:
             rows = len(values)
             coeffs, spec, stack = coeffs[:rows], spec[:rows], stack[:rows]
         if forward:
-            np.fft.rfft(values, out=coeffs)
-            for axis in range(lead + self.grid.dim - 2, lead - 1, -1):
-                np.fft.fft(coeffs, axis=axis, out=coeffs)
+            pocketfft.rfft_n_even(values, 1.0, axes=self._last, out=coeffs)
+            for axes in self._leading:
+                pocketfft.fft(coeffs, 1.0, axes=axes, out=coeffs)
         if mults is None:
             return None
         np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
-        for axis in range(lead + 1, lead + self.grid.dim):
-            np.fft.ifft(spec, axis=axis, out=spec)
-        np.fft.irfft(spec, self.grid.n, axis=-1, out=stack)
+        for axes in reversed(self._leading):
+            pocketfft.ifft(spec, self._inverse_factor, axes=axes, out=spec)
+        pocketfft.irfft(spec, self._inverse_factor, axes=self._last, out=stack)
         # on every member: a member that is -inf where another is finite
         # leaves the member maximum finite (an infinite mode-0 coefficient
         # reaches every point with the same sign)

@@ -108,6 +108,20 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert run.stdout == "[]\n"
 
 
+def test_only_the_kernel_imports_private_pocketfft():
+    """levy's kernel calls numpy's pocketfft gufuncs beneath np.fft; every
+    other module, grid's transforms (the kernel's independent reference) among
+    them, stays on public np.fft."""
+    def imports(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+
+    importers = sorted(path.name for path in SRC.glob("*.py")
+                       if any("_pocketfft_umath" in name for name in imports(path)))
+    assert importers == ["levy.py"]
+
+
 def test_benchmark_untraced_targets_are_the_known_ones(monkeypatch):
     """A rename that leaves a benchmark span without its target shows here."""
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -16,6 +16,7 @@ from sublevy import (
     SpectralWorkspace,
     Spectrum,
     SymbolTable,
+    apply_J,
     compound_poisson,
     diffusion,
     drift,
@@ -23,8 +24,11 @@ from sublevy import (
     family_from_json,
     forward_transform,
     inverse_transform,
+    lipschitz_bound,
     load_family,
     make_grid,
+    nisio_evolve,
+    picard_solve,
     poisson_series_apply,
     sample,
     sample_increment,
@@ -34,7 +38,7 @@ from sublevy import (
     wrapped_cauchy_quadruple,
 )
 from sublevy.cli import RunConfig, build_family
-from sublevy.levy import batch_rows
+from sublevy.levy import MEMBER_POINTS, batch_rows
 from conftest import (full_row, member_evolution, member_generator, one_member_table,
                       random_trig, schedule_workspace)
 
@@ -595,6 +599,30 @@ class TestSpectralKernel:
                 assert np.array_equal(top, np.max(ref, axis=0))
                 assert np.array_equal(am, np.argmax(ref, axis=0))
 
+    @pytest.mark.parametrize("dim,n", [(1, 128), (1, 96), (2, 32), (2, 256)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("generators", [False, True], ids=["multipliers", "symbols"])
+    def test_kernel_bitwise_equals_public_numpy(self, dim, n, rows, generators):
+        # the kernel calls numpy's pocketfft gufuncs without np.fft's wrappers,
+        # so this pins their contract: the bits of the public rfftn and irfftn,
+        # on the whole stack and (2D n=256) member at a time
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        # one set per row: the symbols, or the multipliers, at row-own scales
+        scales = (1.0,) if rows is None else (1.0, 2.0, 6.0)
+        mults = np.stack([c * table.psi if generators else table.multipliers(0.05 * c)
+                          for c in scales])
+        if rows is None:
+            mults = mults[0]
+        v = np.random.default_rng(n + dim).standard_normal(mults.shape[:-dim - 1] + grid.shape)
+        axes = tuple(range(-dim, 0))
+        coeffs = np.expand_dims(np.fft.rfftn(v, axes=axes), -dim - 1)  # a member axis
+        ref = np.fft.irfftn(mults * coeffs, s=grid.shape, axes=axes)
+        ws = SpectralWorkspace(grid, len(table), rows=rows)
+        assert ws.by_member == (grid.size >= MEMBER_POINTS)
+        assert np.array_equal(ws.apply(mults, v), ref)
+        assert np.array_equal(ws.envelope(mults, v), np.max(ref, axis=-dim - 1))
+
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     def test_envelope_bitwise_equals_member_max(self, dim, n):
         grid = make_grid(dim, n)
@@ -623,6 +651,34 @@ class TestSpectralKernel:
 def _bits(a: np.ndarray) -> bytes:
     """The bytes of a: np.array_equal takes -0.0 for +0.0."""
     return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
+    """Every route to the kernel gives the same bits with np.fft's one-axis
+    wrappers made to raise: the kernel calls the gufuncs beneath them."""
+    grid = make_grid(dim, n)
+    table = SymbolTable.build(GeneratorFamily((diffusion(0.25, dim), diffusion(1.0, dim))), grid)
+    f = sample(grid, "bump", center=[0.0] * dim, width=1.5)
+
+    def run():
+        # a wide guard: on a coarse 2D grid level 1 drops below level 0 by
+        # 5.5e-4 (see nisio_evolve); only the bits are under test here
+        res = nisio_evolve(table, 0.1, f, max_level=4, tol=0.0, record_argmax_level=2,
+                           monotonicity_tol=1e-3)
+        traj = picard_solve(table, f, 0.01, 1e-3)
+        return [_bits(a) for a in (res.value.values, res.increments, res.argmax.selections,
+                                   [u.values for u in traj.snapshots], traj.residuals,
+                                   apply_J(table, 0.1, f).values, lipschitz_bound(table, f))]
+
+    before = run()
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("the kernel called an np.fft wrapper")
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, wrapper)
+    assert run() == before
 
 
 class TestMemberSchedule:
