@@ -42,7 +42,6 @@ from .levy import (
 from .mc import (
     DualBoundReport,
     McEstimate,
-    SimpleStrategy,
     dual_bound_suite,
     estimate,
     extract_strategy,
@@ -54,9 +53,9 @@ from .mc import (
     simulate_paths,
 )
 from .nisio import (
-    ArgmaxField,
     NisioResult,
     Partition,
+    SimpleStrategy,
     apply_J,
     apply_partition,
     dpp_check,

@@ -44,6 +44,7 @@ from .mc import (
     write_estimates_csv,
 )
 from .nisio import (
+    ARGMAX_BUDGET,
     MAX_LEVEL,
     generator_limit_table,
     nisio_evolve,
@@ -415,7 +416,7 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
              for path in config.mc_strategy_files]
     check_strategies([strat for _, strat in files], len(family), config.time)
     steps = ((1 + config.mc_random_strategies) * 2**config.mc_extract_level
-             + sum(strat.partition.step_count for _, strat in files))
+             + sum(strat.step_count for _, strat in files))
     if config.mc_n_paths * len(family) * steps > MC_DRAW_BUDGET:
         raise BudgetError(
             f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
@@ -428,15 +429,19 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
             f"mc would draw about {atoms:.3g} jump atoms, more than the budget of "
             f"{MC_ATOM_BUDGET:.0e} (n_paths x partitions x time x the members' jump mass)"
         )
+    if steps * run.grid.size > ARGMAX_BUDGET:
+        raise BudgetError(f"mc would hold {steps * run.grid.size:.3g} feedback entries, more "
+                          f"than the budget of {ARGMAX_BUDGET:.0e} (the steps of every "
+                          "strategy x grid points)")
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)
     x0 = wrap_point(config.mc_x0)  # the point the paths start from
     reference = result.value.value_at(run.grid.nearest_index(x0))
     run.diagnostics["reference_value"] = reference
 
-    extracted = extract_strategy(result, config.mc_extract_level)
+    extracted = extract_strategy(result)
     save_strategy(run.out("extracted_strategy.json"), extracted)
-    write_argmax_csv(run.out("argmax.csv"), run.grid, result.argmax)
+    write_argmax_csv(run.out("argmax.csv"), extracted)
     strategies = [("extracted", extracted)]
     rng = np.random.default_rng(config.mc_seed)
     for i in range(config.mc_random_strategies):

@@ -3,8 +3,9 @@
 A simple strategy fixes a time partition and, per interval, a finite-range
 feedback map from grid points to family members.  Simulating the controlled
 path and averaging the payoff yields a lower bound on the worst-case value;
-the feedback extracted from the recorded maximizer fields should come within
-the scheme tolerance of attaining it.
+the maximizers an envelope run records at one dyadic level are such a strategy
+(nisio.SimpleStrategy), whose mean payoff should come within the scheme
+tolerance of that value.
 
 Paths run in blocks of BLOCK_PATHS; block b draws from the Philox stream keyed
 by (seed, b).  On each step every member draws once for every path of the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,32 +25,10 @@ from .errors import ConfigurationError
 from .grid import (GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point,
                    write_table)
 from .levy import GeneratorFamily, sample_increments
-from .nisio import NisioResult, Partition
+from .nisio import NisioResult, Partition, SimpleStrategy
 
 MIN_PATHS = 100
 BLOCK_PATHS = 1024  # paths simulated together on one random stream
-
-
-@dataclass(frozen=True)
-class SimpleStrategy:
-    """Per-interval feedback maps from grid points to family member indices."""
-
-    grid: TorusGrid
-    partition: Partition
-    feedback: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        fb = np.asarray(self.feedback, dtype=np.int64)
-        expect = (self.partition.step_count,) + self.grid.shape
-        if fb.shape != expect:
-            raise ConfigurationError(
-                f"feedback shape {fb.shape} must be (intervals, grid points) = {expect}"
-            )
-        if fb.size and fb.min() < 0:
-            raise ConfigurationError("feedback indices must be nonnegative")
-        fb = fb.copy()
-        fb.flags.writeable = False
-        object.__setattr__(self, "feedback", fb)
 
 
 @dataclass(frozen=True)
@@ -70,14 +49,12 @@ def random_strategy(grid: TorusGrid, partition: Partition, member_count: int,
     return SimpleStrategy(grid, partition, fb)
 
 
-def extract_strategy(result: NisioResult, level: int) -> SimpleStrategy:
-    """Turn the recorded maximizer fields of a dyadic run into feedback maps."""
-    argmax = result.argmax
-    if argmax is None or argmax.level != level:
-        have = "none" if argmax is None else f"level {argmax.level}"
-        raise ConfigurationError(f"argmax not recorded at level {level} (have {have})")
-    partition = Partition.dyadic(result.t, level)
-    return SimpleStrategy(result.value.grid, partition, argmax.selections)
+def extract_strategy(result: NisioResult) -> SimpleStrategy:
+    """The feedback strategy of a dyadic run: its recorded maximizers."""
+    if result.argmax is None:
+        raise ConfigurationError("no maximizers recorded: run nisio_evolve with "
+                                 "record_argmax_level")
+    return result.argmax
 
 
 def _partition_key(partition: Partition) -> tuple:

@@ -4,8 +4,9 @@ One step of length t applies every member semigroup and takes the pointwise
 maximum; composing steps over a refining partition drives the monotone limit
 that defines the nonlinear evolution.  Dyadic levels n = 0, 1, 2, ... are
 nested, so the per-level sup-norm increase is a machine-checkable
-monotonicity diagnostic, and the recorded per-step maximizer fields feed
-strategy extraction for the Monte Carlo dual.
+monotonicity diagnostic.  The member that attains each step's maximum at each
+point, recorded at one dyadic level, is a feedback control on that level's
+partition: a SimpleStrategy, which the Monte Carlo dual simulates.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, _csv_header, sup_distance, write_grid_table,
-                   write_table)
+from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, sup_distance,
+                   write_grid_table, write_table)
 from .levy import SpectralWorkspace, SymbolTable, batch_rows
 
 MAX_LEVEL = 20
 MONOTONICITY_ERROR_TOL = 1e-8
 INCREMENT_ROUNDING_TOL = 1e-10
-# recorded maximizer entries (steps x grid points), 80 MB of int64
+# feedback entries (steps x grid points) a run may hold, 80 MB of int64: the
+# maximizers nisio_evolve records, and in mc the feedback of every strategy
 ARGMAX_BUDGET = 10**7
 
 
@@ -73,21 +75,30 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class ArgmaxField:
-    """Maximizing member index per composition step (forward time) per point."""
+class SimpleStrategy:
+    """Per-interval feedback maps from grid points to family member indices;
+    the maximizers that nisio_evolve records at a dyadic level are one."""
 
-    level: int
-    selections: np.ndarray = field(repr=False)
+    grid: TorusGrid
+    partition: Partition
+    feedback: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        sel = np.asarray(self.selections, dtype=np.int64)
-        sel = sel.copy()
-        sel.flags.writeable = False
-        object.__setattr__(self, "selections", sel)
+        fb = np.asarray(self.feedback, dtype=np.int64)
+        expect = (self.partition.step_count,) + self.grid.shape
+        if fb.shape != expect:
+            raise ConfigurationError(
+                f"feedback shape {fb.shape} must be (intervals, grid points) = {expect}"
+            )
+        if fb.size and fb.min() < 0:
+            raise ConfigurationError("feedback indices must be nonnegative")
+        fb = fb.copy()
+        fb.flags.writeable = False
+        object.__setattr__(self, "feedback", fb)
 
     @property
     def step_count(self) -> int:
-        return self.selections.shape[0]
+        return self.partition.step_count
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,8 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class NisioResult:
-    """Dyadic approximation of the worst-case evolution plus diagnostics."""
+    """Dyadic approximation of the worst-case evolution plus diagnostics;
+    argmax is the strategy of the recorded maximizers, None if none were."""
 
     t: float
     value: GridFunction
@@ -110,7 +122,7 @@ class NisioResult:
     increments: tuple[float, ...]
     records: tuple[LevelRecord, ...]
     lipschitz_bound: float
-    argmax: ArgmaxField | None = None
+    argmax: SimpleStrategy | None = None
 
     def __post_init__(self) -> None:
         for level, inc in enumerate(self.increments, start=1):
@@ -118,11 +130,6 @@ class NisioResult:
                 raise ConsistencyError(
                     f"level {level} sup-norm increment {inc:.3e} is negative beyond rounding"
                 )
-
-
-def _sup_norm(a: np.ndarray) -> float:
-    """max |a| as max(|min a|, |max a|): the same number, without an |a| grid."""
-    return max(abs(float(np.min(a))), abs(float(np.max(a))))
 
 
 # -- one-step envelope ---------------------------------------------------------
@@ -208,7 +215,9 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     may need a wider guard.  The levels run in lockstep (see _compose), on
     values only; the maximizers of record_argmax_level come from one pass of
     their own after the levels, 2^record_argmax_level steps, as many as the
-    Monte Carlo dual then simulates per path.  Recording more than
+    Monte Carlo dual then simulates per path: the result's argmax is the
+    SimpleStrategy on that level's dyadic partition whose feedback is each
+    step's maximizing member, in forward time.  Recording more than
     ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
     """
     if t <= 0:
@@ -270,7 +279,8 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         v = f.values.copy()
         for step in range(steps - 1, -1, -1):  # forward-time step, the last applied first
             ws.envelope(mults, v, out=v, argmax=selections[step])
-        argmax = ArgmaxField(record_argmax_level, selections)
+        argmax = SimpleStrategy(table.grid, Partition.dyadic(t, record_argmax_level),
+                                selections)
 
     return NisioResult(
         t=t,
@@ -381,9 +391,9 @@ def write_convergence_csv(path, result: NisioResult) -> None:
                  for r in result.records])
 
 
-def write_argmax_csv(path, grid: TorusGrid, argmax: ArgmaxField) -> None:
-    write_grid_table(path, grid, _csv_header(grid.dim, "step", "lambda_index"),
-                     enumerate(argmax.selections), fmt="%d")
+def write_argmax_csv(path, strategy: SimpleStrategy) -> None:
+    write_grid_table(path, strategy.grid, _csv_header(strategy.grid.dim, "step", "lambda_index"),
+                     enumerate(strategy.feedback), fmt="%d")
 
 
 def write_generator_limit_csv(path, rows) -> None:

@@ -236,7 +236,7 @@ def test_criterion_9_mc_dual_bounds(acc_table, acc_bump, acc_deep_run, acc_grid)
     start = time.perf_counter()
     x0 = np.array([-np.pi / 2])
     reference = acc_deep_run.value.value_at(acc_grid.nearest_index(x0))
-    extracted = extract_strategy(acc_deep_run, 4)
+    extracted = extract_strategy(acc_deep_run)
     strategies = [("extracted", extracted)]
     rng = np.random.default_rng(777)
     for i in range(16):

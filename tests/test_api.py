@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import json
+import math
 import os
 import re
 import subprocess
@@ -128,3 +130,34 @@ def test_benchmark_untraced_targets_are_the_known_ones(monkeypatch):
     tracing = importlib.import_module("tracing")
     with tracing.instrument(tracing.Tracer()) as missing:
         assert sorted(missing) == sorted(UNTRACED)
+
+
+def test_benchmark_observers_read_real_results(tmp_path, monkeypatch):
+    """The benchmark's observers count from what nisio_evolve, picard_solve and
+    dual_bound_suite return: the recorded strategy's step_count, the level
+    records, the trajectory and the report rows."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    from sublevy import cli
+
+    base = {"grid": {"dim": 1, "n": 128}, "family": {"builtin": "two_sigma"},
+            "initial": {"kind": "bump", "center": 0.0, "width": math.pi}, "time": 0.2,
+            "nisio": {"max_level": 8, "tol": 1e-4},
+            "oracle": {"dt": 1e-3},
+            "mc": {"n_paths": 100, "seed": 3, "extract_level": 3, "random_strategies": 2}}
+    tracer = tracing.Tracer()
+    manifests = {}
+    with tracing.instrument(tracer):
+        for run, command in enumerate(("mc", "oracle")):
+            tracer.run = run
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(base))
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            manifests[command] = json.loads((out / "manifest.json").read_text())
+    mc_counts, oracle_counts = tracer.counts[0], tracer.counts[1]
+    levels = manifests["mc"]["diagnostics"]["levels_used"]
+    assert mc_counts["nisio.steps"] == (2**(levels + 1) - 1) + 2**3
+    assert mc_counts["nisio.levels_used"] == levels
+    assert mc_counts["mc.paths"] == 100 * (1 + 2)
+    assert oracle_counts["oracles.rk4_steps"] == round(0.2 / 1e-3)

@@ -178,6 +178,25 @@ class TestConfig:
             "(n_paths x partitions x time x the members' jump mass)\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dim, n, level, random, entries", [
+        (2, 256, 4, 16, "1.78e+07"),  # 16 steps alone would hold 1.0e6 entries
+        (2, 256, 7, 16, "1.43e+08"),
+        (1, 128, 17, 0, "1.68e+07"),  # nisio_evolve's own check would refuse it too
+    ])
+    def test_mc_feedback_budget(self, tmp_path, capsys, monkeypatch, dim, n, level, random,
+                                entries):
+        # every strategy's feedback: (1 + random) x 2^extract_level steps x grid points
+        path = write_config(tmp_path, grid={"dim": dim, "n": n},
+                            initial={"kind": "constant", "value": 1.0},
+                            mc={"n_paths": 100, "extract_level": level,
+                                "random_strategies": random, "x0": [0.0] * dim})
+        monkeypatch.setattr(cli, "_run_nisio", lambda *a, **k: pytest.fail("envelope ran"))
+        assert main(["mc", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: mc would hold {entries} feedback entries, more than the budget of 1e+07 "
+            "(the steps of every strategy x grid points)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where, message", [
         ("config", "config {bad} is not valid JSON: {exc}"),
         ("family", "family file {bad} is not valid JSON: {exc}"),

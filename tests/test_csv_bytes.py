@@ -28,15 +28,14 @@ from sublevy.grid import (
 from sublevy.mc import (
     BoundRow,
     DualBoundReport,
-    SimpleStrategy,
     save_strategy,
     strategy_to_dict,
     write_estimates_csv,
 )
 from sublevy.nisio import (
-    ArgmaxField,
     LevelRecord,
     Partition,
+    SimpleStrategy,
     write_argmax_csv,
     write_convergence_csv,
     write_generator_limit_csv,
@@ -72,15 +71,15 @@ def reference_trajectory_csv(path, traj):
                 w.writerow([f"{ti:.17g}", i, *coords, f"{flat[i]:.17g}"])
 
 
-def reference_argmax_csv(path, grid, argmax):
+def reference_argmax_csv(path, grid, strategy):
     mesh = [m.ravel() for m in grid.meshgrid()]
     head = ["step", "index", "x", "lambda_index"] if grid.dim == 1 else \
         ["step", "index", "x", "y", "lambda_index"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(head)
-        for step in range(argmax.step_count):
-            flat = argmax.selections[step].ravel()
+        for step in range(strategy.step_count):
+            flat = strategy.feedback[step].ravel()
             for i in range(grid.size):
                 coords = [f"{m[i]:.17g}" for m in mesh]
                 w.writerow([step, i, *coords, int(flat[i])])
@@ -135,9 +134,10 @@ def test_grid_table_reads_coordinates_once(tmp_path, monkeypatch):
 def test_argmax_csv_bytes(tmp_path, dim, n):
     grid = make_grid(dim, n)
     rng = np.random.default_rng(dim)
-    argmax = ArgmaxField(level=3, selections=rng.integers(0, 12, (8, *grid.shape)))
-    write_argmax_csv(tmp_path / "new.csv", grid, argmax)
-    reference_argmax_csv(tmp_path / "ref.csv", grid, argmax)
+    strategy = SimpleStrategy(grid, Partition.dyadic(1.0, 3),
+                              rng.integers(0, 12, (8, *grid.shape)))
+    write_argmax_csv(tmp_path / "new.csv", strategy)
+    reference_argmax_csv(tmp_path / "ref.csv", grid, strategy)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

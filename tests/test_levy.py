@@ -667,7 +667,7 @@ def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
         res = nisio_evolve(table, 0.1, f, max_level=4, tol=0.0, record_argmax_level=2,
                            monotonicity_tol=1e-3)
         traj = picard_solve(table, f, 0.01, 1e-3)
-        return [_bits(a) for a in (res.value.values, res.increments, res.argmax.selections,
+        return [_bits(a) for a in (res.value.values, res.increments, res.argmax.feedback,
                                    [u.values for u in traj.snapshots], traj.residuals,
                                    apply_J(table, 0.1, f).values, lipschitz_bound(table, f))]
 

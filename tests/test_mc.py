@@ -47,7 +47,7 @@ class TestExtractStrategy:
     def test_singleton_all_zero(self, grid128, cos128):
         table = SymbolTable.build(GeneratorFamily((diffusion(1.0),)), grid128)
         res = nisio_evolve(table, 0.3, cos128, max_level=2, tol=0.0, record_argmax_level=2)
-        strat = extract_strategy(res, 2)
+        strat = extract_strategy(res)
         assert np.all(strat.feedback == 0)
         assert strat.partition.step_count == 4
 
@@ -55,21 +55,22 @@ class TestExtractStrategy:
         res = nisio_evolve(
             two_sigma_table, 0.2, bump128, max_level=1, tol=0.0, record_argmax_level=0
         )
-        strat = extract_strategy(res, 0)
+        strat = extract_strategy(res)
         assert strat.partition.step_count == 1
         assert strat.feedback.shape == (1, 128)
 
-    def test_unrecorded_level_rejected(self, mc_setup):
-        _, result, _ = mc_setup
-        with pytest.raises(ConfigurationError):
-            extract_strategy(result, 3)
+    def test_nothing_recorded_rejected(self, two_sigma_table, bump128):
+        res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=1, tol=0.0)
+        assert res.argmax is None
+        with pytest.raises(ConfigurationError, match="^no maximizers recorded"):
+            extract_strategy(res)
 
     def test_feedback_matches_direct_member_comparison(self, two_sigma_table, bump128):
         # one interval: feedback is the argmax of the two linear evolutions
         res = nisio_evolve(
             two_sigma_table, 0.2, bump128, max_level=1, tol=0.0, record_argmax_level=0
         )
-        strat = extract_strategy(res, 0)
+        strat = extract_strategy(res)
         a = member_evolution(two_sigma_table, 0.2, bump128).values
         b = member_evolution(two_sigma_table, 0.2, bump128, member=1).values
         clear = np.abs(a - b) > 1e-12
@@ -155,7 +156,7 @@ class TestEstimate:
 
     def test_reproducible_bitwise(self, mc_setup):
         family, result, bump = mc_setup
-        strat = extract_strategy(result, 4)
+        strat = extract_strategy(result)
         a = estimate(family, strat, bump, np.array([0.0]), 0.2, 500, seed=11)
         b = estimate(family, strat, bump, np.array([0.0]), 0.2, 500, seed=11)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
@@ -167,7 +168,7 @@ class TestEstimate:
 
     def test_extracted_strategy_attains_envelope(self, mc_setup, grid128):
         family, result, bump = mc_setup
-        strat = extract_strategy(result, 4)
+        strat = extract_strategy(result)
         x0 = np.array([-np.pi / 2])
         ref = result.value.value_at(grid128.nearest_index(x0))
         est = estimate(family, strat, bump, x0, 0.2, 10_000, seed=5)
@@ -177,7 +178,7 @@ class TestEstimate:
 class TestBlocks:
     def test_reproducible_past_one_block(self, mc_setup):
         family, result, bump = mc_setup
-        strat = extract_strategy(result, 4)
+        strat = extract_strategy(result)
         n = BLOCK_PATHS + 37
         a = estimate(family, strat, bump, np.array([0.0]), 0.2, n, seed=11)
         b = estimate(family, strat, bump, np.array([0.0]), 0.2, n, seed=11)
@@ -185,7 +186,7 @@ class TestBlocks:
 
     def test_first_block_unchanged_by_later_blocks(self, mc_setup):
         family, result, bump = mc_setup
-        strat = extract_strategy(result, 4)
+        strat = extract_strategy(result)
         x0 = np.array([0.0])
         (one,) = path_payoffs(family, [strat], bump, x0, 0.2, BLOCK_PATHS, seed=4)
         (more,) = path_payoffs(family, [strat], bump, x0, 0.2, BLOCK_PATHS + 37, seed=4)
@@ -282,7 +283,7 @@ class TestDualBoundSuite:
         family, result, bump = mc_setup
         x0 = np.array([0.0])
         ref = result.value.value_at(grid128.nearest_index(x0))
-        strategies = [("extracted", extract_strategy(result, 4))]
+        strategies = [("extracted", extract_strategy(result))]
         rng = np.random.default_rng(9)
         for i in range(8):
             strategies.append(

@@ -8,6 +8,7 @@ whole grid, grid.size * 16 bytes.  The table holds HALF of a row per member,
 the last-axis modes 0..n/2, and so does a multiplier or a spectrum; a float64
 grid function is half a row.  The grid is 2D n=256, where the envelope runs
 member at a time (at n=64 the 2D monotonicity guard trips, see nisio_evolve).
+The recorded maximizers are counted in selection arrays instead.
 """
 
 import math
@@ -16,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sublevy import (GeneratorFamily, LevyQuadruple, SymbolTable, diffusion, lipschitz_bound,
-                     make_grid, nisio_evolve, sample)
+from sublevy import (GeneratorFamily, LevyQuadruple, SymbolTable, diffusion, extract_strategy,
+                     lipschitz_bound, make_grid, nisio_evolve, sample)
 
 GRID = make_grid(2, 256)
 ROW = GRID.size * 16
@@ -69,3 +70,24 @@ def test_an_envelope_run_holds_one_member_at_a_time(family):
     result, peak = _traced_peak(lambda: nisio_evolve(table, 0.2, f, max_level=1, tol=0.0))
     assert result.levels_used == 1 and np.all(np.isfinite(result.value.values))
     assert peak <= len(table) * HALF + 3.25
+
+
+def test_one_feedback_array_per_extracted_strategy(family):
+    # the recorded maximizers are the extracted strategy: what stays held
+    # after the run and the extraction, both kept alive, is one selection
+    # array (and the small value grid); a field of its own beside a copy in
+    # the strategy held two.  Level 0 runs no comparison, so the guard of
+    # the coarse grid does not trip
+    grid = make_grid(2, 64)
+    table = SymbolTable.build(family, grid)
+    f = sample(grid, "bump", center=[0.0, 0.0], width=math.pi)
+    tracemalloc.start()
+    try:
+        result = nisio_evolve(table, 0.2, f, max_level=0, tol=0.0, record_argmax_level=6)
+        strategy = extract_strategy(result)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    selections = 2**6 * grid.size * 8
+    assert strategy.feedback.nbytes == selections
+    assert held <= 1.25 * selections

@@ -495,7 +495,7 @@ class TestWorkspaceReuse:
             values = SpectralWorkspace(bump128.grid, 2).envelope(mults, f.values, argmax=sel)
             f = apply_J(two_sigma_table, 0.05, f)
             assert np.array_equal(values, f.values)
-            assert np.array_equal(res.argmax.selections[step], sel)
+            assert np.array_equal(res.argmax.feedback[step], sel)
         assert np.array_equal(res.value.values, f.values)
 
     @pytest.mark.parametrize("level,max_level,tol,above_levels_used", [
@@ -534,8 +534,8 @@ class TestWorkspaceReuse:
         v = bump128.values.copy()
         for step in range(steps - 1, -1, -1):
             v = ws.envelope(mults, v, argmax=selections[step])
-        assert res.argmax.level == level
-        assert np.array_equal(res.argmax.selections, selections)
+        assert res.argmax.step_count == steps
+        assert np.array_equal(res.argmax.feedback, selections)
 
     def test_partition_matches_single_steps(self, two_sigma_table, bump128):
         pi = Partition(np.array([0.0, 0.05, 0.12, 0.2]))
@@ -634,7 +634,8 @@ class TestLockstepLevels:
                  for r in lockstep.records]
                 == [(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
                     for r in single.records])
-        assert lockstep.argmax.level == single.argmax.level == kwargs["record_argmax_level"]
-        assert np.array_equal(lockstep.argmax.selections, single.argmax.selections)
+        assert (lockstep.argmax.step_count == single.argmax.step_count
+                == 2**kwargs["record_argmax_level"])
+        assert np.array_equal(lockstep.argmax.feedback, single.argmax.feedback)
         assert (lockstep.levels_used, lockstep.converged) == (single.levels_used,
                                                               single.converged)
