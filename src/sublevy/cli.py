@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,9 +35,9 @@ from .levy import (
 )
 from .mc import (
     MIN_PATHS,
+    check_budgets,
     check_strategies,
     dual_bound_suite,
-    expected_jump_atoms,
     extract_strategy,
     load_strategy,
     random_strategy,
@@ -44,8 +45,9 @@ from .mc import (
     write_estimates_csv,
 )
 from .nisio import (
-    ARGMAX_BUDGET,
     MAX_LEVEL,
+    MONOTONICITY_ERROR_TOL,
+    Partition,
     generator_limit_table,
     nisio_evolve,
     write_argmax_csv,
@@ -54,14 +56,6 @@ from .nisio import (
 )
 from .oracles import picard_solve, write_residual_csv, write_trajectory_csv
 
-# increments one mc run may use, each counted once per strategy that advances on
-# it: paths x members x the steps of every strategy (strategies on one partition
-# share one draw per path, step and member)
-MC_DRAW_BUDGET = 10**8
-# jump atoms one mc run may draw, in expectation (mc.expected_jump_atoms); one
-# call of sample_increments can hold them all (one path block, extract_level 0),
-# at about 31 bytes an atom in 2D: a run just under this peaks near 0.34 GB
-MC_ATOM_BUDGET = 10**7
 # accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
 RETIRED_KEYS = ("oracle.tail_tol", "output")
 
@@ -126,7 +120,8 @@ class RunConfig:
                                 f"nisio.max_level must be in [0, {MAX_LEVEL}]")
     nisio_tol: float = _row("nisio.tol", float, 1e-6, lambda v: v >= 0,
                             "nisio.tol must be nonnegative")
-    nisio_monotonicity_tol: float = _row("nisio.monotonicity_tol", float, 1e-8, lambda v: v > 0,
+    nisio_monotonicity_tol: float = _row("nisio.monotonicity_tol", float, MONOTONICITY_ERROR_TOL,
+                                         lambda v: v > 0,
                                          "nisio.monotonicity_tol must be positive")
     oracle_dt: float = _row("oracle.dt", float, 1e-3, lambda v: v > 0,
                             "oracle.dt and gap_tol must be positive")
@@ -415,24 +410,12 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     files = [(os.path.basename(path), load_strategy(path, run.grid))
              for path in config.mc_strategy_files]
     check_strategies([strat for _, strat in files], len(family), config.time)
-    steps = ((1 + config.mc_random_strategies) * 2**config.mc_extract_level
-             + sum(strat.step_count for _, strat in files))
-    if config.mc_n_paths * len(family) * steps > MC_DRAW_BUDGET:
-        raise BudgetError(
-            f"mc would use more than the budget of {MC_DRAW_BUDGET:.0e} increments "
-            "(n_paths x members x the steps of every strategy)"
-        )
-    atoms = expected_jump_atoms(family, config.time, config.mc_extract_level,
-                                [strat for _, strat in files], config.mc_n_paths)
-    if atoms > MC_ATOM_BUDGET:
-        raise BudgetError(
-            f"mc would draw about {atoms:.3g} jump atoms, more than the budget of "
-            f"{MC_ATOM_BUDGET:.0e} (n_paths x partitions x time x the members' jump mass)"
-        )
-    if steps * run.grid.size > ARGMAX_BUDGET:
-        raise BudgetError(f"mc would hold {steps * run.grid.size:.3g} feedback entries, more "
-                          f"than the budget of {ARGMAX_BUDGET:.0e} (the steps of every "
-                          "strategy x grid points)")
+    # one partition per strategy of the suite, generated: random_strategies may be huge
+    dyadic = Partition.dyadic(config.time, config.mc_extract_level)
+    check_budgets(family, run.grid, config.time,
+                  itertools.chain((dyadic for _ in range(1 + config.mc_random_strategies)),
+                                  (strat.partition for _, strat in files)),
+                  config.mc_n_paths)
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)
     x0 = wrap_point(config.mc_x0)  # the point the paths start from
@@ -465,10 +448,10 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
 
 
 COMMANDS = {
-    "evolve": cmd_evolve,
-    "oracle": cmd_oracle,
-    "convergence": cmd_convergence,
-    "mc": cmd_mc,
+    "evolve": (cmd_evolve, "dyadic sup-envelope evolution with convergence diagnostics"),
+    "oracle": (cmd_oracle, "cross-check the evolution against classical integration"),
+    "convergence": (cmd_convergence, "per-level and generator-limit tables"),
+    "mc": (cmd_mc, "Monte Carlo dual bounds over feedback strategies"),
 }
 
 
@@ -478,12 +461,7 @@ def main(argv=None) -> int:
         description="Worst-case Levy evolution on the torus: build, verify, simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "dyadic sup-envelope evolution with convergence diagnostics"),
-        ("oracle", "cross-check the evolution against classical integration"),
-        ("convergence", "per-level and generator-limit tables"),
-        ("mc", "Monte Carlo dual bounds over feedback strategies"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -496,7 +474,7 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, output_dir=args.out)
         if args.seed is not None:
             config = dataclasses.replace(config, mc_seed=args.seed)
-        return COMMANDS[args.command](config, quiet=args.quiet)
+        return COMMANDS[args.command][0](config, quiet=args.quiet)
     except (ConfigurationError, BudgetError) as exc:
         message = str(exc)
     except ConsistencyError as exc:

@@ -11,6 +11,8 @@ Paths run in blocks of BLOCK_PATHS; block b draws from the Philox stream keyed
 by (seed, b).  On each step every member draws once for every path of the
 block, and every strategy on that partition advances on those draws, so
 results are bitwise reproducible and strategies share their random numbers.
+check_budgets refuses a suite over its budgets before it runs, for the mc
+command and a library call alike.
 """
 
 from __future__ import annotations
@@ -21,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import BudgetError, ConfigurationError
 from .grid import (GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point,
                    write_table)
 from .levy import GeneratorFamily, sample_increments
-from .nisio import NisioResult, Partition, SimpleStrategy
+from .nisio import ARGMAX_BUDGET, NisioResult, Partition, SimpleStrategy
 
 MIN_PATHS = 100
 BLOCK_PATHS = 1024  # paths simulated together on one random stream
+# increments a suite may use, counted once per strategy that advances on them
+DRAW_BUDGET = 10**8
+# expected jump atoms; one sample_increments call may hold all: 0.34 GB at 10^7 in 2D
+ATOM_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -57,22 +63,38 @@ def extract_strategy(result: NisioResult) -> SimpleStrategy:
     return result.argmax
 
 
-def _partition_key(partition: Partition) -> tuple:
-    """Strategies whose partitions share this key are simulated together and
-    share their draws."""
-    return tuple(partition.times.tolist())
+def _groups(partitions) -> dict[tuple, list[int]]:
+    """Partition times -> the indices of the strategies on them: each group is
+    simulated together and shares its draws."""
+    groups: dict[tuple, list[int]] = {}
+    for i, partition in enumerate(partitions):
+        groups.setdefault(tuple(partition.times.tolist()), []).append(i)
+    return groups
 
 
-def expected_jump_atoms(family: GeneratorFamily, t: float, level: int, strategies,
-                        n_paths: int) -> float:
-    """Jump atoms a suite is expected to draw: the strategies extracted from a
-    level-`level` run (and random ones beside them) share its dyadic partition,
-    and the paths of each distinct partition draw every member's jumps over
-    [0, t]: n_paths x partitions x t x the members' total jump mass."""
-    keys = {_partition_key(s.partition) for s in strategies}
-    keys.add(_partition_key(Partition.dyadic(t, level)))
+def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, partitions,
+                  n_paths: int) -> None:
+    """Refuse a suite, one partition per strategy (an iterable, read once up to
+    the draw budget), before it runs: DRAW_BUDGET increments, then ATOM_BUDGET
+    expected jump atoms over the groups path_payoffs simulates, then
+    ARGMAX_BUDGET feedback entries, each counted as its message says."""
+    held, steps = [], 0
+    for partition in partitions:
+        held.append(partition)
+        steps += partition.step_count
+        if n_paths * len(family) * steps > DRAW_BUDGET:
+            raise BudgetError(f"mc would use more than the budget of {DRAW_BUDGET:.0e} "
+                              "increments (n_paths x members x the steps of every strategy)")
     mass = sum(float(q.mu_weights.sum() + q.nu_weights.sum()) for q in family.members)
-    return n_paths * len(keys) * t * mass
+    atoms = n_paths * len(_groups(held)) * t * mass
+    if atoms > ATOM_BUDGET:
+        raise BudgetError(f"mc would draw about {atoms:.3g} jump atoms, more than the budget "
+                          f"of {ATOM_BUDGET:.0e} (n_paths x partitions x time x the members' "
+                          "jump mass)")
+    if steps * grid.size > ARGMAX_BUDGET:
+        raise BudgetError(f"mc would hold {steps * grid.size:.3g} feedback entries, more "
+                          f"than the budget of {ARGMAX_BUDGET:.0e} (the steps of every "
+                          "strategy x grid points)")
 
 
 def interpolate_linear(f: GridFunction, point):
@@ -145,14 +167,15 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
     """Payoff of each of n_paths controlled paths under each strategy, shape
     (strategies, n_paths).  Strategies with the same partition times are
     simulated together; each such group replays the (seed, block) streams, so
-    a full block's payoffs depend on neither n_paths nor the other strategies."""
+    a full block's payoffs depend on neither n_paths nor the other strategies.
+    A suite over the budgets of check_budgets is refused before any path runs."""
     if n_paths < MIN_PATHS:
         raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     if any(s.grid != f.grid for s in strategies):
         raise ConfigurationError("payoff function and strategy live on different grids")
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(strategies):
-        groups.setdefault(_partition_key(s.partition), []).append(i)
+    partitions = [s.partition for s in strategies]
+    check_budgets(family, f.grid, t, partitions, n_paths)
+    groups = _groups(partitions)
     payoffs = np.empty((len(strategies), n_paths))
     for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         size = min(BLOCK_PATHS, n_paths - lo)
@@ -228,14 +251,6 @@ def dual_bound_suite(family: GeneratorFamily, f: GridFunction, x0, t: float,
 
 # -- interchange ---------------------------------------------------------------
 
-def strategy_to_dict(strat: SimpleStrategy) -> dict:
-    return {
-        "partition": [float(x) for x in strat.partition.times],
-        "feedback": [strat.feedback[j].ravel().tolist()
-                     for j in range(strat.partition.step_count)],
-    }
-
-
 def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
     keys_only(obj, ("partition", "feedback"), what="strategy")
     try:
@@ -258,9 +273,13 @@ def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
 
 
 def save_strategy(path, strat: SimpleStrategy) -> None:
-    text = json.dumps(strategy_to_dict(strat))  # json.dump would take the pure-Python encoder
+    """Write the strategy JSON one feedback row at a time, each through json.dumps
+    (json.dump would take the pure-Python encoder): one row is held as text."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(f'{{"partition": {json.dumps(strat.partition.times.tolist())}, "feedback": [')
+        for j, row in enumerate(strat.feedback):
+            fh.write((", " if j else "") + json.dumps(row.ravel().tolist()))
+        fh.write("]}")
 
 
 def load_strategy(path, grid: TorusGrid) -> SimpleStrategy:

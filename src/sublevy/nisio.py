@@ -117,12 +117,18 @@ class NisioResult:
 
     t: float
     value: GridFunction
-    levels_used: int
     converged: bool
-    increments: tuple[float, ...]
     records: tuple[LevelRecord, ...]
     lipschitz_bound: float
     argmax: SimpleStrategy | None = None
+
+    @property
+    def levels_used(self) -> int:
+        return self.records[-1].level
+
+    @property
+    def increments(self) -> tuple[float, ...]:  # levels 1 on: level 0 has none
+        return tuple(r.sup_increment for r in self.records[1:])
 
     def __post_init__(self) -> None:
         for level, inc in enumerate(self.increments, start=1):
@@ -243,7 +249,6 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     l_f = lipschitz_bound(table, f)
 
     records: list[LevelRecord] = []
-    increments: list[float] = []
     converged = False
     # _compose needs its rows in order of step count: level l takes 2^l steps,
     # so the levels complete in order; the stop drops the levels still in flight
@@ -263,7 +268,6 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                     "refinement must be monotone"
                 )
             inc = float(np.max(diff))
-            increments.append(inc)
         records.append(LevelRecord(level, 2**level, inc, _sup_norm(new_values), elapsed))
         values = new_values
         if tol > 0 and inc < tol:
@@ -285,9 +289,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     return NisioResult(
         t=t,
         value=GridFunction(table.grid, values),
-        levels_used=level,
         converged=converged,
-        increments=tuple(increments),
         records=tuple(records),
         lipschitz_bound=l_f,
         argmax=argmax,

@@ -101,6 +101,20 @@ def test_grid_function_enters_a_table_through_one_door(name, dim, n):
         fn(table=table, f=f, **args)
 
 
+def test_cli_holds_no_budget():
+    """Each budget lives with the work it bounds: cli.py binds no *_BUDGET name,
+    by assignment or import, and raises no BudgetError of its own."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(name for name in bound if name.endswith("_BUDGET")) == []
+    raised = [ast.unparse(node.exc) for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None]
+    assert [exc for exc in raised if "BudgetError" in exc] == []
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     """Only a Monte Carlo run imports numpy.random, so a CLI start does not pay for it."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}

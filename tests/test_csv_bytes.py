@@ -5,7 +5,8 @@ the grid tables (``write_function_csv``, ``write_trajectory_csv``,
 ``write_argmax_csv``) and the small tables (convergence, generator limit,
 residuals, estimates and the oracle gap table) used before they moved onto
 ``grid.write_grid_table`` and ``grid.write_table``.  The extracted strategy
-file is held to the bytes of ``json.dump``.
+file is held to the bytes of ``json.dump`` of the whole object, which
+``save_strategy`` wrote before it streamed the feedback one row at a time.
 """
 
 import csv
@@ -29,7 +30,6 @@ from sublevy.mc import (
     BoundRow,
     DualBoundReport,
     save_strategy,
-    strategy_to_dict,
     write_estimates_csv,
 )
 from sublevy.nisio import (
@@ -43,6 +43,14 @@ from sublevy.nisio import (
 from sublevy.oracles import Trajectory, write_residual_csv, write_trajectory_csv
 
 SPECIAL = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 3.0, -7.0, 0.0, -1e-300]
+
+
+def strategy_to_dict(strat):
+    return {
+        "partition": [float(x) for x in strat.partition.times],
+        "feedback": [strat.feedback[j].ravel().tolist()
+                     for j in range(strat.partition.step_count)],
+    }
 
 
 def reference_function_csv(path, f):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from sublevy import (
+    BudgetError,
     ConfigurationError,
     GeneratorFamily,
     Partition,
@@ -26,7 +28,7 @@ from sublevy import (
 )
 from sublevy import LevyQuadruple, compound_poisson
 from sublevy import mc
-from sublevy.mc import BLOCK_PATHS, strategy_from_dict, strategy_to_dict
+from sublevy.mc import BLOCK_PATHS, strategy_from_dict
 from conftest import member_evolution
 
 
@@ -310,6 +312,47 @@ class TestDualBoundSuite:
         assert row.limit == 0.5 + 3.0 * row.stderr + 1e-3
 
 
+class TestBudgets:
+    """The library door refuses a suite over a budget with the mc command's
+    message before it draws anything."""
+
+    ATOMS = ("mc would draw about 1e+09 jump atoms, more than the budget of 1e+07 "
+             "(n_paths x partitions x time x the members' jump mass)")
+
+    @pytest.mark.parametrize("call", ["estimate", "path_payoffs", "dual_bound_suite"])
+    def test_jump_atoms_refused_before_drawing(self, grid128, monkeypatch, call):
+        # 100 paths x 1 partition x t = 1 x rate 1e7, 100 times the budget
+        monkeypatch.setattr(mc, "sample_increments", lambda *a: pytest.fail("drew increments"))
+        family = GeneratorFamily((compound_poisson([(np.pi, 1.0)], rate=1e7),))
+        f = sample(grid128, "constant", value=1.0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(1.0, 2), np.zeros((4, 128)))
+        run = {"estimate": lambda: estimate(family, strat, f, [0.0], 1.0, 100, seed=0),
+               "path_payoffs": lambda: path_payoffs(family, [strat, strat], f, [0.0], 1.0,
+                                                    100, seed=0),
+               "dual_bound_suite": lambda: dual_bound_suite(family, f, [0.0], 1.0,
+                                                            [("a", strat)], 100, 0, 1.0, 1e-2)}
+        with pytest.raises(BudgetError) as info:
+            run[call]()
+        assert str(info.value) == self.ATOMS
+
+    @pytest.mark.parametrize("count, message", [
+        # 100 paths x 1 member x 1000 x 2^10 steps: 1.02e8 increments
+        (1000, "mc would use more than the budget of 1e+08 increments (n_paths x members x "
+               "the steps of every strategy)"),
+        # 100 x 2^10 steps x 128 points: 1.31e7 entries, 1.02e7 increments
+        (100, "mc would hold 1.31e+07 feedback entries, more than the budget of 1e+07 "
+              "(the steps of every strategy x grid points)"),
+    ], ids=["draws", "feedback"])
+    def test_draws_and_feedback_refused_before_drawing(self, grid128, zero_family, monkeypatch,
+                                                       count, message):
+        monkeypatch.setattr(mc, "sample_increments", lambda *a: pytest.fail("drew increments"))
+        f = sample(grid128, "constant", value=1.0)
+        strat = SimpleStrategy(grid128, Partition.dyadic(1.0, 10), np.zeros((2**10, 128)))
+        with pytest.raises(BudgetError) as info:
+            path_payoffs(zero_family, [strat] * count, f, [0.0], 1.0, 100, seed=0)
+        assert str(info.value) == message
+
+
 class TestStrategyJson:
     def test_round_trip(self, tmp_path, grid128):
         rng = np.random.default_rng(21)
@@ -320,9 +363,10 @@ class TestStrategyJson:
         assert np.array_equal(back.feedback, strat.feedback)
         assert np.array_equal(back.partition.times, strat.partition.times)
 
-    def test_wire_shape(self, grid128):
+    def test_wire_shape(self, tmp_path, grid128):
         strat = SimpleStrategy(grid128, Partition.dyadic(0.4, 0), np.zeros((1, 128)))
-        obj = strategy_to_dict(strat)
+        save_strategy(tmp_path / "strategy.json", strat)
+        obj = json.loads((tmp_path / "strategy.json").read_text())
         assert set(obj) == {"partition", "feedback"}
         assert len(obj["feedback"]) == 1
         assert len(obj["feedback"][0]) == grid128.size

@@ -17,8 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sublevy import (GeneratorFamily, LevyQuadruple, SymbolTable, diffusion, extract_strategy,
-                     lipschitz_bound, make_grid, nisio_evolve, sample)
+from sublevy import (GeneratorFamily, LevyQuadruple, Partition, SimpleStrategy, SymbolTable,
+                     diffusion, extract_strategy, lipschitz_bound, make_grid, nisio_evolve,
+                     sample, save_strategy)
 
 GRID = make_grid(2, 256)
 ROW = GRID.size * 16
@@ -91,3 +92,14 @@ def test_one_feedback_array_per_extracted_strategy(family):
     selections = 2**6 * grid.size * 8
     assert strategy.feedback.nbytes == selections
     assert held <= 1.25 * selections
+
+
+def test_save_strategy_streams_the_feedback(tmp_path):
+    # the strategy file is written one feedback row at a time, so the call holds
+    # less than the feedback array it writes; the whole feedback as lists and
+    # then one JSON string held 1.76 feedback arrays here
+    rng = np.random.default_rng(0)
+    feedback = rng.integers(0, 4, (16, *GRID.shape))
+    strategy = SimpleStrategy(GRID, Partition.dyadic(0.2, 4), feedback)
+    _, peak = _traced_peak(lambda: save_strategy(tmp_path / "strategy.json", strategy))
+    assert peak * ROW < strategy.feedback.nbytes
