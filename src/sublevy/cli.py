@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -410,11 +409,10 @@ def cmd_mc(config: RunConfig, quiet: bool = False) -> int:
     files = [(os.path.basename(path), load_strategy(path, run.grid))
              for path in config.mc_strategy_files]
     check_strategies([strat for _, strat in files], len(family), config.time)
-    # one partition per strategy of the suite, generated: random_strategies may be huge
     dyadic = Partition.dyadic(config.time, config.mc_extract_level)
     check_budgets(family, run.grid, config.time,
-                  itertools.chain((dyadic for _ in range(1 + config.mc_random_strategies)),
-                                  (strat.partition for _, strat in files)),
+                  [(dyadic, 1 + config.mc_random_strategies)]
+                  + [(strat.partition, 1) for _, strat in files],
                   config.mc_n_paths)
     result = _run_nisio(run, record_argmax_level=config.mc_extract_level)
     write_function_csv(run.out("value.csv"), result.value)

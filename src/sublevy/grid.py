@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -93,9 +92,10 @@ class TorusGrid:
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def mode_axes(self) -> tuple[np.ndarray, ...]:
-        """Integer modes (FFT order, Nyquist = +n/2) of each axis, shaped to
-        broadcast against the grid: (n,) in 1D, (n, 1) and (1, n) in 2D."""
-        return np.ix_(*[_mode_axis(self.n)] * self.dim)
+        """Integer modes (FFT order, Nyquist = +n/2) of each half-spectrum axis,
+        shaped to broadcast: (n/2+1,) in 1D, (n, 1) and (1, n/2+1) in 2D."""
+        axes = [_mode_axis(self.n)] * self.dim
+        return np.ix_(*axes[:-1], axes[-1][: self.n // 2 + 1])
 
     def nearest_index(self, points) -> tuple[np.ndarray, ...]:
         """Index of the grid point nearest each torus point of an (..., d) array:
@@ -170,19 +170,6 @@ def forward_transform(f: GridFunction) -> Spectrum:
 
 def inverse_transform(s: Spectrum) -> GridFunction:
     return GridFunction(s.grid, (np.fft.ifftn(s.coeffs * _phase_nd(s.grid)) * s.grid.size).real)
-
-
-def negated_modes(arr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write into out, and return it, arr at the negated mode of each FFT slot:
-    along every axis slot 0 keeps its value and slot j takes slot n - j.
-
-    Modes on the Nyquist shell are self-aliased: -n/2 and +n/2 occupy the
-    same slot, so that slot keeps its value too.
-    """
-    for corner in itertools.product((False, True), repeat=arr.ndim):
-        out[tuple(slice(1, None) if c else slice(0, 1) for c in corner)] = (
-            arr[tuple(slice(None, 0, -1) if c else slice(0, 1) for c in corner)])
-    return out
 
 
 def _sup_norm(a: np.ndarray) -> float:

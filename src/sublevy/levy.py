@@ -32,11 +32,28 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.fft import _pocketfft_umath as pocketfft
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, keys_only, negated_modes, numbers_only,
-                   read_json, wrap_point)
+from .grid import GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point
+
+
+def _on_axis(fn):
+    return lambda a, factor, axes, out: fn(a, axis=axes[0][0], out=out)
+
+
+class _PublicFFT:
+    """The pocketfft gufuncs SpectralWorkspace._stages calls, on numpy's public
+    one-axis functions, for a numpy that moves its private FFT module.  The
+    factors _stages passes, 1 forward and 1/n inverse, are the public
+    functions' default norm, so each call gives the gufunc's bits."""
+    rfft_n_even, fft = _on_axis(np.fft.rfft), _on_axis(np.fft.fft)
+    ifft, irfft = _on_axis(np.fft.ifft), _on_axis(np.fft.irfft)
+
+
+try:
+    from numpy.fft import _pocketfft_umath as pocketfft
+except ImportError:
+    pocketfft = _PublicFFT
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -265,10 +282,10 @@ def _phase(point, modes) -> np.ndarray:
     return sum(point[a] * modes[a] for a in range(len(modes)))
 
 
-def _quadratic_form(q: LevyQuadruple, grid: TorusGrid, modes) -> np.ndarray:
-    """<k, Sigma k> per mode, summed over the eigenpairs of Sigma."""
+def _quadratic_form(q: LevyQuadruple, modes, shape) -> np.ndarray:
+    """<k, Sigma k> per mode, an array of shape, summed over the eigenpairs of Sigma."""
     lam, vec = q._sigma_decomposition
-    quad = np.zeros(grid.shape)
+    quad = np.zeros(shape)
     for i in range(q.dim):
         if lam[i] != 0.0:
             quad += lam[i] * _phase(vec[:, i], modes) ** 2
@@ -277,16 +294,15 @@ def _quadratic_form(q: LevyQuadruple, grid: TorusGrid, modes) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # SymbolTable rejects an overflowing symbol
 def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, out: np.ndarray) -> None:
-    """Write into out, a complex array of the grid's shape, the per-mode
-    characteristic exponent of a quadruple whose atoms lie on the grid.  Each
-    jump term, and then the conjugate of out at the negated modes, goes
-    through one scratch of out's size; the symmetrized symbol is the mean of
-    the two."""
-    modes = grid.mode_axes()
-    np.multiply(1j, _phase(q.b, modes), out=out)
-    out -= 0.5 * _quadratic_form(q, grid, modes)
+    """Write into out, a complex array of the grid's half_shape, the mean of
+    psi(k) and conj psi(-k) for a quadruple whose atoms lie on the grid.  The
+    modes and their negations (the Nyquist mode n/2 is its own) stack on a
+    leading axis, so one pass of each term evaluates both."""
+    modes = [np.stack([k, np.where(k == grid.n // 2, k, -k)]) for k in grid.mode_axes()]
+    both = np.multiply(1j, _phase(q.b, modes))
+    both -= 0.5 * _quadratic_form(q, modes, both.shape)
 
-    term = np.empty_like(out)
+    term = np.empty_like(both)  # after the quadratic form's temporaries are freed
     for pts, wts, compensated in ((q.mu_points, q.mu_weights, False),
                                   (q.nu_points, q.nu_weights, True)):
         for point, weight in zip(pts, wts):
@@ -295,15 +311,14 @@ def _snapped_symbol(q: LevyQuadruple, grid: TorusGrid, out: np.ndarray) -> None:
             term -= 1.0
             if compensated:
                 term -= 1j * theta
-            out += np.multiply(weight, term, out=term)
+            both += np.multiply(weight, term, out=term)
 
-    np.conjugate(negated_modes(out, term), out=term)
-    np.multiply(0.5, np.add(out, term, out=term), out=out)
+    np.conjugate(both[1], out=both[1])
+    np.multiply(0.5, np.add(both[0], both[1], out=both[1]), out=out)
 
 
 def _mode(grid: TorusGrid, index) -> tuple[int, ...]:
-    """The integer mode at an index of a full or half spectrum: the first
-    n/2+1 slots of a mode axis are the modes 0..n/2."""
+    """The integer mode at an index of the half spectrum."""
     return tuple(int(k.flat[i]) for k, i in zip(grid.mode_axes(), index))
 
 
@@ -324,8 +339,8 @@ def _validate_symbol(grid: TorusGrid, psi: np.ndarray, label: str) -> None:
                                f"{re[worst]:.3e} exceeds {REAL_PART_TOL}")
     for last in (0, grid.n // 2):
         shell = psi[..., last]
-        mirror = negated_modes(shell, np.empty_like(shell))
-        np.conjugate(mirror, out=mirror)  # conj psi(-k) at each mode k of the slice
+        # conj psi(-k) at each mode k of the slice
+        mirror = np.conjugate(shell[np.ix_(*[-np.arange(grid.n) % grid.n] * shell.ndim)])
         if not np.array_equal(mirror, shell):
             bad = tuple(np.argwhere(mirror != shell)[0]) + (last,)
             raise ConsistencyError(
@@ -360,14 +375,12 @@ class SymbolTable:
 
     @classmethod
     def build(cls, family: GeneratorFamily, grid: TorusGrid) -> "SymbolTable":
-        """The table of family on grid: each member's full row is written into
-        one row-sized scratch, and its half spectrum copied into the table."""
+        """The table of family on grid: each member's symbol is written
+        straight into its half-spectrum row."""
         snapped = [snap_to_grid(q, grid) for q in family.members]
         psi = np.empty((len(snapped),) + grid.half_shape, dtype=complex)
-        full = np.empty(grid.shape, dtype=complex)
         for (s, _), row in zip(snapped, psi):
-            _snapped_symbol(s, grid, full)
-            row[...] = full[..., : grid.n // 2 + 1]
+            _snapped_symbol(s, grid, row)
         psi.flags.writeable = False
         fam = GeneratorFamily(tuple(s for s, _ in snapped), family.labels)
         return cls(grid=grid, family=fam, psi=psi, snap_distance=max(d for _, d in snapped))

@@ -72,21 +72,18 @@ def _groups(partitions) -> dict[tuple, list[int]]:
     return groups
 
 
-def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, partitions,
+def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, suite,
                   n_paths: int) -> None:
-    """Refuse a suite, one partition per strategy (an iterable, read once up to
-    the draw budget), before it runs: DRAW_BUDGET increments, then ATOM_BUDGET
-    expected jump atoms over the groups path_payoffs simulates, then
-    ARGMAX_BUDGET feedback entries, each counted as its message says."""
-    held, steps = [], 0
-    for partition in partitions:
-        held.append(partition)
-        steps += partition.step_count
-        if n_paths * len(family) * steps > DRAW_BUDGET:
-            raise BudgetError(f"mc would use more than the budget of {DRAW_BUDGET:.0e} "
-                              "increments (n_paths x members x the steps of every strategy)")
+    """Refuse a suite, a list of (partition, strategy count) pairs, before it
+    runs: DRAW_BUDGET increments, then ATOM_BUDGET expected jump atoms over
+    the distinct partitions path_payoffs simulates, then ARGMAX_BUDGET
+    feedback entries, each counted as its message says."""
+    steps = sum(partition.step_count * count for partition, count in suite)
+    if n_paths * len(family) * steps > DRAW_BUDGET:
+        raise BudgetError(f"mc would use more than the budget of {DRAW_BUDGET:.0e} "
+                          "increments (n_paths x members x the steps of every strategy)")
     mass = sum(float(q.mu_weights.sum() + q.nu_weights.sum()) for q in family.members)
-    atoms = n_paths * len(_groups(held)) * t * mass
+    atoms = n_paths * len(_groups(partition for partition, _ in suite)) * t * mass
     if atoms > ATOM_BUDGET:
         raise BudgetError(f"mc would draw about {atoms:.3g} jump atoms, more than the budget "
                           f"of {ATOM_BUDGET:.0e} (n_paths x partitions x time x the members' "
@@ -173,9 +170,9 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
         raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     if any(s.grid != f.grid for s in strategies):
         raise ConfigurationError("payoff function and strategy live on different grids")
-    partitions = [s.partition for s in strategies]
-    check_budgets(family, f.grid, t, partitions, n_paths)
-    groups = _groups(partitions)
+    groups = _groups(s.partition for s in strategies)
+    suite = [(strategies[members[0]].partition, len(members)) for members in groups.values()]
+    check_budgets(family, f.grid, t, suite, n_paths)
     payoffs = np.empty((len(strategies), n_paths))
     for block, lo in enumerate(range(0, n_paths, BLOCK_PATHS)):
         size = min(BLOCK_PATHS, n_paths - lo)

@@ -56,13 +56,17 @@ def member_generator(table, f, member=0):
 
 
 def full_row(table, member=0):
-    """One member's symbol on every mode of the grid, written by the function
-    SymbolTable.build writes each row with; the table's row must be its half
-    spectrum, bitwise."""
-    grid = table.grid
+    """One member's symbol on every mode of the grid: the table's half
+    spectrum, and by conjugate symmetry the rest, slot j > n/2 of the last
+    axis being the conjugate of the half at the negated leading slots and
+    last-axis slot n - j."""
+    grid, half = table.grid, table.psi[member]
+    n = grid.n
     full = np.empty(grid.shape, dtype=complex)
-    levy._snapped_symbol(table.family.members[member], grid, full)
-    assert table.psi[member].tobytes() == full[..., : grid.n // 2 + 1].tobytes()
+    full[..., : n // 2 + 1] = half
+    negated = -np.arange(n) % n
+    full[..., n // 2 + 1:] = np.conj(half[np.ix_(*[negated] * (grid.dim - 1),
+                                                 np.arange(n // 2 - 1, 0, -1))])
     return full
 
 

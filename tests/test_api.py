@@ -138,6 +138,24 @@ def test_only_the_kernel_imports_private_pocketfft():
     assert importers == ["levy.py"]
 
 
+def test_package_depends_on_numpy_alone():
+    """pyproject.toml lists numpy as the one dependency: every module of the
+    package imports from the standard library, numpy or the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "sublevy"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
+
+
 def test_benchmark_untraced_targets_are_the_known_ones(monkeypatch):
     """A rename that leaves a benchmark span without its target shows here."""
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from sublevy import (
     sup_distance,
     wrapped_cauchy_quadruple,
 )
+from sublevy import levy
 from sublevy.cli import RunConfig, build_family
 from sublevy.levy import MEMBER_POINTS, batch_rows
 from conftest import (full_row, member_evolution, member_generator, one_member_table,
@@ -606,6 +610,19 @@ class TestSpectralKernel:
         # the kernel calls numpy's pocketfft gufuncs without np.fft's wrappers,
         # so this pins their contract: the bits of the public rfftn and irfftn,
         # on the whole stack and (2D n=256) member at a time
+        self._matches_public_numpy(dim, n, rows, generators)
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (1, 96), (2, 32), (2, 256)])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("generators", [False, True], ids=["multipliers", "symbols"])
+    def test_public_fft_fallback_bitwise_equals_public_numpy(self, dim, n, rows, generators,
+                                                             monkeypatch):
+        # the fallback for a numpy without the private FFT module gives those bits too
+        monkeypatch.setattr(levy, "pocketfft", levy._PublicFFT)
+        self._matches_public_numpy(dim, n, rows, generators)
+
+    @staticmethod
+    def _matches_public_numpy(dim, n, rows, generators):
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         # one set per row: the symbols, or the multipliers, at row-own scales
@@ -653,10 +670,9 @@ def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
-def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
-    """Every route to the kernel gives the same bits with np.fft's one-axis
-    wrappers made to raise: the kernel calls the gufuncs beneath them."""
+def _kernel_routes(dim, n):
+    """A function that runs every route to the kernel on a small two-member
+    table and returns the bits of each output."""
     grid = make_grid(dim, n)
     table = SymbolTable.build(GeneratorFamily((diffusion(0.25, dim), diffusion(1.0, dim))), grid)
     f = sample(grid, "bump", center=[0.0] * dim, width=1.5)
@@ -671,6 +687,14 @@ def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
                                    [u.values for u in traj.snapshots], traj.residuals,
                                    apply_J(table, 0.1, f).values, lipschitz_bound(table, f))]
 
+    return run
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
+    """Every route to the kernel gives the same bits with np.fft's one-axis
+    wrappers made to raise: the kernel calls the gufuncs beneath them."""
+    run = _kernel_routes(dim, n)
     before = run()
 
     def wrapper(*args, **kwargs):
@@ -679,6 +703,39 @@ def test_kernel_calls_no_np_fft_wrapper(dim, n, monkeypatch):
     for name in ("rfft", "irfft", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, wrapper)
     assert run() == before
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_public_fft_fallback_gives_the_private_bits(dim, n, monkeypatch):
+    """Without numpy's private FFT module the kernel runs on the public np.fft
+    functions, and every route to it gives the same bits."""
+    run = _kernel_routes(dim, n)
+    before = run()
+    monkeypatch.setattr(levy, "pocketfft", levy._PublicFFT)
+    assert run() == before
+
+
+def test_a_numpy_without_the_private_fft_module_runs_the_kernel():
+    """With numpy.fft._pocketfft_umath gone, as in a numpy that moves it,
+    sublevy imports, binds the public fallback, and evolves to the same bits."""
+    hide = ("import sys, numpy.fft\n"
+            "del numpy.fft._pocketfft_umath\n"
+            "sys.modules['numpy.fft._pocketfft_umath'] = None\n")
+    evolve = ("from sublevy import levy, GeneratorFamily, SymbolTable, diffusion, make_grid, "
+              "nisio_evolve, sample\n"
+              "grid = make_grid(1, 32)\n"
+              "family = GeneratorFamily((diffusion(0.25), diffusion(1.0)))\n"
+              "table = SymbolTable.build(family, grid)\n"
+              "f = sample(grid, 'cosine', k=1)\n"
+              # a wide guard, as in _kernel_routes: only the bits are under test
+              "res = nisio_evolve(table, 0.1, f, max_level=4, tol=0.0, monotonicity_tol=1e-3)\n"
+              "print(levy.pocketfft is levy._PublicFFT, res.value.values.tobytes().hex())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(levy.__file__).resolve().parents[1])}
+    default, fallback = (subprocess.run([sys.executable, "-c", prefix + evolve], env=env,
+                                        capture_output=True, text=True, check=True, timeout=60)
+                         for prefix in ("", hide))
+    assert default.stdout.split()[0] == "False" and fallback.stdout.split()[0] == "True"
+    assert fallback.stdout.split()[1] == default.stdout.split()[1]
 
 
 class TestMemberSchedule:

@@ -352,6 +352,15 @@ class TestBudgets:
             path_payoffs(zero_family, [strat] * count, f, [0.0], 1.0, 100, seed=0)
         assert str(info.value) == message
 
+    def test_strategy_count_is_read_not_walked(self, grid128, zero_family):
+        # a suite names how many strategies share a partition, so 10^400 of
+        # them cost one multiplication
+        with pytest.raises(BudgetError) as info:
+            mc.check_budgets(zero_family, grid128, 1.0, [(Partition.dyadic(1.0, 0), 10**400)],
+                             100)
+        assert str(info.value) == ("mc would use more than the budget of 1e+08 increments "
+                                   "(n_paths x members x the steps of every strategy)")
+
 
 class TestStrategyJson:
     def test_round_trip(self, tmp_path, grid128):

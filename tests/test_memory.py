@@ -46,9 +46,10 @@ def family():
 
 
 def test_table_is_built_in_place(family):
-    # the half-spectrum table, the full-row scratch each member's symbol is
-    # written into, the jump terms' scratch row and float temporaries of
-    # about a row; a table of full rows held 6.26 rows here
+    # the half-spectrum table, each member's two mode sets (its half
+    # spectrum's modes and their negations, about a row), the jump terms'
+    # scratch of that size and float temporaries of about half a row; a
+    # table of full rows held 6.26 rows here, a full-row scratch 5.16
     table, peak = _traced_peak(lambda: SymbolTable.build(family, GRID))
     assert table.psi.nbytes == len(family) * HALF * ROW
     assert peak <= len(family) * HALF + 3.5
