@@ -37,17 +37,21 @@ from .errors import ConfigurationError, ConsistencyError
 from .grid import GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point
 
 
-def _on_axis(fn):
-    return lambda a, factor, axes, out: fn(a, axis=axes[0][0], out=out)
+def _on_axis(fn, inverse=False):
+    def call(a, factor, axes, out):  # 1/n inverse for the n points of the output axis
+        if factor != (1.0 / out.shape[axes[-1][0]] if inverse else 1.0):
+            raise ConsistencyError(f"np.fft.{fn.__name__} cannot apply the factor {factor}")
+        return fn(a, axis=axes[0][0], out=out)
+    return call
 
 
 class _PublicFFT:
     """The pocketfft gufuncs SpectralWorkspace._stages calls, on numpy's public
-    one-axis functions, for a numpy that moves its private FFT module.  The
-    factors _stages passes, 1 forward and 1/n inverse, are the public
-    functions' default norm, so each call gives the gufunc's bits."""
+    one-axis functions, for a numpy that moves its private FFT module.  Their
+    default norm is the factors _stages passes, 1 forward and 1/n inverse, so
+    each call gives the gufunc's bits; any other factor is refused."""
     rfft_n_even, fft = _on_axis(np.fft.rfft), _on_axis(np.fft.fft)
-    ifft, irfft = _on_axis(np.fft.ifft), _on_axis(np.fft.irfft)
+    ifft, irfft = _on_axis(np.fft.ifft, inverse=True), _on_axis(np.fft.irfft, inverse=True)
 
 
 try:

@@ -151,14 +151,10 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
-    """Compose one envelope step per partition gap, last interval applied first;
-    every run of equal gaps steps on one workspace and one multiplier buffer."""
-    values = table.values_of(f).copy()
-    ws, mults = SpectralWorkspace(table.grid, len(table)), np.empty_like(table.psi)
-    for gap, count in reversed(_runs(pi)):
-        table.multipliers(gap, out=mults)
-        for _ in range(count):
-            ws.envelope(mults, values, out=values)
+    """Compose one envelope step per partition gap, last interval applied first."""
+    values = table.values_of(f)
+    for run in reversed(_runs(pi)):
+        values = next(_compose(table, [run], values))
     return GridFunction(table.grid, values)
 
 

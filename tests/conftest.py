@@ -55,18 +55,46 @@ def member_generator(table, f, member=0):
     return GridFunction(f.grid, stack[member])
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_symbol(q, grid):
+    """A quadruple's symmetrized symbol on every mode of the grid, evaluated
+    apart from SymbolTable.build: psi(k) at the full FFT-order modes (Nyquist
+    taken as +n/2), then the mean with its conjugate at the negated slot of
+    each axis (slot 0 and the Nyquist slot are their own negations).  The
+    operations are those of the table's, so a grid-snapped quadruple's table
+    row is its half spectrum, bitwise."""
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
+    k[k == -grid.n // 2] = grid.n // 2
+    modes = np.ix_(*[k] * grid.dim)
+
+    def phase(point):
+        return sum(point[a] * modes[a] for a in range(grid.dim))
+
+    out = np.multiply(1j, phase(q.b))
+    lam, vec = q._sigma_decomposition
+    quad = np.zeros(grid.shape)
+    for i in range(q.dim):
+        if lam[i] != 0.0:
+            quad += lam[i] * phase(vec[:, i]) ** 2
+    out -= 0.5 * quad
+    for pts, wts, compensated in ((q.mu_points, q.mu_weights, False),
+                                  (q.nu_points, q.nu_weights, True)):
+        for point, weight in zip(pts, wts):
+            theta = phase(point)
+            term = np.exp(1j * theta) - 1.0
+            if compensated:
+                term -= 1j * theta
+            out += weight * term
+    mirror = np.conjugate(out[np.ix_(*[-np.arange(grid.n) % grid.n] * grid.dim)])
+    return 0.5 * (out + mirror)
+
+
 def full_row(table, member=0):
-    """One member's symbol on every mode of the grid: the table's half
-    spectrum, and by conjugate symmetry the rest, slot j > n/2 of the last
-    axis being the conjugate of the half at the negated leading slots and
-    last-axis slot n - j."""
-    grid, half = table.grid, table.psi[member]
-    n = grid.n
-    full = np.empty(grid.shape, dtype=complex)
-    full[..., : n // 2 + 1] = half
-    negated = -np.arange(n) % n
-    full[..., n // 2 + 1:] = np.conj(half[np.ix_(*[negated] * (grid.dim - 1),
-                                                 np.arange(n // 2 - 1, 0, -1))])
+    """One member's symbol on every mode of the grid, by reference_symbol; the
+    table's row must be its half spectrum, bitwise."""
+    grid = table.grid
+    full = reference_symbol(table.family.members[member], grid)
+    assert table.psi[member].tobytes() == full[..., : grid.n // 2 + 1].tobytes()
     return full
 
 

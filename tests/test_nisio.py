@@ -27,7 +27,7 @@ from sublevy import (
     sample,
     sup_distance,
 )
-from sublevy import levy, nisio
+from sublevy import levy
 from sublevy.levy import SpectralWorkspace, batch_rows
 from sublevy.nisio import _compose
 from conftest import member_evolution, random_trig
@@ -124,26 +124,6 @@ class TestApplyPartition:
     def test_trivial_partition_is_identity(self, two_sigma_table, bump128):
         out = apply_partition(two_sigma_table, Partition(np.array([0.0])), bump128)
         assert sup_distance(out, bump128) == 0.0
-
-    def test_runs_share_one_workspace(self, two_sigma_table, bump128, monkeypatch):
-        # three runs of equal gaps, about (0.05, 3), (0.1, 1) and (0.03, 1);
-        # each run composed alone, last first, gives the same bits
-        pi = Partition(np.array([0.0, 0.05, 0.1, 0.15, 0.25, 0.28]))
-        runs = nisio._runs(pi)
-        assert [count for _, count in runs] == [3, 1, 1]
-        expect = bump128.values
-        for run in reversed(runs):
-            expect = next(_compose(two_sigma_table, [run], expect))
-        made = []
-
-        def spy(*args, **kwargs):
-            made.append(args)
-            return SpectralWorkspace(*args, **kwargs)
-
-        monkeypatch.setattr(nisio, "SpectralWorkspace", spy)
-        out = apply_partition(two_sigma_table, pi, bump128)
-        assert len(made) == 1
-        assert np.array_equal(out.values, expect)
 
 
 class TestNisioEvolve:
