@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (keys_only, make_grid, numbers_only, read_json, sample,
+from .grid import (checked, keys_only, make_grid, numbers_only, read_json, sample,
                    sup_distance, wrap_point, write_function_csv, write_table)
 from .levy import (
     GeneratorFamily,
@@ -97,11 +97,12 @@ def _paths(values, what: str) -> tuple:
     return tuple(_convert(path, str, what) for path in values)
 
 
-def _row(key: str, kind, default=MISSING, check=lambda value: True, message: str = ""):
+def _row(key: str, kind, default=MISSING, **bounds):
     """The RunConfig field of one dotted config key: its kind (see _convert), default
-    (MISSING: required) and bound check, refused with message ({} is the value)."""
+    (MISSING: required) and, when given, the bounds (low, high, above) that
+    grid.checked holds its value to."""
     return dataclasses.field(metadata={"key": key, "kind": kind, "default": default,
-                                       "check": check, "message": message})
+                                       "bounds": bounds})
 
 
 @dataclass(frozen=True)
@@ -113,41 +114,32 @@ class RunConfig:
     grid_n: int = _row("grid.n", int)
     family: object = _row("family", None)  # read by build_family
     initial: dict = _row("initial", dict)
-    time: float = _row("time", float, MISSING, lambda v: v > 0,
-                       "time horizon must be positive, got {}")
-    nisio_max_level: int = _row("nisio.max_level", int, 12, lambda v: 0 <= v <= MAX_LEVEL,
-                                f"nisio.max_level must be in [0, {MAX_LEVEL}]")
-    nisio_tol: float = _row("nisio.tol", float, 1e-6, lambda v: v >= 0,
-                            "nisio.tol must be nonnegative")
+    time: float = _row("time", float, MISSING, low=0, above=True)
+    nisio_max_level: int = _row("nisio.max_level", int, 12, low=0, high=MAX_LEVEL)
+    nisio_tol: float = _row("nisio.tol", float, 1e-6, low=0)
     nisio_monotonicity_tol: float = _row("nisio.monotonicity_tol", float, MONOTONICITY_ERROR_TOL,
-                                         lambda v: v > 0,
-                                         "nisio.monotonicity_tol must be positive")
-    oracle_dt: float = _row("oracle.dt", float, 1e-3, lambda v: v > 0,
-                            "oracle.dt and gap_tol must be positive")
-    oracle_gap_tol: float = _row("oracle.gap_tol", float, 5e-4, lambda v: v > 0,
-                                 "oracle.dt and gap_tol must be positive")
+                                         low=0, above=True)
+    oracle_dt: float = _row("oracle.dt", float, 1e-3, low=0, above=True)
+    oracle_gap_tol: float = _row("oracle.gap_tol", float, 5e-4, low=0, above=True)
     convergence_h: tuple = _row("convergence.h_list", _floats, (0.1, 0.05, 0.025, 0.0125))
-    mc_n_paths: int = _row("mc.n_paths", int, 10_000, lambda v: v >= MIN_PATHS,
-                           f"mc.n_paths must be at least {MIN_PATHS}")
-    mc_seed: int = _row("mc.seed", int, 0, lambda v: 0 <= v < 2**64,
-                        "mc.seed must be in [0, 2^64)")
-    mc_extract_level: int = _row("mc.extract_level", int, 4, lambda v: 0 <= v <= MAX_LEVEL,
-                                 f"mc.extract_level must be in [0, {MAX_LEVEL}]")
-    mc_random_strategies: int = _row("mc.random_strategies", int, 16, lambda v: v >= 0,
-                                     "mc.random_strategies and scheme_tol must be >= 0")
-    mc_scheme_tol: float = _row("mc.scheme_tol", float, 1e-2, lambda v: v >= 0,
-                                "mc.random_strategies and scheme_tol must be >= 0")
+    mc_n_paths: int = _row("mc.n_paths", int, 10_000, low=MIN_PATHS)
+    mc_seed: int = _row("mc.seed", int, 0, low=0, high=2**64 - 1)
+    mc_extract_level: int = _row("mc.extract_level", int, 4, low=0, high=MAX_LEVEL)
+    mc_random_strategies: int = _row("mc.random_strategies", int, 16, low=0)
+    mc_scheme_tol: float = _row("mc.scheme_tol", float, 1e-2, low=0)
     mc_x0: tuple = _row("mc.x0", _floats, None)  # None: the origin, set in from_dict
     mc_strategy_files: tuple = _row("mc.strategies", _paths, ())
-    output_dir: str = _row("output_dir", str, "out", bool,
-                           "config field 'output_dir' must not be empty")
+    output_dir: str = _row("output_dir", str, "out")
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if not f.metadata["check"](value := getattr(self, f.name)):
-                raise ConfigurationError(f.metadata["message"].format(value))
+            if f.metadata["bounds"]:
+                checked(getattr(self, f.name), f"config field {f.metadata['key']!r}",
+                        **f.metadata["bounds"], integer=f.metadata["kind"] is int)
         if len(self.mc_x0) != self.grid_dim:
             raise ConfigurationError("mc.x0 must have one coordinate per grid axis")
+        if not self.output_dir:
+            raise ConfigurationError("config field 'output_dir' must not be empty")
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: str | None = None) -> "RunConfig":

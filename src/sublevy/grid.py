@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,11 +210,12 @@ def _cosine(grid: TorusGrid, k, phase: float = 0.0) -> np.ndarray:
 
 
 def _bump(grid: TorusGrid, center, width: float) -> np.ndarray:
-    if width <= 0:
-        raise ConfigurationError(f"bump width must be positive, got {width}")
+    checked(width, "bump width", above=True)
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.shape != (grid.dim,):
         raise ConfigurationError(f"bump center needs {grid.dim} coordinates")
+    for coordinate in c.tolist():
+        checked(coordinate, "bump center coordinate", -math.inf)
     out = np.ones(grid.shape)
     for axis, xi in enumerate(grid.meshgrid()):
         d = xi - c[axis]
@@ -276,6 +278,20 @@ def numbers_only(value, what: str):
             raise ConfigurationError(f"{what} must be a number, got {json.dumps(item)}")
         if isinstance(item, (list, tuple)):
             stack.extend(item)
+    return value
+
+
+def checked(value, what: str, low=0, high=math.inf, *, above=False, integer=False):
+    """value, refused unless it is a finite number in [low, high] ((low, high]
+    when above), and a whole one when integer.  The one range rule of every
+    scalar a library door or the config takes: each comparison is one that NaN
+    fails, and a Python int of any size compares exactly (no float conversion)."""
+    if not (-math.inf < value < math.inf and (value > low if above else value >= low)
+            and value <= high and not (integer and int(value) != value)):
+        interval = (f"{'(' if above or low == -math.inf else '['}{low}, "
+                    f"{high}{']' if high < math.inf else ')'}")
+        noun = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{what} must be {noun} in {interval}, got {value}")
     return value
 
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point
+from .grid import (GridFunction, TorusGrid, checked, keys_only, numbers_only, read_json,
+                   wrap_point)
 
 
 def _on_axis(fn, inverse=False):
@@ -176,8 +177,7 @@ def compound_poisson(atoms, rate: float = 1.0, dim: int = 1) -> LevyQuadruple:
     """Large-jump quadruple; atom weights are rescaled to total intensity rate."""
     zero = (np.zeros(dim), np.zeros((dim, dim)))
     q = LevyQuadruple(*zero, *_atoms_array(atoms))  # checked before rate / sum flips a sign
-    if rate < 0:
-        raise ConfigurationError("compound Poisson rate must be nonnegative")
+    checked(rate, "compound Poisson rate")
     if q.mu_weights.size == 0 or rate == 0:
         return LevyQuadruple(*zero)
     return LevyQuadruple(*zero, q.mu_points, q.mu_weights * (rate / q.mu_weights.sum()))
@@ -194,10 +194,9 @@ def wrapped_cauchy_quadruple(grid: TorusGrid, gamma: float, rate: float = 1.0,
     """
     if grid.dim != 1:
         raise ConfigurationError("wrapped Cauchy jump families are one-dimensional")
-    if not (0 < gamma < np.inf and 0 < scale < np.inf):
-        raise ConfigurationError("wrapped Cauchy needs finite gamma > 0 and scale > 0")
-    if rate < 0:
-        raise ConfigurationError("wrapped Cauchy rate must be nonnegative")
+    checked(gamma, "wrapped Cauchy gamma", above=True)
+    checked(scale, "wrapped Cauchy scale", above=True)
+    checked(rate, "wrapped Cauchy rate")
     g = gamma / scale
     rho = np.exp(-g)
     gap = -np.expm1(-g)  # 1 - rho, without cancellation for small g
@@ -419,9 +418,7 @@ class SymbolTable:
         The symbol is conjugate symmetric, but the multipliers are not
         re-symmetrized: SpectralWorkspace.apply uses only their Hermitian part.
         """
-        if t < 0:
-            raise ConfigurationError(f"evolution time must be nonnegative, got {t}")
-        out = np.multiply(t, self.psi, out=out)
+        out = np.multiply(checked(t, "evolution time t"), self.psi, out=out)
         return np.exp(out, out=out)
 
 
@@ -595,8 +592,7 @@ def sample_increments(q: LevyQuadruple, dt: float, rng: np.random.Generator,
     Poisson counts for all rows and the atoms of all jumps in row order);
     blocks that cannot contribute are skipped without consuming randomness.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"increment step must be positive, got {dt}")
+    checked(dt, "increment step dt", above=True)
     if q._has_gaussian_part:
         x = rng.standard_normal((size, q.dim)) @ (q._sigma_factor.T * math.sqrt(dt))
     else:

@@ -17,6 +17,7 @@ command and a library call alike.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError
-from .grid import (GridFunction, TorusGrid, keys_only, numbers_only, read_json, wrap_point,
-                   write_table)
+from .grid import (GridFunction, TorusGrid, checked, keys_only, numbers_only, read_json,
+                   wrap_point, write_table)
 from .levy import GeneratorFamily, sample_increments
 from .nisio import ARGMAX_BUDGET, NisioResult, Partition, SimpleStrategy
 
@@ -107,18 +108,15 @@ def interpolate_linear(f: GridFunction, point):
     i0 = np.floor(u).astype(np.int64)
     frac = u - i0
     i0 %= grid.n
-    i1 = (i0 + 1) % grid.n
-    v = f.values
-    if grid.dim == 1:
-        out = v[i0[:, 0]] * (1 - frac[:, 0]) + v[i1[:, 0]] * frac[:, 0]
-    else:
-        fx, fy = frac.T
-        out = (
-            v[i0[:, 0], i0[:, 1]] * (1 - fx) * (1 - fy)
-            + v[i1[:, 0], i0[:, 1]] * fx * (1 - fy)
-            + v[i0[:, 0], i1[:, 1]] * (1 - fx) * fy
-            + v[i1[:, 0], i1[:, 1]] * fx * fy
-        )
+    sides = ((i0, 1 - frac), ((i0 + 1) % grid.n, frac))  # (cell index, weight) per side
+    out = None
+    # the 2^d corners, first axis fastest; each term v * w_x * w_y, left to right
+    for bits in itertools.product((0, 1), repeat=grid.dim):
+        corner = [sides[b] for b in reversed(bits)]
+        term = f.values[tuple(index[:, a] for a, (index, _) in enumerate(corner))]
+        for a, (_, weight) in enumerate(corner):
+            term = term * weight[:, a]
+        out = term if out is None else out + term
     return float(out[0]) if single else out
 
 
@@ -146,10 +144,12 @@ def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
         raise ConfigurationError("simulate_paths needs strategies on one grid and one partition")
     check_strategies(strategies, len(family), t)
     grid, partition = strategies[0].grid, strategies[0].partition
-    start = wrap_point(np.atleast_1d(np.asarray(x0, dtype=float)))
+    start = np.atleast_1d(np.asarray(x0, dtype=float))
     if start.shape != (grid.dim,):
         raise ConfigurationError(f"start point must have {grid.dim} coordinates")
-    pos = np.tile(start, (len(strategies), size, 1))
+    for coordinate in start.tolist():
+        checked(coordinate, "start point coordinate", -math.inf)
+    pos = np.tile(wrap_point(start), (len(strategies), size, 1))
     for j, dt in enumerate(partition.gaps()):
         draws = np.stack([sample_increments(q, float(dt), rng, size) for q in family.members])
         cells = grid.nearest_index(pos)
@@ -166,8 +166,8 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
     simulated together; each such group replays the (seed, block) streams, so
     a full block's payoffs depend on neither n_paths nor the other strategies.
     A suite over the budgets of check_budgets is refused before any path runs."""
-    if n_paths < MIN_PATHS:
-        raise ConfigurationError(f"need at least {MIN_PATHS} paths, got {n_paths}")
+    checked(n_paths, "n_paths", MIN_PATHS, integer=True)
+    checked(seed, "seed", 0, 2**64 - 1, integer=True)
     if any(s.grid != f.grid for s in strategies):
         raise ConfigurationError("payoff function and strategy live on different grids")
     groups = _groups(s.partition for s in strategies)
@@ -229,8 +229,8 @@ def dual_bound_suite(family: GeneratorFamily, f: GridFunction, x0, t: float,
     reported by name, not raised; a violation signals a bug in either the
     envelope or the simulator.
     """
-    if scheme_tol < 0:
-        raise ConfigurationError("scheme tolerance must be nonnegative")
+    checked(scheme_tol, "scheme_tol")
+    checked(reference_value, "reference_value", -math.inf)
     if not strategies:
         raise ConfigurationError("dual bound suite needs at least one strategy")
     payoffs = path_payoffs(family, [s for _, s in strategies], f, x0, t, n_paths, seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, sup_distance,
+from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, checked, sup_distance,
                    write_grid_table, write_table)
 from .levy import SpectralWorkspace, SymbolTable, batch_rows
 
@@ -51,15 +51,12 @@ class Partition:
 
     @classmethod
     def dyadic(cls, t: float, level: int) -> "Partition":
-        if t <= 0 or level < 0:
-            raise ConfigurationError("dyadic partition needs t > 0 and level >= 0")
-        steps = 2**level
-        return cls(np.arange(steps + 1) * (t / steps))
+        return cls.equidistant(t, 2 ** checked(level, "dyadic level", integer=True))
 
     @classmethod
     def equidistant(cls, t: float, n: int) -> "Partition":
-        if t <= 0 or n < 1:
-            raise ConfigurationError("equidistant partition needs t > 0 and n >= 1")
+        checked(t, "partition end t", above=True)
+        checked(n, "partition step count n", 1, integer=True)
         return cls(np.arange(n + 1) * (t / n))
 
     @property
@@ -142,8 +139,7 @@ class NisioResult:
 
 def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     """One sup-envelope step: pointwise max over members of the t-evolution."""
-    if t < 0:
-        raise ConfigurationError(f"step time must be nonnegative, got {t}")
+    checked(t, "step time t")
     values = table.values_of(f)
     if t == 0:
         return f
@@ -226,20 +222,15 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     step's maximizing member, in forward time.  Recording more than
     ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
     """
-    if t <= 0:
-        raise ConfigurationError(f"horizon must be positive, got {t}")
-    if not 0 <= max_level <= MAX_LEVEL:
-        raise ConfigurationError(f"max_level must be in [0, {MAX_LEVEL}], got {max_level}")
-    if tol < 0:
-        raise ConfigurationError(f"tolerance must be nonnegative, got {tol}")
-    if monotonicity_tol <= 0:
-        raise ConfigurationError("monotonicity guard must be positive")
+    checked(t, "horizon t", above=True)
+    checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
+    checked(tol, "tol")
+    checked(monotonicity_tol, "monotonicity_tol", above=True)
     values = table.values_of(f)
     if not math.isfinite(t * table.max_abs_symbol):
         raise ConfigurationError(f"horizon {t:g} is too long for this grid: t * |psi| overflows")
     if record_argmax_level is not None:
-        if not 0 <= record_argmax_level <= MAX_LEVEL:
-            raise ConfigurationError(f"argmax level must be in [0, {MAX_LEVEL}]")
+        checked(record_argmax_level, "record_argmax_level", 0, MAX_LEVEL, integer=True)
         if 2**record_argmax_level * f.grid.size > ARGMAX_BUDGET:
             raise BudgetError(
                 f"recording the maximizers of 2^{record_argmax_level} steps on "
@@ -318,11 +309,9 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     """Sup distance between the (s+t)-evolution and the composed s- then
     t-evolution, all at the same dyadic level.  The joint row and the t-run go
     in one lockstep pass, then the s-run on the t-run's result."""
-    if s <= 0 or t <= 0:
-        raise ConfigurationError("dynamic programming check needs s > 0 and t > 0")
-    if not 0 <= level <= MAX_LEVEL:
-        raise ConfigurationError(f"level must be in [0, {MAX_LEVEL}], got {level}")
-    steps = 2**level
+    checked(s, "time s", above=True)
+    checked(t, "time t", above=True)
+    steps = 2 ** checked(level, "level", 0, MAX_LEVEL, integer=True)
     rows = [((s + t) / steps, steps), (t / steps, steps)]
     joint, later = _compose(table, rows, table.values_of(f))
     composed = next(_compose(table, [(s / steps, steps)], later))
@@ -336,11 +325,9 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
     S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
     refinement error stays well below the quotient error being measured.
     """
-    hs = [float(h) for h in h_list]
+    hs = [checked(float(h), "h_list entry", above=True) for h in h_list]
     if not hs:
         raise ConfigurationError("h_list must be nonempty")
-    if any(h <= 0 for h in hs):
-        raise ConfigurationError("h_list entries must be positive")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ConfigurationError("h_list must be strictly decreasing")
     if hs[-1] < 2.0 ** (4 - MAX_LEVEL):
@@ -364,8 +351,7 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,
                                eps: float) -> float:
     """Largest sup-distance caused by moving a single partition time by eps."""
-    if eps < 0:
-        raise ConfigurationError(f"perturbation must be nonnegative, got {eps}")
+    checked(eps, "perturbation eps")
     table.values_of(f)  # refused even when nothing moves
     if eps == 0 or pi.step_count == 0:
         return 0.0

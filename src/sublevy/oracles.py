@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import GridFunction, _csv_header, _sup_norm, write_grid_table, write_table
+from .grid import GridFunction, _csv_header, _sup_norm, checked, write_grid_table, write_table
 from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
 from .nisio import Partition
 
@@ -65,10 +65,8 @@ def poisson_series_apply(q: LevyQuadruple, t: float, f: GridFunction,
     m = t * total atom weight, and N is chosen so the neglected tail
     contributes at most tail_tol in sup norm.
     """
-    if t < 0:
-        raise ConfigurationError(f"time must be nonnegative, got {t}")
-    if tail_tol <= 0:
-        raise ConfigurationError(f"tail tolerance must be positive, got {tail_tol}")
+    checked(t, "time t")
+    checked(tail_tol, "tail_tol", above=True)
     if np.any(q.b != 0) or np.any(q.sigma != 0) or q.nu_points.size:
         raise ConfigurationError(
             "series oracle requires a pure large-jump quadruple "
@@ -140,10 +138,8 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     A run of more than PICARD_WORK_BUDGET step-points (steps x grid points)
     raises BudgetError before integrating.
     """
-    if t <= 0:
-        raise ConfigurationError(f"horizon must be positive, got {t}")
-    if dt <= 0:
-        raise ConfigurationError(f"step must be positive, got {dt}")
+    checked(t, "horizon t", above=True)
+    checked(dt, "step dt", above=True)
     u = table.values_of(f)
     grid, psi = table.grid, table.psi
     if t / dt * grid.size > PICARD_WORK_BUDGET:
@@ -192,12 +188,10 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> fl
     MASS_WINDOW_SHRINK) of the evolved plateau.  Small values certify that a
     line-valued example embedded on a large torus does not see the wrap-around.
     """
-    if not 0 < window_halfwidth < np.pi:
-        raise ConfigurationError("window halfwidth must lie strictly inside (0, pi)")
-    if t < 0:
-        raise ConfigurationError(f"time must be nonnegative, got {t}")
+    # below pi: at pi the ramp has no width to decay over
+    w = checked(window_halfwidth, "window_halfwidth", 0, np.nextafter(np.pi, 0), above=True)
+    checked(t, "time t")
     grid = table.grid
-    w = window_halfwidth
     ramp = min(np.pi - w, w) / 2.0
     plateau = np.ones(grid.shape)
     inside = np.ones(grid.shape, dtype=bool)

@@ -8,13 +8,19 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sublevy
-from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable, diffusion,
-                     make_grid, sample)
+from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable, apply_J,
+                     compound_poisson, diffusion, dpp_check, dual_bound_suite,
+                     generator_limit_table, make_grid, mass_diagnostic, nisio_evolve,
+                     partition_continuity_probe, path_payoffs, picard_solve,
+                     poisson_series_apply, random_strategy, sample, sample_increments,
+                     simulate_paths, wrapped_cauchy_quadruple)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -193,3 +199,109 @@ def test_benchmark_observers_read_real_results(tmp_path, monkeypatch):
     assert mc_counts["nisio.levels_used"] == levels
     assert mc_counts["mc.paths"] == 100 * (1 + 2)
     assert oracle_counts["oracles.rk4_steps"] == round(0.2 / 1e-3)
+
+
+def _hand_written_range_checks():
+    """Each `if` in src/sublevy/ outside grid.checked whose test compares a
+    parameter of its function with a number literal (<, <=, >, >=) and whose
+    body raises ConfigurationError, as "file:line function: test"."""
+    def compares(node, params):
+        if not isinstance(node, ast.Compare) or not all(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+            return False
+        terms = [node.left, *node.comparators]
+        return (any(isinstance(x, ast.Name) and x.id in params for x in terms)
+                and any(isinstance(x, ast.Constant) and type(x.value) in (int, float)
+                        for x in terms))
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "checked":
+                continue
+            params = {p.arg for p in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.If)
+                        and any(compares(c, params) for c in ast.walk(node.test))
+                        and any(isinstance(r, ast.Raise) and "ConfigurationError" in ast.unparse(r)
+                                for stmt in node.body for r in ast.walk(stmt))):
+                    found.append(f"{path.name}:{node.lineno} {fn.name}: {ast.unparse(node.test)}")
+    return found
+
+
+def test_every_range_check_is_the_one_rule():
+    """A parameter's range is refused by grid.checked alone: a hand-written
+    comparison such as `if t < 0:` lets NaN through, as every comparison with
+    NaN is false."""
+    assert _hand_written_range_checks() == []
+
+
+GRID = make_grid(1, 32)
+TABLE = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), GRID)
+F = sample(GRID, "cosine", k=1)
+JUMP = compound_poisson([(GRID.spacing, 1.0)])
+STRATEGY = random_strategy(GRID, Partition.dyadic(0.1, 1), 2, np.random.default_rng(0))
+FAMILY = TABLE.family
+
+# each scalar parameter of a library door: a call with that parameter set to x,
+# and the values it refuses besides NaN and inf (a fraction where it counts)
+DOORS = {
+    "bump width": (lambda x: sample(GRID, "bump", center=0.0, width=x), [0.0]),
+    "bump center": (lambda x: sample(GRID, "bump", center=x, width=1.0), [-math.inf]),
+    "compound_poisson rate": (lambda x: compound_poisson([(0.5, 1.0)], rate=x), [-1.0]),
+    "wrapped_cauchy gamma": (lambda x: wrapped_cauchy_quadruple(GRID, x), [0.0]),
+    "wrapped_cauchy rate": (lambda x: wrapped_cauchy_quadruple(GRID, 0.5, rate=x), [-1.0]),
+    "wrapped_cauchy scale": (lambda x: wrapped_cauchy_quadruple(GRID, 0.5, scale=x), [0.0]),
+    "multipliers t": (lambda x: TABLE.multipliers(x), [-1.0]),
+    "sample_increments dt": (lambda x: sample_increments(JUMP, x, np.random.default_rng(0), 4),
+                             [0.0]),
+    "dyadic t": (lambda x: Partition.dyadic(x, 2), [0.0]),
+    "dyadic level": (lambda x: Partition.dyadic(0.2, x), [-1, 2.5]),
+    "equidistant t": (lambda x: Partition.equidistant(x, 4), [0.0]),
+    "equidistant n": (lambda x: Partition.equidistant(0.2, x), [0, 2.5]),
+    "apply_J t": (lambda x: apply_J(TABLE, x, F), [-1.0]),
+    "nisio_evolve t": (lambda x: nisio_evolve(TABLE, x, F), [0.0]),
+    "nisio_evolve max_level": (lambda x: nisio_evolve(TABLE, 0.1, F, max_level=x), [21, 2.5]),
+    "nisio_evolve tol": (lambda x: nisio_evolve(TABLE, 0.1, F, tol=x), [-1.0]),
+    "nisio_evolve monotonicity_tol": (
+        lambda x: nisio_evolve(TABLE, 0.1, F, monotonicity_tol=x), [0.0]),
+    "nisio_evolve record_argmax_level": (
+        lambda x: nisio_evolve(TABLE, 0.1, F, record_argmax_level=x), [-1, 2.5]),
+    "dpp_check s": (lambda x: dpp_check(TABLE, x, 0.1, F, 2), [0.0]),
+    "dpp_check t": (lambda x: dpp_check(TABLE, 0.1, x, F, 2), [0.0]),
+    "dpp_check level": (lambda x: dpp_check(TABLE, 0.1, 0.1, F, x), [21, 2.5]),
+    "generator_limit_table h_list": (lambda x: generator_limit_table(TABLE, F, [x]), [0.0]),
+    "partition_continuity_probe eps": (
+        lambda x: partition_continuity_probe(TABLE, Partition.dyadic(0.1, 2), F, x), [-1.0]),
+    "poisson_series_apply t": (lambda x: poisson_series_apply(JUMP, x, F), [-1.0]),
+    "poisson_series_apply tail_tol": (
+        lambda x: poisson_series_apply(JUMP, 0.1, F, tail_tol=x), [0.0]),
+    "picard_solve t": (lambda x: picard_solve(TABLE, F, x, 0.01), [0.0]),
+    "picard_solve dt": (lambda x: picard_solve(TABLE, F, 0.1, x), [0.0]),
+    "mass_diagnostic t": (lambda x: mass_diagnostic(TABLE, x, 1.0), [-1.0]),
+    "mass_diagnostic window": (lambda x: mass_diagnostic(TABLE, 0.1, x), [0.0, math.pi]),
+    "path_payoffs n_paths": (
+        lambda x: path_payoffs(FAMILY, [STRATEGY], F, [0.0], 0.1, x, 0), [99, 100.5]),
+    "path_payoffs seed": (
+        lambda x: path_payoffs(FAMILY, [STRATEGY], F, [0.0], 0.1, 100, x), [-1, 2**64, 1.5]),
+    "simulate_paths x0": (
+        lambda x: simulate_paths(FAMILY, [STRATEGY], [x], 0.1, np.random.default_rng(0), 4),
+        [-math.inf]),
+    "dual_bound_suite scheme_tol": (lambda x: dual_bound_suite(
+        FAMILY, F, [0.0], 0.1, [("s", STRATEGY)], 100, 0, 1.0, x), [-1.0]),
+    "dual_bound_suite reference_value": (lambda x: dual_bound_suite(
+        FAMILY, F, [0.0], 0.1, [("s", STRATEGY)], 100, 0, x, 0.01), [-math.inf]),
+}
+
+
+@pytest.mark.parametrize("door, value", [(door, value) for door, (_, bad) in DOORS.items()
+                                         for value in [math.nan, math.inf, *bad]])
+def test_library_door_refuses_a_number_out_of_range(door, value):
+    """NaN, inf and a value out of range or with a fraction where a count is
+    due: each is the one rule's ConfigurationError, never a ConsistencyError,
+    a ValueError, an OverflowError or a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError,
+                           match=r" must be (a finite number|an integer) in [\[(].*, got "):
+            DOORS[door][0](value)

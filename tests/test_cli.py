@@ -291,6 +291,9 @@ class TestConfig:
         {"family": {"builtin": "two_sigma", "sigmas": [0.5, 1e200]}},
         {"grid": {"dim": 2, "n": 16}, "mc": {"x0": [0.0, 0.0]},
          "family": {"builtin": "two_sigma", "sigmas": [0.5, 1e200]}},
+        # Python's json reads the NaN literal json.dumps writes
+        {"initial": {"kind": "bump", "center": 0.0, "width": float("nan")}},
+        {"initial": {"kind": "bump", "center": float("nan"), "width": 1.0}},
     ])
     def test_nonfinite_input_is_config_error(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path, **overrides)
@@ -299,6 +302,7 @@ class TestConfig:
         assert len(err.strip().splitlines()) == 1
         assert "finite" in err
         assert "ConsistencyError" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"convergence": {"h_list": ["a", 0.1]}},

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from sublevy import (
     wrap_point,
     write_function_csv,
 )
+from sublevy.grid import checked
 from conftest import random_trig
 
 
@@ -219,3 +221,29 @@ class TestCsv:
     def test_nonfinite_rejected(self, grid8):
         with pytest.raises(ConfigurationError):
             GridFunction(grid8, np.full(grid8.shape, np.nan))
+
+
+class TestChecked:
+    @pytest.mark.parametrize("value, bounds", [
+        (0, {}), (0.0, {"low": -math.inf}), (10**400, {"integer": True}),
+        (2**64 - 1, {"high": 2**64 - 1, "integer": True}), (3.0, {"integer": True}),
+        (np.nextafter(np.pi, 0), {"high": np.nextafter(np.pi, 0), "above": True}),
+    ])
+    def test_returns_a_value_in_range(self, value, bounds):
+        # a Python int of any size compares exactly, with no float conversion
+        assert checked(value, "x", **bounds) is value
+
+    @pytest.mark.parametrize("value, bounds, message", [
+        (math.nan, {"above": True}, "x must be a finite number in (0, inf), got nan"),
+        (-math.inf, {"low": -math.inf}, "x must be a finite number in (-inf, inf), got -inf"),
+        (0, {"above": True}, "x must be a finite number in (0, inf), got 0"),
+        (2.5, {"high": 20, "integer": True}, "x must be an integer in [0, 20], got 2.5"),
+        (2**64, {"high": 2**64 - 1, "integer": True},
+         "x must be an integer in [0, 18446744073709551615], got 18446744073709551616"),
+        (math.pi, {"high": np.nextafter(np.pi, 0), "above": True},
+         "x must be a finite number in (0, 3.1415926535897927], got 3.141592653589793"),
+    ])
+    def test_refusal_names_the_bound_and_the_value(self, value, bounds, message):
+        with pytest.raises(ConfigurationError) as exc:
+            checked(value, "x", **bounds)
+        assert str(exc.value) == message
