@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +56,11 @@ class TorusGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ConfigurationError(f"grid dim must be 1 or 2, got {self.dim}")
+        object.__setattr__(self, "dim", checked(self.dim, "grid dim", 1, 2, integer=True))
+        object.__setattr__(self, "n", checked(self.n, "grid size n", 4, MAX_POINTS_PER_AXIS,
+                                              integer=True))
         if self.n % 2 != 0:
             raise ConfigurationError(f"grid size must be even, got n={self.n}")
-        if not 4 <= self.n <= MAX_POINTS_PER_AXIS:
-            raise ConfigurationError(
-                f"grid size out of range [4, {MAX_POINTS_PER_AXIS}]: n={self.n}"
-            )
         if self.n**self.dim > MAX_POINTS:
             raise ConfigurationError(
                 f"grid of {self.n}^{self.dim} points is above the limit of {MAX_POINTS}")
@@ -110,7 +108,7 @@ class TorusGrid:
 
 
 def make_grid(dim: int, n: int) -> TorusGrid:
-    return TorusGrid(dim=int(dim), n=int(n))
+    return TorusGrid(dim, n)
 
 
 @dataclass(frozen=True)
@@ -283,16 +281,18 @@ def numbers_only(value, what: str):
 
 def checked(value, what: str, low=0, high=math.inf, *, above=False, integer=False):
     """value, refused unless it is a finite number in [low, high] ((low, high]
-    when above), and a whole one when integer.  The one range rule of every
-    scalar a library door or the config takes: each comparison is one that NaN
-    fails, and a Python int of any size compares exactly (no float conversion)."""
+    when above): a whole one, returned as an int, when integer, and otherwise
+    one no larger than the largest float.  The one range rule of every scalar a
+    library door or the config takes: each comparison is one that NaN fails,
+    and a Python int of any size compares exactly (no float conversion)."""
     if not (-math.inf < value < math.inf and (value > low if above else value >= low)
-            and value <= high and not (integer and int(value) != value)):
+            and value <= high
+            and (int(value) == value if integer else abs(value) <= sys.float_info.max)):
         interval = (f"{'(' if above or low == -math.inf else '['}{low}, "
                     f"{high}{']' if high < math.inf else ')'}")
         noun = "an integer" if integer else "a finite number"
         raise ConfigurationError(f"{what} must be {noun} in {interval}, got {value}")
-    return value
+    return int(value) if integer else value
 
 
 def keys_only(obj: dict, known, prefix: str = "", what: str = "config") -> dict:

@@ -414,11 +414,12 @@ class SymbolTable:
     def multipliers(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """exp(t * psi) per member on the half spectrum, shape (m, ..., n/2+1),
         written into out when given (a complex array of that shape) and returned.
-
-        The symbol is conjugate symmetric, but the multipliers are not
-        re-symmetrized: SpectralWorkspace.apply uses only their Hermitian part.
-        """
-        out = np.multiply(checked(t, "evolution time t"), self.psi, out=out)
+        The one door by which time meets the table: t is refused where t * |psi|
+        overflows.  The symbol is conjugate symmetric, but the multipliers are not
+        re-symmetrized: SpectralWorkspace.apply uses only their Hermitian part."""
+        if not math.isfinite(checked(t, "evolution time t") * self.max_abs_symbol):
+            raise ConfigurationError(f"time {t:g} is too long for this grid: t * |psi| overflows")
+        out = np.multiply(t, self.psi, out=out)
         return np.exp(out, out=out)
 
 
@@ -593,6 +594,7 @@ def sample_increments(q: LevyQuadruple, dt: float, rng: np.random.Generator,
     blocks that cannot contribute are skipped without consuming randomness.
     """
     checked(dt, "increment step dt", above=True)
+    size = checked(size, "increment count size", integer=True)
     if q._has_gaussian_part:
         x = rng.standard_normal((size, q.dim)) @ (q._sigma_factor.T * math.sqrt(dt))
     else:

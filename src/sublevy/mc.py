@@ -46,12 +46,12 @@ class McEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.stderr < 0:
-            raise ConfigurationError("standard error cannot be negative")
+        checked(self.stderr, "standard error")
 
 
 def random_strategy(grid: TorusGrid, partition: Partition, member_count: int,
                     rng: np.random.Generator) -> SimpleStrategy:
+    member_count = checked(member_count, "member_count", 1, integer=True)
     fb = rng.integers(0, member_count, size=(partition.step_count,) + grid.shape)
     return SimpleStrategy(grid, partition, fb)
 
@@ -139,6 +139,7 @@ def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
     (strategies, size, d).  On each step every member draws size increments
     once and every strategy's paths advance on those draws; the feedback is
     looked up at the nearest grid point of each current position."""
+    size = checked(size, "path count size", integer=True)
     if not strategies or any(s.grid != strategies[0].grid or not np.array_equal(
             s.partition.times, strategies[0].partition.times) for s in strategies):
         raise ConfigurationError("simulate_paths needs strategies on one grid and one partition")
@@ -166,8 +167,8 @@ def path_payoffs(family: GeneratorFamily, strategies, f: GridFunction, x0,
     simulated together; each such group replays the (seed, block) streams, so
     a full block's payoffs depend on neither n_paths nor the other strategies.
     A suite over the budgets of check_budgets is refused before any path runs."""
-    checked(n_paths, "n_paths", MIN_PATHS, integer=True)
-    checked(seed, "seed", 0, 2**64 - 1, integer=True)
+    n_paths = checked(n_paths, "n_paths", MIN_PATHS, integer=True)
+    seed = checked(seed, "seed", 0, 2**64 - 1, integer=True)
     if any(s.grid != f.grid for s in strategies):
         raise ConfigurationError("payoff function and strategy live on different grids")
     groups = _groups(s.partition for s in strategies)

@@ -139,7 +139,6 @@ class NisioResult:
 
 def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     """One sup-envelope step: pointwise max over members of the t-evolution."""
-    checked(t, "step time t")
     values = table.values_of(f)
     if t == 0:
         return f
@@ -223,14 +222,13 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
     """
     checked(t, "horizon t", above=True)
-    checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
+    max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
     checked(tol, "tol")
     checked(monotonicity_tol, "monotonicity_tol", above=True)
     values = table.values_of(f)
-    if not math.isfinite(t * table.max_abs_symbol):
-        raise ConfigurationError(f"horizon {t:g} is too long for this grid: t * |psi| overflows")
     if record_argmax_level is not None:
-        checked(record_argmax_level, "record_argmax_level", 0, MAX_LEVEL, integer=True)
+        record_argmax_level = checked(record_argmax_level, "record_argmax_level", 0, MAX_LEVEL,
+                                      integer=True)
         if 2**record_argmax_level * f.grid.size > ARGMAX_BUDGET:
             raise BudgetError(
                 f"recording the maximizers of 2^{record_argmax_level} steps on "
@@ -325,7 +323,7 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
     S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
     refinement error stays well below the quotient error being measured.
     """
-    hs = [checked(float(h), "h_list entry", above=True) for h in h_list]
+    hs = [float(checked(h, "h_list entry", above=True)) for h in h_list]
     if not hs:
         raise ConfigurationError("h_list must be nonempty")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):

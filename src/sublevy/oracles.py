@@ -190,7 +190,6 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> fl
     """
     # below pi: at pi the ramp has no width to decay over
     w = checked(window_halfwidth, "window_halfwidth", 0, np.nextafter(np.pi, 0), above=True)
-    checked(t, "time t")
     grid = table.grid
     ramp = min(np.pi - w, w) / 2.0
     plateau = np.ones(grid.shape)

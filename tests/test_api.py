@@ -16,9 +16,9 @@ import pytest
 
 import sublevy
 from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable, apply_J,
-                     compound_poisson, diffusion, dpp_check, dual_bound_suite,
-                     generator_limit_table, make_grid, mass_diagnostic, nisio_evolve,
-                     partition_continuity_probe, path_payoffs, picard_solve,
+                     apply_partition, compound_poisson, diffusion, dpp_check, drift,
+                     dual_bound_suite, generator_limit_table, make_grid, mass_diagnostic,
+                     nisio_evolve, partition_continuity_probe, path_payoffs, picard_solve,
                      poisson_series_apply, random_strategy, sample, sample_increments,
                      simulate_paths, wrapped_cauchy_quadruple)
 
@@ -203,14 +203,20 @@ def test_benchmark_observers_read_real_results(tmp_path, monkeypatch):
 
 def _hand_written_range_checks():
     """Each `if` in src/sublevy/ outside grid.checked whose test compares a
-    parameter of its function with a number literal (<, <=, >, >=) and whose
-    body raises ConfigurationError, as "file:line function: test"."""
+    parameter of its function, or a field `self.<name>` of a dataclass, with a
+    number literal (<, <=, >, >=) and whose body raises ConfigurationError, as
+    "file:line function: test"."""
+    def parameter(x, params):
+        if isinstance(x, ast.Attribute) and isinstance(x.value, ast.Name):
+            return x.value.id == "self"
+        return isinstance(x, ast.Name) and x.id in params
+
     def compares(node, params):
         if not isinstance(node, ast.Compare) or not all(
                 isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
             return False
         terms = [node.left, *node.comparators]
-        return (any(isinstance(x, ast.Name) and x.id in params for x in terms)
+        return (any(parameter(x, params) for x in terms)
                 and any(isinstance(x, ast.Constant) and type(x.value) in (int, float)
                         for x in terms))
 
@@ -249,12 +255,16 @@ DOORS = {
     "bump width": (lambda x: sample(GRID, "bump", center=0.0, width=x), [0.0]),
     "bump center": (lambda x: sample(GRID, "bump", center=x, width=1.0), [-math.inf]),
     "compound_poisson rate": (lambda x: compound_poisson([(0.5, 1.0)], rate=x), [-1.0]),
+    "make_grid dim": (lambda x: make_grid(x, 64), [0, 3, 1.5]),
+    "make_grid n": (lambda x: make_grid(1, x), [2, 64.5, 2**17]),
     "wrapped_cauchy gamma": (lambda x: wrapped_cauchy_quadruple(GRID, x), [0.0]),
     "wrapped_cauchy rate": (lambda x: wrapped_cauchy_quadruple(GRID, 0.5, rate=x), [-1.0]),
     "wrapped_cauchy scale": (lambda x: wrapped_cauchy_quadruple(GRID, 0.5, scale=x), [0.0]),
     "multipliers t": (lambda x: TABLE.multipliers(x), [-1.0]),
     "sample_increments dt": (lambda x: sample_increments(JUMP, x, np.random.default_rng(0), 4),
                              [0.0]),
+    "sample_increments size": (
+        lambda x: sample_increments(JUMP, 0.1, np.random.default_rng(0), x), [-1, 2.5]),
     "dyadic t": (lambda x: Partition.dyadic(x, 2), [0.0]),
     "dyadic level": (lambda x: Partition.dyadic(0.2, x), [-1, 2.5]),
     "equidistant t": (lambda x: Partition.equidistant(x, 4), [0.0]),
@@ -270,7 +280,8 @@ DOORS = {
     "dpp_check s": (lambda x: dpp_check(TABLE, x, 0.1, F, 2), [0.0]),
     "dpp_check t": (lambda x: dpp_check(TABLE, 0.1, x, F, 2), [0.0]),
     "dpp_check level": (lambda x: dpp_check(TABLE, 0.1, 0.1, F, x), [21, 2.5]),
-    "generator_limit_table h_list": (lambda x: generator_limit_table(TABLE, F, [x]), [0.0]),
+    "generator_limit_table h_list": (lambda x: generator_limit_table(TABLE, F, [x]),
+                                     [0.0, 10**400]),
     "partition_continuity_probe eps": (
         lambda x: partition_continuity_probe(TABLE, Partition.dyadic(0.1, 2), F, x), [-1.0]),
     "poisson_series_apply t": (lambda x: poisson_series_apply(JUMP, x, F), [-1.0]),
@@ -284,9 +295,14 @@ DOORS = {
         lambda x: path_payoffs(FAMILY, [STRATEGY], F, [0.0], 0.1, x, 0), [99, 100.5]),
     "path_payoffs seed": (
         lambda x: path_payoffs(FAMILY, [STRATEGY], F, [0.0], 0.1, 100, x), [-1, 2**64, 1.5]),
+    "random_strategy member_count": (lambda x: random_strategy(
+        GRID, Partition.dyadic(0.1, 1), x, np.random.default_rng(0)), [0, 2.5]),
     "simulate_paths x0": (
         lambda x: simulate_paths(FAMILY, [STRATEGY], [x], 0.1, np.random.default_rng(0), 4),
         [-math.inf]),
+    "simulate_paths size": (
+        lambda x: simulate_paths(FAMILY, [STRATEGY], [0.0], 0.1, np.random.default_rng(0), x),
+        [-1, 2.5]),
     "dual_bound_suite scheme_tol": (lambda x: dual_bound_suite(
         FAMILY, F, [0.0], 0.1, [("s", STRATEGY)], 100, 0, 1.0, x), [-1.0]),
     "dual_bound_suite reference_value": (lambda x: dual_bound_suite(
@@ -305,3 +321,48 @@ def test_library_door_refuses_a_number_out_of_range(door, value):
         with pytest.raises(ConfigurationError,
                            match=r" must be (a finite number|an integer) in [\[(].*, got "):
             DOORS[door][0](value)
+
+
+def test_a_whole_valued_float_count_is_the_int():
+    """A count given as a whole-valued float runs as the int: the same bits,
+    not a TypeError from range() or 2**level further in."""
+    grid = make_grid(1, 128)
+    table = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid)
+    f = sample(grid, "bump", center=0.0, width=1.5)
+
+    def evolve(max_level, level):
+        result = nisio_evolve(table, 0.1, f, max_level=max_level, tol=0.0,
+                              record_argmax_level=level)
+        records = [(r.level, r.steps, r.sup_increment, r.sup_norm) for r in result.records]
+        return (result.value.values.tobytes(), result.argmax.feedback.tobytes(),
+                np.array(records).tobytes())  # bytes: level 0's increment is NaN
+
+    assert evolve(3.0, 2.0) == evolve(3, 2)
+    assert dpp_check(table, 0.1, 0.1, f, 2.0) == dpp_check(table, 0.1, 0.1, f, 2)
+    strategy = nisio_evolve(table, 0.1, f, max_level=2, record_argmax_level=2).argmax
+    payoffs = [path_payoffs(table.family, [strategy], f, [0.0], 0.1, n, seed).tobytes()
+               for n, seed in ((100.0, 1.0), (100, 1))]
+    assert payoffs[0] == payoffs[1]
+    assert make_grid(1, 64.0) == make_grid(1, 64) and type(make_grid(1, 64.0).n) is int
+
+
+def test_a_horizon_too_long_for_the_table_is_refused():
+    """Time meets the generator in SymbolTable.multipliers alone, which refuses
+    a t for which t * |psi| overflows: every door that evolves by t ends in that
+    one refusal, with no floating-point warning from the kernel."""
+    grid = make_grid(1, 32)
+    table = SymbolTable.build(GeneratorFamily((drift(1.0), drift(-1.0))), grid)
+    f = sample(grid, "cosine", k=1)
+    t = 1e308
+    doors = [lambda: apply_J(table, t, f),
+             lambda: apply_partition(table, Partition(np.array([0.0, t])), f),
+             lambda: dpp_check(table, 0.1, t, f, 0),
+             lambda: mass_diagnostic(table, t, 1.0),
+             lambda: nisio_evolve(table, t, f),
+             lambda: table.multipliers(t)]
+    for door in doors:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"^time 1e\+308 is too long for this "
+                                                         r"grid: t \* \|psi\| overflows$"):
+                door()
