@@ -17,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -284,14 +285,18 @@ def checked(value, what: str, low=0, high=math.inf, *, above=False, integer=Fals
     when above): a whole one, returned as an int, when integer, and otherwise
     one no larger than the largest float.  The one range rule of every scalar a
     library door or the config takes: each comparison is one that NaN fails,
-    and a Python int of any size compares exactly (no float conversion)."""
-    if not (-math.inf < value < math.inf and (value > low if above else value >= low)
+    and a Python int of any size compares exactly (no float conversion).  A
+    value that is no real number (a string, None, a complex, a container) or
+    is a bool, which would read as 0 or 1, is refused by the same rule."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and -math.inf < value < math.inf and (value > low if above else value >= low)
             and value <= high
             and (int(value) == value if integer else abs(value) <= sys.float_info.max)):
         interval = (f"{'(' if above or low == -math.inf else '['}{low}, "
                     f"{high}{']' if high < math.inf else ')'}")
         noun = "an integer" if integer else "a finite number"
-        raise ConfigurationError(f"{what} must be {noun} in {interval}, got {value}")
+        raise ConfigurationError(
+            f"{what} must be {noun} in {interval}, got {value if number else repr(value)}")
     return int(value) if integer else value
 
 

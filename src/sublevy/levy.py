@@ -425,9 +425,12 @@ class SymbolTable:
 
 # -- multiplier application ----------------------------------------------------
 
-# Points (rows x members x grid points) up to which one batched kernel call
-# costs about what a one-row call does: below it the fixed cost of each numpy
-# call outweighs the arithmetic (measured sweep in README, "Lockstep levels").
+# Points (rows x members x grid points) one batched kernel call takes at most:
+# near the crossover where the per-point cost of a call equals its fixed cost,
+# so a full call costs about twice a one-row call (1D n=128, m=2 on a 2-core
+# Xeon VM: 24 us at 13 rows, 10 us at one); below it the fixed cost of each
+# numpy call outweighs the arithmetic (measured sweep in README, "Lockstep
+# levels").
 BATCH_POINTS = 4096
 # Points of one member's evolution (rows x grid points) from which the envelope
 # step runs member at a time: there the member stack no longer fits in a

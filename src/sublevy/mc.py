@@ -97,13 +97,16 @@ def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, suite,
 
 def interpolate_linear(f: GridFunction, point):
     """Periodic multilinear interpolation of a grid function at one torus point
-    (a float) or at an (n, d) batch of points (an array of n values)."""
+    (a float) or at an (n, d) batch of points (an array of n values); a NaN or
+    infinite coordinate is refused."""
     grid = f.grid
     p = np.asarray(point, dtype=float)
     single = p.ndim <= 1
     pts = np.atleast_1d(p)[None] if single else p
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ConfigurationError(f"point must have {grid.dim} coordinates")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigurationError("point coordinates must be finite")
     u = (pts + np.pi) / grid.spacing
     i0 = np.floor(u).astype(np.int64)
     frac = u - i0

@@ -39,10 +39,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float).reshape(-1)
-        if t.size == 0 or t[0] != 0.0:
-            raise ConfigurationError("partition must start at time 0")
         if not np.all(np.isfinite(t)):
             raise ConfigurationError("partition times must be finite")
+        if t.size == 0 or t[0] != 0.0:
+            raise ConfigurationError("partition must start at time 0")
         if np.any(np.diff(t) <= 0):
             raise ConfigurationError("partition times must be strictly increasing")
         t = t.copy()
@@ -174,7 +174,12 @@ def _compose(table: SymbolTable, rows, values: np.ndarray):
     so that they complete in row order; any other order raises ConsistencyError.
     On each tick every row in flight takes one step, all in one kernel call;
     batch_rows(grid, m) rows are in flight at most, and the next row enters when
-    one completes."""
+    one completes.  A caller may send, in place of next, how many leading rows
+    (counted from row 0, the completed ones included) are stepped from then on:
+    the rows in flight after them pause, keeping their values and the steps they
+    have taken, and resume when a later send reaches them.  The next row to
+    complete is always stepped, and the rows still complete in row order, each
+    bitwise what a call on that row alone gives."""
     counts = [count for _, count in rows]
     if counts != sorted(counts) or min(counts, default=1) < 1:
         raise ConsistencyError(f"rows need step counts >= 1 in nondecreasing order, got {counts}")
@@ -184,20 +189,25 @@ def _compose(table: SymbolTable, rows, values: np.ndarray):
     vals = np.empty((cap,) + grid.shape)
     mults = np.empty((cap, m) + grid.half_shape, dtype=complex)
     waiting = iter(rows)
-    tick, ends = 0, []  # per slot in flight, the tick its row completes at
+    # per slot in flight, the steps its row has left; a paused slot keeps its
+    # count and every slot ahead of it is stepped, so the counts stay in order
+    done, stepped, left = 0, len(rows), []
     while True:
-        for gap, count in itertools.islice(waiting, cap - len(ends)):
-            vals[len(ends)] = values
-            table.multipliers(gap, out=mults[len(ends)])
-            ends.append(tick + count)
-        if not ends:
+        for gap, count in itertools.islice(waiting, cap - len(left)):
+            vals[len(left)] = values
+            table.multipliers(gap, out=mults[len(left)])
+            left.append(count)
+        if not left:
             return
-        b = len(ends)
-        v, mu = vals[:b], mults[:b]
-        for _ in range(ends[0] - tick):
+        b, ahead = len(left), left[0]
+        k = max(1, min(b, stepped - done))
+        v, mu = vals[:k], mults[:k]
+        for _ in range(ahead):
             ws.envelope(mu, v, out=v)
-        tick = ends.pop(0)  # the rows in flight complete in slot order
-        yield vals[0].copy()
+        left = [s - ahead for s in left[1:k]] + left[k:]
+        done += 1
+        sent = yield vals[0].copy()
+        stepped = stepped if sent is None else sent
         vals[:b - 1], mults[:b - 1] = vals[1:b], mults[1:b]
 
 
@@ -214,12 +224,18 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     calibrated for one-dimensional desk grids; envelopes on the 2-torus below
     n = 128 carry more spectral truncation at the maximizer interfaces and
     may need a wider guard.  The levels run in lockstep (see _compose), on
-    values only; the maximizers of record_argmax_level come from one pass of
-    their own after the levels, 2^record_argmax_level steps, as many as the
-    Monte Carlo dual then simulates per path: the result's argmax is the
-    SimpleStrategy on that level's dyadic partition whose feedback is each
-    step's maximizing member, in forward time.  Recording more than
-    ARGMAX_BUDGET maximizer entries raises BudgetError before iterating.
+    values only.  After each level l >= 2 that does not stop, the ratio rho of
+    its increment to level l-1's predicts the stop P, the first level j > l
+    with inc_l * rho^(j-l) < tol (max_level when rho >= 1): only the levels
+    <= P are stepped, and P + 1 until level P - 1 completes.  A level past them
+    pauses and resumes when a later prediction reaches it; the records, value
+    and maximizers are those of every level run alone.  The maximizers of
+    record_argmax_level come from one pass of their own after the levels,
+    2^record_argmax_level steps, as many as the Monte Carlo dual then
+    simulates per path: the result's argmax is the SimpleStrategy on that
+    level's dyadic partition whose feedback is each step's maximizing member,
+    in forward time.  Recording more than ARGMAX_BUDGET maximizer entries
+    raises BudgetError before iterating.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -241,9 +257,12 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     converged = False
     # _compose needs its rows in order of step count: level l takes 2^l steps,
     # so the levels complete in order; the stop drops the levels still in flight
-    levels = [(t / 2**level, 2**level) for level in range(max_level + 1)]
+    levels = _compose(table, [(t / 2**level, 2**level) for level in range(max_level + 1)],
+                      values)
+    stepped = None  # the levels _compose steps, by count from level 0; None for all
     start = time.perf_counter()
-    for level, new_values in enumerate(_compose(table, levels, values)):
+    for level in range(max_level + 1):
+        new_values = levels.send(stepped)
         now = time.perf_counter()
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
@@ -262,6 +281,16 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         if tol > 0 and inc < tol:
             converged = True
             break
+        if tol > 0 and level >= 2:
+            # neither this level nor the one before stopped, so both increments
+            # are >= tol > 0; their ratio predicts the stop P, the first level
+            # whose geometric increment is below tol (max_level if it never
+            # is).  Step the levels <= P, and P + 1 until level P - 1 completes
+            rho, stop, guess = inc / records[-2].sup_increment, level, inc
+            while guess >= tol and stop < max_level:
+                stop, guess = stop + 1, guess * rho
+            stepped = stop + 1 + (stop > level + 1)
+    levels.close()  # frees the lockstep buffers now, not when the function returns
 
     argmax = None
     if record_argmax_level is not None:

@@ -252,10 +252,10 @@ FAMILY = TABLE.family
 # each scalar parameter of a library door: a call with that parameter set to x,
 # and the values it refuses besides NaN and inf (a fraction where it counts)
 DOORS = {
-    "bump width": (lambda x: sample(GRID, "bump", center=0.0, width=x), [0.0]),
+    "bump width": (lambda x: sample(GRID, "bump", center=0.0, width=x), [0.0, [1.0]]),
     "bump center": (lambda x: sample(GRID, "bump", center=x, width=1.0), [-math.inf]),
     "compound_poisson rate": (lambda x: compound_poisson([(0.5, 1.0)], rate=x), [-1.0]),
-    "make_grid dim": (lambda x: make_grid(x, 64), [0, 3, 1.5]),
+    "make_grid dim": (lambda x: make_grid(x, 64), [0, 3, 1.5, "1", None, True]),
     "make_grid n": (lambda x: make_grid(1, x), [2, 64.5, 2**17]),
     "wrapped_cauchy gamma": (lambda x: wrapped_cauchy_quadruple(GRID, x), [0.0]),
     "wrapped_cauchy rate": (lambda x: wrapped_cauchy_quadruple(GRID, 0.5, rate=x), [-1.0]),
@@ -271,8 +271,9 @@ DOORS = {
     "equidistant n": (lambda x: Partition.equidistant(0.2, x), [0, 2.5]),
     "apply_J t": (lambda x: apply_J(TABLE, x, F), [-1.0]),
     "nisio_evolve t": (lambda x: nisio_evolve(TABLE, x, F), [0.0]),
-    "nisio_evolve max_level": (lambda x: nisio_evolve(TABLE, 0.1, F, max_level=x), [21, 2.5]),
-    "nisio_evolve tol": (lambda x: nisio_evolve(TABLE, 0.1, F, tol=x), [-1.0]),
+    "nisio_evolve max_level": (
+        lambda x: nisio_evolve(TABLE, 0.1, F, max_level=x), [21, 2.5, "3"]),
+    "nisio_evolve tol": (lambda x: nisio_evolve(TABLE, 0.1, F, tol=x), [-1.0, 1e-6j]),
     "nisio_evolve monotonicity_tol": (
         lambda x: nisio_evolve(TABLE, 0.1, F, monotonicity_tol=x), [0.0]),
     "nisio_evolve record_argmax_level": (
@@ -313,9 +314,10 @@ DOORS = {
 @pytest.mark.parametrize("door, value", [(door, value) for door, (_, bad) in DOORS.items()
                                          for value in [math.nan, math.inf, *bad]])
 def test_library_door_refuses_a_number_out_of_range(door, value):
-    """NaN, inf and a value out of range or with a fraction where a count is
-    due: each is the one rule's ConfigurationError, never a ConsistencyError,
-    a ValueError, an OverflowError or a floating-point warning."""
+    """NaN, inf, a value out of range or with a fraction where a count is due,
+    and a value that is no number or is a bool: each is the one rule's
+    ConfigurationError, never a ConsistencyError, a TypeError, a ValueError,
+    an OverflowError or a floating-point warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError,

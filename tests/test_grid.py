@@ -247,6 +247,14 @@ class TestChecked:
          "x must be an integer in [0, 18446744073709551615], got 18446744073709551616"),
         (math.pi, {"high": np.nextafter(np.pi, 0), "above": True},
          "x must be a finite number in (0, 3.1415926535897927], got 3.141592653589793"),
+        # no real number, or a bool, which would read as 0 or 1: the same refusal,
+        # not a TypeError from the comparisons
+        ("3", {"high": 20, "integer": True}, "x must be an integer in [0, 20], got '3'"),
+        (None, {}, "x must be a finite number in [0, inf), got None"),
+        (1j, {}, "x must be a finite number in [0, inf), got 1j"),
+        ([1.0], {}, "x must be a finite number in [0, inf), got [1.0]"),
+        (True, {"integer": True}, "x must be an integer in [0, inf), got True"),
+        (np.True_, {}, "x must be a finite number in [0, inf), got np.True_"),
     ])
     def test_refusal_names_the_bound_and_the_value(self, value, bounds, message):
         with pytest.raises(ConfigurationError) as exc:

@@ -430,6 +430,11 @@ class TestInterpolation:
         f = sample(grid64, "cosine", k=1)
         with pytest.raises(ConfigurationError):
             interpolate_linear(f, np.zeros((3, 2)))
+        # a non-finite coordinate is refused, not read as a NaN value with warnings
+        for bad in (np.nan, np.inf, -np.inf):
+            for point in (bad, np.array([[0.0], [bad]])):
+                with pytest.raises(ConfigurationError, match="^point coordinates must be finite$"):
+                    interpolate_linear(f, point)
 
 
 def linear_value_at_zero(table, f):

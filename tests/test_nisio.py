@@ -61,6 +61,9 @@ class TestPartition:
             Partition(np.array([0.0, bad]))
         with pytest.raises(ConfigurationError, match="finite"):
             Partition(np.array([0.0, bad, 0.2]))
+        # checked before the start, which a non-finite first time also fails
+        with pytest.raises(ConfigurationError, match="^partition times must be finite$"):
+            Partition(np.array([bad, 1.0]))
 
     def test_dyadic_matches_equidistant(self):
         a = Partition.dyadic(0.8, 3)
@@ -519,8 +522,9 @@ class TestWorkspaceReuse:
                            record_argmax_level=level)
         monkeypatch.undo()
         assert (level > res.levels_used) == above_levels_used
-        # every level is in flight from the first tick, so level L completes
-        # at tick 2^L and the loop makes 2^levels_used kernel calls, none of
+        # tol 0 predicts no stop and the stop at level 2 comes before the first
+        # prediction, so every level is in flight from the first tick: level L
+        # completes at tick 2^L and the loop makes 2^levels_used kernel calls, none of
         # which records; then the pass makes 2^level, each on one row
         loop_ticks = 2**res.levels_used
         assert len(calls) == loop_ticks + 2**level
@@ -639,3 +643,54 @@ class TestLockstepLevels:
         assert np.array_equal(lockstep.argmax.feedback, single.argmax.feedback)
         assert (lockstep.levels_used, lockstep.converged) == (single.levels_used,
                                                               single.converged)
+
+
+class TestPredictedStop:
+    """After each level that does not stop, the ratio of the last two increments
+    predicts the stop, and the levels past it pause: the run gives the records,
+    value and maximizers of every level alone, in fewer row-steps."""
+
+    @pytest.mark.parametrize("tol,levels_used", [(5e-6, 10), (1e-5, 9), (4e-5, 7)])
+    def test_levels_past_the_predicted_stop_pause(self, two_sigma_table, bump128, monkeypatch,
+                                                  tol, levels_used):
+        rows = []  # rows per kernel call
+        envelope = SpectralWorkspace.envelope
+
+        def counting(ws, mults, values, out=None, argmax=None):
+            rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
+            return envelope(ws, mults, values, out=out, argmax=argmax)
+
+        monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
+        t, max_level = 0.2, 12
+        res = nisio_evolve(two_sigma_table, t, bump128, max_level=max_level, tol=tol,
+                           record_argmax_level=4)
+        monkeypatch.undo()
+        assert (res.levels_used, res.converged) == (levels_used, True)
+        # each level alone through _compose gives every record and the value bitwise
+        alone = [next(_compose(two_sigma_table, [(t / 2**level, 2**level)], bump128.values))
+                 for level in range(levels_used + 1)]
+        want = [(0, 1, "nan", repr(float(np.max(np.abs(alone[0])))))]
+        for level in range(1, levels_used + 1):
+            inc = float(np.max(alone[level] - alone[level - 1]))
+            want.append((level, 2**level, repr(inc), repr(float(np.max(np.abs(alone[level]))))))
+        assert [(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
+                for r in res.records] == want
+        assert np.array_equal(res.value.values, alone[-1])
+        # the maximizers come from their own pass of 2^4 one-row calls, the
+        # pass of a run with no level to pause
+        loop, tail = rows[:-16], rows[-16:]
+        assert tail == [1] * 16
+        unpaused = nisio_evolve(two_sigma_table, t, bump128, max_level=0, record_argmax_level=4)
+        assert np.array_equal(res.argmax.feedback, unpaused.argmax.feedback)
+        # with every level in flight from tick 0, the levels past the stop take
+        # 2^levels_used steps each: 4 095 row-steps at tol 5e-6
+        every_level = 2**(levels_used + 1) - 1 + (max_level - levels_used) * 2**levels_used
+        assert sum(loop) < every_level
+        if tol == 5e-6:
+            assert every_level == 4095 and len(loop) == 1024 and sum(loop) <= 2567
+        if tol == 4e-5:
+            # level 7 is paused on a prediction of a stop at level 6 and then
+            # resumed: it completes late, at no more than 25% more ticks
+            assert 2**7 < len(loop) <= 1.25 * 2**7
+        else:
+            assert len(loop) == 2**levels_used
