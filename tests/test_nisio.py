@@ -27,7 +27,7 @@ from sublevy import (
     sample,
     sup_distance,
 )
-from sublevy import levy
+from sublevy import levy, nisio
 from sublevy.levy import SpectralWorkspace, batch_rows
 from sublevy.nisio import _compose
 from conftest import member_evolution, random_trig
@@ -694,3 +694,59 @@ class TestPredictedStop:
             assert 2**7 < len(loop) <= 1.25 * 2**7
         else:
             assert len(loop) == 2**levels_used
+
+    @staticmethod
+    def _completion_ticks(monkeypatch, table, increments, tol):
+        """Kernel calls made by the time each level completes, in nisio_evolve
+        with the real lockstep but the given sup increments in its records."""
+        calls, ticks = [], []
+        envelope, compose = SpectralWorkspace.envelope, nisio._compose
+
+        def counting(ws, mults, values, out=None, argmax=None):
+            calls.append(1)
+            return envelope(ws, mults, values, out=out, argmax=argmax)
+
+        def constructed(table, rows, values):
+            real, total, sent = compose(table, rows, values), 0.0, None
+            for inc in increments:  # level 0's entry only sets the start
+                real.send(sent)
+                ticks.append(len(calls))
+                total += inc
+                sent = yield np.full_like(values, total)
+
+        monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
+        monkeypatch.setattr(nisio, "_compose", constructed)
+        f = sample(table.grid, "bump", center=0.0, width=np.pi)
+        res = nisio_evolve(table, 0.2, f, max_level=len(increments) - 1, tol=tol)
+        monkeypatch.undo()
+        assert [r.sup_increment for r in res.records[1:]] == pytest.approx(
+            increments[1:len(res.records)], rel=1e-9)
+        return ticks
+
+    def test_increments_levelling_off_above_tol(self, two_sigma_family, grid8, monkeypatch):
+        # every ratio predicts the stop at the next level, and none comes.
+        # Pausing the level after it each time would leave every level waiting
+        # for its predecessor, near 2^(L+1) calls; once a level has paused, the
+        # one after it is stepped whenever it is the next but one to complete
+        table = SymbolTable.build(two_sigma_family, grid8)
+        tol, max_level = 2.0**-20, 10
+        increments = [tol * (1 + 3.0**-level) for level in range(max_level + 1)]
+        ticks = self._completion_ticks(monkeypatch, table, increments, tol)
+        assert len(ticks) == max_level + 1  # the run never stops
+        assert ticks[:4] == [1, 2, 4, 8] and ticks[-1] > 2**max_level
+        assert all(8 * tick < 11 * 2**level for level, tick in enumerate(ticks))
+
+    def test_missed_predictions_cost_at_most_three_eighths_more(self, two_sigma_family, grid8,
+                                                                 monkeypatch):
+        # increments anywhere from just below tol to 20 times it, in any order:
+        # every level j completes before tick 2^j * 11/8, and some runs miss
+        table = SymbolTable.build(two_sigma_family, grid8)
+        tol, max_level = 2.0**-20, 10
+        rng = np.random.default_rng(7)
+        late = []
+        for _ in range(40):
+            increments = tol * np.exp(rng.uniform(-0.2, 3.0, max_level + 1))
+            ticks = self._completion_ticks(monkeypatch, table, increments.tolist(), tol)
+            assert all(8 * tick < 11 * 2**level for level, tick in enumerate(ticks))
+            late.append(ticks[-1] > 2**(len(ticks) - 1))
+        assert any(late)
