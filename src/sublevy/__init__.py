@@ -69,6 +69,7 @@ from .oracles import (
     Trajectory,
     mass_diagnostic,
     picard_solve,
+    picard_stages,
     poisson_series_apply,
     stability_limit,
 )

@@ -53,7 +53,7 @@ from .nisio import (
     write_convergence_csv,
     write_generator_limit_csv,
 )
-from .oracles import picard_solve, write_residual_csv, write_trajectory_csv
+from .oracles import picard_solve, picard_stages, write_residual_csv, write_trajectory_csv
 
 # accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
 RETIRED_KEYS = ("oracle.tail_tol", "output")
@@ -327,15 +327,15 @@ def _timed(run: _Run, name: str, fn):
     return result
 
 
-def _run_nisio(run: _Run, record_argmax_level: int | None = None):
+def _run_nisio(run: _Run, record_argmax_level: int | None = None, passenger=None):
     """The envelope stage of every command, with its diagnostics and its
-    nisio.tol violation."""
+    nisio.tol violation; passenger rides in its kernel calls (nisio_evolve)."""
     cfg = run.config
     result = _timed(run, "nisio", lambda: nisio_evolve(
         run.table, cfg.time, run.initial,
         max_level=cfg.nisio_max_level, tol=cfg.nisio_tol,
         record_argmax_level=record_argmax_level,
-        monotonicity_tol=cfg.nisio_monotonicity_tol,
+        monotonicity_tol=cfg.nisio_monotonicity_tol, passenger=passenger,
     ))
     run.diagnostics["lipschitz_bound"] = result.lipschitz_bound
     run.diagnostics["levels_used"] = result.levels_used
@@ -365,9 +365,12 @@ def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
-    result = _run_nisio(run)
+    # the step is refused here, before any kernel call; the stages ride in the
+    # envelope's calls, and picard_solve evaluates the rest and returns the trajectory
+    stages = picard_stages(run.table, run.initial, config.time, config.oracle_dt)
+    result = _run_nisio(run, passenger=stages)
     traj = _timed(run, "picard", lambda: picard_solve(
-        run.table, run.initial, config.time, config.oracle_dt))
+        run.table, run.initial, config.time, config.oracle_dt, stages=stages))
     gap = sup_distance(result.value, traj.final)
     run.diagnostics["oracle_gap"] = gap
     write_function_csv(run.out("value.csv"), result.value)

@@ -167,7 +167,7 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
     return runs
 
 
-def _compose(table: SymbolTable, rows, values: np.ndarray):
+def _compose(table: SymbolTable, rows, values: np.ndarray, passenger=None):
     """Compose envelope steps for independent rows in lockstep; yields each row's
     result, a new array, in row order.  A row is one run (gap, count) of count >= 1
     equal steps from values, which is only read.  Rows must come in order of count,
@@ -179,42 +179,62 @@ def _compose(table: SymbolTable, rows, values: np.ndarray):
     the rows in flight after them pause, keeping their values and the steps they
     have taken, and resume when a later send reaches them.  The next row to
     complete is always stepped, and the rows still complete in row order, each
-    bitwise what a call on that row alone gives."""
+    bitwise what a call on that row alone gives.
+
+    passenger, a picard_stages coroutine of the same table, rides in one more
+    slot, ahead of the rows, where batch_rows(grid, m) >= 2: each kernel call
+    also evaluates its pending stage on the multipliers psi, and it is sent the
+    result, bitwise what a one-row call gives.  It leaves its slot when it
+    yields its Trajectory, and is left where it is when the rows are done.
+    Where a call takes one row, its cost is per point and nothing rides."""
     counts = [count for _, count in rows]
     if counts != sorted(counts) or min(counts, default=1) < 1:
         raise ConsistencyError(f"rows need step counts >= 1 in nondecreasing order, got {counts}")
     grid, m = table.grid, len(table)
-    cap = min(batch_rows(grid, m), len(rows))
-    ws = SpectralWorkspace(grid, m, rows=cap)
-    vals = np.empty((cap,) + grid.shape)
-    mults = np.empty((cap, m) + grid.half_shape, dtype=complex)
+    batch = batch_rows(grid, m)
+    cap, rides = min(batch, len(rows)), passenger is not None and batch >= 2
+    p = int(rides)  # the rows' first slot, after the passenger's
+    ws = SpectralWorkspace(grid, m, rows=cap + p)
+    vals = np.empty((cap + p,) + grid.shape)
+    mults = np.empty((cap + p, m) + grid.half_shape, dtype=complex)
+    if rides:
+        mults[0], stage = table.psi, next(passenger)
+    row_vals, row_mults = vals[p:], mults[p:]
     waiting = iter(rows)
     # per slot in flight, the steps its row has left; a paused slot keeps its
     # count and every slot ahead of it is stepped, so the counts stay in order
     done, stepped, left = 0, len(rows), []
     while True:
         for gap, count in itertools.islice(waiting, cap - len(left)):
-            vals[len(left)] = values
-            table.multipliers(gap, out=mults[len(left)])
+            row_vals[len(left)] = values
+            table.multipliers(gap, out=row_mults[len(left)])
             left.append(count)
         if not left:
             return
         b, ahead = len(left), left[0]
         k = max(1, min(b, stepped - done))
-        v, mu = vals[:k], mults[:k]
+        # from the passenger's slot while it rides, else from the rows' first
+        v, mu = vals[p - rides:p + k], mults[p - rides:p + k]
         for _ in range(ahead):
+            if rides:
+                vals[0] = stage
             ws.envelope(mu, v, out=v)
+            if rides:
+                stage = passenger.send(vals[0].copy())
+                if not isinstance(stage, np.ndarray):  # its Trajectory: the slot drops
+                    rides, v, mu = False, v[1:], mu[1:]
         left = [s - ahead for s in left[1:k]] + left[k:]
         done += 1
-        sent = yield vals[0].copy()
+        sent = yield row_vals[0].copy()
         stepped = stepped if sent is None else sent
-        vals[:b - 1], mults[:b - 1] = vals[1:b], mults[1:b]
+        row_vals[:b - 1], row_mults[:b - 1] = row_vals[1:b], row_mults[1:b]
 
 
 def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                  max_level: int = 12, tol: float = 1e-6,
                  record_argmax_level: int | None = None,
-                 monotonicity_tol: float = MONOTONICITY_ERROR_TOL) -> NisioResult:
+                 monotonicity_tol: float = MONOTONICITY_ERROR_TOL,
+                 passenger=None) -> NisioResult:
     """Iterate dyadic levels until the sup-norm increment drops below tol.
 
     tol = 0 disables the increment stop and runs the full level budget; the
@@ -240,7 +260,10 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     simulates per path: the result's argmax is the SimpleStrategy on that
     level's dyadic partition whose feedback is each step's maximizing member,
     in forward time.  Recording more than ARGMAX_BUDGET maximizer entries
-    raises BudgetError before iterating.
+    raises BudgetError before iterating.  passenger, a picard_stages
+    coroutine, rides in the levels' kernel calls (see _compose): it leaves
+    them with its stages all evaluated or with picard_solve to finish them,
+    and the result is what a run without it gives, bitwise.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -263,7 +286,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     # _compose needs its rows in order of step count: level l takes 2^l steps,
     # so the levels complete in order; the stop drops the levels still in flight
     levels = _compose(table, [(t / 2**level, 2**level) for level in range(max_level + 1)],
-                      values)
+                      values, passenger=passenger)
     stepped = None  # the levels _compose steps, by count from level 0; None for all
     lowest = max_level + 1  # the fewest levels stepped so far
     start = time.perf_counter()

@@ -126,22 +126,20 @@ def stability_limit(table: SymbolTable) -> float:
     return RK4_ABS_STABILITY / top
 
 
-def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Trajectory:
-    """Integrate du/dt = (sup-generator) u with classical 4-stage Runge-Kutta.
-
-    The step must satisfy dt <= stability_limit(table); snapshots are kept at
-    every multiple of dt, so the final snapshot approximates the worst-case
-    evolution at time t with O(dt^4) accuracy away from maximizer switches.
-    The residual at each interior snapshot time t_j is the sup norm of
-    (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j; the generator value is
-    the first stage of step j+1, so no second sweep evaluates it.
-    A run of more than PICARD_WORK_BUDGET step-points (steps x grid points)
-    raises BudgetError before integrating.
-    """
+def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float):
+    """The stages of picard_solve's integration as a coroutine, its step
+    checked first: a run of more than PICARD_WORK_BUDGET step-points (steps x
+    grid points) raises BudgetError, and a t that is no integer multiple of dt
+    or a dt above stability_limit(table) ConfigurationError, here, before any
+    stage.  The coroutine yields each Runge-Kutta stage's input x and is sent
+    G(x) = max over members of (generator of the member) x, a new array it
+    keeps; a next() in its place yields the same x again, so that a second
+    driver can take over the stages where the first left off.  After the last
+    stage it yields the Trajectory, on every next() from then on."""
     checked(t, "horizon t", above=True)
     checked(dt, "step dt", above=True)
     u = table.values_of(f)
-    grid, psi = table.grid, table.psi
+    grid = table.grid
     if t / dt * grid.size > PICARD_WORK_BUDGET:
         raise BudgetError(
             f"integration needs {t / dt:.3g} steps on {grid.size} grid points, more than "
@@ -155,15 +153,28 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
         raise ConfigurationError(
             f"step {dt} exceeds the stability limit {limit:.3e} for this table"
         )
-    ws = SpectralWorkspace(grid, len(table))
+    return _rk4_stages(f, u, steps, dt)
+
+
+def _evaluated(x: np.ndarray):
+    """One stage: yields x until sent G(x), and returns it."""
+    g = yield x
+    while g is None:
+        g = yield x
+    return g
+
+
+def _rk4_stages(f: GridFunction, u: np.ndarray, steps: int, dt: float):
+    """picard_stages' coroutine, from f and its values u."""
+    grid = f.grid
     times = [0.0]
     snaps = [f]
     residuals = []
     for k in range(1, steps + 1):
-        k1 = ws.envelope(psi, u)
-        k2 = ws.envelope(psi, u + 0.5 * dt * k1)
-        k3 = ws.envelope(psi, u + 0.5 * dt * k2)
-        k4 = ws.envelope(psi, u + dt * k3)
+        k1 = yield from _evaluated(u)
+        k2 = yield from _evaluated(u + 0.5 * dt * k1)
+        k3 = yield from _evaluated(u + 0.5 * dt * k2)
+        k4 = yield from _evaluated(u + dt * k3)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise ConsistencyError(f"integration blew up at step {k}")
@@ -174,7 +185,33 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
             residuals.append(_sup_norm(r))
         times.append(k * dt)
         snaps.append(GridFunction(grid, u))
-    return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
+    traj = Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
+    while True:
+        yield traj
+
+
+def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
+                 stages=None) -> Trajectory:
+    """Integrate du/dt = (sup-generator) u with classical 4-stage Runge-Kutta.
+
+    The step must satisfy dt <= stability_limit(table); snapshots are kept at
+    every multiple of dt, so the final snapshot approximates the worst-case
+    evolution at time t with O(dt^4) accuracy away from maximizer switches.
+    The residual at each interior snapshot time t_j is the sup norm of
+    (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j; the generator value is
+    the first stage of step j+1, so no second sweep evaluates it.  A run of
+    more than PICARD_WORK_BUDGET step-points, or a step that picard_stages
+    refuses, is refused before integrating.  stages, when given, is the
+    picard_stages(table, f, t, dt) coroutine that another driver (nisio_evolve,
+    with it as passenger) has evaluated some stages of, or all; the rest are
+    evaluated here, one kernel call each on a one-row workspace.
+    """
+    stages = picard_stages(table, f, t, dt) if stages is None else stages
+    ws, psi = SpectralWorkspace(table.grid, len(table)), table.psi
+    x = next(stages)
+    while isinstance(x, np.ndarray):
+        x = stages.send(ws.envelope(psi, x))
+    return x
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------

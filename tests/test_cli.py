@@ -15,6 +15,7 @@ from sublevy import dual_bound_suite, family_from_json, load_strategy
 from sublevy import cli
 from sublevy.cli import RunConfig, main
 from sublevy.grid import read_function_csv, wrap_point
+from sublevy.levy import SpectralWorkspace
 from sublevy.mc import write_estimates_csv
 from conftest import member_evolution
 
@@ -617,6 +618,38 @@ class TestOracle:
         assert not (tmp_path / "out").exists()  # no value.csv, no manifest
 
 
+    @pytest.mark.parametrize("dt, message", [(3e-4, "integer multiple"),
+                                             (0.05, "stability limit")])
+    def test_bad_step_refused_before_any_kernel_call(self, tmp_path, capsys, monkeypatch, dt,
+                                                     message):
+        calls = []
+        for name in ("apply", "envelope"):
+            def counting(ws, *args, kernel=getattr(SpectralWorkspace, name), **kwargs):
+                calls.append(1)
+                return kernel(ws, *args, **kwargs)
+            monkeypatch.setattr(SpectralWorkspace, name, counting)
+        cfg = json.loads((CONFIGS / "two_sigma_oracle.json").read_text())
+        cfg.update(oracle={"dt": dt, "gap_tol": 5e-4}, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_guard_trip_exits_with_the_envelope_message(self, tmp_path, capsys):
+        # the default guard trips at level 1 at so short a horizon, with two of
+        # the Runge-Kutta stages evaluated in the levels' kernel calls
+        cfg = json.loads((CONFIGS / "two_sigma_oracle.json").read_text())
+        cfg.update(time=1e-3, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["oracle", "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConsistencyError: dyadic level 1 drops below level 0 by ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
 class TestConvergence:
     def test_emits_tables(self, tmp_path):
         path = write_config(
@@ -852,6 +885,33 @@ def test_shipped_config_passes(tmp_path, config):
     for name in names:
         assert comparable(first / name) == comparable(second / name), name
 
+
+
+# (kernel calls, row-steps) of every envelope call of one run of each shipped
+# config: the lockstep levels, the maximizer pass, the generator quotients, and
+# in oracle the Runge-Kutta stages, riding in the levels' calls
+SHIPPED_KERNEL_CALLS = {
+    "cauchy_evolve": (2, 16),
+    "two_sigma_convergence": (2113, 4004),
+    "two_sigma_evolve": (32, 95),
+    "two_sigma_mc": (1040, 2583),
+    "two_sigma_oracle": (1024, 3367),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_kernel_calls_of_every_shipped_config(tmp_path, monkeypatch, config):
+    rows = []
+    envelope = SpectralWorkspace.envelope
+
+    def counting(ws, mults, values, out=None, argmax=None):
+        rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
+        return envelope(ws, mults, values, out=out, argmax=argmax)
+
+    monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
+    command = config.stem.rsplit("_", 1)[1]
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert (len(rows), sum(rows)) == SHIPPED_KERNEL_CALLS[config.stem]
 
 def test_benchmark_traced_writers_exist():
     """The benchmark wraps these writers by name on sublevy.cli to time CSV output."""

@@ -706,8 +706,8 @@ class TestPredictedStop:
             calls.append(1)
             return envelope(ws, mults, values, out=out, argmax=argmax)
 
-        def constructed(table, rows, values):
-            real, total, sent = compose(table, rows, values), 0.0, None
+        def constructed(table, rows, values, passenger=None):
+            real, total, sent = compose(table, rows, values, passenger), 0.0, None
             for inc in increments:  # level 0's entry only sets the start
                 real.send(sent)
                 ticks.append(len(calls))

@@ -7,6 +7,7 @@ from sublevy import (
     BudgetError,
     LevyQuadruple,
     ConfigurationError,
+    ConsistencyError,
     GeneratorFamily,
     GridFunction,
     SymbolTable,
@@ -19,12 +20,14 @@ from sublevy import (
     mass_diagnostic,
     nisio_evolve,
     picard_solve,
+    picard_stages,
     poisson_series_apply,
     sample,
     stability_limit,
     sup_distance,
     wrapped_cauchy_quadruple,
 )
+from sublevy.levy import SpectralWorkspace, batch_rows
 from sublevy.oracles import PICARD_WORK_BUDGET
 from conftest import member_evolution, one_member_table, random_trig
 
@@ -147,6 +150,91 @@ class TestPicard:
         for i in range(len(two_sigma_table)):
             lin = member_evolution(two_sigma_table, 0.2, bump128, member=i)
             assert float(np.max(lin.values - traj.final.values)) <= 1e-6
+
+
+class TestPassenger:
+    """picard_stages rides in nisio_evolve's kernel calls where a call takes two
+    rows or more; the trajectory and the envelope are bitwise those of
+    picard_solve and nisio_evolve run apart, on the levels' own schedule."""
+
+    @staticmethod
+    def _counted(monkeypatch, fn):
+        """fn's result, with its envelope calls and the rows they take."""
+        rows = []
+        envelope = SpectralWorkspace.envelope
+
+        def counting(ws, mults, values, out=None, argmax=None):
+            rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
+            return envelope(ws, mults, values, out=out, argmax=argmax)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralWorkspace, "envelope", counting)
+            return fn(), len(rows), sum(rows)
+
+    @pytest.mark.parametrize("case", ["oracle data", "levels stop first", "max_level 0",
+                                      "2D n=16", "2D n=64, one row a call"])
+    def test_bitwise_what_each_gives_alone(self, monkeypatch, two_sigma_table, bump128, case):
+        table, f, t, dt = two_sigma_table, bump128, 0.2, 1e-3
+        kwargs = {"max_level": 12, "tol": 5e-6}
+        if case == "levels stop first":
+            kwargs["tol"] = 1e-2
+        elif case == "max_level 0":
+            kwargs["max_level"] = 0
+        elif case.startswith("2D"):
+            grid = make_grid(2, 16 if case == "2D n=16" else 64)
+            table = SymbolTable.build(GeneratorFamily((diffusion(0.25, dim=2),
+                                                       diffusion(1.0, dim=2))), grid)
+            f = sample(grid, "bump", center=[0.0, 0.0], width=np.pi)
+            t, dt = 0.02, 1e-3
+            kwargs = {"max_level": 8, "tol": 0.0, "monotonicity_tol": 1e-4}
+        rides = batch_rows(table.grid, len(table)) >= 2
+        assert rides == (case != "2D n=64, one row a call")
+        alone, calls, row_steps = self._counted(
+            monkeypatch, lambda: nisio_evolve(table, t, f, **kwargs))
+        traj_alone = picard_solve(table, f, t, dt)
+        stages = picard_stages(table, f, t, dt)
+        shared, shared_calls, shared_rows = self._counted(
+            monkeypatch, lambda: nisio_evolve(table, t, f, passenger=stages, **kwargs))
+        traj, rest, _ = self._counted(
+            monkeypatch, lambda: picard_solve(table, f, t, dt, stages=stages))
+
+        assert ([(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
+                 for r in shared.records]
+                == [(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
+                    for r in alone.records])
+        assert shared.value.values.tobytes() == alone.value.values.tobytes()
+        assert (shared.converged, shared.levels_used) == (alone.converged, alone.levels_used)
+        assert traj.times.tobytes() == traj_alone.times.tobytes()
+        assert [s.values.tobytes() for s in traj.snapshots] == [
+            s.values.tobytes() for s in traj_alone.snapshots]
+        assert traj.residuals.tobytes() == traj_alone.residuals.tobytes()
+        # the levels step on their own ticks; the passenger takes one stage a call
+        stage_count = 4 * round(t / dt)
+        assert shared_calls == calls
+        ridden = min(stage_count, calls) if rides else 0
+        assert shared_rows == row_steps + ridden and rest == stage_count - ridden
+        if case == "oracle data":  # the passenger ends first
+            assert (calls, stage_count, rest) == (1024, 800, 0)
+        if case in ("levels stop first", "max_level 0"):
+            assert 0 < calls < stage_count
+
+    def test_guard_trip_raises_nisio_error(self, two_sigma_table, bump128):
+        # at so short a horizon the default guard trips at level 1, after two
+        # of the one step's four stages have ridden
+        t, dt = 1e-3, 1e-3
+        with pytest.raises(ConsistencyError) as alone:
+            nisio_evolve(two_sigma_table, t, bump128)
+        stages = picard_stages(two_sigma_table, bump128, t, dt)
+        with pytest.raises(ConsistencyError) as shared:
+            nisio_evolve(two_sigma_table, t, bump128, passenger=stages)
+        assert str(shared.value) == str(alone.value)
+        assert str(alone.value).startswith("dyadic level 1 drops below level 0")
+
+    @pytest.mark.parametrize("dt, message", [(3e-4, "integer multiple"),
+                                             (0.05, "stability limit")])
+    def test_step_checked_before_any_stage(self, two_sigma_table, bump128, dt, message):
+        with pytest.raises(ConfigurationError, match=message):
+            picard_stages(two_sigma_table, bump128, 0.2, dt)
 
 
 class TestResiduals:
