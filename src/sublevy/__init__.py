@@ -60,6 +60,7 @@ from .nisio import (
     apply_partition,
     dpp_check,
     generator_limit_table,
+    generator_quotients,
     generator_sup,
     lipschitz_bound,
     nisio_evolve,

@@ -48,6 +48,7 @@ from .nisio import (
     MONOTONICITY_ERROR_TOL,
     Partition,
     generator_limit_table,
+    generator_quotients,
     nisio_evolve,
     write_argmax_csv,
     write_convergence_csv,
@@ -327,15 +328,16 @@ def _timed(run: _Run, name: str, fn):
     return result
 
 
-def _run_nisio(run: _Run, record_argmax_level: int | None = None, passenger=None):
+def _run_nisio(run: _Run, record_argmax_level: int | None = None, riders=()):
     """The envelope stage of every command, with its diagnostics and its
-    nisio.tol violation; passenger rides in its kernel calls (nisio_evolve)."""
+    nisio.tol violation; riders ride in its kernel calls (nisio_evolve), and
+    are built before it, so that a bad step or h_list is refused first."""
     cfg = run.config
     result = _timed(run, "nisio", lambda: nisio_evolve(
         run.table, cfg.time, run.initial,
         max_level=cfg.nisio_max_level, tol=cfg.nisio_tol,
         record_argmax_level=record_argmax_level,
-        monotonicity_tol=cfg.nisio_monotonicity_tol, passenger=passenger,
+        monotonicity_tol=cfg.nisio_monotonicity_tol, riders=riders,
     ))
     run.diagnostics["lipschitz_bound"] = result.lipschitz_bound
     run.diagnostics["levels_used"] = result.levels_used
@@ -365,10 +367,8 @@ def cmd_evolve(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
-    # the step is refused here, before any kernel call; the stages ride in the
-    # envelope's calls, and picard_solve evaluates the rest and returns the trajectory
     stages = picard_stages(run.table, run.initial, config.time, config.oracle_dt)
-    result = _run_nisio(run, passenger=stages)
+    result = _run_nisio(run, riders=[stages])
     traj = _timed(run, "picard", lambda: picard_solve(
         run.table, run.initial, config.time, config.oracle_dt, stages=stages))
     gap = sup_distance(result.value, traj.final)
@@ -388,9 +388,10 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
-    result = _run_nisio(run)
+    quotients = generator_quotients(run.table, run.initial, config.convergence_h)
+    result = _run_nisio(run, riders=quotients)
     rows = _timed(run, "generator_limit", lambda: generator_limit_table(
-        run.table, run.initial, config.convergence_h))
+        run.table, run.initial, config.convergence_h, quotients=quotients))
     write_convergence_csv(run.out("convergence.csv"), result)
     write_generator_limit_csv(run.out("generator_limit.csv"), rows)
     run.diagnostics["generator_limit"] = [[h, e] for h, e in rows]

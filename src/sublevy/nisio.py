@@ -167,39 +167,54 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
     return runs
 
 
-def _compose(table: SymbolTable, rows, values: np.ndarray, passenger=None):
+class Rider:
+    """A chain of kernel calls on table that _compose rides: a generator that
+    yields runs (x, steps), an input and how many envelope steps of mults to
+    take from it, is sent each run's result (a new array it may keep) and
+    returns its result, kept in result.  pending is the run it waits on (None
+    once it has returned), where a driver that stops mid-run leaves the rest."""
+
+    def __init__(self, table: SymbolTable, mults: np.ndarray, chain):
+        self.table, self.mults, self.result, self._chain = table, mults, None, chain
+        self.take(None)  # starts the chain
+
+    def take(self, g: np.ndarray | None) -> None:
+        try:
+            self.pending = self._chain.send(g)
+        except StopIteration as end:
+            self.pending, self.result = None, end.value
+
+
+def _compose(table: SymbolTable, rows, values: np.ndarray, riders=()):
     """Compose envelope steps for independent rows in lockstep; yields each row's
     result, a new array, in row order.  A row is one run (gap, count) of count >= 1
-    equal steps from values, which is only read.  Rows must come in order of count,
-    so that they complete in row order; any other order raises ConsistencyError.
-    On each tick every row in flight takes one step, all in one kernel call;
-    batch_rows(grid, m) rows are in flight at most, and the next row enters when
-    one completes.  A caller may send, in place of next, how many leading rows
-    (counted from row 0, the completed ones included) are stepped from then on:
-    the rows in flight after them pause, keeping their values and the steps they
-    have taken, and resume when a later send reaches them.  The next row to
-    complete is always stepped, and the rows still complete in row order, each
-    bitwise what a call on that row alone gives.
+    equal steps from values, which is only read; rows come in order of count, so
+    that they complete in row order (any other order raises ConsistencyError).
+    Each kernel call steps every row in flight, at most batch_rows(grid, m) of
+    them, and the next row enters when one completes.  A caller may send, in
+    place of next, how many leading rows (from row 0, the completed ones
+    included) are stepped from then on: the rows after them pause until a
+    later send reaches them.  The next row to complete is always stepped, and
+    each row is bitwise what a call on it alone gives.
 
-    passenger, a picard_stages coroutine of the same table, rides in one more
-    slot, ahead of the rows, where batch_rows(grid, m) >= 2: each kernel call
-    also evaluates its pending stage on the multipliers psi, and it is sent the
-    result, bitwise what a one-row call gives.  It leaves its slot when it
-    yields its Trajectory, and is left where it is when the rows are done.
-    Where a call takes one row, its cost is per point and nothing rides."""
+    riders, Riders of this table (one of another is refused with
+    ConfigurationError), take slots ahead of the rows': each call also steps
+    every pending rider run, and once the rows are done the calls carry the
+    riders alone until every chain returns.  Where a call takes one row it
+    costs its points: riders then ride only without rows, one at a time."""
     counts = [count for _, count in rows]
     if counts != sorted(counts) or min(counts, default=1) < 1:
         raise ConsistencyError(f"rows need step counts >= 1 in nondecreasing order, got {counts}")
     grid, m = table.grid, len(table)
+    for other in (rider.table for rider in riders if rider.table is not table):
+        raise ConfigurationError(f"a rider of another table on {other.grid} cannot ride on {grid}")
     batch = batch_rows(grid, m)
-    cap, rides = min(batch, len(rows)), passenger is not None and batch >= 2
-    p = int(rides)  # the rows' first slot, after the passenger's
-    ws = SpectralWorkspace(grid, m, rows=cap + p)
-    vals = np.empty((cap + p,) + grid.shape)
-    mults = np.empty((cap + p, m) + grid.half_shape, dtype=complex)
-    if rides:
-        mults[0], stage = table.psi, next(passenger)
-    row_vals, row_mults = vals[p:], mults[p:]
+    cap = min(batch, len(rows))
+    spare = len(riders) if batch >= 2 else min(len(riders), int(not rows))  # rider slots
+    ws = SpectralWorkspace(grid, m, rows=spare + cap)
+    vals = np.empty((spare + cap,) + grid.shape)
+    mults = np.empty((spare + cap, m) + grid.half_shape, dtype=complex)
+    row_vals, row_mults = vals[spare:], mults[spare:]
     waiting = iter(rows)
     # per slot in flight, the steps its row has left; a paused slot keeps its
     # count and every slot ahead of it is stepped, so the counts stay in order
@@ -209,61 +224,68 @@ def _compose(table: SymbolTable, rows, values: np.ndarray, passenger=None):
             row_vals[len(left)] = values
             table.multipliers(gap, out=row_mults[len(left)])
             left.append(count)
-        if not left:
+        seat = [rider for rider in riders if rider.pending is not None][:spare]
+        if not (left or seat):
             return
-        b, ahead = len(left), left[0]
-        k = max(1, min(b, stepped - done))
-        # from the passenger's slot while it rides, else from the rows' first
-        v, mu = vals[p - rides:p + k], mults[p - rides:p + k]
-        for _ in range(ahead):
-            if rides:
-                vals[0] = stage
-            ws.envelope(mu, v, out=v)
-            if rides:
-                stage = passenger.send(vals[0].copy())
-                if not isinstance(stage, np.ndarray):  # its Trajectory: the slot drops
-                    rides, v, mu = False, v[1:], mu[1:]
-        left = [s - ahead for s in left[1:k]] + left[k:]
-        done += 1
-        sent = yield row_vals[0].copy()
-        stepped = stepped if sent is None else sent
-        row_vals[:b - 1], row_mults[:b - 1] = row_vals[1:b], row_mults[1:b]
+        lo = spare - len(seat)  # the riders' slots, just ahead of the rows'
+        due = [rider.pending[1] for rider in seat]  # the steps left in each one's run
+        for i, rider in enumerate(seat, lo):
+            mults[i], vals[i] = rider.mults, rider.pending[0]
+        b = len(left)
+        k = min(b, max(1, stepped - done))
+        v, mu = vals[lo:spare + k], mults[lo:spare + k]
+        slots = list(zip(seat, vals[lo:spare]))
+        n, ahead, ended = 0, left[0] if left else math.inf, False
+        while n < ahead and not ended:  # until row 0 completes or a chain returns
+            step = min([ahead - n, *due])
+            for _ in range(step):
+                ws.envelope(mu, v, out=v)
+            n += step
+            for j, (rider, slot) in enumerate(slots):
+                due[j] -= step
+                if not due[j]:
+                    rider.take(slot.copy())
+                    ended |= rider.pending is None
+                    if rider.pending is not None:
+                        slot[...], due[j] = rider.pending
+        for j, (rider, slot) in enumerate(slots):  # each keeps the rest of its run
+            if rider.pending is not None:
+                rider.pending = slot.copy(), due[j]
+        left = [s - n for s in left[:k]] + left[k:]
+        if left and not left[0]:
+            done += 1
+            sent = yield row_vals[0].copy()
+            stepped = stepped if sent is None else sent
+            left = left[1:]
+            row_vals[:b - 1], row_mults[:b - 1] = row_vals[1:b], row_mults[1:b]
 
 
 def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                  max_level: int = 12, tol: float = 1e-6,
                  record_argmax_level: int | None = None,
                  monotonicity_tol: float = MONOTONICITY_ERROR_TOL,
-                 passenger=None) -> NisioResult:
+                 riders=()) -> NisioResult:
     """Iterate dyadic levels until the sup-norm increment drops below tol.
 
-    tol = 0 disables the increment stop and runs the full level budget; the
-    result is then reported as non-converged rather than raising.  A pointwise
-    drop beyond monotonicity_tol between consecutive levels signals a
-    semigroup bug and raises ConsistencyError.  The default guard is
-    calibrated for one-dimensional desk grids; envelopes on the 2-torus below
-    n = 128 carry more spectral truncation at the maximizer interfaces and
-    may need a wider guard.  The levels run in lockstep (see _compose), on
-    values only.  After each level l >= 2 that does not stop, the ratio rho of
-    its increment to level l-1's predicts the stop P, the first level j > l
-    with inc_l * rho^(j-l) < tol (max_level when none is): only the levels
-    <= P + 1 are stepped, or <= P when P = l + 1 and level P has never paused.
-    A level past them pauses and resumes when a later prediction reaches it;
-    the records, value and maximizers are those of every level run alone.
-    Whatever the increments, level j thus pauses only before level j - 2
-    completes, or until level j - 1 completes if that level never paused: with
-    every level in flight it completes before tick 2^j * 11/8, where it would
-    at 2^j unpaused, so missed predictions cost a run less than 3/8 more
-    kernel calls.  The maximizers of
+    tol = 0 disables the increment stop and runs every level, reported as
+    non-converged rather than raising.  A pointwise drop beyond
+    monotonicity_tol between consecutive levels signals a semigroup bug and
+    raises ConsistencyError; the default guard is calibrated for 1D desk grids,
+    and envelopes on the 2-torus below n = 128 may need a wider one.  The
+    levels run in lockstep (_compose).  After each level l >= 2 that does not
+    stop, the ratio rho of its increment to level l-1's predicts the stop P,
+    the first level j > l with inc_l * rho^(j-l) < tol (max_level when none
+    is): only the levels <= P + 1 are stepped, or <= P when P = l + 1 and level
+    P has never paused.  A level past them pauses until a later prediction
+    reaches it, and level j completes before tick 2^j * 11/8 whatever the
+    increments (README, "Lockstep levels").  The maximizers of
     record_argmax_level come from one pass of their own after the levels,
-    2^record_argmax_level steps, as many as the Monte Carlo dual then
-    simulates per path: the result's argmax is the SimpleStrategy on that
-    level's dyadic partition whose feedback is each step's maximizing member,
-    in forward time.  Recording more than ARGMAX_BUDGET maximizer entries
-    raises BudgetError before iterating.  passenger, a picard_stages
-    coroutine, rides in the levels' kernel calls (see _compose): it leaves
-    them with its stages all evaluated or with picard_solve to finish them,
-    and the result is what a run without it gives, bitwise.
+    2^record_argmax_level steps: the result's argmax, the SimpleStrategy on
+    that level's dyadic partition of each step's maximizing member, in forward
+    time.  Recording more than ARGMAX_BUDGET maximizer entries raises
+    BudgetError before iterating.  riders ride in the levels' calls, which leave
+    them done or with the rest to their own functions.  Records, value and
+    maximizers are bitwise those of each level run alone.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -286,7 +308,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     # _compose needs its rows in order of step count: level l takes 2^l steps,
     # so the levels complete in order; the stop drops the levels still in flight
     levels = _compose(table, [(t / 2**level, 2**level) for level in range(max_level + 1)],
-                      values, passenger=passenger)
+                      values, riders)
     stepped = None  # the levels _compose steps, by count from level 0; None for all
     lowest = max_level + 1  # the fewest levels stepped so far
     start = time.perf_counter()
@@ -376,34 +398,39 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _compose copy
 
 
-def generator_limit_table(table: SymbolTable, f: GridFunction,
-                          h_list) -> list[tuple[float, float]]:
-    """Error of the difference quotient (S(h)f - f)/h against the sup-generator.
-
-    S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
-    refinement error stays well below the quotient error being measured.
-    """
+def generator_quotients(table: SymbolTable, f: GridFunction, h_list) -> list[Rider]:
+    """generator_limit_table's rows as Riders, h_list checked first; results (h, error)."""
     hs = [float(checked(h, "h_list entry", above=True)) for h in h_list]
     if not hs:
         raise ConfigurationError("h_list must be nonempty")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ConfigurationError("h_list must be strictly decreasing")
     if hs[-1] < 2.0 ** (4 - MAX_LEVEL):
-        raise ConfigurationError(
-            f"h_list entries must be at least 2^{4 - MAX_LEVEL}, so that S(h) needs at most "
-            f"dyadic level {MAX_LEVEL}, got {hs[-1]:g}"
-        )
-    target = generator_sup(table, f)
-    steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
-    # _compose needs rows in order of step count: h decreases, so the count never falls
-    evolved = _compose(table, [(h / n, n) for h, n in zip(hs, steps)], f.values)
-    rows = []
-    for h, values in zip(hs, evolved):
-        values -= f.values  # (values - f) / h - target, in place in the _compose copy
+        raise ConfigurationError(f"h_list entries must be at least 2^{4 - MAX_LEVEL}, so that "
+                                 f"S(h) needs at most dyadic level {MAX_LEVEL}, got {hs[-1]:g}")
+    target = generator_sup(table, f).values
+    def quotient(h, steps):  # steps envelope steps from f, then (h, error)
+        values = yield f.values, steps
+        values -= f.values  # (values - f) / h - target, in place in the last step's result
         values /= h
-        values -= target.values
-        rows.append((h, _sup_norm(values)))
-    return rows
+        values -= target
+        return h, _sup_norm(values)
+
+    steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
+    return [Rider(table, table.multipliers(h / n), quotient(h, n)) for h, n in zip(hs, steps)]
+
+
+def generator_limit_table(table: SymbolTable, f: GridFunction, h_list,
+                          quotients: list[Rider] | None = None) -> list[tuple[float, float]]:
+    """Error of the difference quotient (S(h)f - f)/h against the sup-generator.
+
+    S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
+    refinement error stays well below the quotient error being measured.
+    quotients, when given, are generator_quotients(table, f, h_list) after
+    nisio_evolve has stepped part of them; the rest is stepped here, together."""
+    quotients = generator_quotients(table, f, h_list) if quotients is None else quotients
+    next(_compose(table, [], None, quotients), None)  # with no rows it yields nothing
+    return [q.result for q in quotients]
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, _sup_norm, checked, write_grid_table, write_table
 from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
-from .nisio import Partition
+from .nisio import Partition, Rider, _compose
 
 SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
@@ -126,92 +126,63 @@ def stability_limit(table: SymbolTable) -> float:
     return RK4_ABS_STABILITY / top
 
 
-def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float):
-    """The stages of picard_solve's integration as a coroutine, its step
-    checked first: a run of more than PICARD_WORK_BUDGET step-points (steps x
-    grid points) raises BudgetError, and a t that is no integer multiple of dt
-    or a dt above stability_limit(table) ConfigurationError, here, before any
-    stage.  The coroutine yields each Runge-Kutta stage's input x and is sent
-    G(x) = max over members of (generator of the member) x, a new array it
-    keeps; a next() in its place yields the same x again, so that a second
-    driver can take over the stages where the first left off.  After the last
-    stage it yields the Trajectory, on every next() from then on."""
+def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Rider:
+    """picard_solve's stages as a Rider on psi: its runs are the stages, one
+    step each, and its result the Trajectory.  Before any stage, more than
+    PICARD_WORK_BUDGET step-points (steps x grid points) raise BudgetError,
+    and a t no integer multiple of dt or a dt above stability_limit(table) ConfigurationError."""
     checked(t, "horizon t", above=True)
     checked(dt, "step dt", above=True)
     u = table.values_of(f)
-    grid = table.grid
-    if t / dt * grid.size > PICARD_WORK_BUDGET:
-        raise BudgetError(
-            f"integration needs {t / dt:.3g} steps on {grid.size} grid points, more than "
-            f"the budget of {PICARD_WORK_BUDGET:.0e} step-points"
-        )
+    if t / dt * u.size > PICARD_WORK_BUDGET:
+        raise BudgetError(f"integration needs {t / dt:.3g} steps on {u.size} grid points, "
+                          f"more than the budget of {PICARD_WORK_BUDGET:.0e} step-points")
     steps = round(t / dt)
     if steps < 1 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigurationError(f"horizon {t} must be an integer multiple of dt {dt}")
     limit = stability_limit(table)
     if dt > limit:
-        raise ConfigurationError(
-            f"step {dt} exceeds the stability limit {limit:.3e} for this table"
-        )
-    return _rk4_stages(f, u, steps, dt)
+        raise ConfigurationError(f"step {dt} exceeds the stability limit {limit:.3e} "
+                                 "for this table")
 
+    def chain(u):  # the runs of the Runge-Kutta stages, one step each
+        times, snaps, residuals = [0.0], [f], []
+        for k in range(1, steps + 1):
+            k1 = yield u, 1
+            k2 = yield u + 0.5 * dt * k1, 1
+            k3 = yield u + 0.5 * dt * k2, 1
+            k4 = yield u + dt * k3, 1
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(u)):
+                raise ConsistencyError(f"integration blew up at step {k}")
+            if k >= 2:  # k1 is the generator at t_{k-1}
+                r = u - snaps[k - 2].values  # (u - prev) / (2 dt) - k1, in place
+                r /= 2.0 * dt
+                r -= k1
+                residuals.append(_sup_norm(r))
+            times.append(k * dt)
+            snaps.append(GridFunction(f.grid, u))
+        return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
 
-def _evaluated(x: np.ndarray):
-    """One stage: yields x until sent G(x), and returns it."""
-    g = yield x
-    while g is None:
-        g = yield x
-    return g
-
-
-def _rk4_stages(f: GridFunction, u: np.ndarray, steps: int, dt: float):
-    """picard_stages' coroutine, from f and its values u."""
-    grid = f.grid
-    times = [0.0]
-    snaps = [f]
-    residuals = []
-    for k in range(1, steps + 1):
-        k1 = yield from _evaluated(u)
-        k2 = yield from _evaluated(u + 0.5 * dt * k1)
-        k3 = yield from _evaluated(u + 0.5 * dt * k2)
-        k4 = yield from _evaluated(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
-            raise ConsistencyError(f"integration blew up at step {k}")
-        if k >= 2:  # k1 is the generator at t_{k-1}
-            r = u - snaps[k - 2].values  # (u - prev) / (2 dt) - k1, in place
-            r /= 2.0 * dt
-            r -= k1
-            residuals.append(_sup_norm(r))
-        times.append(k * dt)
-        snaps.append(GridFunction(grid, u))
-    traj = Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
-    while True:
-        yield traj
+    return Rider(table, table.psi, chain(u))
 
 
 def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
-                 stages=None) -> Trajectory:
+                 stages: Rider | None = None) -> Trajectory:
     """Integrate du/dt = (sup-generator) u with classical 4-stage Runge-Kutta.
 
     The step must satisfy dt <= stability_limit(table); snapshots are kept at
     every multiple of dt, so the final snapshot approximates the worst-case
     evolution at time t with O(dt^4) accuracy away from maximizer switches.
     The residual at each interior snapshot time t_j is the sup norm of
-    (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j; the generator value is
-    the first stage of step j+1, so no second sweep evaluates it.  A run of
-    more than PICARD_WORK_BUDGET step-points, or a step that picard_stages
-    refuses, is refused before integrating.  stages, when given, is the
-    picard_stages(table, f, t, dt) coroutine that another driver (nisio_evolve,
-    with it as passenger) has evaluated some stages of, or all; the rest are
-    evaluated here, one kernel call each on a one-row workspace.
+    (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j, whose generator value
+    is the first stage of step j+1.  stages, when given, is picard_stages(table,
+    f, t, dt) after another driver (nisio_evolve) has evaluated part of it;
+    the rest is evaluated here through _compose, one kernel call a stage.
     """
     stages = picard_stages(table, f, t, dt) if stages is None else stages
-    ws, psi = SpectralWorkspace(table.grid, len(table)), table.psi
-    x = next(stages)
-    while isinstance(x, np.ndarray):
-        x = stages.send(ws.envelope(psi, x))
-    return x
+    next(_compose(table, [], None, [stages]), None)  # with no rows it yields nothing
+    return stages.result
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------

@@ -98,6 +98,21 @@ def full_row(table, member=0):
     return full
 
 
+def count_envelopes(monkeypatch, fn):
+    """fn's result, with the SpectralWorkspace.envelope calls it makes and the
+    rows they take."""
+    rows = []
+    envelope = SpectralWorkspace.envelope
+
+    def counting(ws, mults, values, out=None, argmax=None):
+        rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
+        return envelope(ws, mults, values, out=out, argmax=argmax)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SpectralWorkspace, "envelope", counting)
+        return fn(), len(rows), sum(rows)
+
+
 def schedule_workspace(grid, members, by_member, rows=None):
     """A SpectralWorkspace whose envelope runs member at a time (by_member) or
     on the whole member stack, whatever levy.MEMBER_POINTS picks for the grid."""

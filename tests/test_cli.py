@@ -606,8 +606,8 @@ class TestOracle:
         ("two_sigma_convergence", {"convergence": {"h_list": [0.1, 0.2]}},
          "strictly decreasing"),
     ])
-    def test_refused_after_the_envelope_writes_nothing(self, tmp_path, capsys, config, field,
-                                                       message):
+    def test_refused_before_the_envelope_writes_nothing(self, tmp_path, capsys, config, field,
+                                                        message):
         cfg = json.loads((CONFIGS / f"{config}.json").read_text())
         cfg.update(field, output_dir=str(tmp_path / "out"))
         path = tmp_path / "config.json"
@@ -651,6 +651,21 @@ class TestOracle:
         assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
 class TestConvergence:
+    def test_bad_h_list_refused_before_any_kernel_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("apply", "envelope"):
+            def counting(ws, *args, kernel=getattr(SpectralWorkspace, name), **kwargs):
+                calls.append(1)
+                return kernel(ws, *args, **kwargs)
+            monkeypatch.setattr(SpectralWorkspace, name, counting)
+        cfg = json.loads((CONFIGS / "two_sigma_convergence.json").read_text())
+        cfg.update(convergence={"h_list": [0.1, 0.2]}, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["convergence", "--config", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: h_list must be strictly decreasing\n"
+        assert calls == [] and not (tmp_path / "out").exists()
+
     def test_emits_tables(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -892,7 +907,7 @@ def test_shipped_config_passes(tmp_path, config):
 # in oracle the Runge-Kutta stages, riding in the levels' calls
 SHIPPED_KERNEL_CALLS = {
     "cauchy_evolve": (2, 16),
-    "two_sigma_convergence": (2113, 4004),
+    "two_sigma_convergence": (2049, 4004),
     "two_sigma_evolve": (32, 95),
     "two_sigma_mc": (1040, 2583),
     "two_sigma_oracle": (1024, 3367),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -19,18 +20,21 @@ from sublevy import (
     compound_poisson,
     drift,
     generator_limit_table,
+    generator_quotients,
     generator_sup,
     lipschitz_bound,
     make_grid,
     nisio_evolve,
     partition_continuity_probe,
+    picard_solve,
+    picard_stages,
     sample,
     sup_distance,
 )
 from sublevy import levy, nisio
 from sublevy.levy import SpectralWorkspace, batch_rows
-from sublevy.nisio import _compose
-from conftest import member_evolution, random_trig
+from sublevy.nisio import Rider, _compose
+from conftest import count_envelopes, member_evolution, random_trig
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +291,115 @@ class TestGeneratorLimit:
         # 1e-5 needs dyadic level 21 (2^21 steps); 5e-324 overflowed log2(1/h)
         with pytest.raises(ConfigurationError, match="2\\^-16"):
             generator_limit_table(two_sigma_table, cos128, [0.1, h])
+
+
+class TestRiders:
+    """Chains of kernel calls ride in _compose's calls as Riders: the quotient
+    rows of generator_limit_table in the levels' calls (cmd_convergence), and
+    whatever is left through _compose alone.  Each rider's result is bitwise
+    what it gives alone, and so is every level."""
+
+    @staticmethod
+    def _rows_alone(table, f, hs):
+        """Each quotient row through _compose as a row of its own, as the rows
+        ran before they rode."""
+        target = generator_sup(table, f).values
+        out = []
+        for h in hs:
+            n = 2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4)
+            values = next(_compose(table, [(h / n, n)], f.values))
+            out.append((h, float(np.max(np.abs((values - f.values) / h - target)))))
+        return out
+
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 16), (2, 64)])
+    def test_quotient_rows_ride_with_the_levels(self, monkeypatch, dim, n):
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(GeneratorFamily((diffusion(0.25, dim=dim),
+                                                   diffusion(1.0, dim=dim))), grid)
+        f = sample(grid, "bump", center=[0.0] * dim, width=np.pi)
+        hs = [0.1, 0.05, 0.025]
+        kwargs = {"max_level": 8, "tol": 1e-4, "monotonicity_tol": 1.0}  # the guard wide open
+        alone, calls, row_steps = count_envelopes(
+            monkeypatch, lambda: nisio_evolve(table, 0.2, f, **kwargs))
+        quotients = generator_quotients(table, f, hs)
+        shared, shared_calls, shared_rows = count_envelopes(
+            monkeypatch, lambda: nisio_evolve(table, 0.2, f, riders=quotients, **kwargs))
+        rows, rest, _ = count_envelopes(
+            monkeypatch, lambda: generator_limit_table(table, f, hs, quotients=quotients))
+
+        assert ([(r.level, repr(r.sup_increment), repr(r.sup_norm)) for r in shared.records]
+                == [(r.level, repr(r.sup_increment), repr(r.sup_norm)) for r in alone.records])
+        assert shared.value.values.tobytes() == alone.value.values.tobytes()
+        assert [(h, repr(e)) for h, e in rows] == [
+            (h, repr(e)) for h, e in generator_limit_table(table, f, hs)]
+        assert [(h, repr(e)) for h, e in rows] == [
+            (h, repr(e)) for h, e in self._rows_alone(table, f, hs)]
+        # the rows ride in every level call where a call takes two rows or more,
+        # and the rest run together, one call a step of the longest
+        rides = batch_rows(grid, 2) >= 2
+        assert rides == (n != 64)
+        assert shared_calls == calls
+        assert shared_rows == row_steps + (len(hs) * calls if rides else 0)
+        assert rest == (1024 - calls if rides else 256 + 512 + 1024)
+
+    def test_picard_and_quotients_ride_together(self, two_sigma_table, cos128):
+        stages = picard_stages(two_sigma_table, cos128, 0.2, 1e-3)
+        quotients = generator_quotients(two_sigma_table, cos128, [0.1, 0.05])
+        shared = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4,
+                              riders=[stages, *quotients])
+        alone = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4)
+        assert shared.value.values.tobytes() == alone.value.values.tobytes()
+        assert stages.pending is not None and quotients[0].pending is not None
+        traj = picard_solve(two_sigma_table, cos128, 0.2, 1e-3, stages=stages)
+        solo = picard_solve(two_sigma_table, cos128, 0.2, 1e-3)
+        assert [s.values.tobytes() for s in traj.snapshots] == [
+            s.values.tobytes() for s in solo.snapshots]
+        assert ([repr(e) for _, e in generator_limit_table(two_sigma_table, cos128, [0.1, 0.05],
+                                                           quotients=quotients)]
+                == [repr(e) for _, e in generator_limit_table(two_sigma_table, cos128,
+                                                              [0.1, 0.05])])
+
+    def test_runs_of_any_length_and_a_return_mid_call(self, two_sigma_table, bump128):
+        # a chain of runs 1, 3 and 0 steps long ends while the rows still step;
+        # each run's result is that many one-row steps from its input
+        gap = 0.01
+        mults = two_sigma_table.multipliers(gap)
+
+        def chain():
+            a = yield bump128.values, 1
+            b = yield a, 3
+            c = yield b, 0
+            return a, b, c
+
+        rider = Rider(two_sigma_table, mults, chain())
+        levels = list(_compose(two_sigma_table, [(gap, 2), (gap, 8)], bump128.values,
+                               [rider]))
+        steps = [next(_compose(two_sigma_table, [(gap, k)], bump128.values)) for k in (1, 4, 2, 8)]
+        a, b, c = rider.result
+        assert rider.pending is None
+        assert a.tobytes() == steps[0].tobytes() and b.tobytes() == steps[1].tobytes()
+        assert c.tobytes() == b.tobytes()
+        assert [v.tobytes() for v in levels] == [steps[2].tobytes(), steps[3].tobytes()]
+
+    def test_a_rider_of_another_table_is_refused(self, grid64):
+        # a rider must name the driver's table itself: another table, even of an
+        # equal family on the same grid, is refused rather than stepped on the
+        # driver's symbols
+        f = sample(grid64, "bump", center=0.0, width=np.pi)
+        driver = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid64)
+        same = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid64)
+        coarse = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))),
+                                   make_grid(1, 32))
+        fc = sample(coarse.grid, "bump", center=0.0, width=np.pi)
+        for other, g in ((same, f), (coarse, fc)):
+            quotients = generator_quotients(other, g, [0.1])
+            message = re.escape(f"a rider of another table on {other.grid!r} "
+                                f"cannot ride on {grid64!r}")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                nisio_evolve(driver, 0.2, f, riders=quotients)
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                generator_limit_table(driver, f, [0.1], quotients=quotients)
+            assert quotients[0].pending[0] is g.values  # untouched
 
 
 class TestPartitionContinuity:
@@ -706,8 +819,8 @@ class TestPredictedStop:
             calls.append(1)
             return envelope(ws, mults, values, out=out, argmax=argmax)
 
-        def constructed(table, rows, values, passenger=None):
-            real, total, sent = compose(table, rows, values, passenger), 0.0, None
+        def constructed(table, rows, values, riders=()):
+            real, total, sent = compose(table, rows, values, riders), 0.0, None
             for inc in increments:  # level 0's entry only sets the start
                 real.send(sent)
                 ticks.append(len(calls))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from sublevy import (
     sup_distance,
     wrapped_cauchy_quadruple,
 )
-from sublevy.levy import SpectralWorkspace, batch_rows
+from sublevy.levy import batch_rows
 from sublevy.oracles import PICARD_WORK_BUDGET
-from conftest import member_evolution, one_member_table, random_trig
+from conftest import count_envelopes, member_evolution, one_member_table, random_trig
 
 
 @pytest.fixture(scope="module")
@@ -153,23 +154,10 @@ class TestPicard:
 
 
 class TestPassenger:
-    """picard_stages rides in nisio_evolve's kernel calls where a call takes two
-    rows or more; the trajectory and the envelope are bitwise those of
-    picard_solve and nisio_evolve run apart, on the levels' own schedule."""
-
-    @staticmethod
-    def _counted(monkeypatch, fn):
-        """fn's result, with its envelope calls and the rows they take."""
-        rows = []
-        envelope = SpectralWorkspace.envelope
-
-        def counting(ws, mults, values, out=None, argmax=None):
-            rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
-            return envelope(ws, mults, values, out=out, argmax=argmax)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(SpectralWorkspace, "envelope", counting)
-            return fn(), len(rows), sum(rows)
+    """picard_stages, a rider (once a passenger), rides in nisio_evolve's kernel
+    calls where a call takes two rows or more; the trajectory and the envelope
+    are bitwise those of picard_solve and nisio_evolve run apart, on the
+    levels' own schedule."""
 
     @pytest.mark.parametrize("case", ["oracle data", "levels stop first", "max_level 0",
                                       "2D n=16", "2D n=64, one row a call"])
@@ -189,13 +177,13 @@ class TestPassenger:
             kwargs = {"max_level": 8, "tol": 0.0, "monotonicity_tol": 1e-4}
         rides = batch_rows(table.grid, len(table)) >= 2
         assert rides == (case != "2D n=64, one row a call")
-        alone, calls, row_steps = self._counted(
+        alone, calls, row_steps = count_envelopes(
             monkeypatch, lambda: nisio_evolve(table, t, f, **kwargs))
         traj_alone = picard_solve(table, f, t, dt)
         stages = picard_stages(table, f, t, dt)
-        shared, shared_calls, shared_rows = self._counted(
-            monkeypatch, lambda: nisio_evolve(table, t, f, passenger=stages, **kwargs))
-        traj, rest, _ = self._counted(
+        shared, shared_calls, shared_rows = count_envelopes(
+            monkeypatch, lambda: nisio_evolve(table, t, f, riders=[stages], **kwargs))
+        traj, rest, _ = count_envelopes(
             monkeypatch, lambda: picard_solve(table, f, t, dt, stages=stages))
 
         assert ([(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
@@ -208,12 +196,12 @@ class TestPassenger:
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in traj_alone.snapshots]
         assert traj.residuals.tobytes() == traj_alone.residuals.tobytes()
-        # the levels step on their own ticks; the passenger takes one stage a call
+        # the levels step on their own ticks; the rider takes one stage a call
         stage_count = 4 * round(t / dt)
         assert shared_calls == calls
         ridden = min(stage_count, calls) if rides else 0
         assert shared_rows == row_steps + ridden and rest == stage_count - ridden
-        if case == "oracle data":  # the passenger ends first
+        if case == "oracle data":  # the rider ends first
             assert (calls, stage_count, rest) == (1024, 800, 0)
         if case in ("levels stop first", "max_level 0"):
             assert 0 < calls < stage_count
@@ -226,9 +214,32 @@ class TestPassenger:
             nisio_evolve(two_sigma_table, t, bump128)
         stages = picard_stages(two_sigma_table, bump128, t, dt)
         with pytest.raises(ConsistencyError) as shared:
-            nisio_evolve(two_sigma_table, t, bump128, passenger=stages)
+            nisio_evolve(two_sigma_table, t, bump128, riders=[stages])
         assert str(shared.value) == str(alone.value)
         assert str(alone.value).startswith("dyadic level 1 drops below level 0")
+
+    @pytest.mark.parametrize("other", ["another family", "another grid"])
+    def test_stages_of_another_table_are_refused(self, other):
+        # before riders named their table, stages of {0.25, 4} rode a {0.25, 1}
+        # run on 1D n=16 and came back 0.118 off their own trajectory, and
+        # stages on another grid ended in a numpy broadcast error
+        grid = make_grid(1, 16)
+        driver = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid)
+        grid_b = grid if other == "another family" else make_grid(1, 32)
+        table_b = SymbolTable.build(
+            GeneratorFamily((diffusion(0.25), diffusion(4.0 if grid_b is grid else 1.0))), grid_b)
+        f, f_b = (sample(g, "bump", center=0.0, width=np.pi) for g in (grid, grid_b))
+        stages = picard_stages(table_b, f_b, 0.2, 1e-2)
+        message = f"^a rider of another table on {re.escape(repr(grid_b))} cannot ride on "
+        with pytest.raises(ConfigurationError, match=message) as refused:
+            nisio_evolve(driver, 0.2, f, monotonicity_tol=1.0, riders=[stages])
+        assert "\n" not in str(refused.value)
+        with pytest.raises(ConfigurationError, match=message):
+            picard_solve(driver, f, 0.2, 1e-2, stages=stages)
+        traj, alone = (picard_solve(table_b, f_b, 0.2, 1e-2, stages=s)
+                       for s in (stages, None))
+        assert [s.values.tobytes() for s in traj.snapshots] == [
+            s.values.tobytes() for s in alone.snapshots]
 
     @pytest.mark.parametrize("dt, message", [(3e-4, "integer multiple"),
                                              (0.05, "stability limit")])
