@@ -120,14 +120,13 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(numbers_only(self.values, "grid function value"), np.float64, order="C")
         if v.shape != self.grid.shape:
             raise ConfigurationError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("grid function values must be finite")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -268,13 +267,16 @@ def read_json(path, what: str):
 
 def numbers_only(value, what: str):
     """value itself, refused when it is or holds (in nested lists) a JSON boolean
-    or string: a number field would otherwise read true and false as 1 and 0,
-    "0.2" as 0.2, and a string of digits as a list of them."""
+    or string, or an array of no integer or float dtype: a number field would
+    otherwise read true and false as 1 and 0, "0.2" as 0.2, and a string of
+    digits as a list of them."""
     stack = [value]
     while stack:
         item = stack.pop()
         if isinstance(item, (bool, str)):
             raise ConfigurationError(f"{what} must be a number, got {json.dumps(item)}")
+        if isinstance(item, np.ndarray) and item.dtype.kind not in "iuf":
+            raise ConfigurationError(f"{what} must be a number, got an array of {item.dtype}")
         if isinstance(item, (list, tuple)):
             stack.extend(item)
     return value

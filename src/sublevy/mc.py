@@ -255,22 +255,19 @@ def dual_bound_suite(family: GeneratorFamily, f: GridFunction, x0, t: float,
 def strategy_from_dict(obj: dict, grid: TorusGrid) -> SimpleStrategy:
     keys_only(obj, ("partition", "feedback"), what="strategy")
     try:
-        times = numbers_only(obj["partition"], "strategy field 'partition'")
-        partition = Partition(np.asarray(times, dtype=float))
-        raw = np.asarray(obj["feedback"])
+        partition = Partition(numbers_only(obj["partition"], "strategy field 'partition'"))
+        fb = np.asarray(obj["feedback"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed strategy object: {exc}") from exc
-    if raw.dtype.kind not in "iuf" or not np.all((raw == np.round(raw)) & (abs(raw) < 2**53)):
-        raise ConfigurationError("strategy feedback entries must be integers")
-    # after the integer check, which names a string entry; a true among
-    # numbers passes that check as 1
-    numbers_only(obj["feedback"], "strategy field 'feedback'")
-    fb = raw.astype(np.int64)
     if fb.ndim != 2 or fb.shape[1] != grid.size:
         raise ConfigurationError(
             f"strategy feedback must be (intervals, {grid.size}), got {fb.shape}"
         )
-    return SimpleStrategy(grid, partition, fb.reshape((-1,) + grid.shape))
+    strategy = SimpleStrategy(grid, partition, fb.reshape((-1,) + grid.shape))
+    # after SimpleStrategy's integer check, which names a string entry; a
+    # true among numbers passes that check as 1
+    numbers_only(obj["feedback"], "strategy field 'feedback'")
+    return strategy
 
 
 def save_strategy(path, strat: SimpleStrategy) -> None:

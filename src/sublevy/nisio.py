@@ -11,7 +11,7 @@ partition: a SimpleStrategy, which the Monte Carlo dual simulates.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, checked, sup_distance,
-                   write_grid_table, write_table)
+from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, checked, numbers_only,
+                   sup_distance, write_grid_table, write_table)
 from .levy import SpectralWorkspace, SymbolTable, batch_rows
 
 MAX_LEVEL = 20
@@ -38,14 +38,15 @@ class Partition:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float).reshape(-1)
+        t = np.array(numbers_only(self.times, "partition time"), dtype=float)
+        if t.ndim != 1:
+            raise ConfigurationError(f"partition times must be a flat list, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ConfigurationError("partition times must be finite")
         if t.size == 0 or t[0] != 0.0:
             raise ConfigurationError("partition must start at time 0")
         if np.any(np.diff(t) <= 0):
             raise ConfigurationError("partition times must be strictly increasing")
-        t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
@@ -81,7 +82,11 @@ class SimpleStrategy:
     feedback: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        fb = np.asarray(self.feedback, dtype=np.int64)
+        fb = np.asarray(self.feedback)
+        # whole-valued floats (np.zeros) pass; NaN and inf fail a comparison
+        if fb.dtype.kind not in "iuf" or not np.all((fb == np.round(fb)) & (abs(fb) < 2**53)):
+            raise ConfigurationError("strategy feedback entries must be integers")
+        fb = fb.astype(np.int64)
         expect = (self.partition.step_count,) + self.grid.shape
         if fb.shape != expect:
             raise ConfigurationError(
@@ -89,7 +94,6 @@ class SimpleStrategy:
             )
         if fb.size and fb.min() < 0:
             raise ConfigurationError("feedback indices must be nonnegative")
-        fb = fb.copy()
         fb.flags.writeable = False
         object.__setattr__(self, "feedback", fb)
 
@@ -142,14 +146,14 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     values = table.values_of(f)
     if t == 0:
         return f
-    return GridFunction(table.grid, next(_compose(table, [(t, 1)], values)))
+    return GridFunction(table.grid, _ride(table, [Rider.run(table, t, 1, values)])[0])
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
     values = table.values_of(f)
-    for run in reversed(_runs(pi)):
-        values = next(_compose(table, [run], values))
+    for gap, count in reversed(_runs(pi)):
+        values = _ride(table, [Rider.run(table, gap, count, values)])[0]
     return GridFunction(table.grid, values)
 
 
@@ -168,15 +172,25 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
 
 
 class Rider:
-    """A chain of kernel calls on table that _compose rides: a generator that
-    yields runs (x, steps), an input and how many envelope steps of mults to
+    """A lane of the lockstep (_drive): a chain of kernel calls on table.  Its
+    generator yields runs (x, steps), an input and how many envelope steps to
     take from it, is sent each run's result (a new array it may keep) and
     returns its result, kept in result.  pending is the run it waits on (None
-    once it has returned), where a driver that stops mid-run leaves the rest."""
+    once it has returned), where a driver that stops mid-run leaves the rest.
+    mults(out) writes its multipliers into out when a driver seats it, and a
+    driver does not step it while paused."""
 
-    def __init__(self, table: SymbolTable, mults: np.ndarray, chain):
+    def __init__(self, table: SymbolTable, mults, chain):
         self.table, self.mults, self.result, self._chain = table, mults, None, chain
+        self.paused = False
         self.take(None)  # starts the chain
+
+    @classmethod
+    def run(cls, table: SymbolTable, gap: float, steps: int, x: np.ndarray) -> "Rider":
+        """A lane of one run: steps envelope steps of gap from x, its result the last one's."""
+        def chain():
+            return (yield x, steps)
+        return cls(table, functools.partial(table.multipliers, gap), chain())
 
     def take(self, g: np.ndarray | None) -> None:
         try:
@@ -185,79 +199,62 @@ class Rider:
             self.pending, self.result = None, end.value
 
 
-def _compose(table: SymbolTable, rows, values: np.ndarray, riders=()):
-    """Compose envelope steps for independent rows in lockstep; yields each row's
-    result, a new array, in row order.  A row is one run (gap, count) of count >= 1
-    equal steps from values, which is only read; rows come in order of count, so
-    that they complete in row order (any other order raises ConsistencyError).
-    Each kernel call steps every row in flight, at most batch_rows(grid, m) of
-    them, and the next row enters when one completes.  A caller may send, in
-    place of next, how many leading rows (from row 0, the completed ones
-    included) are stepped from then on: the rows after them pause until a
-    later send reaches them.  The next row to complete is always stepped, and
-    each row is bitwise what a call on it alone gives.
-
-    riders, Riders of this table (one of another is refused with
-    ConfigurationError), take slots ahead of the rows': each call also steps
-    every pending rider run, and once the rows are done the calls carry the
-    riders alone until every chain returns.  Where a call takes one row it
-    costs its points: riders then ride only without rows, one at a time."""
-    counts = [count for _, count in rows]
-    if counts != sorted(counts) or min(counts, default=1) < 1:
-        raise ConsistencyError(f"rows need step counts >= 1 in nondecreasing order, got {counts}")
+def _drive(table: SymbolTable, lanes):
+    """Step lanes, Riders of table (one of another is refused with
+    ConfigurationError), in lockstep, and yield after each lane's return.  The
+    lanes in flight are the first batch_rows(grid, m) unfinished ones in the
+    order given, each in its slot until it returns, and each kernel call steps
+    those not paused, every one bitwise as one-row calls step it.  The caller
+    may set paused when the driver yields.  Closed, the driver leaves each lane
+    in flight the rest of its run in pending."""
     grid, m = table.grid, len(table)
-    for other in (rider.table for rider in riders if rider.table is not table):
+    for other in (lane.table for lane in lanes if lane.table is not table):
         raise ConfigurationError(f"a rider of another table on {other.grid} cannot ride on {grid}")
-    batch = batch_rows(grid, m)
-    cap = min(batch, len(rows))
-    spare = len(riders) if batch >= 2 else min(len(riders), int(not rows))  # rider slots
-    ws = SpectralWorkspace(grid, m, rows=spare + cap)
-    vals = np.empty((spare + cap,) + grid.shape)
-    mults = np.empty((spare + cap, m) + grid.half_shape, dtype=complex)
-    row_vals, row_mults = vals[spare:], mults[spare:]
-    waiting = iter(rows)
-    # per slot in flight, the steps its row has left; a paused slot keeps its
-    # count and every slot ahead of it is stepped, so the counts stay in order
-    done, stepped, left = 0, len(rows), []
-    while True:
-        for gap, count in itertools.islice(waiting, cap - len(left)):
-            row_vals[len(left)] = values
-            table.multipliers(gap, out=row_mults[len(left)])
-            left.append(count)
-        seat = [rider for rider in riders if rider.pending is not None][:spare]
-        if not (left or seat):
-            return
-        lo = spare - len(seat)  # the riders' slots, just ahead of the rows'
-        due = [rider.pending[1] for rider in seat]  # the steps left in each one's run
-        for i, rider in enumerate(seat, lo):
-            mults[i], vals[i] = rider.mults, rider.pending[0]
-        b = len(left)
-        k = min(b, max(1, stepped - done))
-        v, mu = vals[lo:spare + k], mults[lo:spare + k]
-        slots = list(zip(seat, vals[lo:spare]))
-        n, ahead, ended = 0, left[0] if left else math.inf, False
-        while n < ahead and not ended:  # until row 0 completes or a chain returns
-            step = min([ahead - n, *due])
-            for _ in range(step):
-                ws.envelope(mu, v, out=v)
-            n += step
-            for j, (rider, slot) in enumerate(slots):
-                due[j] -= step
-                if not due[j]:
-                    rider.take(slot.copy())
-                    ended |= rider.pending is None
-                    if rider.pending is not None:
-                        slot[...], due[j] = rider.pending
-        for j, (rider, slot) in enumerate(slots):  # each keeps the rest of its run
-            if rider.pending is not None:
-                rider.pending = slot.copy(), due[j]
-        left = [s - n for s in left[:k]] + left[k:]
-        if left and not left[0]:
-            done += 1
-            sent = yield row_vals[0].copy()
-            stepped = stepped if sent is None else sent
-            left = left[1:]
-            row_vals[:b - 1], row_mults[:b - 1] = row_vals[1:b], row_mults[1:b]
+    slots = min(batch_rows(grid, m), len(lanes))
+    ws = SpectralWorkspace(grid, m, rows=slots)
+    vals = np.empty((slots,) + grid.shape)
+    mults = np.empty((slots, m) + grid.half_shape, dtype=complex)
+    seated, left = [None] * slots, [0] * slots  # each slot's lane and the steps left in its run
+    waiting = (lane for lane in lanes if lane.pending is not None)
+    try:
+        while True:
+            for i, lane in zip([i for i, lane in enumerate(seated) if lane is None], waiting):
+                seated[i] = lane
+                vals[i], left[i] = lane.pending
+                lane.mults(mults[i])
+            # the lanes to step swap into the leading slots, so that one call takes them
+            stepped = [i for i, lane in enumerate(seated) if lane is not None and not lane.paused]
+            b = len(stepped)
+            if not b:
+                return
+            for i, j in zip(set(range(b)) - set(stepped), set(stepped) - set(range(b))):
+                vals[[i, j]], mults[[i, j]] = vals[[j, i]], mults[[j, i]]
+                seated[i], seated[j], left[i], left[j] = seated[j], seated[i], left[j], left[i]
+            v, mu, ends, tick = vals[:b], mults[:b], left[:b], 0  # the tick each run ends on
+            while all(seated[:b]):  # one run's end at a time, until a lane returns
+                i = ends.index(min(ends))
+                for _ in range(ends[i] - tick):
+                    ws.envelope(mu, v, out=v)
+                tick = ends[i]
+                seated[i].take(vals[i].copy())
+                if seated[i].pending is None:
+                    seated[i] = None
+                else:
+                    vals[i], steps = seated[i].pending
+                    ends[i] = tick + steps
+            left[:b] = [end - tick for end in ends]
+            yield
+    except GeneratorExit:  # closed at a yield: each lane in flight keeps the rest of its run
+        for lane, slot, steps in zip(seated, vals, left):
+            if lane is not None:
+                lane.pending = slot.copy(), steps
+
+
+def _ride(table: SymbolTable, lanes) -> list:
+    """The lanes' results, once _drive has stepped every one to its return."""
+    for _ in _drive(table, lanes):
+        pass
+    return [lane.result for lane in lanes]
 
 
 def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
@@ -271,21 +268,21 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     non-converged rather than raising.  A pointwise drop beyond
     monotonicity_tol between consecutive levels signals a semigroup bug and
     raises ConsistencyError; the default guard is calibrated for 1D desk grids,
-    and envelopes on the 2-torus below n = 128 may need a wider one.  The
-    levels run in lockstep (_compose).  After each level l >= 2 that does not
-    stop, the ratio rho of its increment to level l-1's predicts the stop P,
-    the first level j > l with inc_l * rho^(j-l) < tol (max_level when none
-    is): only the levels <= P + 1 are stepped, or <= P when P = l + 1 and level
-    P has never paused.  A level past them pauses until a later prediction
-    reaches it, and level j completes before tick 2^j * 11/8 whatever the
-    increments (README, "Lockstep levels").  The maximizers of
+    and envelopes on the 2-torus below n = 128 may need a wider one.  Each
+    level is a one-run lane of one _drive, the levels ahead of riders.  After
+    each level l >= 2 that does not stop, the ratio rho of its increment to
+    level l-1's predicts the stop P, the first level j > l with inc_l *
+    rho^(j-l) < tol (max_level when none is): the levels past P + 1, or past P
+    when P = l + 1 and level P has never paused, are paused until a later
+    prediction reaches them, and level j completes before tick 2^j * 11/8
+    whatever the increments (README, "Lockstep levels").  The maximizers of
     record_argmax_level come from one pass of their own after the levels,
     2^record_argmax_level steps: the result's argmax, the SimpleStrategy on
     that level's dyadic partition of each step's maximizing member, in forward
     time.  Recording more than ARGMAX_BUDGET maximizer entries raises
-    BudgetError before iterating.  riders ride in the levels' calls, which leave
-    them done or with the rest to their own functions.  Records, value and
-    maximizers are bitwise those of each level run alone.
+    BudgetError before iterating.  riders take the slots the levels leave, and
+    the stop leaves them done or with the rest to their own functions.  Records,
+    value and maximizers are bitwise those of each level run alone.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -305,20 +302,21 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 
     records: list[LevelRecord] = []
     converged = False
-    # _compose needs its rows in order of step count: level l takes 2^l steps,
-    # so the levels complete in order; the stop drops the levels still in flight
-    levels = _compose(table, [(t / 2**level, 2**level) for level in range(max_level + 1)],
-                      values, riders)
-    stepped = None  # the levels _compose steps, by count from level 0; None for all
+    # level l takes 2^l steps, so the levels complete in order, ahead of the
+    # riders; the stop drops the levels still in flight
+    levels = [Rider.run(table, t / 2**level, 2**level, values) for level in range(max_level + 1)]
+    drive = _drive(table, levels + list(riders))
     lowest = max_level + 1  # the fewest levels stepped so far
     start = time.perf_counter()
-    for level in range(max_level + 1):
-        new_values = levels.send(stepped)
+    for level, lane in enumerate(levels):
+        while lane.pending is not None:
+            next(drive)
+        new_values, lane.result = lane.result, None  # so that each old level is freed
         now = time.perf_counter()
         elapsed, start = (now - start) * 1e3, now
         inc = float("nan")  # level 0 has no coarser level to compare with
         if level > 0:
-            # the difference overwrites the predecessor, a _compose copy
+            # the difference overwrites the predecessor, a _drive copy
             diff = np.subtract(new_values, values, out=values)
             drop = float(np.min(diff))
             if drop < -monotonicity_tol:
@@ -343,7 +341,9 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
                 stop, guess = stop + 1, guess * rho
             stepped = stop + 1 + (stop > level + 1 or lowest <= stop)
             lowest = min(lowest, stepped)
-    levels.close()  # frees the lockstep buffers now, not when the function returns
+            for j, later in enumerate(levels):
+                later.paused = j >= stepped
+    drive.close()  # frees the lockstep buffers now, not when the function returns
 
     argmax = None
     if record_argmax_level is not None:
@@ -392,17 +392,18 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     checked(s, "time s", above=True)
     checked(t, "time t", above=True)
     steps = 2 ** checked(level, "level", 0, MAX_LEVEL, integer=True)
-    rows = [((s + t) / steps, steps), (t / steps, steps)]
-    joint, later = _compose(table, rows, table.values_of(f))
-    composed = next(_compose(table, [(s / steps, steps)], later))
-    return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _compose copy
+    x = table.values_of(f)
+    joint, later = _ride(table, [Rider.run(table, h / steps, steps, x) for h in (s + t, t)])
+    composed = _ride(table, [Rider.run(table, s / steps, steps, later)])[0]
+    return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _drive copy
 
 
 def generator_quotients(table: SymbolTable, f: GridFunction, h_list) -> list[Rider]:
     """generator_limit_table's rows as Riders, h_list checked first; results (h, error)."""
-    hs = [float(checked(h, "h_list entry", above=True)) for h in h_list]
+    hs = [float(checked(h, "h_list entry", above=True))
+          for h in (h_list if hasattr(h_list, "__iter__") and getattr(h_list, "ndim", 1) else [])]
     if not hs:
-        raise ConfigurationError("h_list must be nonempty")
+        raise ConfigurationError(f"h_list must be a nonempty list of steps h, got {h_list!r}")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ConfigurationError("h_list must be strictly decreasing")
     if hs[-1] < 2.0 ** (4 - MAX_LEVEL):
@@ -417,7 +418,8 @@ def generator_quotients(table: SymbolTable, f: GridFunction, h_list) -> list[Rid
         return h, _sup_norm(values)
 
     steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
-    return [Rider(table, table.multipliers(h / n), quotient(h, n)) for h, n in zip(hs, steps)]
+    return [Rider(table, functools.partial(table.multipliers, h / n), quotient(h, n))
+            for h, n in zip(hs, steps)]
 
 
 def generator_limit_table(table: SymbolTable, f: GridFunction, h_list,
@@ -427,10 +429,9 @@ def generator_limit_table(table: SymbolTable, f: GridFunction, h_list,
     S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
     refinement error stays well below the quotient error being measured.
     quotients, when given, are generator_quotients(table, f, h_list) after
-    nisio_evolve has stepped part of them; the rest is stepped here, together."""
+    nisio_evolve has stepped part of them; _drive steps the rest here, together."""
     quotients = generator_quotients(table, f, h_list) if quotients is None else quotients
-    next(_compose(table, [], None, quotients), None)  # with no rows it yields nothing
-    return [q.result for q in quotients]
+    return _ride(table, quotients)
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

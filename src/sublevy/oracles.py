@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, _sup_norm, checked, write_grid_table, write_table
 from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
-from .nisio import Partition, Rider, _compose
+from .nisio import Partition, Rider, _ride
 
 SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
@@ -164,7 +164,7 @@ def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> R
             snaps.append(GridFunction(f.grid, u))
         return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
 
-    return Rider(table, table.psi, chain(u))
+    return Rider(table, lambda out: np.copyto(out, table.psi), chain(u))
 
 
 def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
@@ -177,12 +177,11 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
     The residual at each interior snapshot time t_j is the sup norm of
     (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j, whose generator value
     is the first stage of step j+1.  stages, when given, is picard_stages(table,
-    f, t, dt) after another driver (nisio_evolve) has evaluated part of it;
-    the rest is evaluated here through _compose, one kernel call a stage.
+    f, t, dt) after nisio_evolve has evaluated part of it; the rest is
+    evaluated here through the same driver (nisio._drive), one call a stage.
     """
     stages = picard_stages(table, f, t, dt) if stages is None else stages
-    next(_compose(table, [], None, [stages]), None)  # with no rows it yields nothing
-    return stages.result
+    return _ride(table, [stages])[0]
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -221,6 +222,22 @@ class TestCsv:
     def test_nonfinite_rejected(self, grid8):
         with pytest.raises(ConfigurationError):
             GridFunction(grid8, np.full(grid8.shape, np.nan))
+
+    @pytest.mark.parametrize("values, got", [
+        (["1.5"] * 8, '"1.5"'),
+        ([True] * 8, "true"),
+        ([0.0] * 7 + [False], "false"),
+        (np.full(8, "1.5"), "an array of <U3"),
+        (np.full(8, True), "an array of bool"),
+        (np.full(8, 1j), "an array of complex128"),
+    ])
+    def test_non_numbers_refused(self, grid8, values, got):
+        # numpy would parse the strings and read True as 1
+        with pytest.raises(ConfigurationError,
+                           match=f"^grid function value must be a number, got {re.escape(got)}$"):
+            GridFunction(grid8, values)
+        ints = GridFunction(grid8, np.arange(8))
+        assert ints.values.dtype == np.float64 and ints.values.flags.c_contiguous
 
 
 class TestChecked:

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import time
@@ -12,6 +13,7 @@ from sublevy import (
     GeneratorFamily,
     GridFunction,
     Partition,
+    SimpleStrategy,
     SymbolTable,
     apply_J,
     apply_partition,
@@ -33,8 +35,13 @@ from sublevy import (
 )
 from sublevy import levy, nisio
 from sublevy.levy import SpectralWorkspace, batch_rows
-from sublevy.nisio import Rider, _compose
+from sublevy.nisio import Rider, _drive, _ride
 from conftest import count_envelopes, member_evolution, random_trig
+
+
+def alone(table, gap, steps, x):
+    """steps envelope steps of gap from x, through the driver as a lane of its own."""
+    return _ride(table, [Rider.run(table, gap, steps, x)])[0]
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +76,47 @@ class TestPartition:
         with pytest.raises(ConfigurationError, match="^partition times must be finite$"):
             Partition(np.array([bad, 1.0]))
 
+    @pytest.mark.parametrize("times, message", [
+        (["0", "0.5"], 'partition time must be a number, got "0.5"'),
+        ([0, True], "partition time must be a number, got true"),
+        ("abc", 'partition time must be a number, got "abc"'),
+        (np.array(["0", "0.5"]), "partition time must be a number, got an array of <U3"),
+        (np.array([False, True]), "partition time must be a number, got an array of bool"),
+        ([[0, 1], [2, 3]], r"partition times must be a flat list, got shape \(2, 2\)"),
+    ])
+    def test_non_numbers_refused(self, times, message):
+        # numpy would parse the strings, read True as 1 and flatten the nesting
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            Partition(times)
+        assert Partition([0, 1]).times.tolist() == [0.0, 1.0]
+
     def test_dyadic_matches_equidistant(self):
         a = Partition.dyadic(0.8, 3)
         b = Partition.equidistant(0.8, 8)
         assert np.array_equal(a.times, b.times)
+
+
+class TestSimpleStrategy:
+    @pytest.mark.parametrize("feedback", [
+        np.full((4, 8), 0.7),       # would select member 0
+        np.full((4, 8), np.nan),    # would warn in the cast first
+        np.full((4, 8), np.inf),
+        np.full((4, 8), 2.0**63),   # past int64
+        np.full((4, 8), "1"),       # would raise numpy's ValueError
+        np.full((4, 8), True),
+        [["a"] * 8] * 4,
+    ])
+    def test_feedback_must_be_integers(self, grid8, feedback):
+        with pytest.raises(ConfigurationError,
+                           match="^strategy feedback entries must be integers$"):
+            SimpleStrategy(grid8, Partition.dyadic(1.0, 2), feedback)
+
+    def test_whole_valued_floats_are_feedback(self, grid8):
+        fb = np.zeros((4, 8))
+        fb[1] = 1.0
+        strategy = SimpleStrategy(grid8, Partition.dyadic(1.0, 2), fb)
+        assert strategy.feedback.dtype == np.int64 and strategy.feedback.tolist() == fb.tolist()
+        assert not strategy.feedback.flags.writeable and not np.shares_memory(strategy.feedback, fb)
 
 
 class TestApplyJ:
@@ -283,8 +327,12 @@ class TestGeneratorLimit:
     def test_h_list_validation(self, two_sigma_table, cos128):
         with pytest.raises(ConfigurationError):
             generator_limit_table(two_sigma_table, cos128, [0.05, 0.1])
-        with pytest.raises(ConfigurationError):
-            generator_limit_table(two_sigma_table, cos128, [])
+        # a single step or None is no list of steps (iterating it would raise
+        # TypeError), and an empty list holds none
+        for bad in ([], 0.1, None, np.float64(0.1), np.array(0.1)):
+            message = f"^h_list must be a nonempty list of steps h, got {re.escape(repr(bad))}$"
+            with pytest.raises(ConfigurationError, match=message):
+                generator_limit_table(two_sigma_table, cos128, bad)
 
     @pytest.mark.parametrize("h", [1e-5, 5e-324])
     def test_h_needing_more_than_max_level_rejected(self, two_sigma_table, cos128, h):
@@ -294,20 +342,20 @@ class TestGeneratorLimit:
 
 
 class TestRiders:
-    """Chains of kernel calls ride in _compose's calls as Riders: the quotient
-    rows of generator_limit_table in the levels' calls (cmd_convergence), and
-    whatever is left through _compose alone.  Each rider's result is bitwise
-    what it gives alone, and so is every level."""
+    """Chains of kernel calls ride in the levels' calls as Riders: the quotient
+    rows of generator_limit_table (cmd_convergence), and whatever is left
+    through the driver alone.  Each rider's result is bitwise what it gives
+    alone, and so is every level."""
 
     @staticmethod
     def _rows_alone(table, f, hs):
-        """Each quotient row through _compose as a row of its own, as the rows
+        """Each quotient row through the driver as a lane of its own, as the rows
         ran before they rode."""
         target = generator_sup(table, f).values
         out = []
         for h in hs:
             n = 2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4)
-            values = next(_compose(table, [(h / n, n)], f.values))
+            values = alone(table, h / n, n, f.values)
             out.append((h, float(np.max(np.abs((values - f.values) / h - target)))))
         return out
 
@@ -334,13 +382,16 @@ class TestRiders:
             (h, repr(e)) for h, e in generator_limit_table(table, f, hs)]
         assert [(h, repr(e)) for h, e in rows] == [
             (h, repr(e)) for h, e in self._rows_alone(table, f, hs)]
-        # the rows ride in every level call where a call takes two rows or more,
-        # and the rest run together, one call a step of the longest
-        rides = batch_rows(grid, 2) >= 2
-        assert rides == (n != 64)
+        # each row rides from the tick a slot frees for it: the 9 levels and 3
+        # rows all fit in the 16 slots of 1D n=128; in the 8 of 2D n=16 a row
+        # takes the slot of level 1, 2 and 3 as each completes (ticks 2, 4, 8);
+        # with one slot nothing rides.  The rest run together, one call a step
+        # of the longest row
+        entries = {128: [0, 0, 0], 16: [2, 4, 8], 64: []}[n]
+        assert batch_rows(grid, 2) == {128: 16, 16: 8, 64: 1}[n]
         assert shared_calls == calls
-        assert shared_rows == row_steps + (len(hs) * calls if rides else 0)
-        assert rest == (1024 - calls if rides else 256 + 512 + 1024)
+        assert shared_rows == row_steps + sum(calls - tick for tick in entries)
+        assert rest == (1024 - calls + entries[-1] if entries else 256 + 512 + 1024)
 
     def test_picard_and_quotients_ride_together(self, two_sigma_table, cos128):
         stages = picard_stages(two_sigma_table, cos128, 0.2, 1e-3)
@@ -359,11 +410,41 @@ class TestRiders:
                 == [repr(e) for _, e in generator_limit_table(two_sigma_table, cos128,
                                                               [0.1, 0.05])])
 
+    def test_no_call_takes_more_rows_than_batch_rows(self, two_sigma_table, bump128,
+                                                     monkeypatch):
+        # levels 0..15 fill the 16 slots of 1D n=128 at m=2, so the Picard
+        # rider and the four quotient rows take slots as levels complete (with
+        # slots of their own beyond the cap, a call took 21 rows); each result
+        # is bitwise its own
+        hs, t = [0.1, 0.05, 0.025, 0.0125], 0.2
+        stages = picard_stages(two_sigma_table, bump128, t, 1e-3)
+        quotients = generator_quotients(two_sigma_table, bump128, hs)
+        rows = []
+        envelope = SpectralWorkspace.envelope
+
+        def counting(ws, mults, values, out=None, argmax=None):
+            rows.append(len(values) if values.ndim > ws.grid.dim else 1)
+            return envelope(ws, mults, values, out=out, argmax=argmax)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralWorkspace, "envelope", counting)
+            shared = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6,
+                                  riders=[stages, *quotients])
+            traj = picard_solve(two_sigma_table, bump128, t, 1e-3, stages=stages)
+            errors = generator_limit_table(two_sigma_table, bump128, hs, quotients=quotients)
+        assert batch_rows(two_sigma_table.grid, len(two_sigma_table)) == max(rows) == 16
+        solo = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6)
+        assert shared.levels_used == 10
+        assert shared.value.values.tobytes() == solo.value.values.tobytes()
+        assert [s.values.tobytes() for s in traj.snapshots] == [
+            s.values.tobytes() for s in picard_solve(two_sigma_table, bump128, t, 1e-3).snapshots]
+        assert [repr(e) for _, e in errors] == [
+            repr(e) for _, e in generator_limit_table(two_sigma_table, bump128, hs)]
+
     def test_runs_of_any_length_and_a_return_mid_call(self, two_sigma_table, bump128):
-        # a chain of runs 1, 3 and 0 steps long ends while the rows still step;
+        # a chain of runs 1, 3 and 0 steps long ends while the levels still step;
         # each run's result is that many one-row steps from its input
         gap = 0.01
-        mults = two_sigma_table.multipliers(gap)
 
         def chain():
             a = yield bump128.values, 1
@@ -371,15 +452,34 @@ class TestRiders:
             c = yield b, 0
             return a, b, c
 
-        rider = Rider(two_sigma_table, mults, chain())
-        levels = list(_compose(two_sigma_table, [(gap, 2), (gap, 8)], bump128.values,
-                               [rider]))
-        steps = [next(_compose(two_sigma_table, [(gap, k)], bump128.values)) for k in (1, 4, 2, 8)]
+        rider = Rider(two_sigma_table, functools.partial(two_sigma_table.multipliers, gap),
+                      chain())
+        levels = _ride(two_sigma_table, [Rider.run(two_sigma_table, gap, 2, bump128.values),
+                                         Rider.run(two_sigma_table, gap, 8, bump128.values),
+                                         rider])[:2]
+        steps = [alone(two_sigma_table, gap, k, bump128.values) for k in (1, 4, 2, 8)]
         a, b, c = rider.result
         assert rider.pending is None
         assert a.tobytes() == steps[0].tobytes() and b.tobytes() == steps[1].tobytes()
         assert c.tobytes() == b.tobytes()
         assert [v.tobytes() for v in levels] == [steps[2].tobytes(), steps[3].tobytes()]
+
+    def test_an_error_mid_run_leaves_the_other_lanes_whole(self, two_sigma_table, bump128):
+        # a chain that raises ends the driver while another lane is mid-run:
+        # that lane keeps the start of its run, and a later driver gives its
+        # result bitwise (closing the driver at a yield keeps the rest instead)
+        def failing():
+            yield bump128.values, 3
+            raise RuntimeError("chain failed")
+
+        bad = Rider(two_sigma_table, functools.partial(two_sigma_table.multipliers, 0.01),
+                    failing())
+        lane = Rider.run(two_sigma_table, 0.01, 8, bump128.values)
+        with pytest.raises(RuntimeError, match="^chain failed$"):
+            _ride(two_sigma_table, [bad, lane])
+        assert lane.pending[0] is bump128.values and lane.pending[1] == 8
+        assert np.array_equal(_ride(two_sigma_table, [lane])[0],
+                              alone(two_sigma_table, 0.01, 8, bump128.values))
 
     def test_a_rider_of_another_table_is_refused(self, grid64):
         # a rider must name the driver's table itself: another table, even of an
@@ -571,12 +671,13 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        list(_compose(two_sigma_table, [(0.1, 2), (0.05, 4)], v))
+        _ride(two_sigma_table, [Rider.run(two_sigma_table, 0.1, 2, v),
+                                Rider.run(two_sigma_table, 0.05, 4, v)])
         assert np.array_equal(v, before)
 
     def test_levels_do_not_share_memory(self, two_sigma_table, bump128, monkeypatch):
-        levels = list(_compose(
-            two_sigma_table, [(0.2 / 2**k, 2**k) for k in range(4)], bump128.values))
+        levels = _ride(two_sigma_table, [Rider.run(two_sigma_table, 0.2 / 2**k, 2**k,
+                                                   bump128.values) for k in range(4)])
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
@@ -584,22 +685,48 @@ class TestWorkspaceReuse:
             again = apply_partition(two_sigma_table, Partition.equidistant(0.2, 2**k),
                                     bump128)
             assert np.array_equal(values, again.values)
-        # rows of equal count complete on one tick (all five rows in flight), and
-        # with fewer slots than rows a waiting row enters as a slot frees; each
-        # row gives bitwise what it gives alone
-        rows = [(0.01, 1), (0.03, 2), (0.02, 2), (0.05, 2), (0.04, 3)]
-        alone = [next(_compose(two_sigma_table, [row], bump128.values)) for row in rows]
-        for points, slots in ((levy.BATCH_POINTS, 16), (2 * 2 * 128, 2), (1, 1)):
+        # lanes of equal count complete on one tick (all five lanes in flight),
+        # and with fewer slots than lanes a waiting lane enters as a slot frees:
+        # the tick each lane returns on, and every lane bitwise what it gives alone
+        runs = [(0.01, 1), (0.03, 2), (0.02, 2), (0.05, 2), (0.04, 3)]
+        envelope = SpectralWorkspace.envelope
+        each = [alone(two_sigma_table, gap, count, bump128.values) for gap, count in runs]
+        for points, slots, returns in ((levy.BATCH_POINTS, 16, [1, 2, 2, 2, 3]),
+                                       (2 * 2 * 128, 2, [1, 2, 3, 4, 6]),
+                                       (1, 1, [1, 3, 5, 7, 10])):
             monkeypatch.setattr(levy, "BATCH_POINTS", points)
             assert batch_rows(two_sigma_table.grid, len(two_sigma_table)) == slots
-            together = list(_compose(two_sigma_table, rows, bump128.values))
-            assert len(together) == len(rows)
-            for values, single in zip(together, alone):
-                assert np.array_equal(values, single)
-        # a row out of order, or without steps, would be stepped past its count
-        for bad in ([(0.05, 4), (0.1, 2)], [(0.1, 0)]):
-            with pytest.raises(ConsistencyError, match="nondecreasing order"):
-                next(_compose(two_sigma_table, bad, bump128.values))
+            lanes = [Rider.run(two_sigma_table, gap, count, bump128.values)
+                     for gap, count in runs]
+            rows, ticks = [], {}  # rows per kernel call; the call each lane returns on
+
+            def counting(ws, mults, values, out=None, argmax=None):
+                rows.append(len(values))
+                return envelope(ws, mults, values, out=out, argmax=argmax)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(SpectralWorkspace, "envelope", counting)
+                for _ in _drive(two_sigma_table, lanes):
+                    for j, lane in enumerate(lanes):
+                        if lane.pending is None:
+                            ticks.setdefault(j, len(rows))
+            assert [ticks[j] for j in range(len(runs))] == returns
+            assert max(rows) <= slots and sum(rows) == 10
+            for lane, single in zip(lanes, each):
+                assert np.array_equal(lane.result, single)
+        # any order of counts works (the lanes need not complete in the order
+        # given), and a run of no steps returns its input, as a new array
+        monkeypatch.undo()
+        for runs in ([(0.05, 4), (0.1, 2)], [(0.1, 0)]):
+            lanes = [Rider.run(two_sigma_table, gap, count, bump128.values)
+                     for gap, count in runs]
+            together, calls, _ = count_envelopes(monkeypatch,
+                                                 lambda: _ride(two_sigma_table, lanes))
+            assert calls == max(count for _, count in runs)
+            for values, (gap, count) in zip(together, runs):
+                assert np.array_equal(values, alone(two_sigma_table, gap, count,
+                                                    bump128.values))
+                assert not np.shares_memory(values, bump128.values)
 
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=2, tol=0.0,
@@ -664,8 +791,8 @@ class TestWorkspaceReuse:
     def test_mixed_runs_record_maximizers_in_forward_time(self, two_sigma_table, bump128):
         runs = [(0.03, 2), (0.07, 1), (0.05, 2)]
         values = bump128.values
-        for run in reversed(runs):
-            values = next(_compose(two_sigma_table, [run], values))
+        for gap, count in reversed(runs):
+            values = alone(two_sigma_table, gap, count, values)
         f = bump128
         gaps = [gap for gap, count in runs for _ in range(count)]
         for step in range(len(gaps) - 1, -1, -1):
@@ -695,8 +822,7 @@ class TestWorkspaceReuse:
         out = apply_partition(two_sigma_table, pi, bump128)
         assert len(built) == calls
         if calls == 1:
-            same = next(_compose(
-                two_sigma_table, [(pi.end / pi.step_count, pi.step_count)], bump128.values))
+            same = alone(two_sigma_table, pi.end / pi.step_count, pi.step_count, bump128.values)
             assert np.array_equal(out.values, same)
         built.clear()
         apply_partition(two_sigma_table, Partition.equidistant(0.2, 8), bump128)
@@ -779,16 +905,16 @@ class TestPredictedStop:
                            record_argmax_level=4)
         monkeypatch.undo()
         assert (res.levels_used, res.converged) == (levels_used, True)
-        # each level alone through _compose gives every record and the value bitwise
-        alone = [next(_compose(two_sigma_table, [(t / 2**level, 2**level)], bump128.values))
-                 for level in range(levels_used + 1)]
-        want = [(0, 1, "nan", repr(float(np.max(np.abs(alone[0])))))]
+        # each level alone through the driver gives every record and the value bitwise
+        each = [alone(two_sigma_table, t / 2**level, 2**level, bump128.values)
+                for level in range(levels_used + 1)]
+        want = [(0, 1, "nan", repr(float(np.max(np.abs(each[0])))))]
         for level in range(1, levels_used + 1):
-            inc = float(np.max(alone[level] - alone[level - 1]))
-            want.append((level, 2**level, repr(inc), repr(float(np.max(np.abs(alone[level]))))))
+            inc = float(np.max(each[level] - each[level - 1]))
+            want.append((level, 2**level, repr(inc), repr(float(np.max(np.abs(each[level]))))))
         assert [(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
                 for r in res.records] == want
-        assert np.array_equal(res.value.values, alone[-1])
+        assert np.array_equal(res.value.values, each[-1])
         # the maximizers come from their own pass of 2^4 one-row calls, the
         # pass of a run with no level to pause
         loop, tail = rows[:-16], rows[-16:]
@@ -813,22 +939,25 @@ class TestPredictedStop:
         """Kernel calls made by the time each level completes, in nisio_evolve
         with the real lockstep but the given sup increments in its records."""
         calls, ticks = [], []
-        envelope, compose = SpectralWorkspace.envelope, nisio._compose
+        envelope, drive = SpectralWorkspace.envelope, nisio._drive
 
         def counting(ws, mults, values, out=None, argmax=None):
             calls.append(1)
             return envelope(ws, mults, values, out=out, argmax=argmax)
 
-        def constructed(table, rows, values, riders=()):
-            real, total, sent = compose(table, rows, values, riders), 0.0, None
-            for inc in increments:  # level 0's entry only sets the start
-                real.send(sent)
-                ticks.append(len(calls))
-                total += inc
-                sent = yield np.full_like(values, total)
+        def constructed(table, lanes):
+            levels, total = lanes[:len(increments)], 0.0
+            for _ in drive(table, lanes):
+                # level 0's entry only sets the start
+                while len(ticks) < len(levels) and levels[len(ticks)].pending is None:
+                    ticks.append(len(calls))
+                    total += increments[len(ticks) - 1]
+                    level = levels[len(ticks) - 1]
+                    level.result = np.full_like(level.result, total)
+                yield
 
         monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
-        monkeypatch.setattr(nisio, "_compose", constructed)
+        monkeypatch.setattr(nisio, "_drive", constructed)
         f = sample(table.grid, "bump", center=0.0, width=np.pi)
         res = nisio_evolve(table, 0.2, f, max_level=len(increments) - 1, tol=tol)
         monkeypatch.undo()
