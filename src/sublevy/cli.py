@@ -48,7 +48,6 @@ from .nisio import (
     MONOTONICITY_ERROR_TOL,
     Partition,
     generator_limit_table,
-    generator_quotients,
     nisio_evolve,
     write_argmax_csv,
     write_convergence_csv,
@@ -331,7 +330,7 @@ def _timed(run: _Run, name: str, fn):
 def _run_nisio(run: _Run, record_argmax_level: int | None = None, riders=()):
     """The envelope stage of every command, with its diagnostics and its
     nisio.tol violation; riders ride in its kernel calls (nisio_evolve), and
-    are built before it, so that a bad step or h_list is refused first."""
+    are built before it, so that a bad step is refused first."""
     cfg = run.config
     result = _timed(run, "nisio", lambda: nisio_evolve(
         run.table, cfg.time, run.initial,
@@ -388,10 +387,9 @@ def cmd_oracle(config: RunConfig, quiet: bool = False) -> int:
 
 def cmd_convergence(config: RunConfig, quiet: bool = False) -> int:
     run = _Run(config, quiet)
-    quotients = generator_quotients(run.table, run.initial, config.convergence_h)
-    result = _run_nisio(run, riders=quotients)
     rows = _timed(run, "generator_limit", lambda: generator_limit_table(
-        run.table, run.initial, config.convergence_h, quotients=quotients))
+        run.table, run.initial, config.convergence_h))
+    result = _run_nisio(run)
     write_convergence_csv(run.out("convergence.csv"), result)
     write_generator_limit_csv(run.out("generator_limit.csv"), rows)
     run.diagnostics["generator_limit"] = [[h, e] for h, e in rows]

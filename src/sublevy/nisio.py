@@ -52,12 +52,12 @@ class Partition:
 
     @classmethod
     def dyadic(cls, t: float, level: int) -> "Partition":
-        return cls.equidistant(t, 2 ** checked(level, "dyadic level", integer=True))
+        return cls.equidistant(t, 2 ** checked(level, "dyadic level", 0, MAX_LEVEL, integer=True))
 
     @classmethod
     def equidistant(cls, t: float, n: int) -> "Partition":
         checked(t, "partition end t", above=True)
-        checked(n, "partition step count n", 1, integer=True)
+        checked(n, "partition step count n", 1, 2**MAX_LEVEL, integer=True)
         return cls(np.arange(n + 1) * (t / n))
 
     @property
@@ -176,7 +176,8 @@ class Rider:
     generator yields runs (x, steps), an input and how many envelope steps to
     take from it, is sent each run's result (a new array it may keep) and
     returns its result, kept in result.  pending is the run it waits on (None
-    once it has returned), where a driver that stops mid-run leaves the rest.
+    once it has returned): a driver steps a run whole or not at all, so one
+    that stops leaves the run it was stepping in pending, from its start.
     mults(out) writes its multipliers into out when a driver seats it, and a
     driver does not step it while paused."""
 
@@ -200,54 +201,53 @@ class Rider:
 
 
 def _drive(table: SymbolTable, lanes):
-    """Step lanes, Riders of table (one of another is refused with
-    ConfigurationError), in lockstep, and yield after each lane's return.  The
-    lanes in flight are the first batch_rows(grid, m) unfinished ones in the
-    order given, each in its slot until it returns, and each kernel call steps
-    those not paused, every one bitwise as one-row calls step it.  The caller
-    may set paused when the driver yields.  Closed, the driver leaves each lane
-    in flight the rest of its run in pending."""
+    """Step lanes, Riders of table, in lockstep, and yield after each tick on
+    which a lane returns; a rider of another table, or one given twice, is
+    refused with ConfigurationError before any kernel call.  The lanes in
+    flight are the first batch_rows(grid, m) unfinished ones in the order
+    given, each in its slot until it returns, and each kernel call steps those
+    not paused, every one bitwise as one-row calls step it.  Every run that
+    ends on a tick is taken before the driver yields, and the caller may set
+    paused when it does.  Closed, the driver leaves each lane in flight at the
+    start of its run, in pending."""
     grid, m = table.grid, len(table)
     for other in (lane.table for lane in lanes if lane.table is not table):
         raise ConfigurationError(f"a rider of another table on {other.grid} cannot ride on {grid}")
+    if len(set(map(id, lanes))) < len(lanes):
+        raise ConfigurationError("a rider given twice cannot ride twice in one lockstep")
     slots = min(batch_rows(grid, m), len(lanes))
     ws = SpectralWorkspace(grid, m, rows=slots)
     vals = np.empty((slots,) + grid.shape)
     mults = np.empty((slots, m) + grid.half_shape, dtype=complex)
     seated, left = [None] * slots, [0] * slots  # each slot's lane and the steps left in its run
     waiting = (lane for lane in lanes if lane.pending is not None)
-    try:
-        while True:
-            for i, lane in zip([i for i, lane in enumerate(seated) if lane is None], waiting):
-                seated[i] = lane
-                vals[i], left[i] = lane.pending
-                lane.mults(mults[i])
-            # the lanes to step swap into the leading slots, so that one call takes them
-            stepped = [i for i, lane in enumerate(seated) if lane is not None and not lane.paused]
-            b = len(stepped)
-            if not b:
-                return
-            for i, j in zip(set(range(b)) - set(stepped), set(stepped) - set(range(b))):
-                vals[[i, j]], mults[[i, j]] = vals[[j, i]], mults[[j, i]]
-                seated[i], seated[j], left[i], left[j] = seated[j], seated[i], left[j], left[i]
-            v, mu, ends, tick = vals[:b], mults[:b], left[:b], 0  # the tick each run ends on
-            while all(seated[:b]):  # one run's end at a time, until a lane returns
-                i = ends.index(min(ends))
-                for _ in range(ends[i] - tick):
-                    ws.envelope(mu, v, out=v)
-                tick = ends[i]
+    while True:
+        for i, lane in zip([i for i, lane in enumerate(seated) if lane is None], waiting):
+            seated[i] = lane
+            vals[i], left[i] = lane.pending
+            lane.mults(mults[i])
+        # the lanes to step swap into the leading slots, so that one call takes them
+        stepped = [i for i, lane in enumerate(seated) if lane is not None and not lane.paused]
+        b = len(stepped)
+        if not b:
+            return
+        for i, j in zip(set(range(b)) - set(stepped), set(stepped) - set(range(b))):
+            vals[[i, j]], mults[[i, j]] = vals[[j, i]], mults[[j, i]]
+            seated[i], seated[j], left[i], left[j] = seated[j], seated[i], left[j], left[i]
+        v, mu, ends, tick = vals[:b], mults[:b], left[:b], 0  # the tick each run ends on
+        while all(seated[:b]):  # the runs ending on one tick at a time, until a lane returns
+            tick, start = min(ends), tick
+            for _ in range(tick - start):
+                ws.envelope(mu, v, out=v)
+            for i in [i for i, end in enumerate(ends) if end == tick]:
                 seated[i].take(vals[i].copy())
                 if seated[i].pending is None:
-                    seated[i] = None
+                    seated[i], ends[i] = None, math.inf
                 else:
                     vals[i], steps = seated[i].pending
                     ends[i] = tick + steps
-            left[:b] = [end - tick for end in ends]
-            yield
-    except GeneratorExit:  # closed at a yield: each lane in flight keeps the rest of its run
-        for lane, slot, steps in zip(seated, vals, left):
-            if lane is not None:
-                lane.pending = slot.copy(), steps
+        left[:b] = [end - tick for end in ends]
+        yield
 
 
 def _ride(table: SymbolTable, lanes) -> list:
@@ -281,8 +281,9 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     that level's dyadic partition of each step's maximizing member, in forward
     time.  Recording more than ARGMAX_BUDGET maximizer entries raises
     BudgetError before iterating.  riders take the slots the levels leave, and
-    the stop leaves them done or with the rest to their own functions.  Records,
-    value and maximizers are bitwise those of each level run alone.
+    the stop leaves each one done or at the start of the run it was stepping,
+    for its own function to finish.  Records, value and maximizers are bitwise
+    those of each level run alone.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -398,8 +399,13 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _drive copy
 
 
-def generator_quotients(table: SymbolTable, f: GridFunction, h_list) -> list[Rider]:
-    """generator_limit_table's rows as Riders, h_list checked first; results (h, error)."""
+def generator_limit_table(table: SymbolTable, f: GridFunction,
+                          h_list) -> list[tuple[float, float]]:
+    """Error of the difference quotient (S(h)f - f)/h against the sup-generator.
+
+    S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
+    refinement error stays well below the quotient error being measured.  The
+    rows are one lane each of one _drive, h_list checked before any kernel call."""
     hs = [float(checked(h, "h_list entry", above=True))
           for h in (h_list if hasattr(h_list, "__iter__") and getattr(h_list, "ndim", 1) else [])]
     if not hs:
@@ -410,28 +416,13 @@ def generator_quotients(table: SymbolTable, f: GridFunction, h_list) -> list[Rid
         raise ConfigurationError(f"h_list entries must be at least 2^{4 - MAX_LEVEL}, so that "
                                  f"S(h) needs at most dyadic level {MAX_LEVEL}, got {hs[-1]:g}")
     target = generator_sup(table, f).values
-    def quotient(h, steps):  # steps envelope steps from f, then (h, error)
-        values = yield f.values, steps
-        values -= f.values  # (values - f) / h - target, in place in the last step's result
+    steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
+    rows = _ride(table, [Rider.run(table, h / n, n, f.values) for h, n in zip(hs, steps)])
+    for h, values in zip(hs, rows):
+        values -= f.values  # (values - f) / h - target, in place in the driver's copy
         values /= h
         values -= target
-        return h, _sup_norm(values)
-
-    steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
-    return [Rider(table, functools.partial(table.multipliers, h / n), quotient(h, n))
-            for h, n in zip(hs, steps)]
-
-
-def generator_limit_table(table: SymbolTable, f: GridFunction, h_list,
-                          quotients: list[Rider] | None = None) -> list[tuple[float, float]]:
-    """Error of the difference quotient (S(h)f - f)/h against the sup-generator.
-
-    S(h) is refined to dyadic level max(8, ceil(log2(1/h)) + 4) so the inner
-    refinement error stays well below the quotient error being measured.
-    quotients, when given, are generator_quotients(table, f, h_list) after
-    nisio_evolve has stepped part of them; _drive steps the rest here, together."""
-    quotients = generator_quotients(table, f, h_list) if quotients is None else quotients
-    return _ride(table, quotients)
+    return [(h, _sup_norm(values)) for h, values in zip(hs, rows)]
 
 
 def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,

@@ -164,7 +164,9 @@ def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> R
             snaps.append(GridFunction(f.grid, u))
         return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
 
-    return Rider(table, lambda out: np.copyto(out, table.psi), chain(u))
+    stages = Rider(table, lambda out: np.copyto(out, table.psi), chain(u))
+    stages.start = u, t, dt  # what picard_solve checks given stages against
+    return stages
 
 
 def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
@@ -179,8 +181,16 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
     is the first stage of step j+1.  stages, when given, is picard_stages(table,
     f, t, dt) after nisio_evolve has evaluated part of it; the rest is
     evaluated here through the same driver (nisio._drive), one call a stage.
+    Stages of another f, t or dt are refused with ConfigurationError, and
+    stages of another table as the driver refuses them.
     """
-    stages = picard_stages(table, f, t, dt) if stages is None else stages
+    if stages is None:
+        stages = picard_stages(table, f, t, dt)
+    elif stages.table is table:
+        u, s, step = stages.start
+        if not (np.array_equal(u, table.values_of(f)) and s == t and step == dt):
+            raise ConfigurationError("stages were built for another f, t or dt than "
+                                     "picard_solve is given")
     return _ride(table, [stages])[0]
 
 

@@ -368,3 +368,17 @@ def test_a_horizon_too_long_for_the_table_is_refused():
             with pytest.raises(ConfigurationError, match=r"^time 1e\+308 is too long for this "
                                                          r"grid: t \* \|psi\| overflows$"):
                 door()
+
+
+def test_every_source_file_parses_at_the_python_floor():
+    """Every .py file in src/, tests/ and perfbench/ parses with the grammar of
+    the oldest Python that requires-python in pyproject.toml admits.  This
+    checks grammar only (except*, PEP 695 type parameters and the like), not
+    the standard library API: a call to a function newer than the floor passes."""
+    root = SRC.parents[1]
+    major, minor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)',
+                             (root / "pyproject.toml").read_text(), re.M).groups()
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    assert SRC / "nisio.py" in paths and Path(__file__) in paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(int(major), int(minor)))

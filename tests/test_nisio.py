@@ -22,7 +22,6 @@ from sublevy import (
     compound_poisson,
     drift,
     generator_limit_table,
-    generator_quotients,
     generator_sup,
     lipschitz_bound,
     make_grid,
@@ -94,6 +93,24 @@ class TestPartition:
         a = Partition.dyadic(0.8, 3)
         b = Partition.equidistant(0.8, 8)
         assert np.array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("make, bad, message", [
+        (Partition.dyadic, 21, r"dyadic level must be an integer in \[0, 20\], got 21"),
+        (Partition.dyadic, 64, r"dyadic level must be an integer in \[0, 20\], got 64"),
+        (Partition.equidistant, 2**20 + 1,
+         r"partition step count n must be an integer in \[1, 1048576\], got 1048577"),
+        (Partition.equidistant, 2**63,
+         rf"partition step count n must be an integer in \[1, 1048576\], got {2**63}"),
+    ], ids=["dyadic 21", "dyadic 64", "equidistant 2^20+1", "equidistant 2^63"])
+    def test_step_count_capped_at_max_level(self, make, bad, message):
+        # uncapped, level 64 was numpy's "Maximum allowed size exceeded", and
+        # level 40 or n = 10^12 a MemoryError after asking for terabytes
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            make(0.1, bad)
+
+    def test_max_level_steps_are_allowed(self):
+        assert np.array_equal(Partition.dyadic(0.1, nisio.MAX_LEVEL).times,
+                              Partition.equidistant(0.1, 2**20).times)
 
 
 class TestSimpleStrategy:
@@ -342,15 +359,14 @@ class TestGeneratorLimit:
 
 
 class TestRiders:
-    """Chains of kernel calls ride in the levels' calls as Riders: the quotient
-    rows of generator_limit_table (cmd_convergence), and whatever is left
-    through the driver alone.  Each rider's result is bitwise what it gives
-    alone, and so is every level."""
+    """Chains of kernel calls ride in the levels' calls as Riders, and whatever
+    the stop leaves runs through the driver alone.  A run is stepped whole: a
+    rider in flight at the stop is left at the start of its run.  Each rider's
+    result is bitwise what it gives alone, and so is every level."""
 
     @staticmethod
     def _rows_alone(table, f, hs):
-        """Each quotient row through the driver as a lane of its own, as the rows
-        ran before they rode."""
+        """Each generator-limit row through the driver as a lane of its own."""
         target = generator_sup(table, f).values
         out = []
         for h in hs:
@@ -366,59 +382,65 @@ class TestRiders:
                                                    diffusion(1.0, dim=dim))), grid)
         f = sample(grid, "bump", center=[0.0] * dim, width=np.pi)
         hs = [0.1, 0.05, 0.025]
+        runs = [(h / count, count) for h, count in zip(hs, (256, 512, 1024))]  # S(h)f each
         kwargs = {"max_level": 8, "tol": 1e-4, "monotonicity_tol": 1.0}  # the guard wide open
-        alone, calls, row_steps = count_envelopes(
+        solo, calls, row_steps = count_envelopes(
             monkeypatch, lambda: nisio_evolve(table, 0.2, f, **kwargs))
-        quotients = generator_quotients(table, f, hs)
+        riders = [Rider.run(table, gap, count, f.values) for gap, count in runs]
         shared, shared_calls, shared_rows = count_envelopes(
-            monkeypatch, lambda: nisio_evolve(table, 0.2, f, riders=quotients, **kwargs))
-        rows, rest, _ = count_envelopes(
-            monkeypatch, lambda: generator_limit_table(table, f, hs, quotients=quotients))
+            monkeypatch, lambda: nisio_evolve(table, 0.2, f, riders=riders, **kwargs))
+        assert [(r.pending[0] is f.values, r.pending[1]) for r in riders] == [
+            (True, count) for _, count in runs]  # each left at the start of its run
+        values, rest, _ = count_envelopes(monkeypatch, lambda: _ride(table, riders))
+        rows, table_calls, _ = count_envelopes(
+            monkeypatch, lambda: generator_limit_table(table, f, hs))
 
         assert ([(r.level, repr(r.sup_increment), repr(r.sup_norm)) for r in shared.records]
-                == [(r.level, repr(r.sup_increment), repr(r.sup_norm)) for r in alone.records])
-        assert shared.value.values.tobytes() == alone.value.values.tobytes()
-        assert [(h, repr(e)) for h, e in rows] == [
-            (h, repr(e)) for h, e in generator_limit_table(table, f, hs)]
+                == [(r.level, repr(r.sup_increment), repr(r.sup_norm)) for r in solo.records])
+        assert shared.value.values.tobytes() == solo.value.values.tobytes()
+        assert [v.tobytes() for v in values] == [
+            alone(table, gap, count, f.values).tobytes() for gap, count in runs]
         assert [(h, repr(e)) for h, e in rows] == [
             (h, repr(e)) for h, e in self._rows_alone(table, f, hs)]
         # each row rides from the tick a slot frees for it: the 9 levels and 3
         # rows all fit in the 16 slots of 1D n=128; in the 8 of 2D n=16 a row
         # takes the slot of level 1, 2 and 3 as each completes (ticks 2, 4, 8);
-        # with one slot nothing rides.  The rest run together, one call a step
-        # of the longest row
+        # with one slot nothing rides.  The stop comes before any row's end, so
+        # each starts over, and the rows run together, one call a step of the
+        # longest, as generator_limit_table runs them after its generator target
         entries = {128: [0, 0, 0], 16: [2, 4, 8], 64: []}[n]
         assert batch_rows(grid, 2) == {128: 16, 16: 8, 64: 1}[n]
-        assert shared_calls == calls
+        assert shared_calls == calls < 256
         assert shared_rows == row_steps + sum(calls - tick for tick in entries)
-        assert rest == (1024 - calls + entries[-1] if entries else 256 + 512 + 1024)
+        assert rest == table_calls - 1 == (1024 if entries else 256 + 512 + 1024)
 
     def test_picard_and_quotients_ride_together(self, two_sigma_table, cos128):
         stages = picard_stages(two_sigma_table, cos128, 0.2, 1e-3)
-        quotients = generator_quotients(two_sigma_table, cos128, [0.1, 0.05])
+        quotients = [Rider.run(two_sigma_table, h / count, count, cos128.values)
+                     for h, count in ((0.1, 256), (0.05, 512))]
         shared = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4,
                               riders=[stages, *quotients])
-        alone = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4)
-        assert shared.value.values.tobytes() == alone.value.values.tobytes()
+        solo = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4)
+        assert shared.value.values.tobytes() == solo.value.values.tobytes()
         assert stages.pending is not None and quotients[0].pending is not None
         traj = picard_solve(two_sigma_table, cos128, 0.2, 1e-3, stages=stages)
-        solo = picard_solve(two_sigma_table, cos128, 0.2, 1e-3)
         assert [s.values.tobytes() for s in traj.snapshots] == [
-            s.values.tobytes() for s in solo.snapshots]
-        assert ([repr(e) for _, e in generator_limit_table(two_sigma_table, cos128, [0.1, 0.05],
-                                                           quotients=quotients)]
-                == [repr(e) for _, e in generator_limit_table(two_sigma_table, cos128,
-                                                              [0.1, 0.05])])
+            s.values.tobytes() for s in picard_solve(two_sigma_table, cos128, 0.2, 1e-3).snapshots]
+        assert [v.tobytes() for v in _ride(two_sigma_table, quotients)] == [
+            alone(two_sigma_table, h / count, count, cos128.values).tobytes()
+            for h, count in ((0.1, 256), (0.05, 512))]
 
     def test_no_call_takes_more_rows_than_batch_rows(self, two_sigma_table, bump128,
                                                      monkeypatch):
         # levels 0..15 fill the 16 slots of 1D n=128 at m=2, so the Picard
-        # rider and the four quotient rows take slots as levels complete (with
+        # rider and four quotient-row runs take slots as levels complete (with
         # slots of their own beyond the cap, a call took 21 rows); each result
         # is bitwise its own
-        hs, t = [0.1, 0.05, 0.025, 0.0125], 0.2
+        runs, t = [(h / count, count) for h, count in ((0.1, 256), (0.05, 512),
+                                                       (0.025, 1024), (0.0125, 2048))], 0.2
         stages = picard_stages(two_sigma_table, bump128, t, 1e-3)
-        quotients = generator_quotients(two_sigma_table, bump128, hs)
+        quotients = [Rider.run(two_sigma_table, gap, count, bump128.values)
+                     for gap, count in runs]
         rows = []
         envelope = SpectralWorkspace.envelope
 
@@ -431,15 +453,36 @@ class TestRiders:
             shared = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6,
                                   riders=[stages, *quotients])
             traj = picard_solve(two_sigma_table, bump128, t, 1e-3, stages=stages)
-            errors = generator_limit_table(two_sigma_table, bump128, hs, quotients=quotients)
+            values = _ride(two_sigma_table, quotients)
         assert batch_rows(two_sigma_table.grid, len(two_sigma_table)) == max(rows) == 16
         solo = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6)
         assert shared.levels_used == 10
         assert shared.value.values.tobytes() == solo.value.values.tobytes()
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in picard_solve(two_sigma_table, bump128, t, 1e-3).snapshots]
-        assert [repr(e) for _, e in errors] == [
-            repr(e) for _, e in generator_limit_table(two_sigma_table, bump128, hs)]
+        assert [v.tobytes() for v in values] == [
+            alone(two_sigma_table, gap, count, bump128.values).tobytes() for gap, count in runs]
+
+    def test_the_stop_leaves_a_rider_at_the_start_of_its_run(self, two_sigma_table, bump128,
+                                                             monkeypatch):
+        # a rider of a 1-step run and then a 500-step one is in its second run
+        # when the levels stop: it is left at that run's start, the array its
+        # chain yielded, and its own _ride gives its result alone bitwise
+        yielded = []
+
+        def chain():
+            a = yield bump128.values, 1
+            yielded.append(a)
+            return (yield a, 500)
+
+        rider = Rider(two_sigma_table, functools.partial(two_sigma_table.multipliers, 1e-3),
+                      chain())
+        _, calls, _ = count_envelopes(monkeypatch, lambda: nisio_evolve(
+            two_sigma_table, 0.2, bump128, max_level=8, tol=1e-4, riders=[rider]))
+        assert 1 < calls < 501
+        assert rider.pending[0] is yielded[0] and rider.pending[1] == 500
+        assert (_ride(two_sigma_table, [rider])[0].tobytes()
+                == alone(two_sigma_table, 1e-3, 501, bump128.values).tobytes())
 
     def test_runs_of_any_length_and_a_return_mid_call(self, two_sigma_table, bump128):
         # a chain of runs 1, 3 and 0 steps long ends while the levels still step;
@@ -466,8 +509,8 @@ class TestRiders:
 
     def test_an_error_mid_run_leaves_the_other_lanes_whole(self, two_sigma_table, bump128):
         # a chain that raises ends the driver while another lane is mid-run:
-        # that lane keeps the start of its run, and a later driver gives its
-        # result bitwise (closing the driver at a yield keeps the rest instead)
+        # that lane keeps the start of its run, as a stop leaves it, and a later
+        # driver gives its result bitwise
         def failing():
             yield bump128.values, 3
             raise RuntimeError("chain failed")
@@ -492,14 +535,33 @@ class TestRiders:
                                    make_grid(1, 32))
         fc = sample(coarse.grid, "bump", center=0.0, width=np.pi)
         for other, g in ((same, f), (coarse, fc)):
-            quotients = generator_quotients(other, g, [0.1])
+            rows = [Rider.run(other, 0.1 / 256, 256, g.values)]
             message = re.escape(f"a rider of another table on {other.grid!r} "
                                 f"cannot ride on {grid64!r}")
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
-                nisio_evolve(driver, 0.2, f, riders=quotients)
+                nisio_evolve(driver, 0.2, f, riders=rows)
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
-                generator_limit_table(driver, f, [0.1], quotients=quotients)
-            assert quotients[0].pending[0] is g.values  # untouched
+                _ride(driver, rows)
+            assert rows[0].pending[0] is g.values  # untouched
+
+    def test_a_rider_given_twice_is_refused(self, two_sigma_table, bump128, monkeypatch):
+        # given twice, the Picard stages rode as two lanes of one chain, and
+        # picard_solve then returned None; now nothing is stepped, and the
+        # stages give their trajectory bitwise afterwards
+        stages = picard_stages(two_sigma_table, bump128, 0.2, 1e-3)
+        lane = Rider.run(two_sigma_table, 0.01, 8, bump128.values)
+        message = "^a rider given twice cannot ride twice in one lockstep$"
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralWorkspace, "envelope",
+                          lambda *args, **kwargs: pytest.fail("a kernel call"))
+            with pytest.raises(ConfigurationError, match=message):
+                nisio_evolve(two_sigma_table, 0.2, bump128, riders=[stages, stages])
+            with pytest.raises(ConfigurationError, match=message):
+                _ride(two_sigma_table, [lane, stages, lane])
+        assert stages.pending[0] is bump128.values and lane.pending[0] is bump128.values
+        traj = picard_solve(two_sigma_table, bump128, 0.2, 1e-3, stages=stages)
+        assert [s.values.tobytes() for s in traj.snapshots] == [
+            s.values.tobytes() for s in picard_solve(two_sigma_table, bump128, 0.2, 1e-3).snapshots]
 
 
 class TestPartitionContinuity:

@@ -11,10 +11,12 @@ lockstep, the predicted-stop pause, the riders or the workspace.
 
 A hypothesis test draws small 1D and 2D grids, a family of up to four members
 (diffusion, drift, grid atoms, wrapped Cauchy), smooth data, t, tol (0
-included), max_level <= 8, a maximizer level, and riders or none: the
-Runge-Kutta stages, the quotient rows, or both.  With the monotonicity guard
-wide open, nisio_evolve's level records, value and maximizers, the Picard
-trajectory and the quotient errors must equal the reference bitwise.
+included), max_level <= 8, a maximizer level, the Runge-Kutta stages riding
+in the levels' calls or none, and quotient rows or none, which
+generator_limit_table steps in a lockstep of their own.  With the
+monotonicity guard wide open, nisio_evolve's level records, value and
+maximizers, the Picard trajectory and the quotient errors must equal the
+reference bitwise.
 """
 
 import math
@@ -33,7 +35,6 @@ from sublevy import (  # noqa: E402
     diffusion,
     drift,
     generator_limit_table,
-    generator_quotients,
     make_grid,
     nisio_evolve,
     picard_solve,
@@ -192,9 +193,6 @@ def test_every_result_is_the_naive_reference_bitwise(case):
         dt = 0.01 if math.isinf(dt) else dt
         stages = picard_stages(table, f, case["picard_steps"] * dt, dt)
         riders.append(stages)
-    if case["h_list"] is not None:
-        quotients = generator_quotients(table, f, case["h_list"])
-        riders += quotients
     result = nisio_evolve(table, t, f, max_level=case["max_level"], tol=tol,
                           record_argmax_level=case["argmax_level"],
                           monotonicity_tol=WIDE_OPEN, riders=riders)
@@ -214,6 +212,6 @@ def test_every_result_is_the_naive_reference_bitwise(case):
         assert [s.values.tobytes() for s in traj.snapshots] == [s.tobytes() for s in snaps]
         assert [repr(r) for r in traj.residuals.tolist()] == [repr(r) for r in residuals]
     if case["h_list"] is not None:
-        rows = generator_limit_table(table, f, case["h_list"], quotients=quotients)
+        rows = generator_limit_table(table, f, case["h_list"])
         assert [(h, repr(e)) for h, e in rows] == [
             (h, repr(ref.quotient(f.values, h))) for h in case["h_list"]]
