@@ -55,8 +55,8 @@ from .nisio import (
 )
 from .oracles import picard_solve, picard_stages, write_residual_csv, write_trajectory_csv
 
-# accepted, never read; goes once ROADMAP item 9 drops tail_tol from perfbench's oracle-1d
-RETIRED_KEYS = ("oracle.tail_tol", "output")
+# accepted, never read; goes once ROADMAP item 9 drops it from perfbench's oracle-1d
+RETIRED_KEYS = ("oracle.tail_tol",)
 
 
 def _convert(value, kind, what: str):

@@ -452,60 +452,60 @@ class SpectralWorkspace:
     whole loop, so no step allocates a spectrum or a stack: the half-spectrum
     coefficients, the member spectra and the float64 member stack are written
     in place.  The stack returned by apply stays valid until the next call on
-    the same workspace.  A workspace made with rows has a leading batch axis
-    of that length, and each call takes values of shape (b, *grid.shape) for
-    any b <= rows: b independent rows in one call, each row bitwise what a
-    call on that row alone gives.  One method runs every stage of the kernel,
-    and envelope folds its result in one of two ways: the whole member stack
-    at once or, when one member's evolution of every row holds MEMBER_POINTS
-    points or more (by_member), one member at a time.  A by_member workspace
-    keeps the spectra and stack of one member, all that schedule writes;
-    apply with more members, and the non-finite replay, evolve into new ones.
+    the same workspace.  Every buffer has a leading row axis of length rows,
+    one by default, and each call takes values of shape (b, *grid.shape) for
+    any b <= rows, any other shape refused with ConfigurationError: b
+    independent rows in one call, each row bitwise what a call on that row
+    alone gives.  One method runs every stage of the kernel, and envelope folds
+    its result in one of two ways: the whole member stack at once or, when one
+    member's evolution of every row holds MEMBER_POINTS points or more
+    (by_member), one member at a time.  A by_member workspace keeps the spectra
+    and stack of one member, all that schedule writes; apply with more members,
+    and the non-finite replay, evolve into new ones.
     """
 
-    def __init__(self, grid: TorusGrid, members: int, rows: int | None = None):
+    def __init__(self, grid: TorusGrid, members: int, rows: int = 1):
         self.grid = grid
-        self.by_member = (rows or 1) * grid.size >= MEMBER_POINTS
+        self.by_member = rows * grid.size >= MEMBER_POINTS
         # the (input, factor, output) core axes of each transform in _stages,
         # counted from the end, so that they name the same grid axis with or
-        # without the batch and member axes: the last axis, and the leading
-        # grid axes from the last to the first
+        # without the member axis: the last axis, and the leading grid axes
+        # from the last to the first
         self._last = [(-1,), (), (-1,)]
         self._leading = [[(-a,), (), (-a,)] for a in range(2, grid.dim + 1)]
         self._inverse_factor = 1.0 / grid.n
-        batch = () if rows is None else (rows,)
-        self.coeffs = np.empty(batch + grid.half_shape, dtype=complex)
+        self.coeffs = np.empty((rows,) + grid.half_shape, dtype=complex)
         self.spec, self.stack = self._buffers(1 if self.by_member else members)
 
     def _buffers(self, members: int) -> tuple[np.ndarray, np.ndarray]:
         """New member spectra and float64 member stack of every row."""
-        batch = self.coeffs.shape[:self.coeffs.ndim - self.grid.dim]
-        return (np.empty(batch + (members,) + self.coeffs.shape[len(batch):], dtype=complex),
-                np.empty(batch + (members,) + self.grid.shape))
+        shape = (len(self.coeffs), members)
+        return (np.empty(shape + self.grid.half_shape, dtype=complex),
+                np.empty(shape + self.grid.shape))
 
     def _whole(self, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Spectra and stack for every member of mults: the workspace's own when
         they hold that many, else new ones."""
         members = mults.shape[mults.ndim - 1 - self.grid.dim]
-        if self.stack.shape[self.stack.ndim - 1 - self.grid.dim] == members:
+        if self.stack.shape[1] == members:
             return self.spec, self.stack
         return self._buffers(members)
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Multiply the spectrum of values by each multiplier; one row per member.
+        """Multiply the spectrum of each row of values by each multiplier.
 
         mults holds half-spectrum multipliers, shape (m, ..., n/2+1), shared
-        by every row, or (b, m, ..., n/2+1), one set per row of batched
-        values; the result is the workspace's ([b,] m, *grid.shape) float64
-        stack of evolved values, or a new one when the workspace keeps fewer
-        members."""
+        by every row, or (b, m, ..., n/2+1), one set per row of the (b,
+        *grid.shape) values; the result is the workspace's (b, m, *grid.shape)
+        float64 stack of evolved values, or a new one when the workspace keeps
+        fewer members."""
         return self._stages(mults, values, *self._whole(mults))
 
     def _stages(self, mults, values, spec, stack, forward=True):
-        """Every stage of the kernel, on the leading rows that batched values
-        take.  The forward transform of values into the coefficients (skipped
-        when not forward, which keeps the last one's) is a real FFT of the
-        last axis, then in-place complex FFTs of the leading grid axes from the
+        """Every stage of the kernel, on the leading rows that values take.
+        The forward transform of values into the coefficients (skipped when
+        not forward, which keeps the last one's) is a real FFT of the last
+        axis, then in-place complex FFTs of the leading grid axes from the
         last to the first, the steps of rfftn.  With mults given, the multiply
         into spec, the inverse into stack (in-place inverse FFTs of the leading
         grid axes, then an inverse real FFT of the last axis, the steps of
@@ -519,18 +519,18 @@ class SpectralWorkspace:
         argument handling and with the factor it passes: 1 forward, 1/n
         inverse.  The same gufuncs on the same buffers give the bits of
         np.fft.rfftn and irfftn."""
-        lead = values.ndim - self.grid.dim  # 1 for batched values, else 0
-        coeffs = self.coeffs
-        if lead:
-            rows = len(values)
-            coeffs, spec, stack = coeffs[:rows], spec[:rows], stack[:rows]
+        if forward and (values.shape[1:] != self.grid.shape or len(values) > len(self.coeffs)):
+            raise ConfigurationError(f"kernel values must be rows of shape {self.grid.shape}, "
+                                     f"at most {len(self.coeffs)}, got shape {values.shape}")
+        rows = len(values)
+        coeffs, spec, stack = self.coeffs[:rows], spec[:rows], stack[:rows]
         if forward:
             pocketfft.rfft_n_even(values, 1.0, axes=self._last, out=coeffs)
             for axes in self._leading:
                 pocketfft.fft(coeffs, 1.0, axes=axes, out=coeffs)
         if mults is None:
             return None
-        np.multiply(mults, coeffs[:, None] if lead else coeffs, out=spec)
+        np.multiply(mults, coeffs[:, None], out=spec)
         for axes in reversed(self._leading):
             pocketfft.ifft(spec, self._inverse_factor, axes=axes, out=spec)
         pocketfft.irfft(spec, self._inverse_factor, axes=self._last, out=stack)
@@ -544,18 +544,17 @@ class SpectralWorkspace:
     def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
                  argmax: np.ndarray | None = None) -> np.ndarray:
         """The sup-envelope step: the member maximum of apply(mults, values) into
-        out (new when None; values itself is allowed) and, when argmax is given
-        (unbatched values only), the lowest maximizing member index into it.
-        The only member reduction; np.maximum.reduce is what np.max runs,
-        without its dispatch.  Member at a time, np.maximum folds the members
-        in the same order, so both schedules give the same bits, and out and
-        argmax are unspecified after a ConsistencyError."""
-        lead = values.ndim - self.grid.dim
+        out (new when None; values itself is allowed) and, when argmax is given,
+        each row's lowest maximizing member index into it, both of the values'
+        shape.  The only member reduction; np.maximum.reduce is what np.max
+        runs, without its dispatch.  Member at a time, np.maximum folds the
+        members in the same order, so both schedules give the same bits, and
+        out and argmax are unspecified after a ConsistencyError."""
         if not self.by_member:
             stack = self._stages(mults, values, self.spec, self.stack)
             if argmax is not None:
-                np.argmax(stack, axis=0, out=argmax)
-            return np.maximum.reduce(stack, axis=lead, out=out)
+                np.argmax(stack, axis=1, out=argmax)
+            return np.maximum.reduce(stack, axis=1, out=out)
         # the forward transform once, outside the errstate below: its warnings
         # are apply's; then each member from the kept coefficients into out
         # (member 0) or the one-member stack, folded in at once
@@ -564,7 +563,7 @@ class SpectralWorkspace:
             out = np.empty(values.shape)
         if argmax is not None:
             argmax.fill(0)
-        top = np.expand_dims(out, lead)
+        top = out[:, None]
         axis = mults.ndim - 1 - self.grid.dim  # the member axis
         try:
             with np.errstate(all="ignore"):
@@ -575,7 +574,7 @@ class SpectralWorkspace:
                     if i:
                         if argmax is not None:
                             # strict: a tie keeps the lower index, as np.argmax does
-                            np.copyto(argmax, i, where=member[0] > out)
+                            np.copyto(argmax, i, where=member[:, 0] > out)
                         np.maximum(top, member, out=top)
             return out
         except ConsistencyError:

@@ -95,16 +95,14 @@ def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, suite,
                           "strategy x grid points)")
 
 
-def interpolate_linear(f: GridFunction, point):
-    """Periodic multilinear interpolation of a grid function at one torus point
-    (a float) or at an (n, d) batch of points (an array of n values); a NaN or
-    infinite coordinate is refused."""
+def interpolate_linear(f: GridFunction, points):
+    """Periodic multilinear interpolation of a grid function at an (n, d) batch
+    of torus points, an array of n values; points of any other shape, and a
+    NaN or infinite coordinate, are refused."""
     grid = f.grid
-    p = np.asarray(point, dtype=float)
-    single = p.ndim <= 1
-    pts = np.atleast_1d(p)[None] if single else p
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
-        raise ConfigurationError(f"point must have {grid.dim} coordinates")
+        raise ConfigurationError(f"points must be an (n, {grid.dim}) array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ConfigurationError("point coordinates must be finite")
     u = (pts + np.pi) / grid.spacing
@@ -120,7 +118,7 @@ def interpolate_linear(f: GridFunction, point):
         for a, (_, weight) in enumerate(corner):
             term = term * weight[:, a]
         out = term if out is None else out + term
-    return float(out[0]) if single else out
+    return out
 
 
 def check_strategies(strategies, members: int, t: float) -> None:

@@ -202,19 +202,21 @@ class Rider:
 
 def _drive(table: SymbolTable, lanes):
     """Step lanes, Riders of table, in lockstep, and yield after each tick on
-    which a lane returns; a rider of another table, or one given twice, is
-    refused with ConfigurationError before any kernel call.  The lanes in
-    flight are the first batch_rows(grid, m) unfinished ones in the order
-    given, each in its slot until it returns, and each kernel call steps those
-    not paused, every one bitwise as one-row calls step it.  Every run that
-    ends on a tick is taken before the driver yields, and the caller may set
-    paused when it does.  Closed, the driver leaves each lane in flight at the
-    start of its run, in pending."""
+    which a lane returns; a rider of another table, one given twice, or one
+    whose chain raised is refused with ConfigurationError before any kernel
+    call.  The lanes in flight are the first batch_rows(grid, m) unfinished
+    ones in the order given, each in its slot until it returns, and each
+    kernel call steps those not paused, every one bitwise as one-row calls
+    step it.  Every run that ends on a tick is taken before the driver
+    yields, and the caller may set paused when it does.  Closed, the driver
+    leaves each lane in flight at the start of its run, in pending."""
     grid, m = table.grid, len(table)
     for other in (lane.table for lane in lanes if lane.table is not table):
         raise ConfigurationError(f"a rider of another table on {other.grid} cannot ride on {grid}")
     if len(set(map(id, lanes))) < len(lanes):
         raise ConfigurationError("a rider given twice cannot ride twice in one lockstep")
+    if any(lane.pending is not None and lane._chain.gi_frame is None for lane in lanes):
+        raise ConfigurationError("a rider whose chain raised cannot ride again")
     slots = min(batch_rows(grid, m), len(lanes))
     ws = SpectralWorkspace(grid, m, rows=slots)
     vals = np.empty((slots,) + grid.shape)
@@ -352,9 +354,9 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
         ws = SpectralWorkspace(table.grid, len(table))
         mults = table.multipliers(t / steps)
         selections = np.empty((steps,) + table.grid.shape, dtype=np.int64)
-        v = f.values.copy()
+        v = f.values[None].copy()  # one row
         for step in range(steps - 1, -1, -1):  # forward-time step, the last applied first
-            ws.envelope(mults, v, out=v, argmax=selections[step])
+            ws.envelope(mults, v, out=v, argmax=selections[step, None])
         argmax = SimpleStrategy(table.grid, Partition.dyadic(t, record_argmax_level),
                                 selections)
 
@@ -373,14 +375,14 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
     ws = SpectralWorkspace(table.grid, len(table))
-    return GridFunction(table.grid, ws.envelope(table.psi, table.values_of(f)))
+    return GridFunction(table.grid, ws.envelope(table.psi, table.values_of(f)[None])[0])
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     """Largest member generator sup-norm at f; the step-regularity constant.
     The members are evolved one at a time, through one member's buffers, and
     each one's sup norm is read from its minimum and maximum."""
-    values = table.values_of(f)
+    values = table.values_of(f)[None]
     ws = SpectralWorkspace(table.grid, 1)
     return max(_sup_norm(ws.apply(row[None], values)) for row in table.psi)
 

@@ -219,8 +219,8 @@ def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> fl
         )
         plateau = plateau * axis_val
         inside &= d <= MASS_WINDOW_SHRINK * w
-    evolved = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), plateau)
-    return max(1.0 - float(np.min(evolved[:, inside])), 0.0)
+    evolved = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), plateau[None])
+    return max(1.0 - float(np.min(evolved[0][:, inside])), 0.0)
 
 
 # -- CSV emission --------------------------------------------------------------------

@@ -45,14 +45,14 @@ def one_member_table(q, grid):
 
 def member_evolution(table, t, f, member=0):
     """One member's linear evolution of f for time t: its row of the table's kernel."""
-    stack = SpectralWorkspace(f.grid, len(table)).apply(table.multipliers(t), f.values)
-    return GridFunction(f.grid, stack[member])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.multipliers(t), f.values[None])
+    return GridFunction(f.grid, stack[0, member])
 
 
 def member_generator(table, f, member=0):
     """One member's generator applied to f: its row of the kernel on psi itself."""
-    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi, f.values)
-    return GridFunction(f.grid, stack[member])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi, f.values[None])
+    return GridFunction(f.grid, stack[0, member])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -105,7 +105,7 @@ def count_envelopes(monkeypatch, fn):
     envelope = SpectralWorkspace.envelope
 
     def counting(ws, mults, values, out=None, argmax=None):
-        rows.append(values.shape[0] if values.ndim > ws.grid.dim else 1)
+        rows.append(len(values))
         return envelope(ws, mults, values, out=out, argmax=argmax)
 
     with monkeypatch.context() as patch:
@@ -113,7 +113,7 @@ def count_envelopes(monkeypatch, fn):
         return fn(), len(rows), sum(rows)
 
 
-def schedule_workspace(grid, members, by_member, rows=None):
+def schedule_workspace(grid, members, by_member, rows=1):
     """A SpectralWorkspace whose envelope runs member at a time (by_member) or
     on the whole member stack, whatever levy.MEMBER_POINTS picks for the grid."""
     with pytest.MonkeyPatch.context() as patch:

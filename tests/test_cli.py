@@ -56,6 +56,7 @@ def write_config(tmp_path, name="config.json", **overrides):
 # field that the refusal names
 UNKNOWN_KEYS = [
     ({"tyme": 0.2}, "config field 'tyme'"),
+    ({"output": "x"}, "config field 'output'"),  # retired, then removed
     ({"nisio.tol": 1e-3}, "config field 'nisio.tol'"),  # a section key at the top level
     ({"grid": {"dim": 1, "n": 128, "m": 8}}, "config field 'grid.m'"),
     ({"nisio": {"max_levls": 2}}, "config field 'nisio.max_levls'"),
@@ -85,14 +86,12 @@ class TestConfig:
         assert again == cfg
 
     def test_retired_keys_are_ignored(self, tmp_path):
-        # neither is read: an out-of-range oracle.tail_tol passes, and output
-        # does not redirect the output directory
-        path = write_config(tmp_path, oracle={"tail_tol": -1.0}, output=str(tmp_path / "x"))
+        # not read: an out-of-range oracle.tail_tol passes
+        path = write_config(tmp_path, oracle={"tail_tol": -1.0})
         cfg = RunConfig.from_file(str(path))
         assert cfg.output_dir == str(tmp_path / "out")
         assert cfg.to_dict()["oracle"] == {"dt": 1e-3, "gap_tol": 5e-4}
         assert main(["oracle", "--config", str(path), "--quiet"]) == 0
-        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("overrides, field", UNKNOWN_KEYS,
                              ids=[field.split("'")[1] for _, field in UNKNOWN_KEYS])

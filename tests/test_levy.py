@@ -539,24 +539,24 @@ class TestSpectralKernel:
         table = SymbolTable.build(_kernel_family(grid), grid)
         # kmax = n/2 puts energy on the Nyquist shell
         f = random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2)
-        out = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), f.values)
+        out = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), f.values[None])
         assert out.dtype == np.float64
-        assert out.shape == (len(table),) + grid.shape
+        assert out.shape == (1, len(table)) + grid.shape
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
             ref = inverse_transform(Spectrum(grid, np.exp(t * full_row(table, i)) * coeffs))
-            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-13
+            assert float(np.max(np.abs(out[0, i] - ref.values))) <= 1e-13
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
     def test_generator_matches_complex_route(self, dim, n):
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         f = random_trig(grid, np.random.default_rng(3), kmax=6)
-        out = SpectralWorkspace(grid, len(table)).apply(table.psi, f.values)
+        out = SpectralWorkspace(grid, len(table)).apply(table.psi, f.values[None])
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
             ref = inverse_transform(Spectrum(grid, full_row(table, i) * coeffs))
-            assert float(np.max(np.abs(out[i] - ref.values))) <= 1e-12 * table.max_abs_symbol
+            assert float(np.max(np.abs(out[0, i] - ref.values))) <= 1e-12 * table.max_abs_symbol
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (2, 64)])
     def test_multipliers_live_on_the_half_spectrum(self, dim, n):
@@ -583,7 +583,8 @@ class TestSpectralKernel:
         # numpy warns on the inf before the kernel's own check raises
         with pytest.warns(RuntimeWarning, match="invalid value"):
             with pytest.raises(ConsistencyError, match="non-finite"):
-                SpectralWorkspace(grid64, 1).apply(mults, sample(grid64, "cosine", k=3).values)
+                SpectralWorkspace(grid64, 1).apply(mults,
+                                                   sample(grid64, "cosine", k=3).values[None])
 
     def test_member_at_minus_infinity_raises(self, grid64):
         # an infinite mode-0 multiplier on data of positive mean makes member 1
@@ -598,7 +599,7 @@ class TestSpectralKernel:
                 with np.errstate(invalid="ignore"):
                     assert np.isneginf(np.fft.irfft(mults[1] * np.fft.rfft(values), 64)).all()
                 with pytest.raises(ConsistencyError, match="non-finite"):
-                    ws.envelope(mults, values)
+                    ws.envelope(mults, values[None])
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -608,23 +609,25 @@ class TestSpectralKernel:
         table = SymbolTable.build(GeneratorFamily(members), grid)
         rng = np.random.default_rng(10 * n + m)
         ws = SpectralWorkspace(grid, m)
-        axes = tuple(range(1, dim + 1))
-        am = np.empty(grid.shape, dtype=np.int64)
+        axes = tuple(range(-dim, 0))
+        am = np.empty((1,) + grid.shape, dtype=np.int64)
         # repeated calls on one workspace keep no state from the previous call
         for t in (0.05, 0.3):
             mults = table.multipliers(t)
-            v = rng.standard_normal(grid.shape)
-            ref = np.fft.irfftn(mults * np.fft.rfftn(v), s=grid.shape, axes=axes)
+            v = rng.standard_normal((1,) + grid.shape)  # one row
+            coeffs = np.fft.rfftn(v, axes=axes)
+            ref = np.fft.irfftn(mults * coeffs[:, None], s=grid.shape, axes=axes)
             out = ws.apply(mults, v)
-            assert out is ws.stack
+            # the workspace's whole stack, as the view of the rows that v takes
+            assert out.base is ws.stack and out.shape == ws.stack.shape
             assert np.array_equal(out, ref)
-            assert np.array_equal(ws.coeffs, np.fft.rfftn(v))
+            assert np.array_equal(ws.coeffs, coeffs)
             # the envelope step into a new array, a separate one, and values itself
-            for out in (None, np.empty(grid.shape), v):
+            for out in (None, np.empty(v.shape), v):
                 top = ws.envelope(mults, v, out=out, argmax=am)
                 assert out is None or top is out
-                assert np.array_equal(top, np.max(ref, axis=0))
-                assert np.array_equal(am, np.argmax(ref, axis=0))
+                assert np.array_equal(top, np.max(ref, axis=1))
+                assert np.array_equal(am, np.argmax(ref, axis=1))
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (1, 96), (2, 32), (2, 256)])
     @pytest.mark.parametrize("rows", [None, 3])
@@ -648,20 +651,42 @@ class TestSpectralKernel:
     def _matches_public_numpy(dim, n, rows, generators):
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
-        # one set per row: the symbols, or the multipliers, at row-own scales
+        # one set per row: the symbols, or the multipliers, at row-own scales;
+        # rows None is the workspace's default of one row, with the set shared
         scales = (1.0,) if rows is None else (1.0, 2.0, 6.0)
         mults = np.stack([c * table.psi if generators else table.multipliers(0.05 * c)
                           for c in scales])
         if rows is None:
             mults = mults[0]
-        v = np.random.default_rng(n + dim).standard_normal(mults.shape[:-dim - 1] + grid.shape)
+        v = np.random.default_rng(n + dim).standard_normal((len(scales),) + grid.shape)
         axes = tuple(range(-dim, 0))
         coeffs = np.expand_dims(np.fft.rfftn(v, axes=axes), -dim - 1)  # a member axis
         ref = np.fft.irfftn(mults * coeffs, s=grid.shape, axes=axes)
-        ws = SpectralWorkspace(grid, len(table), rows=rows)
+        ws = SpectralWorkspace(grid, len(table), rows=len(scales))
         assert ws.by_member == (grid.size >= MEMBER_POINTS)
         assert np.array_equal(ws.apply(mults, v), ref)
         assert np.array_equal(ws.envelope(mults, v), np.max(ref, axis=-dim - 1))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_values_without_the_row_axis_refused(self, dim, n):
+        # one grid function, a stack with an axis too many, and more rows than
+        # the workspace holds: refused by apply and by envelope on either
+        # schedule, before out or argmax is written
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        mults = table.multipliers(0.1)
+        v = random_trig(grid, np.random.default_rng(n)).values
+        for by_member in (False, True):
+            ws = schedule_workspace(grid, len(table), by_member, rows=2)
+            for bad in (v, v[None, None], np.stack([v] * 3)):
+                out, am = np.full(bad.shape, 7.0), np.full(bad.shape, -1, dtype=np.int64)
+                message = re.escape(f"kernel values must be rows of shape {grid.shape}, "
+                                    f"at most 2, got shape {bad.shape}")
+                with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                    ws.apply(mults, bad)
+                with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                    ws.envelope(mults, bad, out=out, argmax=am)
+                assert np.all(out == 7.0) and np.all(am == -1)
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     def test_envelope_bitwise_equals_member_max(self, dim, n):
@@ -671,13 +696,13 @@ class TestSpectralKernel:
         table = SymbolTable.build(GeneratorFamily(members), grid)
         ws = SpectralWorkspace(grid, len(table))
         mults = table.multipliers(0.05)
-        am = np.empty(grid.shape, dtype=np.int64)
-        for v in (random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2).values,
-                  np.full(grid.shape, 0.75)):
+        am = np.empty((1,) + grid.shape, dtype=np.int64)
+        for v in (random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2).values[None],
+                  np.full((1,) + grid.shape, 0.75)):
             stack = SpectralWorkspace(grid, len(table)).apply(mults, v)
             out = ws.envelope(mults, v, argmax=am)
-            assert np.array_equal(out, np.max(stack, axis=0))
-            assert np.array_equal(am, np.argmax(stack, axis=0))
+            assert np.array_equal(out, np.max(stack, axis=1))
+            assert np.array_equal(am, np.argmax(stack, axis=1))
             assert np.all(am < len(members) // 2)
             # in place, as the composition loop calls it
             w = v.copy()
@@ -787,9 +812,10 @@ class TestMemberSchedule:
         # member 3 repeats member 1, so the two tie exactly everywhere
         table = SymbolTable.build(GeneratorFamily(members + members[1:2]), grid)
         m = len(table)
+        rows = rows or 1  # None: the workspace's default of one row
         whole = schedule_workspace(grid, m, False, rows=rows)
         split = schedule_workspace(grid, m, True, rows=rows)
-        shape = grid.shape if rows is None else (rows,) + grid.shape
+        shape = (rows,) + grid.shape
         values = np.random.default_rng(10 * dim + n).standard_normal(shape)
         if per_row:
             mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
@@ -800,18 +826,43 @@ class TestMemberSchedule:
             for ws in (whole, split):
                 v = values.copy()
                 out = {"new": None, "separate": np.empty(shape), "values": v}[target]
-                # maximizers are recorded of unbatched values only
-                am = None if rows else np.full(grid.shape, -1, dtype=np.int64)
+                am = np.full(shape, -1, dtype=np.int64)
                 top = ws.envelope(mults, v, out=out, argmax=am)
                 assert out is None or top is out
                 results.append((_bits(top), am))
             assert results[0][0] == results[1][0]
-            if rows is None:
-                assert np.array_equal(results[0][1], results[1][1])
-        if rows is None:
-            stack = whole.apply(mults, values)
-            assert np.array_equal(results[1][1], np.argmax(stack, axis=0))
-            assert np.all(results[1][1] != 3)
+            assert np.array_equal(results[0][1], results[1][1])
+        stack = whole.apply(mults, values)
+        assert np.array_equal(results[1][1], np.argmax(stack, axis=1))
+        assert np.all(results[1][1] != 3)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("by_member", [False, True])
+    def test_maximizers_per_row_are_each_rows_own(self, dim, n, per_row, by_member):
+        # a batch of three rows: each row's values and maximizers are bitwise
+        # those of its own one-row call, with multipliers shared or one set a row
+        grid = make_grid(dim, n)
+        table = SymbolTable.build(_kernel_family(grid), grid)
+        m = len(table)
+        assert m == 3
+        values = np.random.default_rng(10 * dim + n).standard_normal((3,) + grid.shape)
+        if per_row:
+            mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
+        else:
+            mults = table.multipliers(0.2)
+        am = np.full(values.shape, -1, dtype=np.int64)
+        top = schedule_workspace(grid, m, by_member, rows=3).envelope(mults, values, argmax=am)
+        one = schedule_workspace(grid, m, by_member)
+        for i in range(3):
+            own = np.full((1,) + grid.shape, -1, dtype=np.int64)
+            row = one.envelope(mults[i:i + 1] if per_row else mults, values[i:i + 1],
+                               argmax=own)
+            assert _bits(top[i]) == _bits(row[0])
+            assert np.array_equal(am[i], own[0])
+        # every member maximizes somewhere, and no two rows pick alike
+        assert set(np.unique(am).tolist()) == {0, 1, 2}
+        assert len({am[i].tobytes() for i in range(3)}) == 3
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
     def test_signed_zeros_fold_in_member_order(self, dim, n):
@@ -823,15 +874,15 @@ class TestMemberSchedule:
         half = grid.shape[:-1] + (n // 2 + 1,)
         signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * dim)
         mults = signs * np.ones((4,) + half, dtype=complex)
-        values = np.zeros(grid.shape)
+        values = np.zeros((1,) + grid.shape)
         whole = schedule_workspace(grid, 4, False)
         stack = whole.apply(mults, values).copy()
         assert np.all(stack == 0.0)
-        assert np.any(np.signbit(stack).any(axis=0) & ~np.signbit(stack).all(axis=0))
-        reduced = np.maximum.reduce(stack, axis=0)
-        assert _bits(reduced) != _bits(np.maximum.reduce(stack[::-1], axis=0))
+        assert np.any(np.signbit(stack).any(axis=1) & ~np.signbit(stack).all(axis=1))
+        reduced = np.maximum.reduce(stack, axis=1)
+        assert _bits(reduced) != _bits(np.maximum.reduce(stack[:, ::-1], axis=1))
         for ws in (whole, schedule_workspace(grid, 4, True)):
-            am = np.full(grid.shape, -1, dtype=np.int64)
+            am = np.full(values.shape, -1, dtype=np.int64)
             assert _bits(ws.envelope(mults, values.copy(), argmax=am)) == _bits(reduced)
             assert not am.any()
 
@@ -841,7 +892,7 @@ class TestMemberSchedule:
         cfg = RunConfig.from_file(str(config))
         grid = make_grid(cfg.grid_dim, cfg.grid_n)
         m = len(build_family(cfg.family, grid))
-        for rows in (None, batch_rows(grid, m)):
+        for rows in (1, batch_rows(grid, m)):
             assert not SpectralWorkspace(grid, m, rows=rows).by_member
 
     def test_large_2d_grid_goes_member_at_a_time(self):

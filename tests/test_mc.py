@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,21 +402,21 @@ class TestInterpolation:
     def test_exact_at_grid_points(self, grid128, cos128):
         x = grid128.axis_points()
         for j in (0, 5, 64, 127):
-            assert interpolate_linear(cos128, np.array([x[j]])) == cos128.values[j]
+            assert interpolate_linear(cos128, np.array([[x[j]]]))[0] == cos128.values[j]
 
     def test_wraps_across_seam(self, grid64):
         f = sample(grid64, "cosine", k=1)
         near_seam = np.pi - grid64.spacing / 2
-        got = interpolate_linear(f, np.array([near_seam]))
+        got = interpolate_linear(f, np.array([[near_seam]]))[0]
         want = 0.5 * (f.values[-1] + f.values[0])
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_2d_bilinear(self):
         g = make_grid(2, 16)
         f = sample(g, "cosine", k=[1, 0])
-        pt = np.array([g.spacing * 0.5, 0.3])  # halfway between x = 0 and x = spacing
+        pt = np.array([[g.spacing * 0.5, 0.3]])  # halfway between x = 0 and x = spacing
         want = 0.5 * (np.cos(0.0) + np.cos(g.spacing))
-        assert interpolate_linear(f, pt) == pytest.approx(want, abs=1e-12)
+        assert interpolate_linear(f, pt)[0] == pytest.approx(want, abs=1e-12)
 
     def test_batch_matches_single_points(self):
         rng = np.random.default_rng(5)
@@ -424,15 +425,20 @@ class TestInterpolation:
             pts = rng.uniform(-4.0, 4.0, size=(9, grid.dim))
             batch = interpolate_linear(f, pts)
             assert batch.shape == (9,)
-            assert np.array_equal(batch, [interpolate_linear(f, p) for p in pts])
+            # each point alone is a batch of one
+            assert np.array_equal(batch, [interpolate_linear(f, p[None])[0] for p in pts])
 
     def test_bad_point_shape_rejected(self, grid64):
         f = sample(grid64, "cosine", k=1)
-        with pytest.raises(ConfigurationError):
-            interpolate_linear(f, np.zeros((3, 2)))
+        # only an (n, 1) batch: a 2D point, one bare point or coordinate, and a
+        # deeper stack are refused with their shape
+        for point in (np.zeros((3, 2)), 0.5, np.array([0.5]), np.zeros((3, 1, 1))):
+            message = f"points must be an (n, 1) array, got shape {np.shape(point)}"
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                interpolate_linear(f, point)
         # a non-finite coordinate is refused, not read as a NaN value with warnings
         for bad in (np.nan, np.inf, -np.inf):
-            for point in (bad, np.array([[0.0], [bad]])):
+            for point in (np.array([[bad]]), np.array([[0.0], [bad]])):
                 with pytest.raises(ConfigurationError, match="^point coordinates must be finite$"):
                     interpolate_linear(f, point)
 

@@ -151,8 +151,8 @@ class TestApplyJ:
         # the kernel step that apply_J takes, with its maximizers
         am = np.empty(grid128.shape, dtype=np.int64)
         top = SpectralWorkspace(grid128, 2).envelope(cp_pair_table.multipliers(0.5),
-                                                     cos128.values, argmax=am)
-        assert np.array_equal(top, out.values)
+                                                     cos128.values[None], argmax=am[None])
+        assert np.array_equal(top[0], out.values)
         decayed = math.exp(-1.0) * cos128.values
         expected = np.maximum(cos128.values, decayed)
         assert np.max(np.abs(out.values - expected)) < 1e-12
@@ -563,6 +563,28 @@ class TestRiders:
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in picard_solve(two_sigma_table, bump128, 0.2, 1e-3).snapshots]
 
+    def test_a_rider_whose_chain_raised_is_refused(self, monkeypatch):
+        # a chain that raised leaves its last run in pending: stepped, it ended
+        # in StopIteration(None), and picard_solve returned None.  Now it is
+        # refused before any kernel call, alone and as a rider of the levels
+        grid = make_grid(1, 32)
+        table = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid)
+        f = sample(grid, "bump", center=0.0, width=np.pi)
+        stages = picard_stages(table, f, 0.2, 1e-3)
+        for _ in range(3):
+            stages.take(np.zeros(grid.shape))
+        with pytest.raises(ConsistencyError, match="^integration blew up at step 1$"):
+            stages.take(np.full(grid.shape, np.inf))
+        assert stages.pending is not None and stages.result is None
+        message = "^a rider whose chain raised cannot ride again$"
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralWorkspace, "envelope",
+                          lambda *args, **kwargs: pytest.fail("a kernel call"))
+            with pytest.raises(ConfigurationError, match=message):
+                picard_solve(table, f, 0.2, 1e-3, stages=stages)
+            with pytest.raises(ConfigurationError, match=message):
+                nisio_evolve(table, 0.2, f, riders=[stages])
+
 
 class TestPartitionContinuity:
     def test_zero_perturbation(self, two_sigma_table, bump128):
@@ -797,9 +819,10 @@ class TestWorkspaceReuse:
         f = bump128
         for step in range(3, -1, -1):
             sel = np.empty(bump128.grid.shape, dtype=np.int64)
-            values = SpectralWorkspace(bump128.grid, 2).envelope(mults, f.values, argmax=sel)
+            values = SpectralWorkspace(bump128.grid, 2).envelope(mults, f.values[None],
+                                                                 argmax=sel[None])
             f = apply_J(two_sigma_table, 0.05, f)
-            assert np.array_equal(values, f.values)
+            assert np.array_equal(values[0], f.values)
             assert np.array_equal(res.argmax.feedback[step], sel)
         assert np.array_equal(res.value.values, f.values)
 
@@ -812,11 +835,11 @@ class TestWorkspaceReuse:
     ])
     def test_maximizers_from_one_pass(self, two_sigma_table, bump128, monkeypatch, level,
                                       max_level, tol, above_levels_used):
-        calls = []  # (records maximizers, batched values) per kernel call
+        calls = []  # (records maximizers, rows) per kernel call
         envelope = SpectralWorkspace.envelope
 
         def counting(ws, mults, values, out=None, argmax=None):
-            calls.append((argmax is not None, values.ndim > ws.grid.dim))
+            calls.append((argmax is not None, len(values)))
             return envelope(ws, mults, values, out=out, argmax=argmax)
 
         monkeypatch.setattr(SpectralWorkspace, "envelope", counting)
@@ -831,15 +854,15 @@ class TestWorkspaceReuse:
         loop_ticks = 2**res.levels_used
         assert len(calls) == loop_ticks + 2**level
         assert not any(records for records, _ in calls[:loop_ticks])
-        assert calls[loop_ticks:] == [(True, False)] * 2**level
+        assert calls[loop_ticks:] == [(True, 1)] * 2**level
         # the pass, by hand: forward-time step j is applied 2^level - 1 - j steps in
         steps = 2**level
         ws = SpectralWorkspace(two_sigma_table.grid, len(two_sigma_table))
         mults = two_sigma_table.multipliers(0.2 / steps)
         selections = np.empty((steps,) + two_sigma_table.grid.shape, dtype=np.int64)
-        v = bump128.values.copy()
+        v = bump128.values[None].copy()
         for step in range(steps - 1, -1, -1):
-            v = ws.envelope(mults, v, argmax=selections[step])
+            v = ws.envelope(mults, v, argmax=selections[step, None])
         assert res.argmax.step_count == steps
         assert np.array_equal(res.argmax.feedback, selections)
 
