@@ -146,14 +146,14 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     values = table.values_of(f)
     if t == 0:
         return f
-    return GridFunction(table.grid, _ride(table, [Rider.run(table, t, 1, values)])[0])
+    return GridFunction(table.grid, Rider.run(table, t, 1, values).finish())
 
 
 def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
     """Compose one envelope step per partition gap, last interval applied first."""
     values = table.values_of(f)
     for gap, count in reversed(_runs(pi)):
-        values = _ride(table, [Rider.run(table, gap, count, values)])[0]
+        values = Rider.run(table, gap, count, values).finish()
     return GridFunction(table.grid, values)
 
 
@@ -172,12 +172,12 @@ def _runs(pi: Partition) -> list[tuple[float, int]]:
 
 
 class Rider:
-    """A lane of the lockstep (_drive): a chain of kernel calls on table.  Its
-    generator yields runs (x, steps), an input and how many envelope steps to
-    take from it, is sent each run's result (a new array it may keep) and
+    """A lane of the lockstep (_drive): a chain of kernel calls on its table.
+    Its generator yields runs (x, steps), an input and how many envelope steps
+    to take from it, is sent each run's result (a new array it may keep) and
     returns its result, kept in result.  pending is the run it waits on (None
     once it has returned): a driver steps a run whole or not at all, so one
-    that stops leaves the run it was stepping in pending, from its start.
+    that stops leaves that run in pending, from its start, for finish().
     mults(out) writes its multipliers into out when a driver seats it, and a
     driver does not step it while paused."""
 
@@ -199,17 +199,22 @@ class Rider:
         except StopIteration as end:
             self.pending, self.result = None, end.value
 
+    def finish(self):
+        """Step this lane alone, through _drive, to its return and give its result."""
+        return _ride([self])[0]
 
-def _drive(table: SymbolTable, lanes):
-    """Step lanes, Riders of table, in lockstep, and yield after each tick on
-    which a lane returns; a rider of another table, one given twice, or one
-    whose chain raised is refused with ConfigurationError before any kernel
-    call.  The lanes in flight are the first batch_rows(grid, m) unfinished
-    ones in the order given, each in its slot until it returns, and each
-    kernel call steps those not paused, every one bitwise as one-row calls
-    step it.  Every run that ends on a tick is taken before the driver
+
+def _drive(lanes):
+    """Step lanes, Riders, in lockstep on the first one's table, and yield
+    after each tick on which a lane returns; a rider of another table, one
+    given twice, or one whose chain raised is refused with ConfigurationError
+    before any kernel call.  The lanes in flight are the first batch_rows(grid,
+    m) unfinished ones in the order given, each in its slot until it returns,
+    and each kernel call steps those not paused, every one bitwise as one-row
+    calls step it.  Every run that ends on a tick is taken before the driver
     yields, and the caller may set paused when it does.  Closed, the driver
     leaves each lane in flight at the start of its run, in pending."""
+    table = lanes[0].table
     grid, m = table.grid, len(table)
     for other in (lane.table for lane in lanes if lane.table is not table):
         raise ConfigurationError(f"a rider of another table on {other.grid} cannot ride on {grid}")
@@ -252,9 +257,9 @@ def _drive(table: SymbolTable, lanes):
         yield
 
 
-def _ride(table: SymbolTable, lanes) -> list:
+def _ride(lanes) -> list:
     """The lanes' results, once _drive has stepped every one to its return."""
-    for _ in _drive(table, lanes):
+    for _ in _drive(lanes):
         pass
     return [lane.result for lane in lanes]
 
@@ -282,10 +287,10 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     2^record_argmax_level steps: the result's argmax, the SimpleStrategy on
     that level's dyadic partition of each step's maximizing member, in forward
     time.  Recording more than ARGMAX_BUDGET maximizer entries raises
-    BudgetError before iterating.  riders take the slots the levels leave, and
-    the stop leaves each one done or at the start of the run it was stepping,
-    for its own function to finish.  Records, value and maximizers are bitwise
-    those of each level run alone.
+    BudgetError before iterating.  riders, Riders of table, take the slots
+    the levels leave, and the stop leaves each one done or at the start of the
+    run it was stepping, for its finish() to step to its result.  Records,
+    value and maximizers are bitwise those of each level run alone.
     """
     checked(t, "horizon t", above=True)
     max_level = checked(max_level, "max_level", 0, MAX_LEVEL, integer=True)
@@ -308,7 +313,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     # level l takes 2^l steps, so the levels complete in order, ahead of the
     # riders; the stop drops the levels still in flight
     levels = [Rider.run(table, t / 2**level, 2**level, values) for level in range(max_level + 1)]
-    drive = _drive(table, levels + list(riders))
+    drive = _drive(levels + list(riders))
     lowest = max_level + 1  # the fewest levels stepped so far
     start = time.perf_counter()
     for level, lane in enumerate(levels):
@@ -396,8 +401,8 @@ def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
     checked(t, "time t", above=True)
     steps = 2 ** checked(level, "level", 0, MAX_LEVEL, integer=True)
     x = table.values_of(f)
-    joint, later = _ride(table, [Rider.run(table, h / steps, steps, x) for h in (s + t, t)])
-    composed = _ride(table, [Rider.run(table, s / steps, steps, later)])[0]
+    joint, later = _ride([Rider.run(table, h / steps, steps, x) for h in (s + t, t)])
+    composed = Rider.run(table, s / steps, steps, later).finish()
     return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _drive copy
 
 
@@ -419,7 +424,7 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
                                  f"S(h) needs at most dyadic level {MAX_LEVEL}, got {hs[-1]:g}")
     target = generator_sup(table, f).values
     steps = [2 ** max(8, math.ceil(math.log2(1.0 / h)) + 4) for h in hs]
-    rows = _ride(table, [Rider.run(table, h / n, n, f.values) for h, n in zip(hs, steps)])
+    rows = _ride([Rider.run(table, h / n, n, f.values) for h, n in zip(hs, steps)])
     for h, values in zip(hs, rows):
         values -= f.values  # (values - f) / h - target, in place in the driver's copy
         values /= h

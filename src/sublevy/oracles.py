@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, _sup_norm, checked, write_grid_table, write_table
 from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
-from .nisio import Partition, Rider, _ride
+from .nisio import Partition, Rider
 
 SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
@@ -128,9 +128,11 @@ def stability_limit(table: SymbolTable) -> float:
 
 def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Rider:
     """picard_solve's stages as a Rider on psi: its runs are the stages, one
-    step each, and its result the Trajectory.  Before any stage, more than
-    PICARD_WORK_BUDGET step-points (steps x grid points) raise BudgetError,
-    and a t no integer multiple of dt or a dt above stability_limit(table) ConfigurationError."""
+    step each, and its result the Trajectory.  It may ride in nisio_evolve's
+    kernel calls, and its finish() steps the stages left, one call a stage.
+    Before any stage, more than PICARD_WORK_BUDGET step-points (steps x grid
+    points) raise BudgetError, and a t no integer multiple of dt or a dt above
+    stability_limit(table) ConfigurationError."""
     checked(t, "horizon t", above=True)
     checked(dt, "step dt", above=True)
     u = table.values_of(f)
@@ -164,13 +166,10 @@ def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> R
             snaps.append(GridFunction(f.grid, u))
         return Trajectory(np.asarray(times), tuple(snaps), np.asarray(residuals))
 
-    stages = Rider(table, lambda out: np.copyto(out, table.psi), chain(u))
-    stages.start = u, t, dt  # what picard_solve checks given stages against
-    return stages
+    return Rider(table, lambda out: np.copyto(out, table.psi), chain(u))
 
 
-def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
-                 stages: Rider | None = None) -> Trajectory:
+def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Trajectory:
     """Integrate du/dt = (sup-generator) u with classical 4-stage Runge-Kutta.
 
     The step must satisfy dt <= stability_limit(table); snapshots are kept at
@@ -178,20 +177,10 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float,
     evolution at time t with O(dt^4) accuracy away from maximizer switches.
     The residual at each interior snapshot time t_j is the sup norm of
     (u_{j+1} - u_{j-1}) / (2 dt) - (sup-generator) u_j, whose generator value
-    is the first stage of step j+1.  stages, when given, is picard_stages(table,
-    f, t, dt) after nisio_evolve has evaluated part of it; the rest is
-    evaluated here through the same driver (nisio._drive), one call a stage.
-    Stages of another f, t or dt are refused with ConfigurationError, and
-    stages of another table as the driver refuses them.
+    is the first stage of step j+1.  It is picard_stages(table, f, t,
+    dt).finish(): the stages, one kernel call each, through nisio's driver.
     """
-    if stages is None:
-        stages = picard_stages(table, f, t, dt)
-    elif stages.table is table:
-        u, s, step = stages.start
-        if not (np.array_equal(u, table.values_of(f)) and s == t and step == dt):
-            raise ConfigurationError("stages were built for another f, t or dt than "
-                                     "picard_solve is given")
-    return _ride(table, [stages])[0]
+    return picard_stages(table, f, t, dt).finish()
 
 
 # -- mass / wrap-around diagnostic --------------------------------------------------

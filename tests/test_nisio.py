@@ -40,7 +40,7 @@ from conftest import count_envelopes, member_evolution, random_trig
 
 def alone(table, gap, steps, x):
     """steps envelope steps of gap from x, through the driver as a lane of its own."""
-    return _ride(table, [Rider.run(table, gap, steps, x)])[0]
+    return Rider.run(table, gap, steps, x).finish()
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +391,7 @@ class TestRiders:
             monkeypatch, lambda: nisio_evolve(table, 0.2, f, riders=riders, **kwargs))
         assert [(r.pending[0] is f.values, r.pending[1]) for r in riders] == [
             (True, count) for _, count in runs]  # each left at the start of its run
-        values, rest, _ = count_envelopes(monkeypatch, lambda: _ride(table, riders))
+        values, rest, _ = count_envelopes(monkeypatch, lambda: _ride(riders))
         rows, table_calls, _ = count_envelopes(
             monkeypatch, lambda: generator_limit_table(table, f, hs))
 
@@ -423,10 +423,10 @@ class TestRiders:
         solo = nisio_evolve(two_sigma_table, 0.2, cos128, max_level=8, tol=1e-4)
         assert shared.value.values.tobytes() == solo.value.values.tobytes()
         assert stages.pending is not None and quotients[0].pending is not None
-        traj = picard_solve(two_sigma_table, cos128, 0.2, 1e-3, stages=stages)
+        traj = stages.finish()
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in picard_solve(two_sigma_table, cos128, 0.2, 1e-3).snapshots]
-        assert [v.tobytes() for v in _ride(two_sigma_table, quotients)] == [
+        assert [v.tobytes() for v in _ride(quotients)] == [
             alone(two_sigma_table, h / count, count, cos128.values).tobytes()
             for h, count in ((0.1, 256), (0.05, 512))]
 
@@ -452,8 +452,8 @@ class TestRiders:
             patch.setattr(SpectralWorkspace, "envelope", counting)
             shared = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6,
                                   riders=[stages, *quotients])
-            traj = picard_solve(two_sigma_table, bump128, t, 1e-3, stages=stages)
-            values = _ride(two_sigma_table, quotients)
+            traj = stages.finish()
+            values = _ride(quotients)
         assert batch_rows(two_sigma_table.grid, len(two_sigma_table)) == max(rows) == 16
         solo = nisio_evolve(two_sigma_table, t, bump128, max_level=15, tol=5e-6)
         assert shared.levels_used == 10
@@ -467,7 +467,7 @@ class TestRiders:
                                                              monkeypatch):
         # a rider of a 1-step run and then a 500-step one is in its second run
         # when the levels stop: it is left at that run's start, the array its
-        # chain yielded, and its own _ride gives its result alone bitwise
+        # chain yielded, and its finish() gives its result alone bitwise
         yielded = []
 
         def chain():
@@ -481,7 +481,7 @@ class TestRiders:
             two_sigma_table, 0.2, bump128, max_level=8, tol=1e-4, riders=[rider]))
         assert 1 < calls < 501
         assert rider.pending[0] is yielded[0] and rider.pending[1] == 500
-        assert (_ride(two_sigma_table, [rider])[0].tobytes()
+        assert (rider.finish().tobytes()
                 == alone(two_sigma_table, 1e-3, 501, bump128.values).tobytes())
 
     def test_runs_of_any_length_and_a_return_mid_call(self, two_sigma_table, bump128):
@@ -497,9 +497,8 @@ class TestRiders:
 
         rider = Rider(two_sigma_table, functools.partial(two_sigma_table.multipliers, gap),
                       chain())
-        levels = _ride(two_sigma_table, [Rider.run(two_sigma_table, gap, 2, bump128.values),
-                                         Rider.run(two_sigma_table, gap, 8, bump128.values),
-                                         rider])[:2]
+        levels = _ride([Rider.run(two_sigma_table, gap, 2, bump128.values),
+                         Rider.run(two_sigma_table, gap, 8, bump128.values), rider])[:2]
         steps = [alone(two_sigma_table, gap, k, bump128.values) for k in (1, 4, 2, 8)]
         a, b, c = rider.result
         assert rider.pending is None
@@ -519,15 +518,15 @@ class TestRiders:
                     failing())
         lane = Rider.run(two_sigma_table, 0.01, 8, bump128.values)
         with pytest.raises(RuntimeError, match="^chain failed$"):
-            _ride(two_sigma_table, [bad, lane])
+            _ride([bad, lane])
         assert lane.pending[0] is bump128.values and lane.pending[1] == 8
-        assert np.array_equal(_ride(two_sigma_table, [lane])[0],
+        assert np.array_equal(lane.finish(),
                               alone(two_sigma_table, 0.01, 8, bump128.values))
 
     def test_a_rider_of_another_table_is_refused(self, grid64):
-        # a rider must name the driver's table itself: another table, even of an
-        # equal family on the same grid, is refused rather than stepped on the
-        # driver's symbols
+        # a rider must name the table of the lanes it rides with (the levels', or
+        # the first lane's): another table, even of an equal family on the same
+        # grid, is refused rather than stepped on the driver's symbols
         f = sample(grid64, "bump", center=0.0, width=np.pi)
         driver = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid64)
         same = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))), grid64)
@@ -541,7 +540,7 @@ class TestRiders:
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
                 nisio_evolve(driver, 0.2, f, riders=rows)
             with pytest.raises(ConfigurationError, match=f"^{message}$"):
-                _ride(driver, rows)
+                _ride([Rider.run(driver, 0.1 / 256, 256, f.values), *rows])
             assert rows[0].pending[0] is g.values  # untouched
 
     def test_a_rider_given_twice_is_refused(self, two_sigma_table, bump128, monkeypatch):
@@ -557,9 +556,9 @@ class TestRiders:
             with pytest.raises(ConfigurationError, match=message):
                 nisio_evolve(two_sigma_table, 0.2, bump128, riders=[stages, stages])
             with pytest.raises(ConfigurationError, match=message):
-                _ride(two_sigma_table, [lane, stages, lane])
+                _ride([lane, stages, lane])
         assert stages.pending[0] is bump128.values and lane.pending[0] is bump128.values
-        traj = picard_solve(two_sigma_table, bump128, 0.2, 1e-3, stages=stages)
+        traj = stages.finish()
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in picard_solve(two_sigma_table, bump128, 0.2, 1e-3).snapshots]
 
@@ -581,7 +580,7 @@ class TestRiders:
             patch.setattr(SpectralWorkspace, "envelope",
                           lambda *args, **kwargs: pytest.fail("a kernel call"))
             with pytest.raises(ConfigurationError, match=message):
-                picard_solve(table, f, 0.2, 1e-3, stages=stages)
+                stages.finish()
             with pytest.raises(ConfigurationError, match=message):
                 nisio_evolve(table, 0.2, f, riders=[stages])
 
@@ -755,13 +754,12 @@ class TestWorkspaceReuse:
         apply_partition(two_sigma_table, Partition(np.array([0.0, 0.05, 0.2])), bump128)
         assert np.array_equal(bump128.values, before)
         v = bump128.values.copy()  # writeable, unlike GridFunction.values
-        _ride(two_sigma_table, [Rider.run(two_sigma_table, 0.1, 2, v),
-                                Rider.run(two_sigma_table, 0.05, 4, v)])
+        _ride([Rider.run(two_sigma_table, 0.1, 2, v), Rider.run(two_sigma_table, 0.05, 4, v)])
         assert np.array_equal(v, before)
 
     def test_levels_do_not_share_memory(self, two_sigma_table, bump128, monkeypatch):
-        levels = _ride(two_sigma_table, [Rider.run(two_sigma_table, 0.2 / 2**k, 2**k,
-                                                   bump128.values) for k in range(4)])
+        levels = _ride([Rider.run(two_sigma_table, 0.2 / 2**k, 2**k, bump128.values)
+                        for k in range(4)])
         for coarse, fine in zip(levels, levels[1:]):
             assert not np.shares_memory(coarse, fine)
         # each level still holds its own iterate after the later levels ran
@@ -790,7 +788,7 @@ class TestWorkspaceReuse:
 
             with monkeypatch.context() as patch:
                 patch.setattr(SpectralWorkspace, "envelope", counting)
-                for _ in _drive(two_sigma_table, lanes):
+                for _ in _drive(lanes):
                     for j, lane in enumerate(lanes):
                         if lane.pending is None:
                             ticks.setdefault(j, len(rows))
@@ -805,7 +803,7 @@ class TestWorkspaceReuse:
             lanes = [Rider.run(two_sigma_table, gap, count, bump128.values)
                      for gap, count in runs]
             together, calls, _ = count_envelopes(monkeypatch,
-                                                 lambda: _ride(two_sigma_table, lanes))
+                                                 lambda: _ride(lanes))
             assert calls == max(count for _, count in runs)
             for values, (gap, count) in zip(together, runs):
                 assert np.array_equal(values, alone(two_sigma_table, gap, count,
@@ -1030,9 +1028,9 @@ class TestPredictedStop:
             calls.append(1)
             return envelope(ws, mults, values, out=out, argmax=argmax)
 
-        def constructed(table, lanes):
+        def constructed(lanes):
             levels, total = lanes[:len(increments)], 0.0
-            for _ in drive(table, lanes):
+            for _ in drive(lanes):
                 # level 0's entry only sets the start
                 while len(ticks) < len(levels) and levels[len(ticks)].pending is None:
                     ticks.append(len(calls))

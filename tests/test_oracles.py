@@ -184,7 +184,7 @@ class TestPassenger:
         shared, shared_calls, shared_rows = count_envelopes(
             monkeypatch, lambda: nisio_evolve(table, t, f, riders=[stages], **kwargs))
         traj, rest, _ = count_envelopes(
-            monkeypatch, lambda: picard_solve(table, f, t, dt, stages=stages))
+            monkeypatch, stages.finish)
 
         assert ([(r.level, r.steps, repr(r.sup_increment), repr(r.sup_norm))
                  for r in shared.records]
@@ -234,29 +234,9 @@ class TestPassenger:
         with pytest.raises(ConfigurationError, match=message) as refused:
             nisio_evolve(driver, 0.2, f, monotonicity_tol=1.0, riders=[stages])
         assert "\n" not in str(refused.value)
-        with pytest.raises(ConfigurationError, match=message):
-            picard_solve(driver, f, 0.2, 1e-2, stages=stages)
-        traj, alone = (picard_solve(table_b, f_b, 0.2, 1e-2, stages=s)
-                       for s in (stages, None))
+        traj, alone = stages.finish(), picard_solve(table_b, f_b, 0.2, 1e-2)
         assert [s.values.tobytes() for s in traj.snapshots] == [
             s.values.tobytes() for s in alone.snapshots]
-
-    @pytest.mark.parametrize("other", ["f", "t", "dt"])
-    def test_stages_of_another_f_t_or_dt_are_refused(self, two_sigma_table, bump128, cos128,
-                                                      other):
-        # unchecked, stages of the bump to 0.2 by 1e-3 came back as the
-        # trajectory of a cosine to 0.1 by 2e-3
-        args = {"f": bump128, "t": 0.2, "dt": 1e-3}
-        stages = picard_stages(two_sigma_table, **args)
-        asked = {**args, other: {"f": cos128, "t": 0.1, "dt": 2e-3}[other]}
-        with pytest.raises(ConfigurationError, match="^stages were built for another f, t or "
-                                                     "dt than picard_solve is given$"):
-            picard_solve(two_sigma_table, **asked, stages=stages)
-        traj = picard_solve(two_sigma_table, **args, stages=stages)
-        alone = picard_solve(two_sigma_table, **args)
-        assert [s.values.tobytes() for s in traj.snapshots] == [
-            s.values.tobytes() for s in alone.snapshots]
-        assert traj.residuals.tobytes() == alone.residuals.tobytes()
 
     @pytest.mark.parametrize("dt, message", [(3e-4, "integer multiple"),
                                              (0.05, "stability limit")])
