@@ -100,11 +100,20 @@ class TorusGrid:
     def nearest_index(self, points) -> tuple[np.ndarray, ...]:
         """Index of the grid point nearest each torus point of an (..., d) array:
         one integer array of shape (...) per axis, ties rounded half to even.
-        The only nearest-cell rule; a single point gives a tuple of scalars."""
+        The only nearest-cell rule; a single point gives a tuple of scalars.  A
+        point outside [-pi, pi]^d takes its wrapped point's cell; NaN or inf is
+        refused with ConfigurationError."""
         p = np.atleast_1d(np.asarray(points, dtype=float))
         if p.shape[-1] != self.dim:
             raise ConfigurationError(f"point must have {self.dim} coordinates")
-        cells = np.rint((p + np.pi) / self.spacing).astype(np.int64) % self.n
+        if not -np.pi <= p.min(initial=0.0) <= p.max(initial=0.0) <= np.pi:  # NaN fails
+            if not np.all(np.isfinite(p)):
+                raise ConfigurationError("point coordinates must be finite")
+            p = wrap_point(p)
+        q = p + np.pi  # in [0, 2 pi], so each cell in [0, n]
+        q /= self.spacing
+        cells = np.rint(q, out=q).astype(np.int64)
+        cells[cells == self.n] = 0  # pi's cell is -pi's
         return tuple(np.moveaxis(cells, -1, 0))
 
 
@@ -300,6 +309,14 @@ def checked(value, what: str, low=0, high=math.inf, *, above=False, integer=Fals
         raise ConfigurationError(
             f"{what} must be {noun} in {interval}, got {value if number else repr(value)}")
     return int(value) if integer else value
+
+
+def generator_only(rng):
+    """rng itself, refused unless it is a numpy Generator: an int seed or a
+    RandomState would fail further in, at a method it lacks."""
+    if not isinstance(rng, np.random.Generator):
+        raise ConfigurationError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    return rng
 
 
 def keys_only(obj: dict, known, prefix: str = "", what: str = "config") -> dict:

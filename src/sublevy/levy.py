@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConsistencyError
-from .grid import (GridFunction, TorusGrid, checked, keys_only, numbers_only, read_json,
-                   wrap_point)
+from .grid import (GridFunction, TorusGrid, checked, generator_only, keys_only, numbers_only,
+                   read_json, wrap_point)
 
 
 def _on_axis(fn, inverse=False):
@@ -466,6 +466,8 @@ class SpectralWorkspace:
 
     def __init__(self, grid: TorusGrid, members: int, rows: int = 1):
         self.grid = grid
+        self.members = checked(members, "workspace members", 1, integer=True)
+        rows = checked(rows, "workspace rows", 1, integer=True)
         self.by_member = rows * grid.size >= MEMBER_POINTS
         # the (input, factor, output) core axes of each transform in _stages,
         # counted from the end, so that they name the same grid axis with or
@@ -477,6 +479,11 @@ class SpectralWorkspace:
         self.coeffs = np.empty((rows,) + grid.half_shape, dtype=complex)
         self.spec, self.stack = self._buffers(1 if self.by_member else members)
 
+    def _refusal(self, mults: np.ndarray, members: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"kernel multipliers must have shape {(members,) + self.grid.half_shape}, shared "
+            f"by the rows, or one such set a row, got shape {mults.shape}")
+
     def _buffers(self, members: int) -> tuple[np.ndarray, np.ndarray]:
         """New member spectra and float64 member stack of every row."""
         shape = (len(self.coeffs), members)
@@ -486,6 +493,8 @@ class SpectralWorkspace:
     def _whole(self, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Spectra and stack for every member of mults: the workspace's own when
         they hold that many, else new ones."""
+        if not 1 <= mults.ndim - self.grid.dim <= 2:  # no member axis, or more than rows
+            raise self._refusal(mults, self.members)
         members = mults.shape[mults.ndim - 1 - self.grid.dim]
         if self.stack.shape[1] == members:
             return self.spec, self.stack
@@ -498,7 +507,8 @@ class SpectralWorkspace:
         by every row, or (b, m, ..., n/2+1), one set per row of the (b,
         *grid.shape) values; the result is the workspace's (b, m, *grid.shape)
         float64 stack of evolved values, or a new one when the workspace keeps
-        fewer members."""
+        fewer members.  mults of another shape are refused with
+        ConfigurationError."""
         return self._stages(mults, values, *self._whole(mults))
 
     def _stages(self, mults, values, spec, stack, forward=True):
@@ -530,7 +540,10 @@ class SpectralWorkspace:
                 pocketfft.fft(coeffs, 1.0, axes=axes, out=coeffs)
         if mults is None:
             return None
-        np.multiply(mults, coeffs[:, None], out=spec)
+        try:
+            np.multiply(mults, coeffs[:, None], out=spec)
+        except ValueError:  # mults that do not broadcast to spec
+            raise self._refusal(mults, spec.shape[1]) from None
         for axes in reversed(self._leading):
             pocketfft.ifft(spec, self._inverse_factor, axes=axes, out=spec)
         pocketfft.irfft(spec, self._inverse_factor, axes=self._last, out=stack)
@@ -543,13 +556,14 @@ class SpectralWorkspace:
 
     def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
                  argmax: np.ndarray | None = None) -> np.ndarray:
-        """The sup-envelope step: the member maximum of apply(mults, values) into
-        out (new when None; values itself is allowed) and, when argmax is given,
-        each row's lowest maximizing member index into it, both of the values'
-        shape.  The only member reduction; np.maximum.reduce is what np.max
-        runs, without its dispatch.  Member at a time, np.maximum folds the
-        members in the same order, so both schedules give the same bits, and
-        out and argmax are unspecified after a ConsistencyError."""
+        """The sup-envelope step: the member maximum of apply(mults, values), mults
+        of the workspace's m members, into out (new when None; values itself is
+        allowed) and, when argmax is given, each row's lowest maximizing member
+        index into it, both of the values' shape.  The only member reduction;
+        np.maximum.reduce is what np.max runs, without its dispatch.  Member at
+        a time, np.maximum folds the members in the same order, so both
+        schedules give the same bits, and out and argmax are unspecified after
+        a ConsistencyError."""
         if not self.by_member:
             stack = self._stages(mults, values, self.spec, self.stack)
             if argmax is not None:
@@ -559,12 +573,15 @@ class SpectralWorkspace:
         # are apply's; then each member from the kept coefficients into out
         # (member 0) or the one-member stack, folded in at once
         self._stages(None, values, self.spec, self.stack)
+        axis = mults.ndim - 1 - self.grid.dim  # the member axis
+        if (mults.shape[axis:] != (self.members,) + self.grid.half_shape
+                or mults.shape[:axis] not in ((), (1,), values.shape[:1])):
+            raise self._refusal(mults, self.members)
         if out is None:
             out = np.empty(values.shape)
         if argmax is not None:
             argmax.fill(0)
         top = out[:, None]
-        axis = mults.ndim - 1 - self.grid.dim  # the member axis
         try:
             with np.errstate(all="ignore"):
                 for i in range(mults.shape[axis]):
@@ -597,6 +614,7 @@ def sample_increments(q: LevyQuadruple, dt: float, rng: np.random.Generator,
     """
     checked(dt, "increment step dt", above=True)
     size = checked(size, "increment count size", integer=True)
+    generator_only(rng)
     if q._has_gaussian_part:
         x = rng.standard_normal((size, q.dim)) @ (q._sigma_factor.T * math.sqrt(dt))
     else:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigurationError
-from .grid import (GridFunction, TorusGrid, checked, keys_only, numbers_only, read_json,
-                   wrap_point, write_table)
+from .grid import (GridFunction, TorusGrid, checked, generator_only, keys_only, numbers_only,
+                   read_json, wrap_point, write_table)
 from .levy import GeneratorFamily, sample_increments
 from .nisio import ARGMAX_BUDGET, NisioResult, Partition, SimpleStrategy
 
@@ -52,7 +52,7 @@ class McEstimate:
 def random_strategy(grid: TorusGrid, partition: Partition, member_count: int,
                     rng: np.random.Generator) -> SimpleStrategy:
     member_count = checked(member_count, "member_count", 1, integer=True)
-    fb = rng.integers(0, member_count, size=(partition.step_count,) + grid.shape)
+    fb = generator_only(rng).integers(0, member_count, size=(partition.step_count,) + grid.shape)
     return SimpleStrategy(grid, partition, fb)
 
 
@@ -141,6 +141,7 @@ def simulate_paths(family: GeneratorFamily, strategies, x0, t: float,
     once and every strategy's paths advance on those draws; the feedback is
     looked up at the nearest grid point of each current position."""
     size = checked(size, "path count size", integer=True)
+    generator_only(rng)
     if not strategies or any(s.grid != strategies[0].grid or not np.array_equal(
             s.partition.times, strategies[0].partition.times) for s in strategies):
         raise ConfigurationError("simulate_paths needs strategies on one grid and one partition")

@@ -21,6 +21,7 @@ from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable
                      nisio_evolve, partition_continuity_probe, path_payoffs, picard_solve,
                      poisson_series_apply, random_strategy, sample, sample_increments,
                      simulate_paths, wrapped_cauchy_quadruple)
+from sublevy.levy import SpectralWorkspace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -290,6 +291,8 @@ DOORS = {
         lambda x: poisson_series_apply(JUMP, 0.1, F, tail_tol=x), [0.0]),
     "picard_solve t": (lambda x: picard_solve(TABLE, F, x, 0.01), [0.0]),
     "picard_solve dt": (lambda x: picard_solve(TABLE, F, 0.1, x), [0.0]),
+    "SpectralWorkspace members": (lambda x: SpectralWorkspace(GRID, x), [0, -1, 2.5, None]),
+    "SpectralWorkspace rows": (lambda x: SpectralWorkspace(GRID, 2, rows=x), [0, -1, 2.5, None]),
     "mass_diagnostic t": (lambda x: mass_diagnostic(TABLE, x, 1.0), [-1.0]),
     "mass_diagnostic window": (lambda x: mass_diagnostic(TABLE, 0.1, x), [0.0, math.pi]),
     "path_payoffs n_paths": (

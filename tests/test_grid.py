@@ -57,6 +57,27 @@ class TestMakeGrid:
         with pytest.raises(ConfigurationError):
             g.nearest_index(np.zeros((3, 1)))
 
+    def test_nearest_index_of_far_and_non_finite_points(self):
+        # the cast of (p + pi) / h to int64 overflowed past about 1e19 and gave
+        # cell 0 with a RuntimeWarning: a far point now takes its wrapped
+        # point's cell, and NaN or inf is refused
+        g = make_grid(1, 16)
+        far = np.array([1e20, -1e20, 1e300, -1e300, 7.0, 1e12 + 0.3, -np.pi - 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = g.nearest_index(far[:, None])[0]
+            assert g.nearest_index([1e20]) == (8,)
+        assert cells.tolist() == g.nearest_index(wrap_point(far)[:, None])[0].tolist()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="^point coordinates must be finite$"):
+                g.nearest_index([[0.0], [bad]])
+        # points in [-pi, pi]^d keep the cells of rint((p + pi) / h) mod n, bitwise
+        g2 = make_grid(2, 64)
+        pts = np.random.default_rng(5).uniform(-np.pi, np.pi, (500, 2))
+        pts[:4] = [[-np.pi, np.pi], [np.pi, -np.pi], [0.0, -0.0], [np.pi, np.pi]]
+        expect = np.rint((pts + np.pi) / g2.spacing).astype(np.int64) % 64
+        assert np.array_equal(np.stack(g2.nearest_index(pts), axis=-1), expect)
+
 
 class TestSample:
     def test_cosine(self, grid8):

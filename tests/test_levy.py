@@ -688,6 +688,39 @@ class TestSpectralKernel:
                     ws.envelope(mults, bad, out=out, argmax=am)
                 assert np.all(out == 7.0) and np.all(am == -1)
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16)])
+    def test_multipliers_of_another_shape_refused(self, dim, n):
+        # a member-at-a-time workspace for 2 members returned the maximum over
+        # 3 given 3 members' multipliers, and the whole stack raised numpy's
+        # broadcast ValueError, as both did for a wrong half shape or row count.
+        # Now each is one ConfigurationError before out or argmax is written,
+        # and the workspace still gives the bits of a new one
+        grid = make_grid(dim, n)
+        three = SymbolTable.build(_kernel_family(grid), grid).multipliers(0.1)
+        two = three[:2]
+        v = np.stack([random_trig(grid, np.random.default_rng(n + k)).values for k in (0, 1)])
+        expect = schedule_workspace(grid, 2, False, rows=2).envelope(two, v)
+        shape = re.escape(f"{(2,) + grid.half_shape}")
+        for by_member in (False, True):
+            ws = schedule_workspace(grid, 2, by_member, rows=2)
+            # (multipliers, refused by envelope, refused by apply): apply takes
+            # any member count; no member axis is refused member at a time
+            for bad, by_envelope, by_apply in ((three, True, False), (two[..., :-1], True, True),
+                                               (np.stack([two] * 3), True, True),
+                                               (two[0], by_member, True)):
+                out, am = np.full(v.shape, 7.0), np.full(v.shape, -1, dtype=np.int64)
+                message = (f"^kernel multipliers must have shape {shape}, shared by the rows, "
+                           f"or one such set a row, got shape {re.escape(str(bad.shape))}$")
+                if by_envelope:
+                    with pytest.raises(ConfigurationError, match=message):
+                        ws.envelope(bad, v, out=out, argmax=am)
+                    assert np.all(out == 7.0) and np.all(am == -1)
+                if by_apply:
+                    with pytest.raises(ConfigurationError, match=message):
+                        ws.apply(bad, v)
+            assert _bits(ws.envelope(two, v)) == _bits(expect)
+            assert ws.apply(three, v).shape == (2, 3) + grid.shape  # apply takes any count
+
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     def test_envelope_bitwise_equals_member_max(self, dim, n):
         grid = make_grid(dim, n)

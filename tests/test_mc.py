@@ -24,6 +24,7 @@ from sublevy import (
     path_payoffs,
     random_strategy,
     sample,
+    sample_increments,
     save_strategy,
     simulate_paths,
 )
@@ -119,6 +120,20 @@ class TestSimulatePath:
         with pytest.raises(ConfigurationError):
             simulate_paths(zero_family, [strat], np.array([0.0]), 1.0,
                            np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("rng", [5, None, np.random.RandomState(0), np.random.PCG64(0)],
+                             ids=["int", "None", "RandomState", "BitGenerator"])
+    def test_an_rng_that_is_no_generator_is_refused(self, grid128, two_sigma_family, rng):
+        # an int seed gave AttributeError: 'int' object has no attribute 'integers'
+        pi = Partition.dyadic(0.2, 2)
+        strat = random_strategy(grid128, pi, 2, np.random.default_rng(0))
+        message = f"^rng must be a numpy.random.Generator, got {type(rng).__name__}$"
+        doors = [lambda: random_strategy(grid128, pi, 2, rng),
+                 lambda: simulate_paths(two_sigma_family, [strat], [0.0], 0.2, rng, 4),
+                 lambda: sample_increments(two_sigma_family.members[0], 0.1, rng, 4)]
+        for door in doors:
+            with pytest.raises(ConfigurationError, match=message):
+                door()
 
     def test_strategies_must_share_grid_and_partition(self, grid64, grid128, zero_family):
         a = SimpleStrategy(grid128, Partition.dyadic(1.0, 1), np.zeros((2, 128)))
