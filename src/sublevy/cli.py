@@ -329,8 +329,8 @@ def _timed(run: _Run, name: str, fn):
 
 def _run_nisio(run: _Run, record_argmax_level: int | None = None, riders=()):
     """The envelope stage of every command, with its diagnostics and its
-    nisio.tol violation; riders ride in its kernel calls (nisio_evolve), and
-    are built before it, so that a bad step is refused first."""
+    nisio.tol violation; riders, built before it so that a bad step is refused
+    first, ride in its kernel calls (nisio_evolve) and end with finish()."""
     cfg = run.config
     result = _timed(run, "nisio", lambda: nisio_evolve(
         run.table, cfg.time, run.initial,

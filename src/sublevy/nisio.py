@@ -200,7 +200,8 @@ class Rider:
             self.pending, self.result = None, end.value
 
     def finish(self):
-        """Step this lane alone, through _drive, to its return and give its result."""
+        """Step this lane alone, unpaused, through _drive to its return; its result."""
+        self.paused = False
         return _ride([self])[0]
 
 

@@ -128,8 +128,7 @@ def stability_limit(table: SymbolTable) -> float:
 
 def picard_stages(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Rider:
     """picard_solve's stages as a Rider on psi: its runs are the stages, one
-    step each, and its result the Trajectory.  It may ride in nisio_evolve's
-    kernel calls, and its finish() steps the stages left, one call a stage.
+    step each, its result the Trajectory, and its finish() the stages left.
     Before any stage, more than PICARD_WORK_BUDGET step-points (steps x grid
     points) raise BudgetError, and a t no integer multiple of dt or a dt above
     stability_limit(table) ConfigurationError."""

@@ -484,6 +484,13 @@ class TestRiders:
         assert (rider.finish().tobytes()
                 == alone(two_sigma_table, 1e-3, 501, bump128.values).tobytes())
 
+    def test_finish_steps_a_paused_lane(self, two_sigma_table, bump128):
+        # a lane left paused came back from a ride of its own unstepped, as None
+        lane = Rider.run(two_sigma_table, 0.01, 4, bump128.values)
+        lane.paused = True
+        assert np.array_equal(lane.finish(), alone(two_sigma_table, 0.01, 4, bump128.values))
+        assert not lane.paused and lane.pending is None
+
     def test_runs_of_any_length_and_a_return_mid_call(self, two_sigma_table, bump128):
         # a chain of runs 1, 3 and 0 steps long ends while the levels still step;
         # each run's result is that many one-row steps from its input
