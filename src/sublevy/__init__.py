@@ -2,9 +2,9 @@
 
 Builds the smallest translation-invariant nonlinear evolution dominating a
 finite family of linear Levy semigroups, by dyadic refinement of one-step
-sup-envelopes over exact spectral multipliers.  Ships independent oracles
-(jump-count series, classical Runge-Kutta integration of the sup-generator
-equation) and a Monte Carlo dual over feedback-controlled paths.
+sup-envelopes over exact spectral multipliers.  Ships an independent oracle
+(classical Runge-Kutta integration of the sup-generator equation) and a Monte
+Carlo dual over feedback-controlled paths.
 """
 
 __version__ = "0.1.0"
@@ -57,20 +57,15 @@ from .nisio import (
     Partition,
     SimpleStrategy,
     apply_J,
-    apply_partition,
-    dpp_check,
     generator_limit_table,
     generator_sup,
     lipschitz_bound,
     nisio_evolve,
-    partition_continuity_probe,
 )
 from .oracles import (
     Trajectory,
-    mass_diagnostic,
     picard_solve,
     picard_stages,
-    poisson_series_apply,
     stability_limit,
 )
 

@@ -454,14 +454,16 @@ class SpectralWorkspace:
     in place.  The stack returned by apply stays valid until the next call on
     the same workspace.  Every buffer has a leading row axis of length rows,
     one by default, and each call takes values of shape (b, *grid.shape) for
-    any b <= rows, any other shape refused with ConfigurationError: b
-    independent rows in one call, each row bitwise what a call on that row
-    alone gives.  One method runs every stage of the kernel, and envelope folds
-    its result in one of two ways: the whole member stack at once or, when one
-    member's evolution of every row holds MEMBER_POINTS points or more
-    (by_member), one member at a time.  A by_member workspace keeps the spectra
-    and stack of one member, all that schedule writes; apply with more members,
-    and the non-finite replay, evolve into new ones.
+    any b <= rows and multipliers of shape (b, m, ..., n/2+1), one set of the
+    m members a row (np.broadcast_to gives every row one set), any other shape
+    refused with ConfigurationError: b independent rows in one call, each row
+    bitwise what a call on that row alone gives.  One method runs every stage
+    of the kernel, and envelope folds its result in one of two ways: the whole
+    member stack at once or, when one member's evolution of every row holds
+    MEMBER_POINTS points or more (by_member), one member at a time.  A
+    by_member workspace keeps the spectra and stack of one member, all that
+    schedule writes; apply of m > 1 members, and the non-finite replay, evolve
+    into new ones.
     """
 
     def __init__(self, grid: TorusGrid, members: int, rows: int = 1):
@@ -476,13 +478,21 @@ class SpectralWorkspace:
         self._last = [(-1,), (), (-1,)]
         self._leading = [[(-a,), (), (-a,)] for a in range(2, grid.dim + 1)]
         self._inverse_factor = 1.0 / grid.n
+        # one row's values and multipliers, read on every call
+        self._shape, self._set = grid.shape, (self.members,) + grid.half_shape
         self.coeffs = np.empty((rows,) + grid.half_shape, dtype=complex)
-        self.spec, self.stack = self._buffers(1 if self.by_member else members)
+        self.spec, self.stack = self._buffers(1 if self.by_member else self.members)
 
-    def _refusal(self, mults: np.ndarray, members: int) -> ConfigurationError:
-        return ConfigurationError(
-            f"kernel multipliers must have shape {(members,) + self.grid.half_shape}, shared "
-            f"by the rows, or one such set a row, got shape {mults.shape}")
+    def _checked(self, mults: np.ndarray, values: np.ndarray) -> None:
+        """Refuse values other than at most rows rows of the grid's shape, then
+        multipliers other than one set of the m members a row of values."""
+        if values.shape[1:] != self._shape or len(values) > len(self.coeffs):
+            raise ConfigurationError(f"kernel values must be rows of shape {self._shape}, "
+                                     f"at most {len(self.coeffs)}, got shape {values.shape}")
+        if mults.shape[1:] != self._set or len(mults) != len(values):
+            raise ConfigurationError(
+                f"kernel multipliers must have shape {values.shape[:1] + self._set}, one set "
+                f"of {self.members} members a row, got shape {mults.shape}")
 
     def _buffers(self, members: int) -> tuple[np.ndarray, np.ndarray]:
         """New member spectra and float64 member stack of every row."""
@@ -490,29 +500,28 @@ class SpectralWorkspace:
         return (np.empty(shape + self.grid.half_shape, dtype=complex),
                 np.empty(shape + self.grid.shape))
 
-    def _whole(self, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Spectra and stack for every member of mults: the workspace's own when
-        they hold that many, else new ones."""
-        if not 1 <= mults.ndim - self.grid.dim <= 2:  # no member axis, or more than rows
-            raise self._refusal(mults, self.members)
-        members = mults.shape[mults.ndim - 1 - self.grid.dim]
-        if self.stack.shape[1] == members:
+    def _whole(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spectra and stack for all m members: the workspace's own when they
+        hold m, else new ones."""
+        if self.stack.shape[1] == self.members:
             return self.spec, self.stack
-        return self._buffers(members)
+        return self._buffers(self.members)
 
     def apply(self, mults: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Multiply the spectrum of each row of values by each multiplier.
 
-        mults holds half-spectrum multipliers, shape (m, ..., n/2+1), shared
-        by every row, or (b, m, ..., n/2+1), one set per row of the (b,
-        *grid.shape) values; the result is the workspace's (b, m, *grid.shape)
-        float64 stack of evolved values, or a new one when the workspace keeps
-        fewer members.  mults of another shape are refused with
+        mults holds half-spectrum multipliers, shape (b, m, ..., n/2+1), one
+        set of the workspace's m members per row of the (b, *grid.shape)
+        values; the result is the workspace's (b, m, *grid.shape) float64
+        stack of evolved values, or a new one when the workspace keeps fewer
+        members.  Values or mults of another shape are refused with
         ConfigurationError."""
-        return self._stages(mults, values, *self._whole(mults))
+        self._checked(mults, values)
+        return self._stages(mults, values, *self._whole())
 
     def _stages(self, mults, values, spec, stack, forward=True):
-        """Every stage of the kernel, on the leading rows that values take.
+        """Every stage of the kernel, on the leading rows that values take, of
+        shapes apply and envelope have checked.
         The forward transform of values into the coefficients (skipped when
         not forward, which keeps the last one's) is a real FFT of the last
         axis, then in-place complex FFTs of the leading grid axes from the
@@ -529,9 +538,6 @@ class SpectralWorkspace:
         argument handling and with the factor it passes: 1 forward, 1/n
         inverse.  The same gufuncs on the same buffers give the bits of
         np.fft.rfftn and irfftn."""
-        if forward and (values.shape[1:] != self.grid.shape or len(values) > len(self.coeffs)):
-            raise ConfigurationError(f"kernel values must be rows of shape {self.grid.shape}, "
-                                     f"at most {len(self.coeffs)}, got shape {values.shape}")
         rows = len(values)
         coeffs, spec, stack = self.coeffs[:rows], spec[:rows], stack[:rows]
         if forward:
@@ -540,10 +546,7 @@ class SpectralWorkspace:
                 pocketfft.fft(coeffs, 1.0, axes=axes, out=coeffs)
         if mults is None:
             return None
-        try:
-            np.multiply(mults, coeffs[:, None], out=spec)
-        except ValueError:  # mults that do not broadcast to spec
-            raise self._refusal(mults, spec.shape[1]) from None
+        np.multiply(mults, coeffs[:, None], out=spec)
         for axes in reversed(self._leading):
             pocketfft.ifft(spec, self._inverse_factor, axes=axes, out=spec)
         pocketfft.irfft(spec, self._inverse_factor, axes=self._last, out=stack)
@@ -556,14 +559,15 @@ class SpectralWorkspace:
 
     def envelope(self, mults: np.ndarray, values: np.ndarray, out: np.ndarray | None = None,
                  argmax: np.ndarray | None = None) -> np.ndarray:
-        """The sup-envelope step: the member maximum of apply(mults, values), mults
-        of the workspace's m members, into out (new when None; values itself is
-        allowed) and, when argmax is given, each row's lowest maximizing member
-        index into it, both of the values' shape.  The only member reduction;
-        np.maximum.reduce is what np.max runs, without its dispatch.  Member at
-        a time, np.maximum folds the members in the same order, so both
-        schedules give the same bits, and out and argmax are unspecified after
-        a ConsistencyError."""
+        """The sup-envelope step: the member maximum of apply(mults, values) into
+        out (new when None; values itself is allowed) and, when argmax is given,
+        each row's lowest maximizing member index into it, both of the values'
+        shape.  Shapes are refused as apply refuses them, before out or argmax
+        is written.  The only member reduction; np.maximum.reduce is what np.max
+        runs, without its dispatch.  Member at a time, np.maximum folds the
+        members in the same order, so both schedules give the same bits, and
+        out and argmax are unspecified after a ConsistencyError."""
+        self._checked(mults, values)
         if not self.by_member:
             stack = self._stages(mults, values, self.spec, self.stack)
             if argmax is not None:
@@ -573,10 +577,6 @@ class SpectralWorkspace:
         # are apply's; then each member from the kept coefficients into out
         # (member 0) or the one-member stack, folded in at once
         self._stages(None, values, self.spec, self.stack)
-        axis = mults.ndim - 1 - self.grid.dim  # the member axis
-        if (mults.shape[axis:] != (self.members,) + self.grid.half_shape
-                or mults.shape[:axis] not in ((), (1,), values.shape[:1])):
-            raise self._refusal(mults, self.members)
         if out is None:
             out = np.empty(values.shape)
         if argmax is not None:
@@ -584,10 +584,9 @@ class SpectralWorkspace:
         top = out[:, None]
         try:
             with np.errstate(all="ignore"):
-                for i in range(mults.shape[axis]):
-                    mult = mults[(slice(None),) * axis + (slice(i, i + 1),)]
-                    member = self._stages(mult, values, self.spec, self.stack if i else top,
-                                          False)
+                for i in range(self.members):
+                    member = self._stages(mults[:, i:i + 1], values, self.spec,
+                                          self.stack if i else top, False)
                     if i:
                         if argmax is not None:
                             # strict: a tie keeps the lower index, as np.argmax does
@@ -597,7 +596,7 @@ class SpectralWorkspace:
         except ConsistencyError:
             # a member is not finite: the whole stack, evolved again from the
             # kept coefficients, raises with the floating-point warnings apply gives
-            self._stages(mults, values, *self._whole(mults), False)
+            self._stages(mults, values, *self._whole(), False)
             raise
 
 

@@ -51,7 +51,7 @@ class McEstimate:
 
 def random_strategy(grid: TorusGrid, partition: Partition, member_count: int,
                     rng: np.random.Generator) -> SimpleStrategy:
-    member_count = checked(member_count, "member_count", 1, integer=True)
+    member_count = checked(member_count, "member_count", 1, 2**53, integer=True)
     fb = generator_only(rng).integers(0, member_count, size=(partition.step_count,) + grid.shape)
     return SimpleStrategy(grid, partition, fb)
 
@@ -98,13 +98,16 @@ def check_budgets(family: GeneratorFamily, grid: TorusGrid, t: float, suite,
 def interpolate_linear(f: GridFunction, points):
     """Periodic multilinear interpolation of a grid function at an (n, d) batch
     of torus points, an array of n values; points of any other shape, and a
-    NaN or infinite coordinate, are refused."""
+    NaN or infinite coordinate, are refused.  A point outside [-pi, pi]^d takes
+    its wrapped point's value, as nearest_index gives it its wrapped cell."""
     grid = f.grid
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise ConfigurationError(f"points must be an (n, {grid.dim}) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ConfigurationError("point coordinates must be finite")
+    if not -np.pi <= pts.min(initial=0.0) <= pts.max(initial=0.0) <= np.pi:  # NaN fails
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError("point coordinates must be finite")
+        pts = wrap_point(pts)
     u = (pts + np.pi) / grid.spacing
     i0 = np.floor(u).astype(np.int64)
     frac = u - i0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import (GridFunction, TorusGrid, _csv_header, _sup_norm, checked, numbers_only,
-                   sup_distance, write_grid_table, write_table)
+                   write_grid_table, write_table)
 from .levy import SpectralWorkspace, SymbolTable, batch_rows
 
 MAX_LEVEL = 20
@@ -147,28 +147,6 @@ def apply_J(table: SymbolTable, t: float, f: GridFunction) -> GridFunction:
     if t == 0:
         return f
     return GridFunction(table.grid, Rider.run(table, t, 1, values).finish())
-
-
-def apply_partition(table: SymbolTable, pi: Partition, f: GridFunction) -> GridFunction:
-    """Compose one envelope step per partition gap, last interval applied first."""
-    values = table.values_of(f)
-    for gap, count in reversed(_runs(pi)):
-        values = Rider.run(table, gap, count, values).finish()
-    return GridFunction(table.grid, values)
-
-
-def _runs(pi: Partition) -> list[tuple[float, int]]:
-    """(step, count) runs of a partition's gaps in forward-time order.  Gaps that
-    differ only by the rounding of the partition times form one run, stepped by
-    (run end - run start) / count: a dyadic partition is one run of t / 2^level."""
-    times, gaps = pi.times.tolist(), pi.gaps()
-    tol = 4.0 * float(np.spacing(pi.end))
-    runs, start = [], 0
-    for j in range(1, gaps.size + 1):
-        if j == gaps.size or abs(gaps[j] - gaps[start]) > tol:
-            runs.append(((times[j] - times[start]) / (j - start), j - start))
-            start = j
-    return runs
 
 
 class Rider:
@@ -358,7 +336,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
     if record_argmax_level is not None:
         steps = 2**record_argmax_level
         ws = SpectralWorkspace(table.grid, len(table))
-        mults = table.multipliers(t / steps)
+        mults = table.multipliers(t / steps)[None]  # one row's set
         selections = np.empty((steps,) + table.grid.shape, dtype=np.int64)
         v = f.values[None].copy()  # one row
         for step in range(steps - 1, -1, -1):  # forward-time step, the last applied first
@@ -381,7 +359,7 @@ def nisio_evolve(table: SymbolTable, t: float, f: GridFunction,
 def generator_sup(table: SymbolTable, f: GridFunction) -> GridFunction:
     """Pointwise maximum of the member generators applied to f."""
     ws = SpectralWorkspace(table.grid, len(table))
-    return GridFunction(table.grid, ws.envelope(table.psi, table.values_of(f)[None])[0])
+    return GridFunction(table.grid, ws.envelope(table.psi[None], table.values_of(f)[None])[0])
 
 
 def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
@@ -390,21 +368,7 @@ def lipschitz_bound(table: SymbolTable, f: GridFunction) -> float:
     each one's sup norm is read from its minimum and maximum."""
     values = table.values_of(f)[None]
     ws = SpectralWorkspace(table.grid, 1)
-    return max(_sup_norm(ws.apply(row[None], values)) for row in table.psi)
-
-
-def dpp_check(table: SymbolTable, s: float, t: float, f: GridFunction,
-              level: int) -> float:
-    """Sup distance between the (s+t)-evolution and the composed s- then
-    t-evolution, all at the same dyadic level.  The joint row and the t-run go
-    in one lockstep pass, then the s-run on the t-run's result."""
-    checked(s, "time s", above=True)
-    checked(t, "time t", above=True)
-    steps = 2 ** checked(level, "level", 0, MAX_LEVEL, integer=True)
-    x = table.values_of(f)
-    joint, later = _ride([Rider.run(table, h / steps, steps, x) for h in (s + t, t)])
-    composed = Rider.run(table, s / steps, steps, later).finish()
-    return _sup_norm(np.subtract(joint, composed, out=joint))  # joint is a _drive copy
+    return max(_sup_norm(ws.apply(row, values)) for row in table.psi[:, None, None])
 
 
 def generator_limit_table(table: SymbolTable, f: GridFunction,
@@ -431,29 +395,6 @@ def generator_limit_table(table: SymbolTable, f: GridFunction,
         values /= h
         values -= target
     return [(h, _sup_norm(values)) for h, values in zip(hs, rows)]
-
-
-def partition_continuity_probe(table: SymbolTable, pi: Partition, f: GridFunction,
-                               eps: float) -> float:
-    """Largest sup-distance caused by moving a single partition time by eps."""
-    checked(eps, "perturbation eps")
-    table.values_of(f)  # refused even when nothing moves
-    if eps == 0 or pi.step_count == 0:
-        return 0.0
-    min_gap = float(np.min(pi.gaps()))
-    if eps >= 0.5 * min_gap:
-        raise ConfigurationError(
-            f"perturbation {eps} must be below half the minimum gap {min_gap}"
-        )
-    base = apply_partition(table, pi, f)
-    worst = 0.0
-    for j in range(1, pi.times.size):
-        for sign in (1.0, -1.0):
-            times = pi.times.copy()
-            times[j] += sign * eps
-            moved = apply_partition(table, Partition(times), f)
-            worst = max(worst, sup_distance(base, moved))
-    return worst
 
 
 # -- CSV emission ----------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Independent ground-truth computations used to cross-check the sup-envelope.
+"""An independent ground-truth computation used to cross-check the sup-envelope.
 
-Nothing here composes envelope steps: the series oracle exponentiates the
-jump part directly in real space, and the classical integrator time-steps
+Nothing here composes envelope steps: the classical integrator time-steps
 du/dt = max-of-generators with fourth-order Runge-Kutta on the same symbols.
-Agreement between these routes and the dyadic iteration is the central
+Agreement between this route and the dyadic iteration is the central
 numerical check of the artifact.
 """
 
@@ -16,15 +15,13 @@ import numpy as np
 
 from .errors import BudgetError, ConfigurationError, ConsistencyError
 from .grid import GridFunction, _csv_header, _sup_norm, checked, write_grid_table, write_table
-from .levy import LevyQuadruple, SpectralWorkspace, SymbolTable, snap_to_grid
+from .levy import SymbolTable
 from .nisio import Partition, Rider
 
-SERIES_TERM_BUDGET = 10**4
 # steps x grid points for one picard_solve; every step keeps a snapshot, so
 # this also caps the trajectory at 80 MB
 PICARD_WORK_BUDGET = 10**7
 RK4_ABS_STABILITY = 2.5  # inside the negative real-axis stability interval (~2.785)
-MASS_WINDOW_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -52,68 +49,6 @@ class Trajectory:
     @property
     def final(self) -> GridFunction:
         return self.snapshots[-1]
-
-
-# -- compound-Poisson series ------------------------------------------------------
-
-def poisson_series_apply(q: LevyQuadruple, t: float, f: GridFunction,
-                         tail_tol: float = 1e-10) -> GridFunction:
-    """Exponentiate a pure large-jump generator by the jump-count series.
-
-    Sums exp(-m) m^k / k! Q^k f over k <= N where Q convolves with the
-    normalized jump kernel (exact cyclic shifts, atoms lie on the grid),
-    m = t * total atom weight, and N is chosen so the neglected tail
-    contributes at most tail_tol in sup norm.
-    """
-    checked(t, "time t")
-    checked(tail_tol, "tail_tol", above=True)
-    if np.any(q.b != 0) or np.any(q.sigma != 0) or q.nu_points.size:
-        raise ConfigurationError(
-            "series oracle requires a pure large-jump quadruple "
-            "(no drift, diffusion or small jumps)"
-        )
-    if q.mu_points.size == 0 or t == 0:
-        return f
-    grid = f.grid
-    snapped, moved = snap_to_grid(q, grid)
-    if moved > 1e-9:
-        raise ConfigurationError("series oracle requires atoms on grid points")
-    offsets = np.round(snapped.mu_points / grid.spacing).astype(int) % grid.n
-
-    total = float(q.mu_weights.sum())
-    m = total * t
-    probs = q.mu_weights / total
-
-    # smallest N with Poisson(m) tail below the scaled target
-    target = tail_tol / (1.0 + f.sup_norm)
-    pmf = math.exp(-m)
-    cum = pmf
-    n_terms = 0
-    while 1.0 - cum > target:
-        n_terms += 1
-        if n_terms > SERIES_TERM_BUDGET:
-            raise BudgetError(
-                f"series needs more than {SERIES_TERM_BUDGET} terms (m = {m:.3g})"
-            )
-        pmf *= m / n_terms
-        cum += pmf
-
-    def convolve(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        axes = tuple(range(grid.dim))
-        for j in range(offsets.shape[0]):
-            shift = tuple(-int(o) for o in offsets[j])
-            out += probs[j] * np.roll(v, shift=shift, axis=axes)
-        return out
-
-    pmf = math.exp(-m)
-    term = f.values
-    acc = pmf * term
-    for k in range(1, n_terms + 1):
-        term = convolve(term)
-        pmf *= m / k
-        acc = acc + pmf * term
-    return GridFunction(grid, acc)
 
 
 # -- classical integration of the sup-generator equation ---------------------------
@@ -180,35 +115,6 @@ def picard_solve(table: SymbolTable, f: GridFunction, t: float, dt: float) -> Tr
     dt).finish(): the stages, one kernel call each, through nisio's driver.
     """
     return picard_stages(table, f, t, dt).finish()
-
-
-# -- mass / wrap-around diagnostic --------------------------------------------------
-
-def mass_diagnostic(table: SymbolTable, t: float, window_halfwidth: float) -> float:
-    """Worst-case mass escaping a plateau window under any single member.
-
-    A function equal to 1 on the window (per-axis halfwidth) and decaying to 0
-    over a raised-cosine ramp is evolved under each member alone; the report
-    is max over members of 1 - min over the shrunk window (halfwidth scaled by
-    MASS_WINDOW_SHRINK) of the evolved plateau.  Small values certify that a
-    line-valued example embedded on a large torus does not see the wrap-around.
-    """
-    # below pi: at pi the ramp has no width to decay over
-    w = checked(window_halfwidth, "window_halfwidth", 0, np.nextafter(np.pi, 0), above=True)
-    grid = table.grid
-    ramp = min(np.pi - w, w) / 2.0
-    plateau = np.ones(grid.shape)
-    inside = np.ones(grid.shape, dtype=bool)
-    for xi in grid.meshgrid():
-        d = np.abs(xi)
-        axis_val = np.where(
-            d <= w, 1.0,
-            np.where(d <= w + ramp, 0.5 * (1.0 + np.cos(np.pi * (d - w) / ramp)), 0.0),
-        )
-        plateau = plateau * axis_val
-        inside &= d <= MASS_WINDOW_SHRINK * w
-    evolved = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), plateau[None])
-    return max(1.0 - float(np.min(evolved[0][:, inside])), 0.0)
 
 
 # -- CSV emission --------------------------------------------------------------------

@@ -45,13 +45,13 @@ def one_member_table(q, grid):
 
 def member_evolution(table, t, f, member=0):
     """One member's linear evolution of f for time t: its row of the table's kernel."""
-    stack = SpectralWorkspace(f.grid, len(table)).apply(table.multipliers(t), f.values[None])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.multipliers(t)[None], f.values[None])
     return GridFunction(f.grid, stack[0, member])
 
 
 def member_generator(table, f, member=0):
     """One member's generator applied to f: its row of the kernel on psi itself."""
-    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi, f.values[None])
+    stack = SpectralWorkspace(f.grid, len(table)).apply(table.psi[None], f.values[None])
     return GridFunction(f.grid, stack[0, member])
 
 

@@ -17,20 +17,16 @@ from sublevy import (
     Partition,
     SymbolTable,
     apply_J,
-    apply_partition,
     compound_poisson,
     diffusion,
-    dpp_check,
     drift,
     estimate,
     extract_strategy,
     generator_limit_table,
     lipschitz_bound,
     make_grid,
-    mass_diagnostic,
     nisio_evolve,
     picard_solve,
-    poisson_series_apply,
     random_strategy,
     sample,
     sup_distance,
@@ -38,6 +34,7 @@ from sublevy import (
     wrapped_cauchy_quadruple,
 )
 from conftest import member_evolution, member_generator, one_member_table, random_trig
+from paper_checks import apply_partition, dpp_check, mass_diagnostic, poisson_series_apply
 
 # baseline dyadic-vs-integrated gap measured when tolerances were frozen;
 # exceeding twice this value is a regression even inside the hard budget

@@ -16,12 +16,13 @@ import pytest
 
 import sublevy
 from sublevy import (ConfigurationError, GeneratorFamily, Partition, SymbolTable, apply_J,
-                     apply_partition, compound_poisson, diffusion, dpp_check, drift,
-                     dual_bound_suite, generator_limit_table, make_grid, mass_diagnostic,
-                     nisio_evolve, partition_continuity_probe, path_payoffs, picard_solve,
-                     poisson_series_apply, random_strategy, sample, sample_increments,
-                     simulate_paths, wrapped_cauchy_quadruple)
+                     compound_poisson, diffusion, drift, dual_bound_suite, generator_limit_table,
+                     make_grid, nisio_evolve, path_payoffs, picard_solve, random_strategy, sample,
+                     sample_increments, simulate_paths, wrapped_cauchy_quadruple)
 from sublevy.levy import SpectralWorkspace
+import paper_checks
+from paper_checks import (apply_partition, dpp_check, mass_diagnostic,
+                          partition_continuity_probe, poisson_series_apply)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,14 +40,6 @@ def test_readme_api_list_matches_all():
 
 SRC = Path(sublevy.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# public names whose caller is still to come, each with the ROADMAP item that gives it one
-AWAITING_CALLER = {
-    "apply_partition": "item 5 (structure block)",
-    "dpp_check": "item 5 (structure block)",
-    "partition_continuity_probe": "item 5 (structure block)",
-    "poisson_series_apply": "item 1 (oracle's jump-count check)",
-    "mass_diagnostic": "item 6 (cauchy_interval)",
-}
 
 
 # benchmark span targets the program no longer has, each with the ROADMAP item
@@ -75,20 +68,24 @@ def _library_uses():
 
 def test_every_public_name_has_a_caller():
     """No public name is library code that only tests call: each is used in
-    src/sublevy/ outside its own definition, or by the benchmark in perfbench/."""
+    src/sublevy/ outside its own definition, or by the benchmark in perfbench/.
+    A check of the paper that waits for its caller lives in tests/paper_checks.py."""
     bench = " ".join(path.read_text() for path in PERFBENCH.glob("*.py"))
     used = _library_uses()
     names = {n for n in sublevy.__all__
              if not isinstance(getattr(sublevy, n), types.ModuleType)}
     uncalled = {n for n in names if n not in used and not re.search(rf"\b{n}\b", bench)}
-    assert uncalled <= set(AWAITING_CALLER), sorted(uncalled - set(AWAITING_CALLER))
-    assert set(AWAITING_CALLER) <= names
+    assert sorted(uncalled) == []
 
 
 # every public function of a symbol table and a grid function, found by its
-# signature, and a valid value for each other parameter without a default
-TABLE_AND_F = sorted(n for n in sublevy.__all__ if inspect.isfunction(getattr(sublevy, n))
-                     and {"table", "f"} <= set(inspect.signature(getattr(sublevy, n)).parameters))
+# signature: the library's, and the paper checks of tests/paper_checks.py,
+# which take both through the library's door; and a valid value for each
+# other parameter without a default
+TAKES_TABLE_AND_F = {n: fn for module in (sublevy, paper_checks) for n, fn in vars(module).items()
+                     if inspect.isfunction(fn) and not n.startswith("_")
+                     and {"table", "f"} <= set(inspect.signature(fn).parameters)}
+TABLE_AND_F = sorted(TAKES_TABLE_AND_F)
 OTHER_ARGS = {"t": 0.1, "s": 0.1, "pi": Partition.dyadic(0.1, 2), "level": 2, "h_list": [0.1],
               "eps": 1e-3, "dt": 0.01}
 
@@ -100,7 +97,7 @@ def test_grid_function_enters_a_table_through_one_door(name, dim, n):
     table = SymbolTable.build(GeneratorFamily((diffusion(0.25), diffusion(1.0))),
                               make_grid(1, 64))
     f = sample(make_grid(dim, n), "constant", value=1.0)
-    fn = getattr(sublevy, name)
+    fn = TAKES_TABLE_AND_F[name]
     args = {p: OTHER_ARGS[p] for p, v in inspect.signature(fn).parameters.items()
             if v.default is inspect.Parameter.empty and p not in ("table", "f")}
     with pytest.raises(ConfigurationError,
@@ -250,8 +247,10 @@ JUMP = compound_poisson([(GRID.spacing, 1.0)])
 STRATEGY = random_strategy(GRID, Partition.dyadic(0.1, 1), 2, np.random.default_rng(0))
 FAMILY = TABLE.family
 
-# each scalar parameter of a library door: a call with that parameter set to x,
-# and the values it refuses besides NaN and inf (a fraction where it counts)
+# each scalar parameter of a library door, and of a paper check of
+# tests/paper_checks.py, which takes its scalars through the same rule: a call
+# with that parameter set to x, and the values it refuses besides NaN and inf
+# (a fraction where it counts)
 DOORS = {
     "bump width": (lambda x: sample(GRID, "bump", center=0.0, width=x), [0.0, [1.0]]),
     "bump center": (lambda x: sample(GRID, "bump", center=x, width=1.0), [-math.inf]),
@@ -300,7 +299,7 @@ DOORS = {
     "path_payoffs seed": (
         lambda x: path_payoffs(FAMILY, [STRATEGY], F, [0.0], 0.1, 100, x), [-1, 2**64, 1.5]),
     "random_strategy member_count": (lambda x: random_strategy(
-        GRID, Partition.dyadic(0.1, 1), x, np.random.default_rng(0)), [0, 2.5]),
+        GRID, Partition.dyadic(0.1, 1), x, np.random.default_rng(0)), [0, 2.5, 2**63, 2**70]),
     "simulate_paths x0": (
         lambda x: simulate_paths(FAMILY, [STRATEGY], [x], 0.1, np.random.default_rng(0), 4),
         [-math.inf]),
@@ -349,6 +348,7 @@ def test_a_whole_valued_float_count_is_the_int():
                for n, seed in ((100.0, 1.0), (100, 1))]
     assert payoffs[0] == payoffs[1]
     assert make_grid(1, 64.0) == make_grid(1, 64) and type(make_grid(1, 64.0).n) is int
+    assert SpectralWorkspace(grid, 2.0, rows=3.0).stack.shape == (3, 2) + grid.shape
 
 
 def test_a_horizon_too_long_for_the_table_is_refused():

@@ -3,8 +3,8 @@
 A NaN, +inf or -inf is put in one member's multiplier (the other members stay
 finite) or in the input values, on 1D n=16 and 2D n=8 grids, with evolution
 multipliers or generator symbols and data of either sign of mean, for one row
-of values or a batch of three, with multipliers shared by the rows or one set
-per row, and with the maximizers recorded.
+of values or a batch of three, with one set of multipliers broadcast to every
+row or one set per row, and with the maximizers recorded.
 SpectralWorkspace.envelope must raise ConsistencyError ("non-finite") exactly
 when SpectralWorkspace.apply does on the same input, with the same warnings,
 whether it runs on the whole member stack or member at a time.
@@ -76,15 +76,12 @@ def test_envelope_raises_exactly_when_apply_does(dim, m, t, target, bad, member,
     scales = (1.0, 0.5, 2.0)[:rows] if per_row else (1.0,)
     mults = np.stack([table.psi * s if t is None else table.multipliers(t * s)
                       for s in scales])
-    if not per_row:
-        mults = mults[0]
     values = np.stack([random_trig(grid, rng, kmax=grid.n // 2).values + mean
                        for _ in range(rows)])
-    if target == "mults":
-        row = np.moveaxis(mults, mults.ndim - 1 - dim, 0)[member % m]
-    else:
-        row = values
+    row = mults[:, member % m] if target == "mults" else values
     row.flat[position % row.size] = bad
+    if not per_row:  # the one set, a read-only view for every row
+        mults = np.broadcast_to(mults, (rows,) + mults.shape[1:])
     expected = _outcome(lambda: SpectralWorkspace(grid, m, rows=rows).apply(mults, values))
     am = np.empty(values.shape, dtype=np.int64)
     for by_member in (False, True):

@@ -32,7 +32,6 @@ from sublevy import (
     make_grid,
     nisio_evolve,
     picard_solve,
-    poisson_series_apply,
     sample,
     sample_increment,
     sample_increments,
@@ -45,6 +44,7 @@ from sublevy.cli import RunConfig, build_family
 from sublevy.levy import MEMBER_POINTS, batch_rows
 from conftest import (full_row, member_evolution, member_generator, one_member_table,
                       random_trig, schedule_workspace)
+from paper_checks import poisson_series_apply
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -539,7 +539,8 @@ class TestSpectralKernel:
         table = SymbolTable.build(_kernel_family(grid), grid)
         # kmax = n/2 puts energy on the Nyquist shell
         f = random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2)
-        out = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t), f.values[None])
+        out = SpectralWorkspace(grid, len(table)).apply(table.multipliers(t)[None],
+                                                        f.values[None])
         assert out.dtype == np.float64
         assert out.shape == (1, len(table)) + grid.shape
         coeffs = forward_transform(f).coeffs
@@ -552,7 +553,7 @@ class TestSpectralKernel:
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         f = random_trig(grid, np.random.default_rng(3), kmax=6)
-        out = SpectralWorkspace(grid, len(table)).apply(table.psi, f.values[None])
+        out = SpectralWorkspace(grid, len(table)).apply(table.psi[None], f.values[None])
         coeffs = forward_transform(f).coeffs
         for i in range(len(table)):
             ref = inverse_transform(Spectrum(grid, full_row(table, i) * coeffs))
@@ -583,7 +584,7 @@ class TestSpectralKernel:
         # numpy warns on the inf before the kernel's own check raises
         with pytest.warns(RuntimeWarning, match="invalid value"):
             with pytest.raises(ConsistencyError, match="non-finite"):
-                SpectralWorkspace(grid64, 1).apply(mults,
+                SpectralWorkspace(grid64, 1).apply(mults[None],
                                                    sample(grid64, "cosine", k=3).values[None])
 
     def test_member_at_minus_infinity_raises(self, grid64):
@@ -599,7 +600,7 @@ class TestSpectralKernel:
                 with np.errstate(invalid="ignore"):
                     assert np.isneginf(np.fft.irfft(mults[1] * np.fft.rfft(values), 64)).all()
                 with pytest.raises(ConsistencyError, match="non-finite"):
-                    ws.envelope(mults, values[None])
+                    ws.envelope(mults[None], values[None])
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -613,7 +614,7 @@ class TestSpectralKernel:
         am = np.empty((1,) + grid.shape, dtype=np.int64)
         # repeated calls on one workspace keep no state from the previous call
         for t in (0.05, 0.3):
-            mults = table.multipliers(t)
+            mults = table.multipliers(t)[None]
             v = rng.standard_normal((1,) + grid.shape)  # one row
             coeffs = np.fft.rfftn(v, axes=axes)
             ref = np.fft.irfftn(mults * coeffs[:, None], s=grid.shape, axes=axes)
@@ -652,12 +653,10 @@ class TestSpectralKernel:
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         # one set per row: the symbols, or the multipliers, at row-own scales;
-        # rows None is the workspace's default of one row, with the set shared
+        # rows None is the workspace's default of one row
         scales = (1.0,) if rows is None else (1.0, 2.0, 6.0)
         mults = np.stack([c * table.psi if generators else table.multipliers(0.05 * c)
                           for c in scales])
-        if rows is None:
-            mults = mults[0]
         v = np.random.default_rng(n + dim).standard_normal((len(scales),) + grid.shape)
         axes = tuple(range(-dim, 0))
         coeffs = np.expand_dims(np.fft.rfftn(v, axes=axes), -dim - 1)  # a member axis
@@ -692,34 +691,36 @@ class TestSpectralKernel:
     def test_multipliers_of_another_shape_refused(self, dim, n):
         # a member-at-a-time workspace for 2 members returned the maximum over
         # 3 given 3 members' multipliers, and the whole stack raised numpy's
-        # broadcast ValueError, as both did for a wrong half shape or row count.
-        # Now each is one ConfigurationError before out or argmax is written,
-        # and the workspace still gives the bits of a new one
+        # broadcast ValueError, as both did for a wrong half shape or row count;
+        # the whole stack took one member's multipliers, or a set with no
+        # member axis, and gave 0 as every maximizer.  Now every shape but one
+        # set of the workspace's 2 members a row (a shared set, one member,
+        # one row's set for two rows, 3 members, 3 rows, a wrong half shape) is
+        # one ConfigurationError line from apply and envelope on either
+        # schedule, before out or argmax is written, and the workspace still
+        # gives the bits of a new one
         grid = make_grid(dim, n)
         three = SymbolTable.build(_kernel_family(grid), grid).multipliers(0.1)
-        two = three[:2]
+        shared = three[:2]  # 2 members' multipliers, with no row axis
+        two = np.stack([shared] * 2)  # one set for each of the 2 rows
         v = np.stack([random_trig(grid, np.random.default_rng(n + k)).values for k in (0, 1)])
         expect = schedule_workspace(grid, 2, False, rows=2).envelope(two, v)
-        shape = re.escape(f"{(2,) + grid.half_shape}")
+        shape = re.escape(f"{(2, 2) + grid.half_shape}")
         for by_member in (False, True):
             ws = schedule_workspace(grid, 2, by_member, rows=2)
-            # (multipliers, refused by envelope, refused by apply): apply takes
-            # any member count; no member axis is refused member at a time
-            for bad, by_envelope, by_apply in ((three, True, False), (two[..., :-1], True, True),
-                                               (np.stack([two] * 3), True, True),
-                                               (two[0], by_member, True)):
+            for bad in (shared, shared[:1], shared[0], two[:, :1], two[:1],
+                        np.stack([three] * 2), np.stack([shared] * 3), two[..., :-1]):
                 out, am = np.full(v.shape, 7.0), np.full(v.shape, -1, dtype=np.int64)
-                message = (f"^kernel multipliers must have shape {shape}, shared by the rows, "
-                           f"or one such set a row, got shape {re.escape(str(bad.shape))}$")
-                if by_envelope:
-                    with pytest.raises(ConfigurationError, match=message):
-                        ws.envelope(bad, v, out=out, argmax=am)
-                    assert np.all(out == 7.0) and np.all(am == -1)
-                if by_apply:
-                    with pytest.raises(ConfigurationError, match=message):
-                        ws.apply(bad, v)
+                message = (f"^kernel multipliers must have shape {shape}, one set of 2 members "
+                           f"a row, got shape {re.escape(str(bad.shape))}$")
+                with pytest.raises(ConfigurationError, match=message):
+                    ws.envelope(bad, v, out=out, argmax=am)
+                assert np.all(out == 7.0) and np.all(am == -1)
+                with pytest.raises(ConfigurationError, match=message):
+                    ws.apply(bad, v)
             assert _bits(ws.envelope(two, v)) == _bits(expect)
-            assert ws.apply(three, v).shape == (2, 3) + grid.shape  # apply takes any count
+            # one set for every row, as a caller passes it
+            assert _bits(ws.envelope(np.broadcast_to(shared, two.shape), v)) == _bits(expect)
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
     def test_envelope_bitwise_equals_member_max(self, dim, n):
@@ -728,7 +729,7 @@ class TestSpectralKernel:
         members = _kernel_family(grid).members * 2
         table = SymbolTable.build(GeneratorFamily(members), grid)
         ws = SpectralWorkspace(grid, len(table))
-        mults = table.multipliers(0.05)
+        mults = table.multipliers(0.05)[None]
         am = np.empty((1,) + grid.shape, dtype=np.int64)
         for v in (random_trig(grid, np.random.default_rng(n + dim), kmax=n // 2).values[None],
                   np.full((1,) + grid.shape, 0.75)):
@@ -852,8 +853,8 @@ class TestMemberSchedule:
         values = np.random.default_rng(10 * dim + n).standard_normal(shape)
         if per_row:
             mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
-        else:
-            mults = table.multipliers(0.05)
+        else:  # one set for every row
+            mults = np.broadcast_to(table.multipliers(0.05), (rows, m) + grid.half_shape)
         for target in ("new", "separate", "values"):
             results = []
             for ws in (whole, split):
@@ -874,7 +875,7 @@ class TestMemberSchedule:
     @pytest.mark.parametrize("by_member", [False, True])
     def test_maximizers_per_row_are_each_rows_own(self, dim, n, per_row, by_member):
         # a batch of three rows: each row's values and maximizers are bitwise
-        # those of its own one-row call, with multipliers shared or one set a row
+        # those of its own one-row call, with one set for every row or one a row
         grid = make_grid(dim, n)
         table = SymbolTable.build(_kernel_family(grid), grid)
         m = len(table)
@@ -883,14 +884,13 @@ class TestMemberSchedule:
         if per_row:
             mults = np.stack([table.multipliers(t) for t in (0.05, 0.2, 0.6)])
         else:
-            mults = table.multipliers(0.2)
+            mults = np.broadcast_to(table.multipliers(0.2), (3, m) + grid.half_shape)
         am = np.full(values.shape, -1, dtype=np.int64)
         top = schedule_workspace(grid, m, by_member, rows=3).envelope(mults, values, argmax=am)
         one = schedule_workspace(grid, m, by_member)
         for i in range(3):
             own = np.full((1,) + grid.shape, -1, dtype=np.int64)
-            row = one.envelope(mults[i:i + 1] if per_row else mults, values[i:i + 1],
-                               argmax=own)
+            row = one.envelope(mults[i:i + 1], values[i:i + 1], argmax=own)
             assert _bits(top[i]) == _bits(row[0])
             assert np.array_equal(am[i], own[0])
         # every member maximizes somewhere, and no two rows pick alike
@@ -906,7 +906,7 @@ class TestMemberSchedule:
         grid = make_grid(dim, n)
         half = grid.shape[:-1] + (n // 2 + 1,)
         signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * dim)
-        mults = signs * np.ones((4,) + half, dtype=complex)
+        mults = signs * np.ones((1, 4) + half, dtype=complex)  # one row's set
         values = np.zeros((1,) + grid.shape)
         whole = schedule_workspace(grid, 4, False)
         stack = whole.apply(mults, values).copy()

@@ -27,6 +27,7 @@ from sublevy import (
     sample_increments,
     save_strategy,
     simulate_paths,
+    wrap_point,
 )
 from sublevy import LevyQuadruple, compound_poisson
 from sublevy import mc
@@ -327,6 +328,21 @@ class TestDualBoundSuite:
         assert (row.name, row.bound_ok) == ("onlyone", False)
         assert row.limit == 0.5 + 3.0 * row.stderr + 1e-3
 
+    def test_the_bound_is_three_standard_errors(self, grid128, two_sigma_family, bump128):
+        # a random strategy over 200 paths has stderr > 0; with the reference
+        # 3.5 stderr (and the scheme tolerance) below its mean, the bound fails
+        # at 3 stderr and would hold at 4
+        strat = random_strategy(grid128, Partition.dyadic(0.2, 3), 2, np.random.default_rng(11))
+        x0, tol = np.array([0.0]), 1e-3
+        alone = estimate(two_sigma_family, strat, bump128, x0, 0.2, 200, 5)
+        assert alone.stderr > 1e-3
+        reference = alone.mean - 3.5 * alone.stderr - tol
+        (row,) = dual_bound_suite(two_sigma_family, bump128, x0, 0.2, [("random", strat)], 200,
+                                  5, reference, tol).rows
+        assert (row.mean, row.stderr) == (alone.mean, alone.stderr)
+        assert row.limit == reference + 3.0 * row.stderr + tol
+        assert not row.bound_ok
+
 
 class TestBudgets:
     """The library door refuses a suite over a budget with the mc command's
@@ -442,6 +458,19 @@ class TestInterpolation:
             assert batch.shape == (9,)
             # each point alone is a batch of one
             assert np.array_equal(batch, [interpolate_linear(f, p[None])[0] for p in pts])
+
+    def test_far_points_take_their_wrapped_points_value(self):
+        # the cell index of a far point was cast from a float past int64 or
+        # rounded: at 1D n=16 on cosine k=1, 1e20 gave 2.0e19 with a cast
+        # warning against 1.0 at its wrapped point
+        far = np.array([1e20, -1e20, 4.6e17 + 64, 1e15 + 0.3, 1e300, 7.5, -4.0])
+        for grid, k in ((make_grid(1, 16), 1), (make_grid(2, 8), [1, 2])):
+            f = sample(grid, "cosine", k=k, phase=0.4)
+            pts = np.column_stack([far, far[::-1]])[:, :grid.dim]
+            assert np.array_equal(interpolate_linear(f, pts),
+                                  interpolate_linear(f, wrap_point(pts)))
+        f = sample(make_grid(1, 16), "cosine", k=1)
+        assert interpolate_linear(f, [[1e20]])[0] == 1.0
 
     def test_bad_point_shape_rejected(self, grid64):
         f = sample(grid64, "cosine", k=1)

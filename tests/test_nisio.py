@@ -16,9 +16,7 @@ from sublevy import (
     SimpleStrategy,
     SymbolTable,
     apply_J,
-    apply_partition,
     diffusion,
-    dpp_check,
     compound_poisson,
     drift,
     generator_limit_table,
@@ -26,7 +24,6 @@ from sublevy import (
     lipschitz_bound,
     make_grid,
     nisio_evolve,
-    partition_continuity_probe,
     picard_solve,
     picard_stages,
     sample,
@@ -36,6 +33,7 @@ from sublevy import levy, nisio
 from sublevy.levy import SpectralWorkspace, batch_rows
 from sublevy.nisio import Rider, _drive, _ride
 from conftest import count_envelopes, member_evolution, random_trig
+from paper_checks import apply_partition, dpp_check, partition_continuity_probe
 
 
 def alone(table, gap, steps, x):
@@ -150,7 +148,7 @@ class TestApplyJ:
         out = apply_J(cp_pair_table, 0.5, cos128)
         # the kernel step that apply_J takes, with its maximizers
         am = np.empty(grid128.shape, dtype=np.int64)
-        top = SpectralWorkspace(grid128, 2).envelope(cp_pair_table.multipliers(0.5),
+        top = SpectralWorkspace(grid128, 2).envelope(cp_pair_table.multipliers(0.5)[None],
                                                      cos128.values[None], argmax=am[None])
         assert np.array_equal(top[0], out.values)
         decayed = math.exp(-1.0) * cos128.values
@@ -820,7 +818,7 @@ class TestWorkspaceReuse:
     def test_recorded_maximizers_match_single_steps(self, two_sigma_table, bump128):
         res = nisio_evolve(two_sigma_table, 0.2, bump128, max_level=2, tol=0.0,
                            record_argmax_level=2)
-        mults = two_sigma_table.multipliers(0.05)
+        mults = two_sigma_table.multipliers(0.05)[None]
         f = bump128
         for step in range(3, -1, -1):
             sel = np.empty(bump128.grid.shape, dtype=np.int64)
@@ -863,7 +861,7 @@ class TestWorkspaceReuse:
         # the pass, by hand: forward-time step j is applied 2^level - 1 - j steps in
         steps = 2**level
         ws = SpectralWorkspace(two_sigma_table.grid, len(two_sigma_table))
-        mults = two_sigma_table.multipliers(0.2 / steps)
+        mults = two_sigma_table.multipliers(0.2 / steps)[None]
         selections = np.empty((steps,) + two_sigma_table.grid.shape, dtype=np.int64)
         v = bump128.values[None].copy()
         for step in range(steps - 1, -1, -1):

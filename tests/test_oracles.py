@@ -18,11 +18,9 @@ from sublevy import (
     drift,
     generator_sup,
     make_grid,
-    mass_diagnostic,
     nisio_evolve,
     picard_solve,
     picard_stages,
-    poisson_series_apply,
     sample,
     stability_limit,
     sup_distance,
@@ -31,6 +29,7 @@ from sublevy import (
 from sublevy.levy import batch_rows
 from sublevy.oracles import PICARD_WORK_BUDGET
 from conftest import count_envelopes, member_evolution, one_member_table, random_trig
+from paper_checks import mass_diagnostic, poisson_series_apply
 
 
 @pytest.fixture(scope="module")
